@@ -48,6 +48,7 @@ from .invariants import (
     eigenvalues,
     elementary_symmetric,
     pick_norm,
+    pick_numerator,
     shape_matrix,
     sym_outer,
     tau_d,

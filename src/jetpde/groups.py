@@ -25,13 +25,12 @@ import scipy.linalg
 
 from .errors import (
     ChartDomain,
-    DegenerateHessian,
     NotGraph,
     OrderUnderflow,
     SchemaMismatch,
     SingularJacobian,
 )
-from .invariants import Signature
+from .invariants import Signature, hessian_congruence
 from .jetspace import GraphJet, jet_extend, to_poly
 from .taylor import TruncatedJet, compose, invert_map
 
@@ -52,8 +51,6 @@ CONFORMAL_FORM_TOL = 1e-8
 # Chart denominators closer to zero than this (relative) are rejected
 # rather than divided through; keeps prolonged coefficients representable.
 CHART_DENOM_RTOL = 1e-3
-
-DEGENERATE_HESSIAN_RTOL = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -375,18 +372,7 @@ def normalize_to_origin(tag: GeometryTag, j: GraphJet) -> Normalization:
     if tag.name in ("affine", "projective"):
         if j.order != 3:
             raise OrderUnderflow("third-order normalization needs order 3")
-        H = j.hess.full()
-        det = float(np.linalg.det(H))
-        scale = float(np.linalg.norm(H, 2)) or 1.0
-        if abs(det) < DEGENERATE_HESSIAN_RTOL * scale**n:
-            raise DegenerateHessian(f"|det hess| = {abs(det):.3e}")
-        lams, Q = np.linalg.eigh(H)
-        idx = np.argsort(-lams)  # descending: positive directions first
-        lams, Q = lams[idx], Q[:, idx]
-        d = int(np.sum(lams > 0.0))
-        B = np.diag(np.sqrt(np.abs(lams) / 2.0)) @ Q.T
-        if np.linalg.det(B) < 0.0:
-            B = np.diag([1.0] * (n - 1) + [-1.0]) @ B
+        B, signature = hessian_congruence(j.hess)
         A = np.zeros((n + 1, n + 1))
         A[0, 0] = 1.0
         A[0, 1:] = -j.grad
@@ -400,7 +386,7 @@ def normalize_to_origin(tag: GeometryTag, j: GraphJet) -> Normalization:
             P[: n + 1, n + 1] = b
             P[n + 1, n + 1] = 1.0
             g = projective_element(_unimodular(P))
-        return Normalization(g, prolong(g, j), Signature(d, n))
+        return Normalization(g, prolong(g, j), signature)
 
     raise SchemaMismatch("conformal normalization is not provided")
 

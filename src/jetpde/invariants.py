@@ -19,14 +19,20 @@ and eigenvalue ratios, which are insensitive to global positive factors.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-from .errors import SingularMetric, WrongDimension
+from .errors import DegenerateHessian, SingularMetric, WrongDimension
 from .jetspace import GraphJet
 from .symtensor import SymCubic, SymMatrix, cubic_indices
 
 SINGULAR_METRIC_RTOL = 1e-12
+
+# Hessians with |det| below this times |hess|_2^n count as degenerate: the
+# third-order invariants carry det(hess)^-3 and the normalizing congruence
+# needs every eigenvalue away from zero.
+DEGENERATE_HESSIAN_RTOL = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,6 +170,57 @@ def pick_norm(g: SymMatrix, C: SymCubic) -> float:
     ginv = _metric_inverse(g)
     Cf = C.full()
     return float(np.einsum("il,jm,kn,ijk,lmn->", ginv, ginv, ginv, Cf, Cf))
+
+
+def _nondegenerate_det(lams: np.ndarray) -> float:
+    """Product of the Hessian spectrum; raises on the degenerate locus."""
+    det = float(np.prod(lams))
+    scale = float(np.max(np.abs(lams))) or 1.0
+    if abs(det) < DEGENERATE_HESSIAN_RTOL * scale**lams.size:
+        raise DegenerateHessian(f"|det hess| = {abs(det):.3e}")
+    return det
+
+
+def hessian_det(hess: SymMatrix) -> float:
+    """det(hess), raising DegenerateHessian when |det| is below
+    DEGENERATE_HESSIAN_RTOL * |hess|_2^n."""
+    return _nondegenerate_det(np.linalg.eigvalsh(hess.full()))
+
+
+def hessian_congruence(hess: SymMatrix) -> tuple[np.ndarray, Signature]:
+    """B with det B > 0 and hess = 2 B^T eps B, eps = diag(1_d, -1_{n-d}).
+
+    Positive directions come first; raises DegenerateHessian as
+    :func:`hessian_det` does.
+    """
+    lams, Q = np.linalg.eigh(hess.full())
+    _nondegenerate_det(lams)
+    idx = np.argsort(-lams)  # descending: positive directions first
+    lams, Q = lams[idx], Q[:, idx]
+    n = lams.size
+    B = np.diag(np.sqrt(np.abs(lams) / 2.0)) @ Q.T
+    if np.linalg.det(B) < 0.0:
+        B = np.diag([1.0] * (n - 1) + [-1.0]) @ B
+    return B, Signature(int(np.sum(lams > 0.0)), n)
+
+
+def pick_numerator(hess: SymMatrix, cubic: SymCubic) -> float:
+    """Q = det(hess)^3 pick_norm(hess, tracefree_cubic(hess, cubic)), a polynomial.
+
+    With A = adj(hess) and s_k = A^{ij} C_{ijk},
+    Q = A^{il} A^{jm} A^{kn} C_{ijk} C_{lmn} - 3/(n+2) s.A.s; the adjugate
+    comes from the spectrum without dividing by det, so Q is defined on the
+    degenerate locus too.
+    """
+    lams, V = np.linalg.eigh(hess.full())
+    n = lams.size
+    spec = lams.tolist()
+    cofactors = [math.prod(spec[:i] + spec[i + 1 :]) for i in range(n)]
+    A = (V * cofactors) @ V.T
+    C = cubic.full()
+    s = np.einsum("ij,ijk->k", A, C)
+    full = np.einsum("il,jm,kn,ijk,lmn->", A, A, A, C, C)
+    return float(full - 3.0 / (n + 2.0) * (s @ A @ s))
 
 
 def F_aff3(j: GraphJet) -> float:

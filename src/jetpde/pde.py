@@ -3,11 +3,15 @@
 A :class:`PdeDescriptor` pairs a geometry with an invariant expression; its
 residual at a graph jet vanishes exactly when the jet solves the PDE the
 expression defines.  Euclidean and conformal residuals evaluate the
-expression on the second-order invariants directly; affine and projective
-residuals normalize the jet to the origin first and measure the trace-free
-part of the normalized cubic.  Residual values transform by a nonzero
-factor under the group, so only zero sets and eigenvalue ratios are
-meaningful across points.
+expression on the second-order invariants directly.  Affine and projective
+residuals evaluate the ``pick`` leaf in closed form from the Hessian H and
+the cubic C alone: the squared norm of the H-trace-free part of C against
+H, ``8 Q / det(H)^3`` with Q the polynomial of
+:func:`~jetpde.invariants.pick_numerator`.  ``residual_via_normalization``
+keeps the moving-frame route (normalize the jet to the origin, then read
+the invariants off the normal form) as an independent check.  Residual
+values transform by a nonzero factor under the group, so only zero sets
+and eigenvalue ratios are meaningful across points.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from .groups import GeometryTag, normalize_to_origin
 from .invariants import (
     elementary_symmetric,
     eigenvalues,
+    hessian_det,
     pick_norm,
+    pick_numerator,
     shape_matrix,
     tau_d,
     tracefree_cubic,
@@ -223,27 +229,36 @@ def residual(desc: PdeDescriptor, j: GraphJet) -> float:
 
         return _eval_tree(desc.expr, leaf_value)
 
-    # affine / projective third-order route
+    # affine / projective third-order route: the normalized jet has hess =
+    # 2 eps, so the pick norm against eps is 8 pick_norm(hess, C0) = 8 Q / det^3.
     def leaf_value(e: Expr) -> float:
         if e.op != "pick":
             raise InvalidExpr(f"leaf {e.op!r} unexpected here")
         if "pick" not in cache:
-            res = normalize_to_origin(desc.geometry, j)
-            eps = res.signature.metric()
-            cache["pick"] = pick_norm(eps, tracefree_cubic(eps, res.jet.cubic))
+            det = hessian_det(j.hess)
+            cache["pick"] = 8.0 * pick_numerator(j.hess, j.cubic) / det**3
         return cache["pick"]
 
     return _eval_tree(desc.expr, leaf_value)
 
 
 def residual_via_normalization(desc: PdeDescriptor, j: GraphJet) -> float:
-    """Independent Euclidean route: normalize to the origin, then read the
-    expression off the spectrum of the normalized Hessian (where h = I)."""
-    if desc.geometry.name != "euclidean":
-        raise SchemaMismatch("normalization route is defined for euclidean descriptors")
+    """Independent moving-frame route: normalize the jet to the origin, then
+    read the expression off the normal form.
+
+    Euclidean: the spectrum of the normalized Hessian (where h = I).
+    Affine/projective: the pick norm of the trace-free normalized cubic
+    against eps = diag(1_d, -1_{n-d}).
+    """
+    if desc.geometry.name == "conformal":
+        raise SchemaMismatch("normalization route is not defined for conformal descriptors")
     if j.chart != desc.chart or j.order != desc.order:
         raise SchemaMismatch("jet does not match descriptor")
     res = normalize_to_origin(desc.geometry, j)
+    if res.signature is not None:
+        eps = res.signature.metric()
+        value = pick_norm(eps, tracefree_cubic(eps, res.jet.cubic))
+        return _eval_tree(desc.expr, lambda e: value)  # pick is the only leaf
     lams = np.sort(np.linalg.eigvalsh(res.jet.hess.full()))[::-1]
 
     def leaf_value(e: Expr) -> float:
@@ -410,8 +425,8 @@ def expand_polynomial(desc: PdeDescriptor) -> ExpandedPolynomial:
 
     Euclidean (n = 2): returns P with P = rho**rho_power * residual.
     Affine (n = 2): returns the unique 13-term third-order polynomial
-    whose zero set the pick residual defines (the residual itself carries
-    a det(hess)**-3 factor from the normalization; only zero sets match).
+    whose zero set the pick residual defines (the residual is 2 P /
+    det(hess)**3; only zero sets match).
     """
     n = desc.geometry.n
     if desc.geometry.name == "euclidean":

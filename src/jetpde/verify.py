@@ -17,8 +17,15 @@ import numpy as np
 import scipy.optimize
 
 from .errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch
-from .groups import affine_element, normalize_to_origin, prolong, random_element
-from .invariants import F_aff3, eigenvalues, rho_of, sym_outer
+from .groups import affine_element, prolong, random_element
+from .invariants import (
+    eigenvalues,
+    hessian_congruence,
+    hessian_det,
+    pick_numerator,
+    rho_of,
+    sym_outer,
+)
 from .jetspace import GraphJet, jet_extend, to_poly
 from .pde import PdeDescriptor, homogeneity_degree, residual, tauring
 from .symtensor import SymCubic, SymMatrix
@@ -65,13 +72,37 @@ class Report:
 
 
 def residual_scale(desc: PdeDescriptor, j: GraphJet) -> float:
-    """(1 + |hess| + |cubic|)^degree, the residual's homogeneity scale."""
-    s = 1.0
-    if j.order >= 2:
-        s += j.hess.norm()
-    if j.order >= 3:
-        s += j.cubic.norm()
-    return s ** homogeneity_degree(desc.expr)
+    """The residual's homogeneity scale.
+
+    Second order: (1 + |hess|)^degree.  Third order: each ``pick`` leaf is
+    8 Q / det(hess)^3 with Q of degree 3(n-1) in hess and 2 in cubic, so
+    the scale per pick is (1 + |hess|)^(3(n-1)) (1 + |cubic|)^2 / |det hess|^3;
+    the defect then measures Q itself and stays well conditioned near
+    det(hess) = 0, where the residual is not.
+    """
+    degree = homogeneity_degree(desc.expr)
+    if j.order < 3:
+        return (1.0 + j.hess.norm()) ** degree
+    if degree == 0:
+        return 1.0
+    per_pick = (
+        (1.0 + j.hess.norm()) ** (3 * (j.n - 1))
+        * (1.0 + j.cubic.norm()) ** 2
+        / abs(hessian_det(j.hess)) ** 3
+    )
+    return per_pick ** (degree / 2)
+
+
+def _smallest_root(a: float, b: float, c: float, bracket: float):
+    """Smallest real root of a t^2 + b t + c (a != 0) in [-bracket, bracket],
+    or None."""
+    disc = b * b - 4.0 * a * c
+    if a == 0.0 or disc < 0.0:
+        return None
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    roots = (q / a, c / q) if q != 0.0 else (0.0,)
+    inside = [t for t in roots if -bracket <= t <= bracket]
+    return min(inside) if inside else None
 
 
 def _solve_on_line(f, bracket: float, npts: int = 65):
@@ -143,32 +174,30 @@ def _sample_affine(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | Non
     H = hess.full()
 
     if np.linalg.det(H) > 0.0:
-        # definite branch: zero set is exactly the relation family
-        # cubic = pullback of (w . eps) through the normalizing congruence.
-        probe = GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic(n))
-        norm = normalize_to_origin(desc.geometry, probe)
-        eps = norm.signature.metric()
+        # the relation family cubic = pullback of (w . eps) through the
+        # normalizing congruence lies on the zero set; for definite hess it
+        # is the whole zero set.
+        B, signature = hessian_congruence(hess)
         w = rng.standard_normal(n)
-        relation = sym_outer(w, eps)
-        B = norm.element.mat[1:, 1:] if norm.element.kind == "affine" else (
-            norm.element.mat[1 : n + 1, 1 : n + 1] / norm.element.mat[n + 1, n + 1]
-        )
+        relation = sym_outer(w, signature.metric())
         Cfull = np.einsum("ai,bj,ck,abc->ijk", B, B, B, relation.full())
         return GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic.from_full(Cfull))
 
-    # hyperbolic branch: solve the last cubic coefficient on the direct
-    # polynomial (same zero set as the residual off det(hess) = 0).
+    # det(hess) < 0: solve for the last cubic coefficient t on the numerator
+    # Q (same zero set as the residual off det(hess) = 0).  Q is quadratic
+    # in t, so its values at t = 0, 1, -1 give the coefficients exactly.
     cubic_entries = rng.standard_normal(len(SymCubic(n).data))
 
     def with_last(t):
         entries = cubic_entries.copy()
         entries[-1] = t
-        return GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic(n, entries))
+        return SymCubic(n, entries)
 
-    root = _solve_on_line(lambda t: F_aff3(with_last(t)), bracket=50.0)
+    q0, q1, qm = (pick_numerator(hess, with_last(t)) for t in (0.0, 1.0, -1.0))
+    root = _smallest_root(0.5 * (q1 + qm) - q0, 0.5 * (q1 - qm), q0, bracket=50.0)
     if root is None:
         return None
-    j = with_last(root)
+    j = GraphJet(desc.chart, n, 3, base, u, grad, hess, with_last(root))
     if abs(residual(desc, j)) > SOUNDNESS_TOL * residual_scale(desc, j):
         return None
     return j

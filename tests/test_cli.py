@@ -122,6 +122,17 @@ class TestVerify:
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_projective_cubic_default_seed(self, tmp_path):
+        # seed 7 once failed with max_defect 1.79e-5: the residual's
+        # det(hess)^-3 factor was left out of the defect's scale
+        desc, rep = tmp_path / "pc.json", tmp_path / "rep.json"
+        assert run(["build", "--geometry", "projective", "--preset", "projective-cubic",
+                    "--out", str(desc)]) == 0
+        code = run(["verify", str(desc), "--seed", "7", "--samples", "300",
+                    "--out", str(rep)])
+        assert code == 0
+        assert json.loads(rep.read_text())["max_defect"] <= 1e-7
+
     def test_failed_verification_exit_1(self, tmp_path, ms_desc):
         rep = tmp_path / "rep.json"
         code = run(["verify", str(ms_desc), "--samples", "20", "--seed", "5",

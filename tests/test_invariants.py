@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from jetpde.errors import SingularMetric, WrongDimension
+from jetpde.errors import DegenerateHessian, SingularMetric, WrongDimension
 from jetpde.invariants import (
     F_aff3,
     chart_metric_h,
@@ -13,7 +13,10 @@ from jetpde.invariants import (
     cubic_trace,
     eigenvalues,
     elementary_symmetric,
+    hessian_congruence,
+    hessian_det,
     pick_norm,
+    pick_numerator,
     shape_matrix,
     sym_outer,
     tau_d,
@@ -339,3 +342,71 @@ class TestFAff3:
             lhs = F_aff3(j)
             rhs = 4.0 * det**3 * pick
             assert np.isclose(lhs, rhs, rtol=1e-9, atol=1e-10)
+
+
+def random_hess_cubic(rng, n, min_det=0.0):
+    """A Hessian with |det| >= min_det |hess|_2^n and a cubic, entries N(0, 1)."""
+    while True:
+        hess = SymMatrix(n, rng.standard_normal(n * (n + 1) // 2))
+        lams = np.linalg.eigvalsh(hess.full())
+        if abs(np.prod(lams)) >= min_det * np.max(np.abs(lams)) ** n:
+            return hess, SymCubic(n, rng.standard_normal(len(SymCubic(n).data)))
+
+
+class TestPickNumerator:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_det_cubed_times_pick(self, n):
+        rng = np.random.default_rng(36 + n)
+        for _ in range(100):
+            hess, cubic = random_hess_cubic(rng, n, min_det=0.05)
+            det = np.linalg.det(hess.full())
+            want = det**3 * pick_norm(hess, tracefree_cubic(hess, cubic))
+            assert np.isclose(pick_numerator(hess, cubic), want, rtol=1e-9, atol=1e-12)
+
+    def test_four_times_is_F_aff3(self):
+        # the hand-expanded 13-term polynomial is an independent oracle at n = 2,
+        # degenerate Hessians included
+        rng = np.random.default_rng(40)
+        for k in range(200):
+            hess, cubic = random_hess_cubic(rng, 2)
+            if k % 10 == 0:
+                a, c = hess[0, 0], hess[1, 1]
+                hess = SymMatrix(2, [a, np.sqrt(abs(a * c)), np.sign(a) * abs(c)])
+            j = GraphJet("affine", 2, 3, [0, 0], 0.0, [0, 0], hess, cubic)
+            f = F_aff3(j)
+            assert np.isclose(4.0 * pick_numerator(hess, cubic), f, rtol=1e-12,
+                              atol=1e-12 * (1.0 + hess.norm()) ** 3 * (1.0 + cubic.norm()) ** 2)
+
+    def test_relation_family_is_kernel(self):
+        rng = np.random.default_rng(42)
+        for n in (2, 3, 4):
+            hess, _ = random_hess_cubic(rng, n)
+            relation = sym_outer(rng.standard_normal(n), hess)
+            scale = (1.0 + hess.norm()) ** (3 * (n - 1)) * (1.0 + relation.norm()) ** 2
+            assert abs(pick_numerator(hess, relation)) <= 1e-12 * scale
+
+
+class TestHessianHelpers:
+    def test_det(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3, 4):
+            hess, _ = random_hess_cubic(rng, n, min_det=0.01)
+            assert np.isclose(hessian_det(hess), np.linalg.det(hess.full()), rtol=1e-12)
+
+    def test_degenerate(self):
+        with pytest.raises(DegenerateHessian):
+            hessian_det(SymMatrix.diag([1.0, 0.0]))
+        with pytest.raises(DegenerateHessian):
+            hessian_det(SymMatrix.diag([1.0, 1e-9, -2.0]))
+        with pytest.raises(DegenerateHessian):
+            hessian_congruence(SymMatrix(2))
+
+    def test_congruence(self):
+        rng = np.random.default_rng(44)
+        for n in (2, 3, 4):
+            hess, _ = random_hess_cubic(rng, n, min_det=0.01)
+            B, sig = hessian_congruence(hess)
+            eps = sig.metric().full()
+            assert np.linalg.det(B) > 0.0
+            assert np.allclose(2.0 * B.T @ eps @ B, hess.full(), atol=1e-12)
+            assert sig.d == int(np.sum(np.linalg.eigvalsh(hess.full()) > 0.0))

@@ -208,6 +208,39 @@ class TestNormalizationRoute:
             assert cross <= 1e-8 * max(1.0, np.linalg.norm(lams) * np.linalg.norm(nlams))
 
 
+    @pytest.mark.parametrize("geometry", ["affine", "projective"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_third_order_agrees(self, geometry, n):
+        # moving frame (normalize, then the pick norm against eps) against
+        # the closed form 8 Q / det^3, on jets with relative det >= 0.1
+        tag = GeometryTag(geometry, n)
+        desc = build(tag, f"{geometry}_cubic")
+        rng = np.random.default_rng(59 + n)
+        done = 0
+        while done < 40:
+            hess = SymMatrix(n, rng.standard_normal(n * (n + 1) // 2))
+            lams = np.linalg.eigvalsh(hess.full())
+            if abs(np.prod(lams)) < 0.1 * np.max(np.abs(lams)) ** n:
+                continue
+            j = GraphJet(tag.chart, n, 3, 0.5 * rng.standard_normal(n),
+                         0.5 * rng.standard_normal(), 0.5 * rng.standard_normal(n),
+                         hess, SymCubic(n, rng.standard_normal(len(SymCubic(n).data))))
+            a, b = residual(desc, j), residual_via_normalization(desc, j)
+            assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+            done += 1
+
+    def test_third_order_degenerate(self):
+        desc = build(A2, "affine_cubic")
+        with pytest.raises(DegenerateHessian):
+            residual_via_normalization(desc, ajet([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]))
+
+    def test_conformal_rejected(self):
+        desc = build(C2, "umbilical")
+        j = ejet([0.0, 0.0], [1.0, 0.0, 1.0], chart="sphere_stereographic")
+        with pytest.raises(SchemaMismatch):
+            residual_via_normalization(desc, j)
+
+
 class TestExpand:
     def test_minimal_surface_polynomial(self):
         desc = build(E2, "minimal_surface")

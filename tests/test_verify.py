@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from jetpde.errors import ChartDomain
+from jetpde.errors import ChartDomain, DegenerateHessian
 from jetpde.groups import GeometryTag
-from jetpde.invariants import F_aff3
-from jetpde.jetspace import jet_extend
+from jetpde.invariants import F_aff3, pick_numerator
+from jetpde.jetspace import GraphJet, jet_extend
 from jetpde.pde import build, residual
+from jetpde.symtensor import SymCubic, SymMatrix
 from jetpde.verify import (
     SampleConfig,
     check_solution,
@@ -33,7 +34,9 @@ class TestSamplers:
     @pytest.mark.parametrize(
         "tag,preset",
         [(E2, "minimal_surface"), (E2, "monge_ampere"), (C2, "umbilical"),
-         (A2, "affine_cubic"), (P2, "projective_cubic")],
+         (A2, "affine_cubic"), (P2, "projective_cubic"),
+         (GeometryTag("affine", 3), "affine_cubic"),
+         (GeometryTag("projective", 3), "projective_cubic")],
     )
     def test_soundness(self, tag, preset):
         desc = build(tag, preset)
@@ -47,6 +50,47 @@ class TestSamplers:
             found += 1
             assert abs(residual(desc, j)) <= 1e-12 * residual_scale(desc, j)
         assert found >= rng_count // 3
+
+
+class TestThirdOrderDefect:
+    @pytest.mark.parametrize("tag", [A2, P2, GeometryTag("affine", 3)])
+    def test_defect_is_scaled_numerator(self, tag):
+        # |residual| / residual_scale = 8|Q| / ((1+|H|)^(3(n-1)) (1+|C|)^2)
+        desc = build(tag, f"{tag.name}_cubic")
+        rng = np.random.default_rng(64)
+        n = tag.n
+        for _ in range(50):
+            j = GraphJet(tag.chart, n, 3, np.zeros(n), 0.0, rng.standard_normal(n),
+                         SymMatrix(n, rng.standard_normal(n * (n + 1) // 2)),
+                         SymCubic(n, rng.standard_normal(len(SymCubic(n).data))))
+            try:
+                defect = abs(residual(desc, j)) / residual_scale(desc, j)
+            except DegenerateHessian:
+                continue
+            want = 8.0 * abs(pick_numerator(j.hess, j.cubic)) / (
+                (1.0 + j.hess.norm()) ** (3 * (n - 1)) * (1.0 + j.cubic.norm()) ** 2)
+            assert np.isclose(defect, want, rtol=1e-9)
+            if n == 2:
+                assert np.isclose(defect, 2.0 * abs(F_aff3(j)) / (
+                    (1.0 + j.hess.norm()) ** 3 * (1.0 + j.cubic.norm()) ** 2), rtol=1e-9)
+
+    @pytest.mark.parametrize("tag", [A2, P2])
+    def test_nudged_cubic_detected(self, tag):
+        # the gate still bites: on-locus jets whose cubic moves by a relative
+        # 1e-2 all report a defect above the default tol
+        desc = build(tag, f"{tag.name}_cubic")
+        checked = 0
+        for idx in range(100):
+            j = sample_on_zero_set(desc, np.random.default_rng((7, idx)), 0.5)
+            if j is None:
+                continue
+            d = np.random.default_rng((7, idx, 2)).standard_normal(j.cubic.data.size)
+            nudge = 1e-2 * np.linalg.norm(j.cubic.data) * d / np.linalg.norm(d)
+            jn = GraphJet(j.chart, 2, 3, j.base, j.u, j.grad, j.hess,
+                          SymCubic(2, j.cubic.data + nudge))
+            assert abs(residual(desc, jn)) / residual_scale(desc, jn) > 1e-7
+            checked += 1
+        assert checked >= 90
 
 
 class TestInvarianceReport:
