@@ -10,22 +10,13 @@ significant digits; identical flags produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .errors import (
-    ChartDomain,
-    DegenerateHessian,
-    InvalidExpr,
-    JetError,
-    NotGraph,
-    NotPolynomial,
-    SchemaMismatch,
-)
+from .errors import JetError, SchemaMismatch
 from .groups import GeometryTag, element_to_json, normalize_to_origin
 from .jetspace import jet_from_json, jet_to_json
 from .pde import (
@@ -70,11 +61,13 @@ def _dump_json(obj, path: str | None) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise SchemaMismatch(f"{path}: not valid JSON: {exc}") from exc
 
 
 def cmd_build(args) -> int:
-    tag = GeometryTag(args.geometry, args.n)
     if args.preset is not None:
         if args.preset not in PRESET_FLAGS:
             print(f"unknown preset {args.preset!r}", file=sys.stderr)
@@ -89,21 +82,21 @@ def cmd_build(args) -> int:
         except SchemaMismatch as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_USAGE
+    # Every output is made before any is written.
     try:
-        desc = build(tag, expr)
-    except InvalidExpr as exc:
+        desc = build(GeometryTag(args.geometry, args.n), expr)
+        latex = emit(desc, "latex") if args.latex is not None else None
+        expanded = expand_polynomial(desc) if args.expanded is not None else None
+    except JetError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     try:
         _dump_json(descriptor_to_json(desc), args.out)
-        if args.latex is not None:
+        if latex is not None:
             with open(args.latex, "w") as fh:
-                fh.write(emit(desc, "latex") + "\n")
-        if args.expanded is not None:
-            _dump_json(expanded_to_json(expand_polynomial(desc)), args.expanded)
-    except NotPolynomial as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+                fh.write(latex + "\n")
+        if expanded is not None:
+            _dump_json(expanded_to_json(expanded), args.expanded)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -117,7 +110,7 @@ def cmd_eval(args) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SchemaMismatch, json.JSONDecodeError) as exc:
+    except SchemaMismatch as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -125,7 +118,7 @@ def cmd_eval(args) -> int:
     except SchemaMismatch as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateHessian, NotGraph, ChartDomain) as exc:
+    except JetError as exc:
         print(f"domain: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     print(_fmt(value))
@@ -138,24 +131,26 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"cannot read descriptor: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SchemaMismatch, json.JSONDecodeError) as exc:
+    except SchemaMismatch as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    if args.surface is not None:
-        rng = np.random.default_rng(args.seed)
-        pts = args.point_scale * rng.uniform(-1.0, 1.0, size=(args.points, desc.geometry.n))
-        try:
-            rep = check_solution(desc, args.surface, pts)
-        except SchemaMismatch as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_USAGE
-        rep = dataclasses.replace(rep, passed=rep.max_defect <= args.tol)
-    else:
-        cfg = SampleConfig(
-            seed=args.seed, count=args.samples, scale=args.scale,
-            jet_scale=args.jet_scale, tol=args.tol,
-        )
-        rep = invariance_report(desc, cfg)
+    try:
+        if args.surface is not None:
+            rng = np.random.default_rng(args.seed)
+            pts = args.point_scale * rng.uniform(-1.0, 1.0, size=(args.points, desc.geometry.n))
+            rep = check_solution(desc, args.surface, pts, tol=args.tol)
+        else:
+            cfg = SampleConfig(
+                seed=args.seed, count=args.samples, scale=args.scale,
+                jet_scale=args.jet_scale, tol=args.tol,
+            )
+            rep = invariance_report(desc, cfg)
+    except SchemaMismatch as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
+    except JetError as exc:
+        print(f"domain: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     try:
         _dump_json(rep.to_json(), args.out)
     except OSError as exc:
@@ -165,13 +160,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    tag = GeometryTag(args.geometry, args.n)
     try:
+        tag = GeometryTag(args.geometry, args.n)
         jet = jet_from_json(_load_json(args.jet))
     except OSError as exc:
         print(f"cannot read jet: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SchemaMismatch, json.JSONDecodeError) as exc:
+    except SchemaMismatch as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -179,7 +174,7 @@ def cmd_normalize(args) -> int:
     except SchemaMismatch as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateHessian, NotGraph, ChartDomain, JetError) as exc:
+    except JetError as exc:
         print(f"domain: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     out = {

@@ -32,7 +32,15 @@ from .errors import (
 )
 from .invariants import Signature, hessian_congruence
 from .jetspace import GraphJet, jet_extend, to_poly
-from .taylor import TruncatedJet, compose, invert_map
+from .taylor import (
+    TruncatedJet,
+    compose,
+    divide_rows,
+    invert_map,
+    linear_positions,
+    linear_rows,
+    mul_rows,
+)
 
 GEOMETRIES = ("euclidean", "affine", "projective", "conformal")
 
@@ -45,6 +53,9 @@ CHART_FOR_GEOMETRY = {
 
 ORTHOGONALITY_TOL = 1e-10
 AFFINE_DET_TOL = 1e-10
+# Relative tolerances: det(P) must be 1 up to this times |det P| times the
+# condition number of P, and C^T J C must be J up to this times |C|^2 (the
+# condition number of C), the size of the rounding error in either.
 PROJECTIVE_DET_TOL = 1e-8
 CONFORMAL_FORM_TOL = 1e-8
 
@@ -84,6 +95,8 @@ class GroupElement:
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=float)
+        if not np.isfinite(mat).all():
+            raise SchemaMismatch("group element entries must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         if self.shift is not None:
@@ -109,14 +122,15 @@ class GroupElement:
             P = self.mat
             if P.shape != (n + 2, n + 2):
                 raise SchemaMismatch("projective element needs an (n+2)x(n+2) matrix")
-            if abs(np.linalg.det(P) - 1.0) > PROJECTIVE_DET_TOL:
+            det = np.linalg.det(P)
+            if not abs(det - 1.0) <= PROJECTIVE_DET_TOL * np.linalg.cond(P) * abs(det):
                 raise SchemaMismatch("projective matrix is not unimodular")
         elif self.kind == "conformal":
             C = self.mat
             if C.shape != (n + 3, n + 3):
                 raise SchemaMismatch("conformal element needs an (n+3)x(n+3) matrix")
             J = _form_matrix(n)
-            if np.linalg.norm(C.T @ J @ C - J) > CONFORMAL_FORM_TOL:
+            if not np.linalg.norm(C.T @ J @ C - J) <= CONFORMAL_FORM_TOL * np.linalg.norm(C) ** 2:
                 raise SchemaMismatch("matrix does not preserve the ambient form")
         else:
             raise SchemaMismatch(f"unknown group element kind {self.kind!r}")
@@ -212,48 +226,45 @@ def act_point(g: GroupElement, p) -> np.ndarray:
     return 2.0 * w[1:-1] / den
 
 
-def _push_components(g: GroupElement, comps: list[TruncatedJet]) -> list[TruncatedJet]:
-    """Apply the point map to an ambient-jet parametrization (u, x)(delta)."""
-    order = comps[0].order
-    nv = comps[0].n_vars
+def _chart_denominator(out: np.ndarray, den: np.ndarray, what: str) -> None:
+    """Raise ChartDomain when the image denominator is too close to zero."""
+    scale = max(1.0, max(abs(v) for v in out[:, 0].tolist()))
+    if abs(float(den[0])) < CHART_DENOM_RTOL * scale:
+        raise ChartDomain(what)
 
-    def const(v):
-        return TruncatedJet.constant(v, nv, order)
 
-    def linear(M, vec, off=None):
-        rows = []
-        for i in range(M.shape[0]):
-            row = const(off[i] if off is not None else 0.0)
-            for j, cj in enumerate(vec):
-                if M[i, j] != 0.0:
-                    row = row + cj * M[i, j]
-            rows.append(row)
-        return rows
+def _push_components(g: GroupElement, comps: np.ndarray, order: int) -> np.ndarray:
+    """Apply the point map to an ambient-jet parametrization (u, x)(delta).
+
+    ``comps`` holds the coefficient rows of the n + 1 chart coordinates as
+    germs in n variables; so does the result.
+    """
+    n = comps.shape[0] - 1
+    one = np.zeros(comps.shape[1])
+    one[0] = 1.0
 
     if g.kind in ("euclidean", "affine"):
-        return linear(g.mat, comps, g.shift)
+        return linear_rows(g.mat, comps, g.shift)
 
     if g.kind == "projective":
-        hom = list(comps) + [const(1.0)]
-        out = linear(g.mat, hom)
-        den = out[-1]
-        scale = max(1.0, max(abs(o.const_term) for o in out))
-        if abs(den.const_term) < CHART_DENOM_RTOL * scale:
-            raise ChartDomain("projective image leaves the affine chart")
-        return [o / den for o in out[:-1]]
+        out = linear_rows(g.mat, np.vstack([comps, one]))
+        _chart_denominator(out, out[-1], "projective image leaves the affine chart")
+        return divide_rows(out[:-1], out[-1], n, order)
 
     # conformal
-    m = comps[0] * comps[0]
-    for c in comps[1:]:
-        m = m + c * c
-    den0 = m + 4.0
-    lifted = [const(1.0)] + [(c * 4.0) / den0 for c in comps] + [(4.0 - m) / den0]
-    out = linear(g.mat, lifted)
+    squares = mul_rows(comps, comps, n, order)
+    m = squares[0]
+    for sq in squares[1:]:
+        m = m + sq
+    den0 = m.copy()
+    den0[0] += 4.0
+    last = -m
+    last[0] += 4.0
+    lifted = divide_rows(np.vstack([comps * 4.0, last]), den0, n, order)
+    out = linear_rows(g.mat, np.vstack([one, lifted]))
     den = out[-1] + out[0]
-    scale = max(1.0, max(abs(o.const_term) for o in out))
-    if abs(den.const_term) < CHART_DENOM_RTOL * scale:
-        raise ChartDomain("conformal image hits the projection antipode")
-    return [(o * 2.0) / den for o in out[1:-1]]
+    _chart_denominator(out, den, "conformal image hits the projection antipode")
+    return divide_rows(out[1:-1] * 2.0, den, n, order)
 
 
 def prolong(g: GroupElement, j: GraphJet) -> GraphJet:
@@ -268,20 +279,20 @@ def prolong(g: GroupElement, j: GraphJet) -> GraphJet:
     if j.n != g.n:
         raise SchemaMismatch("jet and group dimension differ")
     n, order = j.n, j.order
-    comps = [to_poly(j)]
-    for i in range(n):
-        comps.append(
-            TruncatedJet.coordinate(i, n, order) + float(j.base[i])
-        )
-    imgs = _push_components(g, comps)
-    u_img, x_imgs = imgs[0], imgs[1:]
-    new_base = np.array([x.const_term for x in x_imgs])
-    deltas = [x - x.const_term for x in x_imgs]
+    poly = to_poly(j)
+    comps = np.zeros((n + 1, poly.coeffs.size))
+    comps[0] = poly.coeffs
+    comps[np.arange(1, n + 1), linear_positions(n)] = 1.0
+    comps[1:, 0] += j.base
+    imgs = _push_components(g, comps, order)
+    new_base = imgs[1:, 0].copy()
+    deltas = imgs[1:].copy()
+    deltas[:, 0] += -new_base
     try:
-        inv = invert_map(deltas)
+        inv = invert_map([TruncatedJet(n, order, d) for d in deltas])
     except SingularJacobian as exc:
         raise NotGraph(str(exc)) from exc
-    regraphed = compose(u_img, inv)
+    regraphed = compose(TruncatedJet(n, order, imgs[0]), inv)
     return jet_extend(regraphed, new_base, order, j.chart)
 
 

@@ -10,13 +10,21 @@ local coordinates centered at the jet's base point.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
 from .errors import DegreeMismatch, OrderUnderflow, SchemaMismatch
 from .symtensor import SymCubic, SymMatrix, cubic_indices
-from .taylor import TruncatedJet, differentiate, multi_indices
+from .taylor import (
+    TruncatedJet,
+    differentiate,
+    index_position,
+    linear_positions,
+    multi_indices,
+    n_coeffs,
+)
 
 CHARTS = ("euclidean", "affine", "projective_affine_chart", "sphere_stereographic")
 
@@ -42,27 +50,51 @@ class GraphJet:
             raise SchemaMismatch(f"unknown chart {self.chart!r}")
         if self.order not in (1, 2, 3):
             raise SchemaMismatch(f"jet order must be 1, 2 or 3, got {self.order}")
-        base = np.array(self.base, dtype=float).reshape(-1)
-        grad = np.array(self.grad, dtype=float).reshape(-1)
-        if base.size != self.n or grad.size != self.n:
+        u = float(self.u)
+        base = np.asarray(self.base, dtype=float).reshape(-1)
+        grad = np.asarray(self.grad, dtype=float).reshape(-1)
+        n = self.n
+        if base.size != n or grad.size != n:
             raise SchemaMismatch("base/grad length differs from n")
-        base.setflags(write=False)
-        grad.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "grad", grad)
-        object.__setattr__(self, "u", float(self.u))
         if (self.hess is not None) != (self.order >= 2):
             raise SchemaMismatch("hess must be present exactly when order >= 2")
         if (self.cubic is not None) != (self.order == 3):
             raise SchemaMismatch("cubic must be present exactly when order == 3")
-        if self.hess is not None and self.hess.n != self.n:
+        if self.hess is not None and self.hess.n != n:
             raise SchemaMismatch("hess dimension differs from n")
-        if self.cubic is not None and self.cubic.n != self.n:
+        if self.cubic is not None and self.cubic.n != n:
             raise SchemaMismatch("cubic dimension differs from n")
+        # One fresh array holds base and grad, and is checked whole.
+        data = np.concatenate([base, grad] + [t.data for t in (self.hess, self.cubic) if t is not None])
+        if not (math.isfinite(u) and np.logical_and.reduce(np.isfinite(data))):
+            raise SchemaMismatch("jet entries must be finite")
+        data.setflags(write=False)
+        object.__setattr__(self, "base", data[:n])
+        object.__setattr__(self, "grad", data[n : 2 * n])
+        object.__setattr__(self, "u", u)
 
     def point(self) -> np.ndarray:
         """The underlying chart point (u, x^1, ..., x^n)."""
         return np.concatenate(([self.u], self.base))
+
+
+@functools.lru_cache(maxsize=None)
+def _slots(n: int) -> tuple[np.ndarray, ...]:
+    """Taylor-table positions of the Hessian (lower triangle, row-major) and
+    cubic (``cubic_indices`` order) entries, with their multi-index
+    factorials: a derivative is its Taylor coefficient times the factorial.
+    """
+    pos = index_position(n, 3)
+    hess = [_exps(n, (i, k)) for i in range(n) for k in range(i + 1)]
+    cubic = [_exps(n, ijk) for ijk in cubic_indices(n)]
+
+    def fact(alpha):
+        return float(math.prod(math.factorial(a) for a in alpha))
+
+    return (
+        np.array([pos[a] for a in hess]), np.array([fact(a) for a in hess]),
+        np.array([pos[a] for a in cubic]), np.array([fact(a) for a in cubic]),
+    )
 
 
 def jet_extend(germ: TruncatedJet, base, order: int, chart: str = "euclidean") -> GraphJet:
@@ -76,22 +108,13 @@ def jet_extend(germ: TruncatedJet, base, order: int, chart: str = "euclidean") -
         raise OrderUnderflow(f"germ order {germ.order} < requested {order}")
     n = germ.n_vars
     base = np.asarray(base, dtype=float).reshape(-1)
-    u = germ.const_term
-    grad = germ.linear_part()
     hess = cubic = None
     if order >= 2:
-        hess = SymMatrix(
-            n, [germ.coeff(_exps(n, (i, j))) * (2.0 if i == j else 1.0)
-                for i in range(n) for j in range(i + 1)]
-        )
-    if order >= 3:
-        vals = []
-        for ijk in cubic_indices(n):
-            alpha = _exps(n, ijk)
-            fact = math.prod(math.factorial(a) for a in alpha)
-            vals.append(germ.coeff(alpha) * fact)
-        cubic = SymCubic(n, vals)
-    return GraphJet(chart, n, order, base, u, grad, hess, cubic)
+        hess_pos, hess_fact, cubic_pos, cubic_fact = _slots(n)
+        hess = SymMatrix(n, germ.coeffs[hess_pos] * hess_fact)
+        if order >= 3:
+            cubic = SymCubic(n, germ.coeffs[cubic_pos] * cubic_fact)
+    return GraphJet(chart, n, order, base, germ.const_term, germ.linear_part(), hess, cubic)
 
 
 def to_poly(j: GraphJet, order: int | None = None) -> TruncatedJet:
@@ -99,21 +122,17 @@ def to_poly(j: GraphJet, order: int | None = None) -> TruncatedJet:
     if order is None:
         order = j.order
     n = j.n
-    terms: dict[tuple[int, ...], float] = {(0,) * n: j.u}
-    for i in range(n):
-        terms[_exps(n, (i,))] = j.grad[i]
+    c = np.zeros(n_coeffs(n, order))
+    if order < 1:
+        raise OrderUnderflow(f"term {_exps(n, (0,))} exceeds order {order}")
+    c[0] = j.u
+    c[linear_positions(n)] = j.grad
     if j.order >= 2 and order >= 2:
-        for i in range(n):
-            for k in range(i + 1):
-                alpha = _exps(n, (i, k))
-                fact = math.prod(math.factorial(a) for a in alpha)
-                terms[alpha] = j.hess[i, k] / fact
-    if j.order >= 3 and order >= 3:
-        for ijk in cubic_indices(n):
-            alpha = _exps(n, ijk)
-            fact = math.prod(math.factorial(a) for a in alpha)
-            terms[alpha] = j.cubic[ijk] / fact
-    return TruncatedJet.from_terms(terms, n, order)
+        hess_pos, hess_fact, cubic_pos, cubic_fact = _slots(n)
+        c[hess_pos] = j.hess.data / hess_fact
+        if j.order >= 3 and order >= 3:
+            c[cubic_pos] = j.cubic.data / cubic_fact
+    return TruncatedJet(n, order, c)
 
 
 def project(j: GraphJet, order: int) -> GraphJet:

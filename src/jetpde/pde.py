@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -191,7 +192,10 @@ def _eval_tree(e: Expr, leaf_value) -> float:
             raise DivisionByZero("quotient node hit a vanishing denominator")
         return vals[0] / vals[1]
     if e.op == "pow":
-        return vals[0] ** e.index
+        try:
+            return vals[0] ** e.index
+        except OverflowError:  # float ** int raises where float * float gives inf
+            return math.copysign(math.inf, vals[0]) if e.index % 2 else math.inf
     raise InvalidExpr(f"unknown node {e.op!r}")
 
 

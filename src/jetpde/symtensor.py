@@ -26,6 +26,21 @@ def _cubic_position(n: int) -> dict[tuple[int, int, int], int]:
     return {t: i for i, t in enumerate(cubic_indices(n))}
 
 
+@functools.lru_cache(maxsize=None)
+def _matrix_gather(n: int) -> np.ndarray:
+    """Storage index of every entry of the full n x n matrix."""
+    i, j = np.indices((n, n))
+    hi, lo = np.maximum(i, j), np.minimum(i, j)
+    return hi * (hi + 1) // 2 + lo
+
+
+@functools.lru_cache(maxsize=None)
+def _cubic_gather(n: int) -> np.ndarray:
+    """Storage index of every entry of the full n x n x n tensor."""
+    pos = _cubic_position(n)
+    return np.array([pos[tuple(sorted(ijk))] for ijk in np.ndindex(n, n, n)]).reshape(n, n, n)
+
+
 class SymMatrix:
     """Symmetric n x n matrix, lower triangle stored row-major."""
 
@@ -62,13 +77,7 @@ class SymMatrix:
         return cls.from_full(np.eye(n))
 
     def full(self) -> np.ndarray:
-        out = np.empty((self.n, self.n))
-        k = 0
-        for i in range(self.n):
-            for j in range(i + 1):
-                out[i, j] = out[j, i] = self.data[k]
-                k += 1
-        return out
+        return self.data[_matrix_gather(self.n)]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -142,11 +151,7 @@ class SymCubic:
         return cls(n, data)
 
     def full(self) -> np.ndarray:
-        out = np.empty((self.n, self.n, self.n))
-        for (i, j, k), v in zip(cubic_indices(self.n), self.data):
-            for p in set(itertools.permutations((i, j, k))):
-                out[p] = v
-        return out
+        return self.data[_cubic_gather(self.n)]
 
     def __getitem__(self, ijk):
         return float(self.data[_cubic_position(self.n)[tuple(sorted(ijk))]])

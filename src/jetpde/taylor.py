@@ -4,9 +4,23 @@ A :class:`TruncatedJet` holds the coefficients of a polynomial germ in
 ``n_vars`` variables, truncated at a fixed total degree ``order``.  A
 multi-index is a plain tuple of non-negative exponents; coefficients are
 stored densely in a float64 array over the graded-lexicographic table
-returned by :func:`multi_indices`.  The caps ``n_vars <= 8``,
-``order <= 4`` keep every table below 495 entries, so all products are
-dense loops over precomputed index triples.
+returned by :func:`multi_indices`, so the coefficients of degree <= k form
+the same prefix at every order >= k.  The caps ``n_vars <= 8``,
+``order <= 4`` keep every table below 495 entries.
+
+The arithmetic is a layer of kernels on raw coefficient arrays, one jet
+per vector or per row of a 2-D array: :func:`mul_rows`, :func:`divide_rows`,
+:func:`linear_rows`, :func:`compose_rows` and :func:`invert_rows`,
+driven by index tables built lazily and cached per (n, order).
+:class:`TruncatedJet` and the module-level functions are the public
+boundary over them; :mod:`jetpde.groups` prolongs on arrays.
+
+The rule of the kernel layer: every floating-point operation keeps its
+operands and its order (products summed in ``_mul_table`` order, terms in
+multi-index order, linear combinations in column order).  An operation is
+left out only where that is exact for finite data, e.g. adding a zero
+product to a sum that starts at +0.0.  Results are therefore bit for bit
+those of plain jet-by-jet arithmetic.
 
 The coefficient of the multi-index ``alpha`` is the Taylor coefficient,
 i.e. the partial derivative divided by ``alpha!``.  All operations are
@@ -66,6 +80,13 @@ def n_coeffs(n: int, order: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def linear_positions(n: int) -> np.ndarray:
+    """Table positions of the coordinate monomials x^0, ..., x^{n-1}."""
+    pos = index_position(n, 1)
+    return np.array([pos[tuple(1 if k == i else 0 for k in range(n))] for i in range(n)])
+
+
+@functools.lru_cache(maxsize=None)
 def _mul_table(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index triples (ia, ib, iout) of all products that survive truncation."""
     idx = multi_indices(n, order)
@@ -80,6 +101,146 @@ def _mul_table(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             ib.append(j)
             iout.append(pos[tuple(a + b for a, b in zip(alpha, beta))])
     return (np.asarray(ia), np.asarray(ib), np.asarray(iout))
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_table(m: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factors of the monomials of degree <= order in m variables.
+
+    Returns (count, var, power): monomial ``b`` is the product over
+    ``s < count[b]`` of ``x[var[b, s]] ** power[b, s]``, variables
+    increasing; the constant monomial has count 0 and power 0.
+    """
+    idx = multi_indices(m, order)
+    width = max(1, min(m, order))
+    count = np.zeros(len(idx), dtype=np.intp)
+    var = np.zeros((len(idx), width), dtype=np.intp)
+    power = np.zeros((len(idx), width), dtype=np.intp)
+    for b, beta in enumerate(idx):
+        factors = [(i, e) for i, e in enumerate(beta) if e]
+        count[b] = len(factors)
+        for s, (i, e) in enumerate(factors):
+            var[b, s], power[b, s] = i, e
+    return count, var, power
+
+
+# -- kernels on coefficient arrays -------------------------------------------
+
+
+def _unit_rows(rows: int, size: int, cols) -> np.ndarray:
+    out = np.zeros((rows, size))
+    out[np.arange(rows), cols] = 1.0
+    return out
+
+
+def mul_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
+    """Cauchy products of coefficient vectors or rows (``b`` broadcasts).
+
+    Each output coefficient is 0.0 plus its products in ``_mul_table``
+    order, the order ``np.add.at`` accumulates them in.
+    """
+    ia, ib, iout = _mul_table(n, order)
+    size = n_coeffs(n, order)
+    w = a[..., ia] * b[..., ib]
+    if w.ndim == 1:
+        return np.bincount(iout, weights=w, minlength=size)
+    rows = w.shape[0]
+    flat = (iout + size * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, weights=w.ravel(), minlength=rows * size).reshape(rows, size)
+
+
+def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int,
+                tol: float = DIVISION_RTOL) -> np.ndarray:
+    """``a / b`` for a coefficient vector or rows ``a`` and one divisor ``b``:
+    ``a`` times the series ``1 - r + r^2 - ...`` of ``r = (b - b(0)) / b(0)``,
+    times ``1 / b(0)``."""
+    b0 = float(b[0])
+    scale = max(1.0, float(np.max(np.abs(b))))
+    if abs(b0) < tol * scale:
+        raise DivisionBySingular(f"|b(0)|={abs(b0):.3e} below {tol * scale:.3e}")
+    s = 1.0 / b0
+    r = b.copy()
+    r[0] += -b0
+    neg_r = -(r * s)
+    inv = np.zeros_like(r)
+    inv[0] = 1.0
+    term = inv
+    for _ in range(order):
+        term = mul_rows(term, neg_r, n, order)
+        inv = inv + term
+    return mul_rows(a, inv, n, order) * s
+
+
+def linear_rows(M: np.ndarray, V: np.ndarray, off=None) -> np.ndarray:
+    """Rows ``off[i] + sum_j M[i, j] V[j]``, added in column order.
+
+    Terms with ``M[i, j] == 0`` are skipped: they become -0.0, which leaves
+    every sum bit for bit as it was.
+    """
+    P = M[:, :, None] * V[None, :, :]
+    P[M == 0.0] = -0.0
+    out = np.zeros((M.shape[0], V.shape[1]))
+    if off is not None:
+        out[:, 0] = off
+    for j in range(M.shape[1]):
+        out += P[:, j]
+    return out
+
+
+def compose_rows(C: np.ndarray, D: np.ndarray, n: int, order: int) -> np.ndarray:
+    """Rows ``C[k](D[0], ..., D[m-1])`` for inner germs with zero constant terms.
+
+    ``C`` holds one outer germ per row, over the m = len(D) variables and
+    of order >= ``order``, expanded about the origin.  Each term is its
+    coefficient times the inner powers of its monomial, multiplied in
+    increasing variable order; the terms of a row are added in multi-index
+    order to 0.0.
+    """
+    m = D.shape[0]
+    size = n_coeffs(n, order)
+    count, var, power = _factor_table(m, order)
+    powers = np.empty((order + 1, m, size))
+    powers[0] = _unit_rows(m, size, 0)
+    if order >= 1:
+        powers[1] = D
+    for p in range(2, order + 1):
+        powers[p] = mul_rows(powers[p - 1], D, n, order)
+    row, mono = np.nonzero(C[:, : count.size] != 0.0)
+    var, power, count = var[mono], power[mono], count[mono]
+    terms = C[row, mono][:, None] * powers[power[:, 0], var[:, 0]]
+    for s in range(1, var.shape[1]):
+        more = np.flatnonzero(count > s)
+        if more.size == 0:
+            break
+        terms[more] = mul_rows(terms[more], powers[power[more, s], var[more, s]], n, order)
+    flat = (size * row[:, None] + np.arange(size)).ravel()
+    out = np.bincount(flat, weights=terms.ravel(), minlength=C.shape[0] * size)
+    return out.reshape(C.shape[0], size)
+
+
+def invert_rows(F: np.ndarray, n: int, order: int) -> np.ndarray:
+    """Compositional inverse of the map germ with coefficient rows ``F``.
+
+    ``F`` is n rows over n variables with zero constant terms; the inverse
+    is the fixed point of ``g = J^-1 (x - high(g))``, iterated order - 1
+    times from ``J^-1 x``.
+    """
+    lin = linear_positions(n)
+    J = F[:, lin] if order >= 1 else np.zeros((n, n))
+    det = float(np.linalg.det(J))
+    scale = float(np.linalg.norm(J) / math.sqrt(n))
+    if det == 0.0 or abs(det) < SINGULAR_RTOL * scale**n:
+        raise SingularJacobian(f"|det J|={abs(det):.3e}, scale={scale:.3e}")
+    Jinv = np.linalg.inv(J)
+    coords = _unit_rows(n, F.shape[1], lin)
+    high = F - linear_rows(J, coords)
+    g = linear_rows(Jinv, coords)
+    for _ in range(order - 1):
+        g = linear_rows(Jinv, coords - compose_rows(high, g, n, order))
+    return g
+
+
+# -- jets ----------------------------------------------------------------------
 
 
 class TruncatedJet:
@@ -161,13 +322,9 @@ class TruncatedJet:
 
     def linear_part(self) -> np.ndarray:
         """Gradient of the germ at its base point."""
-        n = self.n_vars
-        out = np.empty(n)
-        pos = index_position(n, self.order)
-        for i in range(n):
-            e = tuple(1 if k == i else 0 for k in range(n))
-            out[i] = self.coeffs[pos[e]] if self.order >= 1 else 0.0
-        return out
+        if self.order < 1:
+            return np.zeros(self.n_vars)
+        return self.coeffs[linear_positions(self.n_vars)]
 
     def truncate(self, order: int) -> "TruncatedJet":
         if order > self.order:
@@ -175,14 +332,6 @@ class TruncatedJet:
         if order == self.order:
             return self
         return TruncatedJet(self.n_vars, order, self.coeffs[: n_coeffs(self.n_vars, order)])
-
-    def pad(self, order: int) -> "TruncatedJet":
-        """Reinterpret at a higher order with zero top coefficients."""
-        if order < self.order:
-            return self.truncate(order)
-        c = np.zeros(n_coeffs(self.n_vars, order))
-        c[: self.coeffs.size] = self.coeffs
-        return TruncatedJet(self.n_vars, order, c)
 
     def __call__(self, point: Sequence[float]) -> float:
         point = np.asarray(point, dtype=float)
@@ -204,18 +353,20 @@ class TruncatedJet:
                 f"jets over {self.n_vars} and {other.n_vars} variables"
             )
 
+    def _common(self, other: "TruncatedJet"):
+        """(order, own coefficients, other's coefficients) at the lower order."""
+        self._check_vars(other)
+        order = min(self.order, other.order)
+        size = n_coeffs(self.n_vars, order)
+        return order, self.coeffs[:size], other.coeffs[:size]
+
     def __add__(self, other):
         if np.isscalar(other):
             c = self.coeffs.copy()
             c[0] += other
             return TruncatedJet(self.n_vars, self.order, c)
-        self._check_vars(other)
-        order = min(self.order, other.order)
-        return TruncatedJet(
-            self.n_vars,
-            order,
-            self.truncate(order).coeffs + other.truncate(order).coeffs,
-        )
+        order, a, b = self._common(other)
+        return TruncatedJet(self.n_vars, order, a + b)
 
     __radd__ = __add__
 
@@ -231,14 +382,8 @@ class TruncatedJet:
     def __mul__(self, other):
         if np.isscalar(other):
             return TruncatedJet(self.n_vars, self.order, self.coeffs * other)
-        self._check_vars(other)
-        order = min(self.order, other.order)
-        a = self.truncate(order).coeffs
-        b = other.truncate(order).coeffs
-        ia, ib, iout = _mul_table(self.n_vars, order)
-        out = np.zeros(n_coeffs(self.n_vars, order))
-        np.add.at(out, iout, a[ia] * b[ib])
-        return TruncatedJet(self.n_vars, order, out)
+        order, a, b = self._common(other)
+        return TruncatedJet(self.n_vars, order, mul_rows(a, b, self.n_vars, order))
 
     __rmul__ = __mul__
 
@@ -295,20 +440,8 @@ def differentiate(a: TruncatedJet, i: int) -> TruncatedJet:
 
 def divide(a: TruncatedJet, b: TruncatedJet, tol: float = DIVISION_RTOL) -> TruncatedJet:
     """``a * b**-1`` with the reciprocal expanded as a geometric series."""
-    a._check_vars(b)
-    order = min(a.order, b.order)
-    b = b.truncate(order)
-    b0 = b.const_term
-    scale = max(1.0, float(np.max(np.abs(b.coeffs))))
-    if abs(b0) < tol * scale:
-        raise DivisionBySingular(f"|b(0)|={abs(b0):.3e} below {tol * scale:.3e}")
-    r = (b - b0) * (1.0 / b0)  # zero constant term
-    inv = TruncatedJet.constant(1.0, b.n_vars, order)
-    term = TruncatedJet.constant(1.0, b.n_vars, order)
-    for _ in range(order):
-        term = term * (-r)
-        inv = inv + term
-    return a.truncate(order) * inv * (1.0 / b0)
+    order, num, den = a._common(b)
+    return TruncatedJet(a.n_vars, order, divide_rows(num, den, a.n_vars, order, tol))
 
 
 def _binom_shift(outer: TruncatedJet, center: np.ndarray) -> np.ndarray:
@@ -356,37 +489,19 @@ def compose(
     elif order > native:
         raise OrderUnderflow(f"requested order {order} exceeds available {native}")
 
-    center = np.array([g.const_term for g in inners])
-    shifted = _binom_shift(outer, center)
-
-    deltas = [g.truncate(order) - g.const_term for g in inners]
-    powers = []
-    for d in deltas:
-        col = [TruncatedJet.constant(1.0, n, order)]
-        for _ in range(order):
-            col.append(col[-1] * d)
-        powers.append(col)
-
-    out = TruncatedJet.constant(0.0, n, order)
-    for beta, c in zip(multi_indices(m, outer.order), shifted):
-        if c == 0.0 or sum(beta) > order:
-            continue
-        term = TruncatedJet.constant(c, n, order)
-        for i, bi in enumerate(beta):
-            if bi:
-                term = term * powers[i][bi]
-        out = out + term
-    return out
+    size = n_coeffs(n, order)
+    D = np.array([g.coeffs[:size] for g in inners])
+    center = D[:, 0].copy()
+    # About a zero center the re-expansion changes no nonzero coefficient.
+    shifted = _binom_shift(outer, center) if np.any(center != 0.0) else outer.coeffs
+    D[:, 0] += -center
+    return TruncatedJet(n, order, compose_rows(shifted[None, :], D, n, order)[0])
 
 
 def compose_map(
     outers: Sequence[TruncatedJet], inners: Sequence[TruncatedJet]
 ) -> list[TruncatedJet]:
     return [compose(f, inners) for f in outers]
-
-
-def jacobian(fs: Sequence[TruncatedJet]) -> np.ndarray:
-    return np.array([f.linear_part() for f in fs])
 
 
 def invert_map(fs: Sequence[TruncatedJet]) -> list[TruncatedJet]:
@@ -403,31 +518,6 @@ def invert_map(fs: Sequence[TruncatedJet]) -> list[TruncatedJet]:
             raise DimensionMismatch("invert_map needs as many germs as variables")
         if f.const_term != 0.0:
             raise ValueError("invert_map requires zero constant terms")
-    J = jacobian(fs)
-    det = float(np.linalg.det(J))
-    scale = float(np.linalg.norm(J) / math.sqrt(n))
-    if det == 0.0 or abs(det) < SINGULAR_RTOL * scale**n:
-        raise SingularJacobian(f"|det J|={abs(det):.3e}, scale={scale:.3e}")
-    Jinv = np.linalg.inv(J)
-
-    coords = [TruncatedJet.coordinate(i, n, order) for i in range(n)]
-    linear_rows = []
-    for i in range(n):
-        row = TruncatedJet.constant(0.0, n, order)
-        for j in range(n):
-            if J[i, j] != 0.0:
-                row = row + coords[j] * J[i, j]
-        linear_rows.append(row)
-    high = [fs[i].truncate(order) - linear_rows[i] for i in range(n)]
-
-    g = [sum((coords[j] * Jinv[i, j] for j in range(n)), TruncatedJet.constant(0.0, n, order)) for i in range(n)]
-    for _ in range(order - 1):
-        corr = compose_map(high, g)
-        g = [
-            sum(
-                ((coords[j] - corr[j]) * Jinv[i, j] for j in range(n)),
-                TruncatedJet.constant(0.0, n, order),
-            )
-            for i in range(n)
-        ]
-    return g
+    size = n_coeffs(n, order)
+    F = np.array([f.coeffs[:size] for f in fs])
+    return [TruncatedJet(n, order, row) for row in invert_rows(F, n, order)]

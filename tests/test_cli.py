@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import traceback
 
 import numpy as np
 import pytest
 
 from jetpde.cli import main
+from jetpde.groups import GeometryTag
 from jetpde.jetspace import GraphJet, jet_to_json
+from jetpde.pde import build, descriptor_to_json, expr_to_json, sigma, tau
 from jetpde.symtensor import SymCubic, SymMatrix
 
 
@@ -169,3 +172,55 @@ class TestNormalize:
         jp = tmp_path / "jet.json"
         write_jet(jp, j)
         assert run(["normalize", "--geometry", "affine", str(jp)]) == 4
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Input files for the error cases, keyed by their argv placeholder."""
+    files = {
+        "ms": descriptor_to_json(build(GeometryTag("euclidean", 2), "minimal_surface")),
+        # tau_1 / (sigma_1 - sigma_1): every residual divides by zero
+        "div0": descriptor_to_json(build(GeometryTag("euclidean", 2), tau(1) / (sigma(1) - sigma(1)))),
+        "expr": expr_to_json(tau(1)),
+        "jet": jet_to_json(GraphJet("euclidean", 2, 2, [0, 0], 0.0, [0, 0], SymMatrix(2))),
+    }
+    paths = {}
+    for key, blob in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(blob))
+    paths["bad"] = tmp_path / "bad.json"
+    paths["bad"].write_text('{"op": "tau", "index": ')
+    paths["nan_jet"] = tmp_path / "nan_jet.json"
+    paths["nan_jet"].write_text(paths["jet"].read_text().replace("0.0]", "NaN]", 1))
+    for key in ("out", "tex", "mono"):
+        paths[key] = tmp_path / f"{key}.out"
+    return paths
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["build", "--geometry", "euclidean", "-n", "0", "--preset", "minimal-surface"], 2),
+    (["build", "--geometry", "euclidean", "--expr", "{bad}"], 2),
+    (["build", "--geometry", "euclidean", "-n", "3", "--expr", "{expr}", "--out", "{out}",
+      "--latex", "{tex}"], 2),
+    (["build", "--geometry", "euclidean", "-n", "3", "--preset", "minimal-surface",
+      "--out", "{out}", "--expanded", "{mono}"], 2),
+    (["eval", "{ms}", "{nan_jet}"], 2),
+    (["eval", "{bad}", "{jet}"], 2),
+    (["eval", "{div0}", "{jet}"], 4),
+    (["verify", "{div0}", "--samples", "3"], 4),
+    (["verify", "{div0}", "--surface", "plane", "--points", "3"], 4),
+    (["verify", "{ms}", "--surface", "nope"], 2),
+    (["normalize", "--geometry", "euclidean", "-n", "0", "{jet}"], 2),
+])
+def test_errors_end_in_exit_code(inputs, capsys, argv, code):
+    argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]
+    try:
+        got = main(argv)
+    except Exception:  # what the interpreter would print for an escape
+        traceback.print_exc()
+        got = None
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert got == code
+    assert len(err.strip().splitlines()) == 1
+    assert not any(inputs[k].exists() for k in ("out", "tex", "mono"))

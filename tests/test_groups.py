@@ -8,6 +8,7 @@ import pytest
 from jetpde.errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch
 from jetpde.groups import (
     GeometryTag,
+    GroupElement,
     act_point,
     affine_element,
     compose_elements,
@@ -116,6 +117,42 @@ class TestRandomElement:
             g = random_element(GeometryTag("conformal", 2), seed, 0.5)
             C = g.mat
             assert np.linalg.norm(C.T @ J @ C - J) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["conformal", "projective"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_large_scales_pass_own_validator(self, name, n):
+        # random_element used to build conformal/projective matrices that
+        # missed the absolute form/determinant tolerances at scale >= 3
+        for scale in (3.0, 4.0):
+            for seed in range(200):
+                random_element(GeometryTag(name, n), seed, scale)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_conformal_off_constraint_rejected(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (0.5, 3.0, 4.0):
+            for seed in range(50):
+                C = random_element(GeometryTag("conformal", n), seed, scale).mat
+                E = rng.standard_normal(C.shape)
+                with pytest.raises(SchemaMismatch):
+                    GroupElement("conformal", n, C + 1e-6 * np.linalg.norm(C) * E / np.linalg.norm(E))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_projective_off_constraint_rejected(self, n):
+        # pushed a relative 1e-6 along the gradient of det, i.e. off the
+        # unimodular set rather than along it
+        for scale in (0.5, 1.0, 2.0):
+            for seed in range(50):
+                P = random_element(GeometryTag("projective", n), seed, scale).mat
+                grad = np.linalg.inv(P).T
+                for sign in (1.0, -1.0):
+                    with pytest.raises(SchemaMismatch):
+                        GroupElement("projective", n,
+                                     P + sign * 1e-6 * np.linalg.norm(P) * grad / np.linalg.norm(grad))
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(SchemaMismatch):
+            GroupElement("affine", 1, [[1.0, np.nan], [0.0, 1.0]], [0.0, 0.0])
 
 
 class TestProlong:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jetpde.errors import DegreeMismatch, OrderUnderflow
+from jetpde.errors import DegreeMismatch, OrderUnderflow, SchemaMismatch
 from jetpde.jetspace import (
     FiberVector,
     GraphJet,
@@ -158,3 +158,33 @@ class TestJson:
                 assert back.hess.allclose(j.hess, tol=0.0)
             if order >= 3:
                 assert back.cubic.allclose(j.cubic, tol=0.0)
+
+
+class TestFinite:
+    @pytest.mark.parametrize("field", ["base", "u", "grad", "hess", "cubic"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        parts = {"base": [0.1, 0.2], "u": 0.3, "grad": [0.4, 0.5],
+                 "hess": [1.0, 2.0, 3.0], "cubic": [1.0, 2.0, 3.0, 4.0]}
+        if field == "u":
+            parts["u"] = bad
+        else:
+            parts[field] = list(parts[field])
+            parts[field][-1] = bad
+        with pytest.raises(SchemaMismatch):
+            GraphJet("affine", 2, 3, parts["base"], parts["u"], parts["grad"],
+                     SymMatrix(2, parts["hess"]), SymCubic(2, parts["cubic"]))
+
+    def test_nan_record_rejected(self):
+        record = jet_to_json(GraphJet("euclidean", 2, 2, [0, 0], 0.0, [0, 0], SymMatrix(2)))
+        record["hess_lower"][1] = float("nan")
+        with pytest.raises(SchemaMismatch):
+            jet_from_json(record)
+
+    def test_base_and_grad_are_frozen_copies(self):
+        base, grad = np.array([0.1, 0.2]), np.array([0.3, 0.4])
+        j = GraphJet("euclidean", 2, 1, base, 0.0, grad)
+        base[0] = grad[0] = 9.0
+        assert j.base[0] == 0.1 and j.grad[0] == 0.3
+        with pytest.raises(ValueError):
+            j.base[0] = 1.0

@@ -9,7 +9,8 @@ from jetpde.errors import ChartDomain, DegenerateHessian
 from jetpde.groups import GeometryTag
 from jetpde.invariants import F_aff3, pick_numerator
 from jetpde.jetspace import GraphJet, jet_extend
-from jetpde.pde import build, residual
+from jetpde import verify
+from jetpde.pde import build, const, residual, tau, tauring
 from jetpde.symtensor import SymCubic, SymMatrix
 from jetpde.verify import (
     SampleConfig,
@@ -255,6 +256,27 @@ class TestCheckSolution:
                                  value=0.3, slope=[0.1, -0.2])
             assert rep.max_defect <= 1e-14
 
+    def test_paraboloid_is_no_minimal_surface(self):
+        # check_solution used to report passed=True whatever the defect
+        rng = np.random.default_rng(64)
+        rep = check_solution(build(E2, "minimal_surface"), "paraboloid",
+                             0.5 * rng.uniform(-1, 1, size=(20, 2)))
+        assert rep.evaluated == 20
+        assert rep.max_defect > 0.5
+        assert not rep.passed
+        assert check_solution(build(E2, "minimal_surface"), "paraboloid", [[0.0, 0.0]], tol=2.0).passed
+
+    def test_overflowing_expression_fails(self):
+        # (1e200 tau)^2 overflows to inf, so the residual is inf - inf = nan:
+        # a nan defect must fail, not vanish in max(0.0, nan)
+        big = (const(1e200) * tau(1)) ** 2
+        desc = build(E2, big - big)
+        rep = check_solution(desc, "paraboloid", [[0.1, 0.2], [0.3, -0.1]])
+        assert math.isnan(residual(desc, jet_extend(verify.paraboloid([0.1, 0.2], 2), [0.1, 0.2], 2)))
+        assert rep.evaluated == 2
+        assert rep.max_defect == math.inf
+        assert not rep.passed
+
     def test_sheared_quadric_solves_affine(self):
         desc = build(A2, "affine_cubic")
         rng = np.random.default_rng(63)
@@ -268,3 +290,13 @@ class TestCheckSolution:
         j = jet_extend(germ, [0.1, -0.3], 3, chart="affine")
         scale = (1 + j.hess.norm()) ** 3 * (1 + j.cubic.norm()) ** 2
         assert abs(F_aff3(j)) <= 1e-9 * scale
+
+
+def test_nan_residual_fails_invariance_report(monkeypatch):
+    # the umbilic sampler needs no residual, so every one evaluated is on a moved jet
+    monkeypatch.setattr(verify, "residual", lambda desc, j: float("nan"))
+    rep = invariance_report(build(C2, "umbilical"), SampleConfig(seed=3, count=5))
+    assert build(C2, "umbilical").expr == tauring(2)
+    assert rep.evaluated > 0
+    assert rep.max_defect == math.inf
+    assert not rep.passed
