@@ -126,6 +126,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, count in (("--samples", args.samples), ("--points", args.points)):
+        if count < 0:
+            print(f"{flag} must be >= 0, got {count}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         desc = descriptor_from_json(_load_json(args.descriptor))
     except OSError as exc:

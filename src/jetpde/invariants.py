@@ -14,11 +14,21 @@ Conventions (fixed once, used everywhere):
 
 All functions are pure; consumers of these invariants use only zero sets
 and eigenvalue ratios, which are insensitive to global positive factors.
+
+Stack axis: :func:`shape_matrix`, :func:`tracefree_shape` and
+:func:`eigenvalues` take either a :class:`SymMatrix` or a stack of full
+Hessians of shape (m, n, n) sharing one gradient; :func:`tau_d` takes an
+(n, n) or (m, n, n) matrix and :func:`elementary_symmetric` an (n,) or
+(m, n) spectrum.  A stack gives one value (or matrix, or spectrum) per
+row, each bitwise equal to the single-matrix result: the rows go through
+the same per-matrix BLAS/LAPACK calls and the same elementwise operations
+in the same order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -56,62 +66,89 @@ def rho_of(grad) -> float:
     return 1.0 + float(grad @ grad)
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _metric_numerator(grad: np.ndarray) -> tuple[float, np.ndarray]:
+    """rho and rho I - grad grad^T, which is rho^2 h."""
+    rho = rho_of(grad)
+    return rho, rho * _identity(grad.size) - grad[:, None] * grad
+
+
 def chart_metric_h(grad) -> SymMatrix:
     """Round-metric pullback h = rho^-2 (rho I - grad grad^T)."""
-    grad = np.asarray(grad, dtype=float)
-    rho = rho_of(grad)
-    full = (rho * np.eye(grad.size) - np.outer(grad, grad)) / rho**2
-    return SymMatrix.from_full(full)
+    rho, M = _metric_numerator(np.asarray(grad, dtype=float))
+    return SymMatrix.from_full(M / rho**2)
 
 
-def shape_matrix(grad, hess: SymMatrix) -> np.ndarray:
+def _full(hess) -> np.ndarray:
+    """The full (n, n) matrix of a SymMatrix, or the given (m, n, n) stack."""
+    return hess.full() if isinstance(hess, SymMatrix) else hess
+
+
+def _trace(P: np.ndarray):
+    """Trace over the last two axes, summing the diagonal as ``np.trace``
+    sums it; a scalar for one matrix, an (m,) array for a stack."""
+    n = P.shape[-1]
+    return P.reshape(P.shape[:-2] + (n * n,))[..., :: n + 1].sum(axis=-1)
+
+
+def shape_matrix(grad, hess) -> np.ndarray:
     """Endomorphism h . hess measuring the Hessian against the chart metric."""
-    grad = np.asarray(grad, dtype=float)
-    rho = rho_of(grad)
-    return (rho * np.eye(grad.size) - np.outer(grad, grad)) @ hess.full() / rho**2
+    rho, M = _metric_numerator(np.asarray(grad, dtype=float))
+    return M @ _full(hess) / rho**2
 
 
-def tau_d(S: np.ndarray, d: int) -> float:
-    """Trace of the d-th matrix power."""
+def tau_d(S, d: int):
+    """Trace of the d-th matrix power: a float, or (m,) values for a stack."""
     if d < 1:
         raise ValueError("tau_d needs d >= 1")
-    P = np.linalg.matrix_power(np.asarray(S, dtype=float), d)
-    return float(np.trace(P))
+    S = np.asarray(S, dtype=float)
+    t = _trace(np.linalg.matrix_power(S, d))
+    return float(t) if S.ndim == 2 else t
 
 
-def eigenvalues(grad, hess: SymMatrix) -> np.ndarray:
-    """Real spectrum of the shape matrix, sorted descending.
+def eigenvalues(grad, hess) -> np.ndarray:
+    """Real spectrum of the shape matrix, sorted descending along the last axis.
 
     Computed through the symmetric congruence L^T hess L with h = L L^T
     (Cholesky of the positive-definite chart metric), which is similar to
-    h . hess and guarantees a real spectrum.
+    h . hess and guarantees a real spectrum.  h and L depend on the
+    gradient only, so a stack of Hessians shares them.  h is taken as
+    computed: it is exactly symmetric, so the symmetrizing round trip of
+    :func:`chart_metric_h` would return it unchanged.
     """
-    grad = np.asarray(grad, dtype=float)
-    h = chart_metric_h(grad).full()
-    L = np.linalg.cholesky(h)
-    lams = np.linalg.eigvalsh(L.T @ hess.full() @ L)
-    return lams[::-1]
+    rho, M = _metric_numerator(np.asarray(grad, dtype=float))
+    L = np.linalg.cholesky(M / rho**2)
+    lams = np.linalg.eigvalsh(L.T @ _full(hess) @ L)
+    return lams[..., ::-1]
 
 
-def elementary_symmetric(lams, i: int) -> float:
-    """e_i of the given values (e_0 = 1)."""
+def elementary_symmetric(lams, i: int):
+    """e_i of the given values (e_0 = 1), over the last axis: a float for
+    an (n,) spectrum, (m,) values for an (m, n) stack."""
     lams = np.asarray(lams, dtype=float)
-    n = lams.size
+    n = lams.shape[-1]
     if not 0 <= i <= n:
         raise ValueError(f"elementary symmetric index {i} outside [0, {n}]")
-    e = np.zeros(n + 1)
+    # e_k += lam e_{k-1} for every k at once reads only the old e_{k-1}, as
+    # the downward in-place recurrence does; entries above e_i never feed it.
+    e = np.zeros((i + 1,) + lams.shape[:-1])
     e[0] = 1.0
-    for lam in lams:
-        # downward update keeps the recurrence in place
-        for k in range(n, 0, -1):
-            e[k] = e[k] + lam * e[k - 1]
-    return float(e[i])
+    for k in range(n):
+        e[1:] += lams[..., k] * e[:-1]
+    return float(e[i]) if lams.ndim == 1 else e[i]
 
 
-def tracefree_shape(grad, hess: SymMatrix) -> np.ndarray:
+def tracefree_shape(grad, hess) -> np.ndarray:
     """Trace-free part of the shape matrix."""
     S = shape_matrix(grad, hess)
-    return S - (np.trace(S) / S.shape[0]) * np.eye(S.shape[0])
+    n = S.shape[-1]
+    return S - (_trace(S) / n)[..., None, None] * _identity(n)
 
 
 def conformal_discriminant(grad, hess: SymMatrix) -> float:

@@ -175,7 +175,26 @@ def build(geometry: GeometryTag, expr: Expr | str) -> PdeDescriptor:
     return PdeDescriptor(geometry, order, expr, geometry.chart)
 
 
-def _eval_tree(e: Expr, leaf_value) -> float:
+def _power(x, k: int):
+    """x ** k by Python's float power, elementwise on an array.
+
+    numpy's ``**`` squares by x * x and takes other integer powers by a
+    route of its own, either of which can differ from libm's ``pow`` in
+    the last bit; each row therefore takes the scalar route.  An overflow
+    gives +-inf where ``float ** int`` raises.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([_power(v, k) for v in x.tolist()])
+    try:
+        return x**k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
+
+
+def _eval_tree(e: Expr, leaf_value):
+    """Value of the expression from its leaf values: floats, or arrays of
+    one shape, on which every node acts row by row with the same float64
+    operation."""
     if e.op == "const":
         return e.value
     if e.op in LEAVES:
@@ -188,15 +207,45 @@ def _eval_tree(e: Expr, leaf_value) -> float:
     if e.op == "mul":
         return vals[0] * vals[1]
     if e.op == "div":
-        if abs(vals[1]) < DIV_EPS:
+        if np.any(abs(vals[1]) < DIV_EPS):
             raise DivisionByZero("quotient node hit a vanishing denominator")
         return vals[0] / vals[1]
     if e.op == "pow":
-        try:
-            return vals[0] ** e.index
-        except OverflowError:  # float ** int raises where float * float gives inf
-            return math.copysign(math.inf, vals[0]) if e.index % 2 else math.inf
+        return _power(vals[0], e.index)
     raise InvalidExpr(f"unknown node {e.op!r}")
+
+
+def second_order_residuals(desc: PdeDescriptor, grad, H: np.ndarray) -> np.ndarray:
+    """Euclidean or conformal residuals of the jets with gradient ``grad``
+    and the full Hessians of the (m, n, n) stack ``H``, as an (m,) array.
+
+    :func:`residual` is this function at m = 1.  The leaves are the
+    stacked invariants, so each row is bitwise the value a stack of one
+    gives.  numpy warnings are off: an inf or nan row is a value, which a
+    report counts as an infinite defect.
+    """
+    cache: dict = {}
+
+    def leaf_value(e: Expr) -> np.ndarray:
+        if e.op in ("lam", "sigma"):
+            if "lams" not in cache:
+                cache["lams"] = eigenvalues(grad, H)
+            if e.op == "lam":
+                return cache["lams"][:, e.index - 1]
+            return elementary_symmetric(cache["lams"], e.index)
+        if e.op == "tau":
+            if "S" not in cache:
+                cache["S"] = shape_matrix(grad, H)
+            return tau_d(cache["S"], e.index)
+        if e.op == "tauring":
+            if "S0" not in cache:
+                cache["S0"] = tracefree_shape(grad, H)
+            return tau_d(cache["S0"], e.index)
+        raise InvalidExpr(f"leaf {e.op!r} unexpected here")
+
+    with np.errstate(all="ignore"):
+        out = _eval_tree(desc.expr, leaf_value)
+    return out if isinstance(out, np.ndarray) else np.full(len(H), out)
 
 
 def residual(desc: PdeDescriptor, j: GraphJet) -> float:
@@ -207,34 +256,13 @@ def residual(desc: PdeDescriptor, j: GraphJet) -> float:
         raise SchemaMismatch(f"jet order {j.order}, descriptor wants {desc.order}")
     if j.n != desc.geometry.n:
         raise SchemaMismatch("jet and descriptor dimension differ")
-    name = desc.geometry.name
-    cache: dict = {}
-
-    if name in ("euclidean", "conformal"):
-
-        def leaf_value(e: Expr) -> float:
-            if e.op == "lam":
-                if "lams" not in cache:
-                    cache["lams"] = eigenvalues(j.grad, j.hess)
-                return float(cache["lams"][e.index - 1])
-            if e.op == "sigma":
-                if "lams" not in cache:
-                    cache["lams"] = eigenvalues(j.grad, j.hess)
-                return elementary_symmetric(cache["lams"], e.index)
-            if e.op == "tau":
-                if "S" not in cache:
-                    cache["S"] = shape_matrix(j.grad, j.hess)
-                return tau_d(cache["S"], e.index)
-            if e.op == "tauring":
-                if "S0" not in cache:
-                    cache["S0"] = tracefree_shape(j.grad, j.hess)
-                return tau_d(cache["S0"], e.index)
-            raise InvalidExpr(f"leaf {e.op!r} unexpected here")
-
-        return _eval_tree(desc.expr, leaf_value)
+    if desc.geometry.name in ("euclidean", "conformal"):
+        return float(second_order_residuals(desc, j.grad, j.hess.full()[None])[0])
 
     # affine / projective third-order route: the normalized jet has hess =
     # 2 eps, so the pick norm against eps is 8 pick_norm(hess, C0) = 8 Q / det^3.
+    cache: dict = {}
+
     def leaf_value(e: Expr) -> float:
         if e.op != "pick":
             raise InvalidExpr(f"leaf {e.op!r} unexpected here")

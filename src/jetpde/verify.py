@@ -27,8 +27,8 @@ from .invariants import (
     sym_outer,
 )
 from .jetspace import GraphJet, jet_extend, to_poly
-from .pde import PdeDescriptor, homogeneity_degree, residual, tauring
-from .symtensor import SymCubic, SymMatrix
+from .pde import PdeDescriptor, homogeneity_degree, residual, second_order_residuals, tauring
+from .symtensor import SymCubic, SymMatrix, _matrix_gather
 from .taylor import TruncatedJet, compose
 
 # On-locus samples must satisfy |residual| <= this (normalized) before any
@@ -105,11 +105,15 @@ def _smallest_root(a: float, b: float, c: float, bracket: float):
     return min(inside) if inside else None
 
 
-def _solve_on_line(f, bracket: float, npts: int = 65):
-    """Root of f on [-bracket, bracket] via scan + Brent; None if no sign change."""
-    ts = np.linspace(-bracket, bracket, npts)
-    vals = [f(t) for t in ts]
-    for k in range(npts - 1):
+def _solve_on_line(f, ts: np.ndarray, vals: np.ndarray):
+    """Leftmost root of f found on the grid ``ts``, given ``vals = f(ts)``.
+
+    Scans the cells from the left: a grid point where the scan is exactly
+    zero is returned as it is, and the first cell whose end values have
+    opposite signs is polished by Brent's method on f.  None when no grid
+    value is zero and no cell changes sign (a nan value brackets nothing).
+    """
+    for k in range(ts.size - 1):
         a, b = vals[k], vals[k + 1]
         if a == 0.0:
             return float(ts[k])
@@ -136,7 +140,12 @@ def _sample_euclidean(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | 
         entries[-1] = t
         return GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix(n, entries))
 
-    root = _solve_on_line(lambda t: residual(desc, with_last(t)), bracket=50.0)
+    # one stacked residual call scans the last Hessian entry over [-50, 50]
+    ts = np.linspace(-50.0, 50.0, 65)
+    line = np.repeat(hess_entries[None, :], ts.size, axis=0)
+    line[:, -1] = ts
+    vals = second_order_residuals(desc, grad, line[:, _matrix_gather(n)])
+    root = _solve_on_line(lambda t: residual(desc, with_last(t)), ts, vals)
     if root is None:
         return None
     j = with_last(root)
@@ -243,6 +252,12 @@ def _defect(value: float, scale: float) -> float:
     return defect if math.isfinite(defect) else math.inf
 
 
+def _passed(max_defect: float, tol: float, evaluated: int, attempted: int) -> bool:
+    """A report passes when its worst defect is within tol and it evaluated
+    something: skipping every attempted sample is no evidence."""
+    return max_defect <= tol and (evaluated > 0 or attempted == 0)
+
+
 def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     """Zero-set preservation under random group elements, as a report."""
     tag = desc.geometry
@@ -284,7 +299,7 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
         skipped=skipped,
         max_defect=max_defect,
         max_ratio_defect=max_ratio,
-        passed=max_defect <= cfg.tol,
+        passed=_passed(max_defect, cfg.tol, evaluated, cfg.count),
     )
 
 
@@ -449,7 +464,8 @@ def solution_catalog() -> dict:
 def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-7,
                    **params) -> Report:
     """Max normalized residual of the named exact solution at the points;
-    the report passes when it is at most ``tol``."""
+    the report passes when it is at most ``tol`` and some point was
+    evaluated (or none was asked for)."""
     catalog = solution_catalog()
     if germ_name not in catalog:
         raise SchemaMismatch(f"unknown catalog surface {germ_name!r}")
@@ -479,7 +495,7 @@ def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-
         skipped=skipped,
         max_defect=max_defect,
         max_ratio_defect=0.0,
-        passed=max_defect <= tol,
+        passed=_passed(max_defect, tol, evaluated, len(points)),
     )
 
 

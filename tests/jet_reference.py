@@ -1,9 +1,16 @@
-"""Object-level reference for the Taylor kernels and the prolongation.
+"""Object-level and scalar references for the array kernels.
 
-These are the straightforward jet-by-jet routines the kernel layer of
-:mod:`jetpde.taylor` replaced: every product of two jets goes through
-``np.add.at`` over the multiplication table, every intermediate is a
-:class:`TruncatedJet`, and ``prolong`` builds its germs term by term.
+These are the straightforward routines that array code in jetpde
+replaced:
+
+* the Taylor kernels of :mod:`jetpde.taylor` and the prolongation: every
+  product of two jets goes through ``np.add.at`` over the multiplication
+  table, every intermediate is a :class:`TruncatedJet`, and ``prolong``
+  builds its germs term by term;
+* the stacked second-order residual and the one-call line scan of the
+  Euclidean sampler: one jet, one :class:`SymMatrix` and one float per
+  invariant at a time, the scan made of 65 residual calls.
+
 The tests assert that the kernels reproduce them bit for bit; they are
 compared live, never against stored numbers, because LAPACK results may
 differ in the last bit between builds.
@@ -14,10 +21,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.optimize
 
-from jetpde.errors import ChartDomain, DivisionBySingular, NotGraph, SchemaMismatch, SingularJacobian
+from jetpde.errors import (
+    ChartDomain,
+    DivisionBySingular,
+    DivisionByZero,
+    InvalidExpr,
+    NotGraph,
+    SchemaMismatch,
+    SingularJacobian,
+)
 from jetpde.groups import CHART_DENOM_RTOL
+from jetpde.invariants import rho_of
 from jetpde.jetspace import GraphJet, _exps
+from jetpde.pde import DIV_EPS, LEAVES, Expr, PdeDescriptor
 from jetpde.symtensor import SymCubic, SymMatrix, cubic_indices
 from jetpde.taylor import (
     DIVISION_RTOL,
@@ -28,6 +46,17 @@ from jetpde.taylor import (
     multi_indices,
     n_coeffs,
 )
+from jetpde.verify import SOUNDNESS_TOL, residual_scale
+
+
+def bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def assert_bitwise(x, y):
+    """Equal as float64 bit patterns: values, signs of zeros and all."""
+    assert np.array_equal(x, y, equal_nan=True)
+    assert np.array_equal(bits(x), bits(y))
 
 
 def mul(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
@@ -191,3 +220,129 @@ def prolong(g, j: GraphJet) -> GraphJet:
     except SingularJacobian as exc:
         raise NotGraph(str(exc)) from exc
     return jet_extend(compose(u_img, inv), new_base, order, j.chart)
+
+
+# -- scalar second-order route ----------------------------------------------
+
+
+def shape_matrix(grad, hess: SymMatrix) -> np.ndarray:
+    grad = np.asarray(grad, dtype=float)
+    rho = rho_of(grad)
+    return (rho * np.eye(grad.size) - np.outer(grad, grad)) @ hess.full() / rho**2
+
+
+def tau_d(S, d: int) -> float:
+    P = np.linalg.matrix_power(np.asarray(S, dtype=float), d)
+    return float(np.trace(P))
+
+
+def eigenvalues(grad, hess: SymMatrix) -> np.ndarray:
+    grad = np.asarray(grad, dtype=float)
+    rho = rho_of(grad)
+    h = SymMatrix.from_full((rho * np.eye(grad.size) - np.outer(grad, grad)) / rho**2).full()
+    L = np.linalg.cholesky(h)
+    return np.linalg.eigvalsh(L.T @ hess.full() @ L)[::-1]
+
+
+def elementary_symmetric(lams, i: int) -> float:
+    lams = np.asarray(lams, dtype=float)
+    n = lams.size
+    e = np.zeros(n + 1)
+    e[0] = 1.0
+    for lam in lams:
+        for k in range(n, 0, -1):
+            e[k] = e[k] + lam * e[k - 1]
+    return float(e[i])
+
+
+def tracefree_shape(grad, hess: SymMatrix) -> np.ndarray:
+    S = shape_matrix(grad, hess)
+    return S - (np.trace(S) / S.shape[0]) * np.eye(S.shape[0])
+
+
+def eval_tree(e: Expr, leaf_value) -> float:
+    if e.op == "const":
+        return e.value
+    if e.op in LEAVES:
+        return leaf_value(e)
+    vals = [eval_tree(a, leaf_value) for a in e.args]
+    if e.op == "add":
+        return vals[0] + vals[1]
+    if e.op == "sub":
+        return vals[0] - vals[1]
+    if e.op == "mul":
+        return vals[0] * vals[1]
+    if e.op == "div":
+        if abs(vals[1]) < DIV_EPS:
+            raise DivisionByZero("quotient node hit a vanishing denominator")
+        return vals[0] / vals[1]
+    if e.op == "pow":
+        try:
+            return vals[0] ** e.index
+        except OverflowError:
+            return math.copysign(math.inf, vals[0]) if e.index % 2 else math.inf
+    raise InvalidExpr(f"unknown node {e.op!r}")
+
+
+def residual(desc: PdeDescriptor, j: GraphJet) -> float:
+    """Euclidean or conformal residual, one leaf value at a time."""
+    cache: dict = {}
+
+    def leaf_value(e: Expr) -> float:
+        if e.op == "lam":
+            if "lams" not in cache:
+                cache["lams"] = eigenvalues(j.grad, j.hess)
+            return float(cache["lams"][e.index - 1])
+        if e.op == "sigma":
+            if "lams" not in cache:
+                cache["lams"] = eigenvalues(j.grad, j.hess)
+            return elementary_symmetric(cache["lams"], e.index)
+        if e.op == "tau":
+            if "S" not in cache:
+                cache["S"] = shape_matrix(j.grad, j.hess)
+            return tau_d(cache["S"], e.index)
+        if e.op == "tauring":
+            if "S0" not in cache:
+                cache["S0"] = tracefree_shape(j.grad, j.hess)
+            return tau_d(cache["S0"], e.index)
+        raise InvalidExpr(f"leaf {e.op!r} unexpected here")
+
+    return eval_tree(desc.expr, leaf_value)
+
+
+def solve_on_line(f, bracket: float, npts: int = 65):
+    """Scan f at npts points, one call each, then Brent on the first sign change."""
+    ts = np.linspace(-bracket, bracket, npts)
+    vals = [f(t) for t in ts]
+    for k in range(npts - 1):
+        a, b = vals[k], vals[k + 1]
+        if a == 0.0:
+            return float(ts[k])
+        if a * b < 0.0:
+            return float(
+                scipy.optimize.brentq(f, ts[k], ts[k + 1], xtol=1e-15, rtol=8.9e-16, maxiter=200)
+            )
+    if vals[-1] == 0.0:
+        return float(ts[-1])
+    return None
+
+
+def sample_euclidean(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
+    n = desc.geometry.n
+    base = jet_scale * rng.standard_normal(n)
+    u = jet_scale * rng.standard_normal()
+    grad = jet_scale * rng.standard_normal(n)
+    hess_entries = rng.standard_normal(n * (n + 1) // 2)
+
+    def with_last(t):
+        entries = hess_entries.copy()
+        entries[-1] = t
+        return GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix(n, entries))
+
+    root = solve_on_line(lambda t: residual(desc, with_last(t)), bracket=50.0)
+    if root is None:
+        return None
+    j = with_last(root)
+    if abs(residual(desc, j)) > SOUNDNESS_TOL * residual_scale(desc, j):
+        return None
+    return j

@@ -9,7 +9,7 @@ import pytest
 from jetpde.cli import main
 from jetpde.groups import GeometryTag
 from jetpde.jetspace import GraphJet, jet_to_json
-from jetpde.pde import build, descriptor_to_json, expr_to_json, sigma, tau
+from jetpde.pde import build, const, descriptor_to_json, expr_to_json, sigma, tau
 from jetpde.symtensor import SymCubic, SymMatrix
 
 
@@ -109,6 +109,18 @@ class TestVerify:
         code = run(["verify", str(ms_desc), "--samples", "0", "--out", str(rep)])
         assert code == 0
         assert json.loads(rep.read_text())["attempted"] == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_sample_skipped_fails(self, tmp_path):
+        # the residual is nan on every jet: 20 samples, none evaluated
+        big = (const(1e200) * tau(1)) ** 2
+        desc, rep = tmp_path / "nan.json", tmp_path / "rep.json"
+        desc.write_text(json.dumps(descriptor_to_json(build(GeometryTag("euclidean", 2), big - big))))
+        code = run(["verify", str(desc), "--seed", "1", "--samples", "20", "--out", str(rep)])
+        blob = json.loads(rep.read_text())
+        assert blob["evaluated"] == 0 and blob["skipped"]["no_root"] == 20
+        assert blob["pass"] is False
+        assert code == 1
 
     def test_surface_check(self, tmp_path, ms_desc):
         rep = tmp_path / "rep.json"
@@ -211,6 +223,8 @@ def inputs(tmp_path):
     (["verify", "{div0}", "--surface", "plane", "--points", "3"], 4),
     (["verify", "{ms}", "--surface", "nope"], 2),
     (["normalize", "--geometry", "euclidean", "-n", "0", "{jet}"], 2),
+    (["verify", "{ms}", "--samples", "-5"], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", "-3"], 2),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]

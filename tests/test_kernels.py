@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import jet_reference as ref
+from jet_reference import assert_bitwise
 from jetpde.errors import JetError
 from jetpde.groups import GEOMETRIES, GeometryTag, prolong, random_element
 from jetpde.jetspace import GraphJet
@@ -17,16 +18,6 @@ from jetpde.taylor import TruncatedJet, compose, divide, invert_map, mul, n_coef
 
 DIMS = (1, 2, 3, 4)
 DRAWS = 3
-
-
-def bits(x) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
-
-
-def assert_bitwise(x, y):
-    """Equal as float64 bit patterns: values, signs of zeros and all."""
-    assert np.array_equal(x, y)
-    assert np.array_equal(bits(x), bits(y))
 
 
 def random_jet(rng, n, order, sparse=False):

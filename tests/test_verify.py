@@ -266,6 +266,7 @@ class TestCheckSolution:
         assert not rep.passed
         assert check_solution(build(E2, "minimal_surface"), "paraboloid", [[0.0, 0.0]], tol=2.0).passed
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_expression_fails(self):
         # (1e200 tau)^2 overflows to inf, so the residual is inf - inf = nan:
         # a nan defect must fail, not vanish in max(0.0, nan)
@@ -276,6 +277,14 @@ class TestCheckSolution:
         assert rep.evaluated == 2
         assert rep.max_defect == math.inf
         assert not rep.passed
+
+    def test_every_point_skipped_fails(self):
+        # no point lies inside the cap, so nothing is evaluated
+        rep = check_solution(build(E2, "minimal_surface"), "sphere_cap", [[2.0, 0.0], [0.0, 3.0]])
+        assert rep.evaluated == 0 and rep.skipped["chart_domain"] == 2
+        assert rep.max_defect == 0.0
+        assert not rep.passed
+        assert check_solution(build(E2, "minimal_surface"), "sphere_cap", []).passed
 
     def test_sheared_quadric_solves_affine(self):
         desc = build(A2, "affine_cubic")
@@ -300,3 +309,14 @@ def test_nan_residual_fails_invariance_report(monkeypatch):
     assert rep.evaluated > 0
     assert rep.max_defect == math.inf
     assert not rep.passed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_sample_skipped_fails_invariance_report():
+    # the residual is nan on every jet, so the sampler finds no root anywhere
+    big = (const(1e200) * tau(1)) ** 2
+    rep = invariance_report(build(E2, big - big), SampleConfig(seed=1, count=20))
+    assert rep.evaluated == 0 and rep.skipped["no_root"] == 20
+    assert rep.max_defect == 0.0
+    assert not rep.passed
+    assert invariance_report(build(E2, big - big), SampleConfig(seed=1, count=0)).passed
