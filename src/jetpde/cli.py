@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from .errors import JetError, SchemaMismatch
-from .groups import GeometryTag, element_to_json, normalize_to_origin
+from .groups import GEOMETRIES, GeometryTag, element_to_json, normalize_to_origin
 from .jetspace import jet_from_json, jet_to_json
 from .pde import (
+    PRESETS,
     build,
     descriptor_from_json,
     descriptor_to_json,
@@ -37,13 +37,11 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DOMAIN = 4
 
-PRESET_FLAGS = {
-    "minimal-surface": "minimal_surface",
-    "monge-ampere": "monge_ampere",
-    "umbilical": "umbilical",
-    "affine-cubic": "affine_cubic",
-    "projective-cubic": "projective_cubic",
-}
+PRESET_FLAGS = {name.replace("_", "-"): name for name in PRESETS}
+
+
+class UsageError(JetError):
+    """The command line asks for something that cannot be made (exit 2)."""
 
 
 def _fmt(x: float) -> str:
@@ -69,58 +67,29 @@ def _load_json(path: str) -> dict:
 
 def cmd_build(args) -> int:
     if args.preset is not None:
-        if args.preset not in PRESET_FLAGS:
-            print(f"unknown preset {args.preset!r}", file=sys.stderr)
-            return EXIT_USAGE
         expr = PRESET_FLAGS[args.preset]
     else:
-        try:
-            expr = expr_from_json(_load_json(args.expr))
-        except OSError as exc:
-            print(f"cannot read expression: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except SchemaMismatch as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_USAGE
+        expr = expr_from_json(_load_json(args.expr))
     # Every output is made before any is written.
     try:
         desc = build(GeometryTag(args.geometry, args.n), expr)
         latex = emit(desc, "latex") if args.latex is not None else None
         expanded = expand_polynomial(desc) if args.expanded is not None else None
     except JetError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        _dump_json(descriptor_to_json(desc), args.out)
-        if latex is not None:
-            with open(args.latex, "w") as fh:
-                fh.write(latex + "\n")
-        if expanded is not None:
-            _dump_json(expanded_to_json(expanded), args.expanded)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise UsageError(str(exc)) from exc
+    _dump_json(descriptor_to_json(desc), args.out)
+    if latex is not None:
+        with open(args.latex, "w") as fh:
+            fh.write(latex + "\n")
+    if expanded is not None:
+        _dump_json(expanded_to_json(expanded), args.expanded)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    try:
-        desc = descriptor_from_json(_load_json(args.descriptor))
-        jet = jet_from_json(_load_json(args.jet))
-    except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SchemaMismatch as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        value = residual(desc, jet)
-    except SchemaMismatch as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except JetError as exc:
-        print(f"domain: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    desc = descriptor_from_json(_load_json(args.descriptor))
+    jet = jet_from_json(_load_json(args.jet))
+    value = residual(desc, jet)
     print(_fmt(value))
     return EXIT_OK
 
@@ -128,81 +97,42 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     for flag, count in (("--samples", args.samples), ("--points", args.points)):
         if count < 0:
-            print(f"{flag} must be >= 0, got {count}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        desc = descriptor_from_json(_load_json(args.descriptor))
-    except OSError as exc:
-        print(f"cannot read descriptor: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SchemaMismatch as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.surface is not None:
-            rng = np.random.default_rng(args.seed)
-            pts = args.point_scale * rng.uniform(-1.0, 1.0, size=(args.points, desc.geometry.n))
-            rep = check_solution(desc, args.surface, pts, tol=args.tol)
-        else:
-            cfg = SampleConfig(
-                seed=args.seed, count=args.samples, scale=args.scale,
-                jet_scale=args.jet_scale, tol=args.tol,
-            )
-            rep = invariance_report(desc, cfg)
-    except SchemaMismatch as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except JetError as exc:
-        print(f"domain: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        _dump_json(rep.to_json(), args.out)
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
+            raise UsageError(f"{flag} must be >= 0, got {count}")
+    desc = descriptor_from_json(_load_json(args.descriptor))
+    if args.surface is not None:
+        rng = np.random.default_rng(args.seed)
+        pts = args.point_scale * rng.uniform(-1.0, 1.0, size=(args.points, desc.geometry.n))
+        rep = check_solution(desc, args.surface, pts, tol=args.tol)
+    else:
+        cfg = SampleConfig(
+            seed=args.seed, count=args.samples, scale=args.scale,
+            jet_scale=args.jet_scale, tol=args.tol,
+        )
+        rep = invariance_report(desc, cfg)
+    _dump_json(rep.to_json(), args.out)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
 def cmd_normalize(args) -> int:
-    try:
-        tag = GeometryTag(args.geometry, args.n)
-        jet = jet_from_json(_load_json(args.jet))
-    except OSError as exc:
-        print(f"cannot read jet: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SchemaMismatch as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        res = normalize_to_origin(tag, jet)
-    except SchemaMismatch as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except JetError as exc:
-        print(f"domain: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    tag = GeometryTag(args.geometry, args.n)
+    jet = jet_from_json(_load_json(args.jet))
+    res = normalize_to_origin(tag, jet)
     out = {
         "element": element_to_json(res.element),
         "jet": jet_to_json(res.jet),
     }
     if res.signature is not None:
         out["signature"] = res.signature.d
-    try:
-        _dump_json(out, args.out)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _dump_json(out, args.out)
     return EXIT_OK
 
 
 def make_parser() -> argparse.ArgumentParser:
-    default_seed = int(os.environ.get("INVPDE_SEED", "0"))
     p = argparse.ArgumentParser(prog="jetpde", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="emit a PDE descriptor")
-    b.add_argument("--geometry", required=True,
-                   choices=("euclidean", "affine", "projective", "conformal"))
+    b.add_argument("--geometry", required=True, choices=GEOMETRIES)
     b.add_argument("-n", type=int, default=2, help="independent variables")
     group = b.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=sorted(PRESET_FLAGS))
@@ -220,7 +150,7 @@ def make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="sampling-based invariance report")
     v.add_argument("descriptor")
     v.add_argument("--samples", type=int, default=300)
-    v.add_argument("--seed", type=int, default=default_seed)
+    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--scale", type=float, default=0.5)
     v.add_argument("--jet-scale", type=float, default=0.5)
     v.add_argument("--tol", type=float, default=1e-7)
@@ -232,7 +162,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     nz = sub.add_parser("normalize", help="carry a jet to the origin")
     nz.add_argument("--geometry", required=True,
-                    choices=("euclidean", "affine", "projective"))
+                    choices=tuple(g for g in GEOMETRIES if g != "conformal"))
     nz.add_argument("-n", type=int, default=2)
     nz.add_argument("jet")
     nz.add_argument("--out", help="output path (default: stdout)")
@@ -241,8 +171,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every error ends in its exit code and one
+    stderr line."""
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"I/O: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (SchemaMismatch, UsageError) as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
+    except JetError as exc:
+        print(f"domain: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -30,10 +30,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegenerateHessian, SingularMetric, WrongDimension
+from .exactpoly import Poly
 from .jetspace import GraphJet
 from .symtensor import SymCubic, SymMatrix, cubic_indices
 
@@ -43,6 +45,25 @@ SINGULAR_METRIC_RTOL = 1e-12
 # third-order invariants carry det(hess)^-3 and the normalizing congruence
 # needs every eigenvalue away from zero.
 DEGENERATE_HESSIAN_RTOL = 1e-8
+
+# The 13-term scalar third-order invariant at n = 2, as monomials over
+# (u_xx, u_xy, u_yy, u_xxx, u_xxy, u_xyy, u_yyy): the storage order of the
+# Hessian followed by the cubic.
+F_AFF3_MONOMIALS = {
+    (1, 1, 1, 1, 0, 0, 1): Fraction(6),
+    (1, 0, 2, 1, 0, 1, 0): Fraction(-6),
+    (1, 1, 1, 0, 1, 1, 0): Fraction(-18),
+    (1, 2, 0, 0, 1, 0, 1): Fraction(12),
+    (2, 0, 1, 0, 1, 0, 1): Fraction(-6),
+    (1, 0, 2, 0, 2, 0, 0): Fraction(9),
+    (2, 1, 0, 0, 0, 1, 1): Fraction(-6),
+    (2, 0, 1, 0, 0, 2, 0): Fraction(9),
+    (3, 0, 0, 0, 0, 0, 2): Fraction(1),
+    (0, 1, 2, 1, 1, 0, 0): Fraction(-6),
+    (0, 2, 1, 1, 0, 1, 0): Fraction(12),
+    (0, 3, 0, 1, 0, 0, 1): Fraction(-8),
+    (0, 0, 3, 2, 0, 0, 0): Fraction(1),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -269,23 +290,4 @@ def F_aff3(j: GraphJet) -> float:
     """
     if j.n != 2 or j.order != 3:
         raise WrongDimension("F_aff3 needs a two-variable order-3 jet")
-    a, b, c = j.hess[0, 0], j.hess[1, 0], j.hess[1, 1]
-    p = j.cubic[0, 0, 0]
-    q = j.cubic[0, 0, 1]
-    r = j.cubic[0, 1, 1]
-    s = j.cubic[1, 1, 1]
-    return float(
-        6 * a * p * b * c * s
-        - 6 * a * p * r * c * c
-        - 18 * a * q * b * r * c
-        + 12 * a * q * b * b * s
-        - 6 * a * a * q * c * s
-        + 9 * a * q * q * c * c
-        - 6 * a * a * b * r * s
-        + 9 * a * a * r * r * c
-        + a * a * a * s * s
-        - 6 * p * q * b * c * c
-        + 12 * p * b * b * r * c
-        - 8 * p * b * b * b * s
-        + p * p * c * c * c
-    )
+    return Poly(7, F_AFF3_MONOMIALS).evaluate(j.hess.data.tolist() + j.cubic.data.tolist())

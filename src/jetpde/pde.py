@@ -12,6 +12,11 @@ keeps the moving-frame route (normalize the jet to the origin, then read
 the invariants off the normal form) as an independent check.  Residual
 values transform by a nonzero factor under the group, so only zero sets
 and eigenvalue ratios are meaningful across points.
+
+``expand_polynomial`` writes the n = 2 equations as exact polynomials.
+The affine ``pick`` leaf expands to the 13-term table
+:data:`~jetpde.invariants.F_AFF3_MONOMIALS`, the one copy of it, which
+:func:`~jetpde.invariants.F_aff3` also evaluates.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .errors import (
 from .exactpoly import Poly
 from .groups import GeometryTag, normalize_to_origin
 from .invariants import (
+    F_AFF3_MONOMIALS,
     elementary_symmetric,
     eigenvalues,
     hessian_det,
@@ -126,11 +132,11 @@ class PdeDescriptor:
 
 
 PRESETS = {
-    "minimal_surface": ("euclidean", lambda n: tau(1), 2),
-    "monge_ampere": ("euclidean", lambda n: sigma(n), 2),
-    "umbilical": ("conformal", lambda n: tauring(2), 2),
-    "affine_cubic": ("affine", lambda n: pick(), 3),
-    "projective_cubic": ("projective", lambda n: pick(), 3),
+    "minimal_surface": ("euclidean", lambda n: tau(1)),
+    "monge_ampere": ("euclidean", lambda n: sigma(n)),
+    "umbilical": ("conformal", lambda n: tauring(2)),
+    "affine_cubic": ("affine", lambda n: pick()),
+    "projective_cubic": ("projective", lambda n: pick()),
 }
 
 
@@ -163,14 +169,13 @@ def build(geometry: GeometryTag, expr: Expr | str) -> PdeDescriptor:
     """Descriptor of the invariant PDE with the given zero-set expression."""
     if isinstance(expr, str):
         try:
-            geo_name, make, order = PRESETS[expr]
+            geo_name, make = PRESETS[expr]
         except KeyError as exc:
             raise InvalidExpr(f"unknown preset {expr!r}") from exc
         if geo_name != geometry.name:
             raise InvalidExpr(f"preset {expr!r} belongs to the {geo_name} geometry")
         expr = make(geometry.n)
-    else:
-        order = 3 if geometry.name in ("affine", "projective") else 2
+    order = 3 if geometry.name in ("affine", "projective") else 2
     _validate(geometry, expr)
     return PdeDescriptor(geometry, order, expr, geometry.chart)
 
@@ -278,7 +283,7 @@ def residual_via_normalization(desc: PdeDescriptor, j: GraphJet) -> float:
     """Independent moving-frame route: normalize the jet to the origin, then
     read the expression off the normal form.
 
-    Euclidean: the spectrum of the normalized Hessian (where h = I).
+    Euclidean: :func:`residual` at the normal form, where grad = 0 and h = I.
     Affine/projective: the pick norm of the trace-free normalized cubic
     against eps = diag(1_d, -1_{n-d}).
     """
@@ -291,18 +296,7 @@ def residual_via_normalization(desc: PdeDescriptor, j: GraphJet) -> float:
         eps = res.signature.metric()
         value = pick_norm(eps, tracefree_cubic(eps, res.jet.cubic))
         return _eval_tree(desc.expr, lambda e: value)  # pick is the only leaf
-    lams = np.sort(np.linalg.eigvalsh(res.jet.hess.full()))[::-1]
-
-    def leaf_value(e: Expr) -> float:
-        if e.op == "lam":
-            return float(lams[e.index - 1])
-        if e.op == "sigma":
-            return elementary_symmetric(lams, e.index)
-        if e.op == "tau":
-            return float(np.sum(lams**e.index))
-        raise InvalidExpr(f"leaf {e.op!r} unexpected here")
-
-    return _eval_tree(desc.expr, leaf_value)
+    return residual(desc, res.jet)
 
 
 def homogeneity_degree(e: Expr) -> int:
@@ -333,24 +327,6 @@ def homogeneity_degree(e: Expr) -> int:
 EUCLID_VARS = ("u_x", "u_y", "u_xx", "u_xy", "u_yy")
 AFFINE_VARS = ("u_xx", "u_xy", "u_yy", "u_xxx", "u_xxy", "u_xyy", "u_yyy")
 
-# 13-term scalar third-order invariant, monomials over AFFINE_VARS
-# (a, b, c, p, q, r, s) = (u_xx, u_xy, u_yy, u_xxx, u_xxy, u_xyy, u_yyy).
-_F_AFF3_MONOMIALS = {
-    (1, 1, 1, 1, 0, 0, 1): Fraction(6),
-    (1, 0, 2, 1, 0, 1, 0): Fraction(-6),
-    (1, 1, 1, 0, 1, 1, 0): Fraction(-18),
-    (1, 2, 0, 0, 1, 0, 1): Fraction(12),
-    (2, 0, 1, 0, 1, 0, 1): Fraction(-6),
-    (1, 0, 2, 0, 2, 0, 0): Fraction(9),
-    (2, 1, 0, 0, 0, 1, 1): Fraction(-6),
-    (2, 0, 1, 0, 0, 2, 0): Fraction(9),
-    (3, 0, 0, 0, 0, 0, 2): Fraction(1),
-    (0, 1, 2, 1, 1, 0, 0): Fraction(-6),
-    (0, 2, 1, 1, 0, 1, 0): Fraction(12),
-    (0, 3, 0, 1, 0, 0, 1): Fraction(-8),
-    (0, 0, 3, 2, 0, 0, 0): Fraction(1),
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class ExpandedPolynomial:
@@ -359,14 +335,7 @@ class ExpandedPolynomial:
     rho_power: int
 
     def evaluate(self, values) -> float:
-        total = 0.0
-        for exps, c in self.monomials.items():
-            term = float(c)
-            for v, a in zip(values, exps):
-                if a:
-                    term *= v**a
-            total += term
-        return total
+        return Poly(len(self.vars), self.monomials).evaluate(values)
 
 
 def _rho_poly() -> Poly:
@@ -387,10 +356,8 @@ def _numerator_matrix() -> list[list[Poly]]:
     ]
 
 
-def _expand_euclidean(e: Expr) -> tuple[Poly, int]:
-    """Value of the expression as (numerator, rho power)."""
-    if e.op == "const":
-        return Poly.const(5, Fraction(e.value).limit_denominator(10**12)), 0
+def _euclidean_leaf(e: Expr) -> tuple[Poly, int]:
+    """tau_d and sigma_i (n = 2) over EUCLID_VARS as (numerator, rho power)."""
     if e.op == "tau":
         M = _numerator_matrix()
         P = [[Poly.const(5, 1), Poly.const(5, 0)], [Poly.const(5, 0), Poly.const(5, 1)]]
@@ -401,26 +368,30 @@ def _expand_euclidean(e: Expr) -> tuple[Poly, int]:
             ]
         return P[0][0] + P[1][1], 2 * e.index
     if e.op == "sigma":
-        t1 = _expand_euclidean(tau(1))
+        t1 = _euclidean_leaf(tau(1))
         if e.index == 1:
             return t1
-        if e.index == 2:
-            t2 = _expand_euclidean(tau(2))
-            num = t1[0] * t1[0] - t2[0]  # both at rho power 4
-            half = num * Fraction(1, 2)
-            return half, 4
-        raise NotPolynomial("sigma expansion implemented for n = 2 only")
-    if e.op in ("lam", "tauring", "pick"):
-        raise NotPolynomial(f"leaf {e.op!r} has no polynomial expansion here")
+        t2 = _euclidean_leaf(tau(2))
+        num = t1[0] * t1[0] - t2[0]  # both at rho power 4
+        return num * Fraction(1, 2), 4
+    raise NotPolynomial(f"leaf {e.op!r} has no polynomial expansion here")
+
+
+def _expand(e: Expr, leaf, nvars: int) -> tuple[Poly, int]:
+    """Value of the expression as (numerator, rho power), the leaves
+    expanded by ``leaf``."""
+    if e.op == "const":
+        return Poly.const(nvars, Fraction(e.value).limit_denominator(10**12)), 0
+    if e.op in LEAVES:
+        return leaf(e)
     if e.op == "div":
         raise NotPolynomial("quotient expressions have no polynomial expansion")
-    parts = [_expand_euclidean(a) for a in e.args]
-    rho = _rho_poly()
+    parts = [_expand(a, leaf, nvars) for a in e.args]
     if e.op in ("add", "sub"):
         (p1, m1), (p2, m2) = parts
         m = max(m1, m2)
-        p1 = p1 * rho ** (m - m1) if m > m1 else p1
-        p2 = p2 * rho ** (m - m2) if m > m2 else p2
+        p1 = p1 * _rho_poly() ** (m - m1) if m > m1 else p1
+        p2 = p2 * _rho_poly() ** (m - m2) if m > m2 else p2
         return (p1 + p2, m) if e.op == "add" else (p1 - p2, m)
     if e.op == "mul":
         (p1, m1), (p2, m2) = parts
@@ -431,53 +402,31 @@ def _expand_euclidean(e: Expr) -> tuple[Poly, int]:
     raise InvalidExpr(f"unknown node {e.op!r}")
 
 
-def _expand_affine(e: Expr) -> Poly:
-    if e.op == "pick":
-        return Poly(7, dict(_F_AFF3_MONOMIALS))
-    if e.op == "const":
-        return Poly.const(7, Fraction(e.value).limit_denominator(10**12))
-    if e.op == "div":
-        raise NotPolynomial("quotient expressions have no polynomial expansion")
-    if e.op in ("lam", "sigma", "tau", "tauring"):
-        raise NotPolynomial(f"leaf {e.op!r} has no polynomial expansion here")
-    parts = [_expand_affine(a) for a in e.args]
-    if e.op == "add":
-        return parts[0] + parts[1]
-    if e.op == "sub":
-        return parts[0] - parts[1]
-    if e.op == "mul":
-        return parts[0] * parts[1]
-    if e.op == "pow":
-        return parts[0] ** e.index
-    raise InvalidExpr(f"unknown node {e.op!r}")
-
-
 def expand_polynomial(desc: PdeDescriptor) -> ExpandedPolynomial:
     """Exact polynomial form of the PDE with rho-denominators cleared.
 
     Euclidean (n = 2): returns P with P = rho**rho_power * residual.
-    Affine (n = 2): returns the unique 13-term third-order polynomial
-    whose zero set the pick residual defines (the residual is 2 P /
-    det(hess)**3; only zero sets match).
+    Affine (n = 2): a pick leaf expands to the 13-term third-order
+    polynomial F_aff3 whose zero set the pick residual defines (the
+    residual is 2 F_aff3 / det(hess)**3; only zero sets match).
     """
-    n = desc.geometry.n
-    if desc.geometry.name == "euclidean":
-        if n != 2:
-            raise NotPolynomial("euclidean expansion implemented for n = 2 only")
-        poly, power = _expand_euclidean(desc.expr)
-        rho = _rho_poly()
-        while power > 0:
-            q = poly.divide_exact(rho)
-            if q is None:
-                break
-            poly, power = q, power - 1
-        return ExpandedPolynomial(EUCLID_VARS, dict(poly.terms), power)
-    if desc.geometry.name == "affine":
-        if n != 2:
-            raise NotPolynomial("affine expansion implemented for n = 2 only")
-        poly = _expand_affine(desc.expr)
+    name = desc.geometry.name
+    if name not in ("euclidean", "affine"):
+        raise NotPolynomial(f"no polynomial expansion for {name} residuals")
+    if desc.geometry.n != 2:
+        raise NotPolynomial(f"{name} expansion implemented for n = 2 only")
+    if name == "affine":
+        # pick, the only affine leaf, is the 13-term table over AFFINE_VARS
+        poly, _ = _expand(desc.expr, lambda e: (Poly(7, F_AFF3_MONOMIALS), 0), 7)
         return ExpandedPolynomial(AFFINE_VARS, dict(poly.terms), 0)
-    raise NotPolynomial(f"no polynomial expansion for {desc.geometry.name} residuals")
+    poly, power = _expand(desc.expr, _euclidean_leaf, 5)
+    rho = _rho_poly()
+    while power > 0:
+        q = poly.divide_exact(rho)
+        if q is None:
+            break
+        poly, power = q, power - 1
+    return ExpandedPolynomial(EUCLID_VARS, dict(poly.terms), power)
 
 
 # -- serialization --------------------------------------------------------------
@@ -532,7 +481,7 @@ def descriptor_from_json(d: dict) -> PdeDescriptor:
         if desc.order != int(d["order"]) or desc.chart != d["chart"]:
             raise SchemaMismatch("order/chart inconsistent with geometry")
         return desc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidExpr) as exc:
         raise SchemaMismatch(f"bad descriptor record: {exc}") from exc
 
 

@@ -102,9 +102,6 @@ class SymMatrix:
     def norm(self) -> float:
         return float(np.linalg.norm(self.full()))
 
-    def trace(self) -> float:
-        return float(sum(self[i, i] for i in range(self.n)))
-
     def allclose(self, other: "SymMatrix", tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self.data - other.data) <= tol))
 

@@ -35,7 +35,13 @@ from .taylor import TruncatedJet, compose
 # transformation is applied; the 1-D solves are polished to this level.
 SOUNDNESS_TOL = 1e-12
 
-SKIP_KINDS = ("no_root", "not_graph", "chart_domain", "degenerate_hessian")
+# The skip kind of each exception a sample's evaluation may raise.
+SKIP_EXCEPTIONS = {
+    NotGraph: "not_graph",
+    ChartDomain: "chart_domain",
+    DegenerateHessian: "degenerate_hessian",
+}
+SKIP_KINDS = ("no_root", *SKIP_EXCEPTIONS.values())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -275,14 +281,8 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
         try:
             moved = prolong(g, j)
             value = residual(desc, moved)
-        except NotGraph:
-            skipped["not_graph"] += 1
-            continue
-        except ChartDomain:
-            skipped["chart_domain"] += 1
-            continue
-        except DegenerateHessian:
-            skipped["degenerate_hessian"] += 1
+        except tuple(SKIP_EXCEPTIONS) as exc:
+            skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
             continue
         evaluated += 1
         max_defect = max(max_defect, _defect(value, residual_scale(desc, moved)))
@@ -431,14 +431,18 @@ def sheared_quadric(base, order: int, Q=None, w=(0.3, -0.2)) -> TruncatedJet:
     Q = np.eye(n) if Q is None else 0.5 * (np.asarray(Q) + np.asarray(Q).T)
     w = np.asarray(w, dtype=float)
     x = base.copy()
-    for _ in range(200):
-        x_new = base - float(x @ Q @ x) * w
-        if np.max(np.abs(x_new - x)) < 1e-15:
-            x = x_new
-            break
-        x = x_new
-    else:
-        raise ChartDomain("shear preimage iteration did not converge")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(200):
+                x_new = base - float(x @ Q @ x) * w
+                if np.max(np.abs(x_new - x)) < 1e-15:
+                    x = x_new
+                    break
+                x = x_new
+            else:
+                raise ChartDomain("shear preimage iteration did not converge")
+    except FloatingPointError as exc:  # an overflowing iteration has diverged
+        raise ChartDomain("shear preimage iteration diverged") from exc
     j = jet_extend(quadric_germ(Q, x, order), x, order, chart="affine")
     A = np.eye(n + 1)
     A[1:, 0] = w
@@ -479,11 +483,8 @@ def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-
             germ = make(p, desc.order, **params)
             j = jet_extend(germ, p, desc.order, chart=desc.chart)
             value = residual(desc, j)
-        except ChartDomain:
-            skipped["chart_domain"] += 1
-            continue
-        except DegenerateHessian:
-            skipped["degenerate_hessian"] += 1
+        except tuple(SKIP_EXCEPTIONS) as exc:
+            skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
             continue
         evaluated += 1
         max_defect = max(max_defect, _defect(value, residual_scale(desc, j)))

@@ -9,7 +9,7 @@ import pytest
 from jetpde.cli import main
 from jetpde.groups import GeometryTag
 from jetpde.jetspace import GraphJet, jet_to_json
-from jetpde.pde import build, const, descriptor_to_json, expr_to_json, sigma, tau
+from jetpde.pde import build, const, descriptor_to_json, expr_to_json, pick, sigma, tau
 from jetpde.symtensor import SymCubic, SymMatrix
 
 
@@ -91,6 +91,18 @@ class TestEval:
         write_jet(jp, j)
         assert run(["eval", str(ms_desc), str(jp)]) == 2
 
+    def test_inadmissible_descriptor_exit_2(self, tmp_path, capsys):
+        # a pick leaf in a Euclidean descriptor is a bad record, not a traceback
+        blob = descriptor_to_json(build(GeometryTag("euclidean", 2), "minimal_surface"))
+        blob["expr"] = expr_to_json(pick())
+        desc, jp = tmp_path / "d.json", tmp_path / "jet.json"
+        desc.write_text(json.dumps(blob))
+        write_jet(jp, GraphJet("euclidean", 2, 2, [0, 0], 0.0, [0, 0], SymMatrix(2)))
+        assert run(["eval", str(desc), str(jp)]) == 2
+        assert run(["verify", str(desc), "--samples", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 2
+
     def test_missing_file_exit_3(self, ms_desc):
         assert run(["eval", str(ms_desc), "/nonexistent/jet.json"]) == 3
 
@@ -147,6 +159,15 @@ class TestVerify:
                     "--out", str(rep)])
         assert code == 0
         assert json.loads(rep.read_text())["max_defect"] <= 1e-7
+
+    def test_default_seed_ignores_environment(self, tmp_path, ms_desc, monkeypatch):
+        # the default seed is 0 whatever the environment holds
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        monkeypatch.setenv("INVPDE_SEED", "abc")
+        assert run(["verify", str(ms_desc), "--samples", "10", "--out", str(a)]) == 0
+        monkeypatch.delenv("INVPDE_SEED")
+        assert run(["verify", str(ms_desc), "--samples", "10", "--seed", "0", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_failed_verification_exit_1(self, tmp_path, ms_desc):
         rep = tmp_path / "rep.json"
@@ -225,6 +246,12 @@ def inputs(tmp_path):
     (["normalize", "--geometry", "euclidean", "-n", "0", "{jet}"], 2),
     (["verify", "{ms}", "--samples", "-5"], 2),
     (["verify", "{ms}", "--surface", "plane", "--points", "-3"], 2),
+    (["build", "--geometry", "euclidean", "--expr", "/nonexistent/expr.json", "--out", "{out}"], 3),
+    (["verify", "/nonexistent/ms.json", "--out", "{out}"], 3),
+    (["normalize", "--geometry", "euclidean", "/nonexistent/jet.json", "--out", "{out}"], 3),
+    (["build", "--geometry", "euclidean", "--preset", "minimal-surface",
+      "--out", "/nonexistent/d.json", "--latex", "{tex}", "--expanded", "{mono}"], 3),
+    (["verify", "{ms}", "--samples", "3", "--out", "/nonexistent/rep.json"], 3),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]

@@ -301,6 +301,27 @@ class TestExpand:
             assert np.isclose(p.evaluate(vals), rho**p.rho_power * residual(desc, j),
                               rtol=1e-9, atol=1e-12)
 
+    def test_compound_affine_expression(self):
+        # the merged walker carries the pick table through mul, sub and const
+        p = expand_polynomial(build(A2, pick() * pick() - const(3) * pick()))
+        assert p.rho_power == 0
+        rng = np.random.default_rng(58)
+        for _ in range(50):
+            j = ajet(rng.standard_normal(3), rng.standard_normal(4))
+            f = F_aff3(j)
+            vals = list(j.hess.data) + list(j.cubic.data)
+            assert np.isclose(p.evaluate(vals), f * f - 3.0 * f, rtol=1e-12,
+                              atol=1e-12 * (1.0 + f * f))
+
+    @pytest.mark.parametrize("tag,expr", [
+        (GeometryTag("affine", 3), pick()),
+        (A2, pick() / (pick() + const(1.0))),
+        (E2, tau(1) / tau(2)),
+    ], ids=["affine-n3", "affine-div", "euclidean-div"])
+    def test_not_polynomial(self, tag, expr):
+        with pytest.raises(NotPolynomial):
+            expand_polynomial(build(tag, expr))
+
     def test_lam_not_polynomial(self):
         with pytest.raises(NotPolynomial):
             expand_polynomial(build(E2, lam(1)))

@@ -294,6 +294,16 @@ class TestCheckSolution:
         assert rep.evaluated == 20
         assert rep.max_defect <= 1e-10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sheared_quadric_divergent_preimage(self):
+        # far out the preimage fixed point diverges: each such point is a
+        # chart_domain skip, reached without a numpy overflow warning
+        pts = 3.0 * np.random.default_rng(0).uniform(-1.0, 1.0, size=(200, 2))
+        rep = check_solution(build(A2, "affine_cubic"), "sheared_quadric", pts)
+        assert rep.skipped == {"chart_domain": 142, "degenerate_hessian": 0,
+                               "no_root": 0, "not_graph": 0}
+        assert rep.evaluated == 58 and rep.passed
+
     def test_paraboloid_affine_images_zero_F(self):
         germ = sheared_quadric(np.array([0.1, -0.3]), 3, Q=np.diag([1.0, -1.0]), w=(0.2, 0.5))
         j = jet_extend(germ, [0.1, -0.3], 3, chart="affine")
