@@ -10,7 +10,9 @@ significant digits; identical flags produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -48,13 +50,44 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def _dump_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = _json_text(obj)
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _write_all(outputs) -> None:
+    """Write each (path, text) of ``outputs``, None meaning stdout, and no
+    file unless every file can be written: each text goes to a new file
+    beside its target, and those are renamed into place only once all of
+    them are complete.  On failure the new files are removed."""
+    staged = []
+    try:
+        for k, (path, text) in enumerate(outputs):
+            if path is None:
+                continue
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{path} is a directory")
+            tmp = f"{path}.{os.getpid()}.{k}.tmp"
+            with open(tmp, "x") as fh:
+                staged.append((tmp, path))
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
 
 
 def _load_json(path: str) -> dict:
@@ -73,16 +106,14 @@ def cmd_build(args) -> int:
     # Every output is made before any is written.
     try:
         desc = build(GeometryTag(args.geometry, args.n), expr)
-        latex = emit(desc, "latex") if args.latex is not None else None
-        expanded = expand_polynomial(desc) if args.expanded is not None else None
+        outputs = [(args.out, _json_text(descriptor_to_json(desc)))]
+        if args.latex is not None:
+            outputs.append((args.latex, emit(desc, "latex") + "\n"))
+        if args.expanded is not None:
+            outputs.append((args.expanded, _json_text(expanded_to_json(expand_polynomial(desc)))))
     except JetError as exc:
         raise UsageError(str(exc)) from exc
-    _dump_json(descriptor_to_json(desc), args.out)
-    if latex is not None:
-        with open(args.latex, "w") as fh:
-            fh.write(latex + "\n")
-    if expanded is not None:
-        _dump_json(expanded_to_json(expanded), args.expanded)
+    _write_all(outputs)
     return EXIT_OK
 
 
@@ -127,7 +158,9 @@ def cmd_normalize(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: nothing mutates it."""
     p = argparse.ArgumentParser(prog="jetpde", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -12,13 +12,18 @@ A :class:`GroupElement` is a tagged matrix payload:
 
 Prolongation transforms a graph jet by pushing the parametrized germ
 through the point map, re-graphing over the image base point, and reading
-the jet there (transform, invert, compose, extend).
+the jet there (transform, invert, compose, extend).  It runs on a batch:
+:func:`prolong_batch` moves N jets by N elements of one group, given as an
+:class:`Elements` stack, and :func:`prolong` is its batch of one.  Likewise
+:func:`random_elements` draws one element per seed and
+:func:`random_element` is its batch of one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -28,18 +33,18 @@ from .errors import (
     NotGraph,
     OrderUnderflow,
     SchemaMismatch,
-    SingularJacobian,
 )
 from .invariants import Signature, hessian_congruence
-from .jetspace import GraphJet, jet_extend, to_poly
+from .jetspace import GraphJet, JetBatch, extend_rows, poly_rows
 from .taylor import (
-    TruncatedJet,
-    compose,
+    compose_rows,
     divide_rows,
-    invert_map,
+    invert_rows,
     linear_positions,
     linear_rows,
     mul_rows,
+    norm_rows,
+    pow_rows,
 )
 
 GEOMETRIES = ("euclidean", "affine", "projective", "conformal")
@@ -95,49 +100,66 @@ class GroupElement:
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=float)
-        if not np.isfinite(mat).all():
-            raise SchemaMismatch("group element entries must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         if self.shift is not None:
             shift = np.array(self.shift, dtype=float).reshape(-1)
             shift.setflags(write=False)
             object.__setattr__(self, "shift", shift)
-        n = self.n
-        if self.kind == "euclidean":
-            A = self.mat
-            if A.shape != (n + 1, n + 1) or self.shift is None or self.shift.size != n + 1:
-                raise SchemaMismatch("euclidean element needs (n+1)x(n+1) A and b")
-            if np.linalg.norm(A.T @ A - np.eye(n + 1)) > ORTHOGONALITY_TOL:
-                raise SchemaMismatch("A is not orthogonal")
-            if abs(np.linalg.det(A) - 1.0) > ORTHOGONALITY_TOL:
-                raise SchemaMismatch("A is not special orthogonal")
-        elif self.kind == "affine":
-            A = self.mat
-            if A.shape != (n + 1, n + 1) or self.shift is None or self.shift.size != n + 1:
-                raise SchemaMismatch("affine element needs (n+1)x(n+1) A and b")
-            if abs(np.linalg.det(A)) < AFFINE_DET_TOL:
-                raise SchemaMismatch("affine matrix is singular")
-        elif self.kind == "projective":
-            P = self.mat
-            if P.shape != (n + 2, n + 2):
-                raise SchemaMismatch("projective element needs an (n+2)x(n+2) matrix")
-            det = np.linalg.det(P)
-            if not abs(det - 1.0) <= PROJECTIVE_DET_TOL * np.linalg.cond(P) * abs(det):
-                raise SchemaMismatch("projective matrix is not unimodular")
-        elif self.kind == "conformal":
-            C = self.mat
-            if C.shape != (n + 3, n + 3):
-                raise SchemaMismatch("conformal element needs an (n+3)x(n+3) matrix")
-            J = _form_matrix(n)
-            if not np.linalg.norm(C.T @ J @ C - J) <= CONFORMAL_FORM_TOL * np.linalg.norm(C) ** 2:
-                raise SchemaMismatch("matrix does not preserve the ambient form")
-        else:
-            raise SchemaMismatch(f"unknown group element kind {self.kind!r}")
+        _check_elements(Elements(self.kind, self.n, mat[None],
+                                 None if self.shift is None else self.shift[None]))
 
     @property
     def geometry(self) -> GeometryTag:
         return GeometryTag(self.kind, self.n)
+
+
+class Elements(NamedTuple):
+    """N elements of one group as stacks: ``mat`` (N, k, k) and, for the
+    Euclidean and affine groups, ``shift`` (N, n + 1)."""
+
+    kind: str
+    n: int
+    mat: np.ndarray
+    shift: np.ndarray | None = None
+
+
+def _check_elements(g: Elements) -> None:
+    """The GroupElement validators, run on every element of the stack;
+    raises SchemaMismatch when any element fails."""
+    kind, n, mat, shift = g
+    count = len(mat)
+    if not np.isfinite(mat).all():
+        raise SchemaMismatch("group element entries must be finite")
+    if kind in ("euclidean", "affine"):
+        if mat.shape[1:] != (n + 1, n + 1) or shift is None or shift.shape[1:] != (n + 1,):
+            raise SchemaMismatch(f"{kind} element needs (n+1)x(n+1) A and b")
+        det = np.linalg.det(mat)
+        if kind == "affine":
+            if (np.abs(det) < AFFINE_DET_TOL).any():
+                raise SchemaMismatch("affine matrix is singular")
+            return
+        gram = (mat.swapaxes(1, 2) @ mat - np.eye(n + 1)).reshape(count, -1)
+        if (norm_rows(gram) > ORTHOGONALITY_TOL).any():
+            raise SchemaMismatch("A is not orthogonal")
+        if (np.abs(det - 1.0) > ORTHOGONALITY_TOL).any():
+            raise SchemaMismatch("A is not special orthogonal")
+    elif kind == "projective":
+        if mat.shape[1:] != (n + 2, n + 2):
+            raise SchemaMismatch("projective element needs an (n+2)x(n+2) matrix")
+        det = np.linalg.det(mat)
+        if not (np.abs(det - 1.0) <= PROJECTIVE_DET_TOL * np.linalg.cond(mat) * np.abs(det)).all():
+            raise SchemaMismatch("projective matrix is not unimodular")
+    elif kind == "conformal":
+        if mat.shape[1:] != (n + 3, n + 3):
+            raise SchemaMismatch("conformal element needs an (n+3)x(n+3) matrix")
+        J = _form_matrix(n)
+        defect = (mat.swapaxes(1, 2) @ J @ mat - J).reshape(count, -1)
+        bound = CONFORMAL_FORM_TOL * pow_rows(norm_rows(mat.reshape(count, -1)), 2)
+        if not (norm_rows(defect) <= bound).all():
+            raise SchemaMismatch("matrix does not preserve the ambient form")
+    else:
+        raise SchemaMismatch(f"unknown group element kind {kind!r}")
 
 
 def euclidean_element(A, b) -> GroupElement:
@@ -193,10 +215,11 @@ def inverse_element(g: GroupElement) -> GroupElement:
 
 
 def _unimodular(P: np.ndarray) -> np.ndarray:
+    """P (or each matrix of a stack) rescaled to determinant 1."""
     det = np.linalg.det(P)
-    if det <= 0.0:
+    if (det <= 0.0).any():
         raise SchemaMismatch("cannot rescale a non-positive determinant to 1")
-    return P / det ** (1.0 / P.shape[0])
+    return P / pow_rows(det, 1.0 / P.shape[-1])[..., None, None]
 
 
 # -- chart maps ---------------------------------------------------------------
@@ -226,74 +249,103 @@ def act_point(g: GroupElement, p) -> np.ndarray:
     return 2.0 * w[1:-1] / den
 
 
-def _chart_denominator(out: np.ndarray, den: np.ndarray, what: str) -> None:
-    """Raise ChartDomain when the image denominator is too close to zero."""
-    scale = max(1.0, max(abs(v) for v in out[:, 0].tolist()))
-    if abs(float(den[0])) < CHART_DENOM_RTOL * scale:
-        raise ChartDomain(what)
+def _chart_domain(out: np.ndarray, den: np.ndarray, what: str) -> dict:
+    """{sample: ChartDomain} for the samples whose image denominator
+    ``den[s, 0]`` is too close to zero against the image ``out[s, :, 0]``."""
+    scale = np.fmax(1.0, np.abs(out[:, :, 0]).max(axis=1))
+    bad = np.abs(den[:, 0]) < CHART_DENOM_RTOL * scale
+    return {int(i): ChartDomain(what) for i in np.flatnonzero(bad)} if bad.any() else {}
 
 
-def _push_components(g: GroupElement, comps: np.ndarray, order: int) -> np.ndarray:
-    """Apply the point map to an ambient-jet parametrization (u, x)(delta).
+def _drop(rows: np.ndarray, errors: dict) -> np.ndarray:
+    """The rows whose positions are not keys of ``errors``."""
+    return np.delete(rows, list(errors), axis=0) if errors else rows
 
-    ``comps`` holds the coefficient rows of the n + 1 chart coordinates as
-    germs in n variables; so does the result.
+
+def _push_components(g: Elements, comps: np.ndarray, order: int) -> tuple[np.ndarray, dict]:
+    """Apply the point maps to ambient-jet parametrizations (u, x)(delta).
+
+    ``comps`` (N, n + 1, size) holds the coefficient rows of the n + 1
+    chart coordinates of each sample as germs in n variables; so does the
+    result, for the samples whose image stays in the chart.  The others
+    are returned as {sample: ChartDomain}.
     """
-    n = comps.shape[0] - 1
-    one = np.zeros(comps.shape[1])
-    one[0] = 1.0
+    count, n = comps.shape[0], comps.shape[1] - 1
+    one = np.zeros((count, 1, comps.shape[2]))
+    one[:, :, 0] = 1.0
 
     if g.kind in ("euclidean", "affine"):
-        return linear_rows(g.mat, comps, g.shift)
+        return linear_rows(g.mat, comps, g.shift), {}
 
     if g.kind == "projective":
-        out = linear_rows(g.mat, np.vstack([comps, one]))
-        _chart_denominator(out, out[-1], "projective image leaves the affine chart")
-        return divide_rows(out[:-1], out[-1], n, order)
+        out = linear_rows(g.mat, np.concatenate([comps, one], axis=1))
+        errors = _chart_domain(out, out[:, -1], "projective image leaves the affine chart")
+        out = _drop(out, errors)
+        return divide_rows(out[:, :-1], out[:, -1], n, order), errors
 
     # conformal
     squares = mul_rows(comps, comps, n, order)
-    m = squares[0]
-    for sq in squares[1:]:
-        m = m + sq
+    m = squares[:, 0]
+    for k in range(1, n + 1):
+        m = m + squares[:, k]
     den0 = m.copy()
-    den0[0] += 4.0
+    den0[:, 0] += 4.0
     last = -m
-    last[0] += 4.0
-    lifted = divide_rows(np.vstack([comps * 4.0, last]), den0, n, order)
-    out = linear_rows(g.mat, np.vstack([one, lifted]))
-    den = out[-1] + out[0]
-    _chart_denominator(out, den, "conformal image hits the projection antipode")
-    return divide_rows(out[1:-1] * 2.0, den, n, order)
+    last[:, 0] += 4.0
+    lifted = divide_rows(np.concatenate([comps * 4.0, last[:, None]], axis=1), den0, n, order)
+    out = linear_rows(g.mat, np.concatenate([one, lifted], axis=1))
+    den = out[:, -1] + out[:, 0]
+    errors = _chart_domain(out, den, "conformal image hits the projection antipode")
+    out, den = _drop(out, errors), _drop(den, errors)
+    return divide_rows(out[:, 1:-1] * 2.0, den, n, order), errors
+
+
+def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
+    """Jets of the transformed hypersurfaces at the transformed points.
+
+    Sample s moves ``jets`` row s by element s of ``g``: the germ
+    (u(delta), x0 + delta) is pushed through the point map, the image of
+    the independent variables inverted and the composed graph's jet read
+    at the image base point.  Returns the moved jets of the samples that
+    stay graphs in the chart, in order, and {sample: NotGraph or
+    ChartDomain} for the others, which no later step sees.
+    """
+    n, order = jets.n, jets.order
+    poly = poly_rows(jets, order)
+    comps = np.zeros((len(jets), n + 1, poly.shape[1]))
+    comps[:, 0] = poly
+    comps[:, np.arange(1, n + 1), linear_positions(n)] = 1.0
+    comps[:, 1:, 0] += jets.base
+    imgs, skips = _push_components(g, comps, order)
+    new_base = imgs[:, 1:, 0].copy()
+    deltas = imgs[:, 1:].copy()
+    deltas[:, :, 0] += -new_base
+    inv, singular = invert_rows(deltas, n, order)
+    if singular:
+        rows = _drop(np.arange(len(jets)), skips)
+        for i, exc in singular.items():
+            skips[int(rows[i])] = err = NotGraph(str(exc))
+            err.__cause__ = exc
+        keep = _drop(np.arange(len(rows)), singular)
+        imgs, new_base = imgs[keep], new_base[keep]
+    # the inverse germs have zero constant terms, so the outer germ is
+    # composed as it is, about the origin
+    regraphed = compose_rows(imgs[:, :1], inv, n, order)[:, 0]
+    return extend_rows(regraphed, new_base, order, jets.chart), skips
 
 
 def prolong(g: GroupElement, j: GraphJet) -> GraphJet:
-    """Jet of the transformed hypersurface at the transformed point.
-
-    Reconstructs the germ (u(delta), x0 + delta), pushes it through the
-    point map, inverts the image of the independent variables and reads
-    the jet of the composed graph at the image base point.
-    """
+    """Jet of the transformed hypersurface at the transformed point: the
+    batch of one of :func:`prolong_batch`, raising its skip."""
     if j.chart != g.geometry.chart:
         raise SchemaMismatch(f"jet chart {j.chart!r} does not match {g.kind} geometry")
     if j.n != g.n:
         raise SchemaMismatch("jet and group dimension differ")
-    n, order = j.n, j.order
-    poly = to_poly(j)
-    comps = np.zeros((n + 1, poly.coeffs.size))
-    comps[0] = poly.coeffs
-    comps[np.arange(1, n + 1), linear_positions(n)] = 1.0
-    comps[1:, 0] += j.base
-    imgs = _push_components(g, comps, order)
-    new_base = imgs[1:, 0].copy()
-    deltas = imgs[1:].copy()
-    deltas[:, 0] += -new_base
-    try:
-        inv = invert_map([TruncatedJet(n, order, d) for d in deltas])
-    except SingularJacobian as exc:
-        raise NotGraph(str(exc)) from exc
-    regraphed = compose(TruncatedJet(n, order, imgs[0]), inv)
-    return jet_extend(regraphed, new_base, order, j.chart)
+    shift = None if g.shift is None else g.shift[None]
+    moved, skips = prolong_batch(Elements(g.kind, g.n, g.mat[None], shift), JetBatch.of([j]))
+    if skips:
+        raise skips[0]
+    return moved.jet(0)
 
 
 # -- deterministic pseudorandom elements --------------------------------------
@@ -303,34 +355,53 @@ def _skew(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M - M.T)
 
 
-def random_element(tag: GeometryTag, seed, scale: float) -> GroupElement:
-    """Deterministic pseudorandom element at the given generator scale.
+def _draw_elements(tag: GeometryTag, seeds, scale: float) -> Elements:
+    """Unchecked elements, one per seed: each seed's generator draws the
+    Lie-algebra element (and shift), then one stacked ``expm`` and
+    re-projection make the group elements."""
+    if scale < 0:
+        raise SchemaMismatch("scale must be non-negative")
+    n = tag.n
+    gens, shifts = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        if tag.name == "euclidean":
+            gens.append(_skew(rng.standard_normal((n + 1, n + 1))) * scale)
+        elif tag.name == "affine":
+            gens.append(scale * rng.standard_normal((n + 1, n + 1)))
+        elif tag.name == "projective":
+            M = scale * rng.standard_normal((n + 2, n + 2))
+            M -= np.trace(M) / (n + 2) * np.eye(n + 2)
+            gens.append(M)
+        else:
+            gens.append(_form_matrix(n) @ _skew(rng.standard_normal((n + 3, n + 3))) * scale)
+        if tag.name in ("euclidean", "affine"):
+            shifts.append(scale * rng.standard_normal(n + 1))
+    mat = scipy.linalg.expm(np.array(gens))
+    if tag.name == "euclidean":
+        U, _, Vt = np.linalg.svd(mat)
+        mat = U @ Vt
+    elif tag.name == "projective":
+        mat = _unimodular(mat)
+    return Elements(tag.name, n, mat, np.array(shifts) if shifts else None)
+
+
+def random_elements(tag: GeometryTag, seeds, scale: float) -> Elements:
+    """Deterministic pseudorandom elements, one per seed, at the given
+    generator scale, checked by the GroupElement validators.
 
     Exponentials of scaled random Lie-algebra elements, re-projected onto
     the constraint set where cheap; scale = 0 yields the identity.
     """
-    if scale < 0:
-        raise SchemaMismatch("scale must be non-negative")
-    rng = np.random.default_rng(seed)
-    n = tag.n
-    if tag.name == "euclidean":
-        K = _skew(rng.standard_normal((n + 1, n + 1))) * scale
-        A = scipy.linalg.expm(K)
-        U, _, Vt = np.linalg.svd(A)
-        A = U @ Vt
-        b = scale * rng.standard_normal(n + 1)
-        return euclidean_element(A, b)
-    if tag.name == "affine":
-        A = scipy.linalg.expm(scale * rng.standard_normal((n + 1, n + 1)))
-        b = scale * rng.standard_normal(n + 1)
-        return affine_element(A, b)
-    if tag.name == "projective":
-        M = scale * rng.standard_normal((n + 2, n + 2))
-        M -= np.trace(M) / (n + 2) * np.eye(n + 2)
-        return projective_element(_unimodular(scipy.linalg.expm(M)))
-    J = _form_matrix(n)
-    X = J @ _skew(rng.standard_normal((n + 3, n + 3))) * scale
-    return conformal_element(scipy.linalg.expm(X))
+    g = _draw_elements(tag, seeds, scale)
+    _check_elements(g)
+    return g
+
+
+def random_element(tag: GeometryTag, seed, scale: float) -> GroupElement:
+    """The batch of one of :func:`random_elements`."""
+    g = _draw_elements(tag, [seed], scale)
+    return GroupElement(g.kind, g.n, g.mat[0], None if g.shift is None else g.shift[0])
 
 
 # -- normalization to the origin ----------------------------------------------

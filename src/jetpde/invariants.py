@@ -17,19 +17,22 @@ and eigenvalue ratios, which are insensitive to global positive factors.
 
 Stack axis: :func:`shape_matrix`, :func:`tracefree_shape` and
 :func:`eigenvalues` take either a :class:`SymMatrix` or a stack of full
-Hessians of shape (m, n, n) sharing one gradient; :func:`tau_d` takes an
-(n, n) or (m, n, n) matrix and :func:`elementary_symmetric` an (n,) or
-(m, n) spectrum.  A stack gives one value (or matrix, or spectrum) per
-row, each bitwise equal to the single-matrix result: the rows go through
-the same per-matrix BLAS/LAPACK calls and the same elementwise operations
-in the same order.
+Hessians of shape (m, n, n), with one gradient (n,) shared by the stack
+or one per row (m, n); :func:`tau_d` takes an (n, n) or (m, n, n) matrix
+and :func:`elementary_symmetric` an (n,) or (m, n) spectrum.
+:func:`hessian_dets` and :func:`pick_numerators` are the stacked forms of
+:func:`hessian_det` and :func:`pick_numerator`, which are their stacks of
+one.  A stack gives one value (or matrix, or spectrum) per row, each
+bitwise equal to the single-matrix result: the rows go through the same
+per-matrix BLAS/LAPACK calls (dot products included, see
+:func:`~jetpde.taylor.sumsq_rows`), the same float powers and the same
+elementwise operations in the same order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +41,7 @@ from .errors import DegenerateHessian, SingularMetric, WrongDimension
 from .exactpoly import Poly
 from .jetspace import GraphJet
 from .symtensor import SymCubic, SymMatrix, cubic_indices
+from .taylor import pow_rows, sumsq_rows
 
 SINGULAR_METRIC_RTOL = 1e-12
 
@@ -94,16 +98,20 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _metric_numerator(grad: np.ndarray) -> tuple[float, np.ndarray]:
-    """rho and rho I - grad grad^T, which is rho^2 h."""
-    rho = rho_of(grad)
-    return rho, rho * _identity(grad.size) - grad[:, None] * grad
+def _metric_numerator(grad: np.ndarray):
+    """rho^2 and rho I - grad grad^T, which is rho^2 h, for a gradient (n,)
+    or per row of (m, n); rho^2 comes shaped to divide the matrices."""
+    rho = 1.0 + sumsq_rows(grad)
+    eye = _identity(grad.shape[-1])
+    if grad.ndim == 1:
+        return float(rho) ** 2, rho * eye - grad[:, None] * grad
+    return pow_rows(rho, 2)[:, None, None], rho[:, None, None] * eye - grad[:, :, None] * grad[:, None, :]
 
 
 def chart_metric_h(grad) -> SymMatrix:
     """Round-metric pullback h = rho^-2 (rho I - grad grad^T)."""
-    rho, M = _metric_numerator(np.asarray(grad, dtype=float))
-    return SymMatrix.from_full(M / rho**2)
+    rho2, M = _metric_numerator(np.asarray(grad, dtype=float))
+    return SymMatrix.from_full(M / rho2)
 
 
 def _full(hess) -> np.ndarray:
@@ -120,8 +128,8 @@ def _trace(P: np.ndarray):
 
 def shape_matrix(grad, hess) -> np.ndarray:
     """Endomorphism h . hess measuring the Hessian against the chart metric."""
-    rho, M = _metric_numerator(np.asarray(grad, dtype=float))
-    return M @ _full(hess) / rho**2
+    rho2, M = _metric_numerator(np.asarray(grad, dtype=float))
+    return M @ _full(hess) / rho2
 
 
 def tau_d(S, d: int):
@@ -139,13 +147,13 @@ def eigenvalues(grad, hess) -> np.ndarray:
     Computed through the symmetric congruence L^T hess L with h = L L^T
     (Cholesky of the positive-definite chart metric), which is similar to
     h . hess and guarantees a real spectrum.  h and L depend on the
-    gradient only, so a stack of Hessians shares them.  h is taken as
-    computed: it is exactly symmetric, so the symmetrizing round trip of
-    :func:`chart_metric_h` would return it unchanged.
+    gradient only, so a stack of Hessians with one gradient shares them.
+    h is taken as computed: it is exactly symmetric, so the symmetrizing
+    round trip of :func:`chart_metric_h` would return it unchanged.
     """
-    rho, M = _metric_numerator(np.asarray(grad, dtype=float))
-    L = np.linalg.cholesky(M / rho**2)
-    lams = np.linalg.eigvalsh(L.T @ _full(hess) @ L)
+    rho2, M = _metric_numerator(np.asarray(grad, dtype=float))
+    L = np.linalg.cholesky(M / rho2)
+    lams = np.linalg.eigvalsh(L.swapaxes(-1, -2) @ _full(hess) @ L)
     return lams[..., ::-1]
 
 
@@ -230,19 +238,32 @@ def pick_norm(g: SymMatrix, C: SymCubic) -> float:
     return float(np.einsum("il,jm,kn,ijk,lmn->", ginv, ginv, ginv, Cf, Cf))
 
 
-def _nondegenerate_det(lams: np.ndarray) -> float:
-    """Product of the Hessian spectrum; raises on the degenerate locus."""
-    det = float(np.prod(lams))
-    scale = float(np.max(np.abs(lams))) or 1.0
-    if abs(det) < DEGENERATE_HESSIAN_RTOL * scale**lams.size:
-        raise DegenerateHessian(f"|det hess| = {abs(det):.3e}")
-    return det
+def _nondegenerate_dets(lams: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Products of the Hessian spectra (m, n), and {row: DegenerateHessian}
+    for the rows on the degenerate locus."""
+    det = lams.prod(axis=-1)
+    scale = np.abs(lams).max(axis=-1)
+    scale[scale == 0.0] = 1.0
+    bad = np.abs(det) < DEGENERATE_HESSIAN_RTOL * pow_rows(scale, lams.shape[-1])
+    if not bad.any():
+        return det, {}
+    return det, {int(i): DegenerateHessian(f"|det hess| = {abs(det[i]):.3e}") for i in np.flatnonzero(bad)}
+
+
+def hessian_dets(H: np.ndarray) -> tuple[np.ndarray, dict]:
+    """det of each full Hessian of the stack (m, n, n), and {row:
+    DegenerateHessian} for the rows with |det| below
+    DEGENERATE_HESSIAN_RTOL * |hess|_2^n."""
+    return _nondegenerate_dets(np.linalg.eigvalsh(H))
 
 
 def hessian_det(hess: SymMatrix) -> float:
     """det(hess), raising DegenerateHessian when |det| is below
     DEGENERATE_HESSIAN_RTOL * |hess|_2^n."""
-    return _nondegenerate_det(np.linalg.eigvalsh(hess.full()))
+    det, errors = hessian_dets(hess.full()[None])
+    if errors:
+        raise errors[0]
+    return float(det[0])
 
 
 def hessian_congruence(hess: SymMatrix) -> tuple[np.ndarray, Signature]:
@@ -252,7 +273,9 @@ def hessian_congruence(hess: SymMatrix) -> tuple[np.ndarray, Signature]:
     :func:`hessian_det` does.
     """
     lams, Q = np.linalg.eigh(hess.full())
-    _nondegenerate_det(lams)
+    _, errors = _nondegenerate_dets(lams[None])
+    if errors:
+        raise errors[0]
     idx = np.argsort(-lams)  # descending: positive directions first
     lams, Q = lams[idx], Q[:, idx]
     n = lams.size
@@ -262,23 +285,38 @@ def hessian_congruence(hess: SymMatrix) -> tuple[np.ndarray, Signature]:
     return B, Signature(int(np.sum(lams > 0.0)), n)
 
 
-def pick_numerator(hess: SymMatrix, cubic: SymCubic) -> float:
-    """Q = det(hess)^3 pick_norm(hess, tracefree_cubic(hess, cubic)), a polynomial.
+@functools.lru_cache(maxsize=None)
+def _others(n: int) -> np.ndarray:
+    """Row i lists the indices other than i, increasing: cofactor i of a
+    diagonal matrix is the product of those eigenvalues, in that order."""
+    return np.array([[k for k in range(n) if k != i] for i in range(n)]).reshape(n, n - 1)
+
+
+def pick_numerators(H: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Q = det(hess)^3 pick_norm(hess, tracefree_cubic(hess, cubic)), a polynomial,
+    for each full Hessian of the stack H (m, n, n) and full cubic of C
+    (m, n, n, n).
 
     With A = adj(hess) and s_k = A^{ij} C_{ijk},
     Q = A^{il} A^{jm} A^{kn} C_{ijk} C_{lmn} - 3/(n+2) s.A.s; the adjugate
     comes from the spectrum without dividing by det, so Q is defined on the
     degenerate locus too.
     """
-    lams, V = np.linalg.eigh(hess.full())
-    n = lams.size
-    spec = lams.tolist()
-    cofactors = [math.prod(spec[:i] + spec[i + 1 :]) for i in range(n)]
-    A = (V * cofactors) @ V.T
-    C = cubic.full()
-    s = np.einsum("ij,ijk->k", A, C)
-    full = np.einsum("il,jm,kn,ijk,lmn->", A, A, A, C, C)
-    return float(full - 3.0 / (n + 2.0) * (s @ A @ s))
+    lams, V = np.linalg.eigh(H)
+    n = lams.shape[-1]
+    others = _others(n)
+    cofactors = lams[:, others[:, 0]] if n > 1 else np.ones_like(lams)
+    for k in range(1, n - 1):
+        cofactors = cofactors * lams[:, others[:, k]]
+    A = (V * cofactors[:, None, :]) @ V.swapaxes(1, 2)
+    s = np.einsum("xij,xijk->xk", A, C)
+    full = np.einsum("xil,xjm,xkn,xijk,xlmn->x", A, A, A, C, C)
+    return full - 3.0 / (n + 2.0) * (s[:, None, :] @ A @ s[:, :, None])[:, 0, 0]
+
+
+def pick_numerator(hess: SymMatrix, cubic: SymCubic) -> float:
+    """The stack of one of :func:`pick_numerators`."""
+    return float(pick_numerators(hess.full()[None], cubic.full()[None])[0])
 
 
 def F_aff3(j: GraphJet) -> float:

@@ -5,6 +5,11 @@ gradient, Hessian and (at order 3) cubic coefficients of a graph
 ``u = f(x)``.  Charts are tags only; their geometric meaning lives in
 :mod:`jetpde.groups`.  Germs exchanged with :mod:`jetpde.taylor` are in
 local coordinates centered at the jet's base point.
+
+A :class:`JetBatch` holds N such jets as arrays with the sample axis
+first.  It is internal: the batched prolongation and residual run on it,
+and :func:`to_poly`/:func:`jet_extend` gather on it at one sample, while
+:class:`GraphJet` stays the public record.
 """
 
 from __future__ import annotations
@@ -78,6 +83,64 @@ class GraphJet:
         return np.concatenate(([self.u], self.base))
 
 
+@dataclasses.dataclass(frozen=True)
+class JetBatch:
+    """N points of J^k(n, M) in the chart ``chart``, sample axis first.
+
+    ``base`` (N, n), ``u`` (N,), ``grad`` (N, n), and at orders 2 and 3 the
+    packed Hessians ``hess`` (N, n(n+1)/2) and cubics ``cubic``
+    (N, C(n+2, 3)) in the storage orders of SymMatrix and SymCubic.  A
+    batch holds finite entries: :meth:`of` takes checked jets, and
+    :func:`extend_rows` checks the whole batch it makes at once.
+    """
+
+    chart: str
+    n: int
+    order: int
+    base: np.ndarray
+    u: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray | None = None
+    cubic: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, jets) -> "JetBatch":
+        """The batch of the given jets, which share chart, n and order."""
+        j = jets[0]
+        chart, n, order = j.chart, j.n, j.order
+        if len(jets) == 1:  # views of the jet's read-only arrays
+            return cls(chart, n, order, j.base[None], np.array([j.u]), j.grad[None],
+                       None if j.hess is None else j.hess.data[None],
+                       None if j.cubic is None else j.cubic.data[None])
+        if any((j.chart, j.n, j.order) != (chart, n, order) for j in jets):
+            raise SchemaMismatch("jets of one batch must share chart, n and order")
+        return cls(
+            chart, n, order, np.array([j.base for j in jets]), np.array([j.u for j in jets]),
+            np.array([j.grad for j in jets]),
+            np.array([j.hess.data for j in jets]) if order >= 2 else None,
+            np.array([j.cubic.data for j in jets]) if order == 3 else None,
+        )
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def take(self, rows) -> "JetBatch":
+        """The batch of the given rows (indices or a mask), in order."""
+        return JetBatch(
+            self.chart, self.n, self.order, self.base[rows], self.u[rows], self.grad[rows],
+            None if self.hess is None else self.hess[rows],
+            None if self.cubic is None else self.cubic[rows],
+        )
+
+    def jet(self, i: int) -> GraphJet:
+        n = self.n
+        return GraphJet(
+            self.chart, n, self.order, self.base[i], self.u[i], self.grad[i],
+            None if self.hess is None else SymMatrix(n, self.hess[i]),
+            None if self.cubic is None else SymCubic(n, self.cubic[i]),
+        )
+
+
 @functools.lru_cache(maxsize=None)
 def _slots(n: int) -> tuple[np.ndarray, ...]:
     """Taylor-table positions of the Hessian (lower triangle, row-major) and
@@ -97,6 +160,37 @@ def _slots(n: int) -> tuple[np.ndarray, ...]:
     )
 
 
+def extend_rows(coeffs: np.ndarray, base: np.ndarray, order: int, chart: str) -> JetBatch:
+    """The jets at ``base`` (N, n) of the graphs of the germs with
+    coefficient rows ``coeffs`` (N, size), local at their base points: the
+    coefficients times the multinomial factorials."""
+    n = base.shape[1]
+    parts = [base, coeffs[:, :1], coeffs[:, linear_positions(n)]]
+    if order >= 2:
+        hess_pos, hess_fact, cubic_pos, cubic_fact = _slots(n)
+        parts.append(coeffs[:, hess_pos] * hess_fact)
+        if order >= 3:
+            parts.append(coeffs[:, cubic_pos] * cubic_fact)
+    if not np.isfinite(np.concatenate(parts, axis=1)).all():
+        raise SchemaMismatch("jet entries must be finite")
+    return JetBatch(chart, n, order, base, parts[1][:, 0], *parts[2:])
+
+
+def poly_rows(jets: JetBatch, order: int) -> np.ndarray:
+    """Coefficient rows (N, size) of the germs (local at the base points)
+    reconstructing the jets, at the given order >= 1."""
+    n = jets.n
+    c = np.zeros((len(jets), n_coeffs(n, order)))
+    c[:, 0] = jets.u
+    c[:, linear_positions(n)] = jets.grad
+    if jets.order >= 2 and order >= 2:
+        hess_pos, hess_fact, cubic_pos, cubic_fact = _slots(n)
+        c[:, hess_pos] = jets.hess / hess_fact
+        if jets.order >= 3 and order >= 3:
+            c[:, cubic_pos] = jets.cubic / cubic_fact
+    return c
+
+
 def jet_extend(germ: TruncatedJet, base, order: int, chart: str = "euclidean") -> GraphJet:
     """Jet of the graph of ``germ`` at ``base``.
 
@@ -106,33 +200,21 @@ def jet_extend(germ: TruncatedJet, base, order: int, chart: str = "euclidean") -
     """
     if germ.order < order:
         raise OrderUnderflow(f"germ order {germ.order} < requested {order}")
-    n = germ.n_vars
-    base = np.asarray(base, dtype=float).reshape(-1)
-    hess = cubic = None
-    if order >= 2:
-        hess_pos, hess_fact, cubic_pos, cubic_fact = _slots(n)
-        hess = SymMatrix(n, germ.coeffs[hess_pos] * hess_fact)
-        if order >= 3:
-            cubic = SymCubic(n, germ.coeffs[cubic_pos] * cubic_fact)
-    return GraphJet(chart, n, order, base, germ.const_term, germ.linear_part(), hess, cubic)
+    if order not in (1, 2, 3):
+        raise SchemaMismatch(f"jet order must be 1, 2 or 3, got {order}")
+    base = np.asarray(base, dtype=float).reshape(1, -1)
+    if base.shape[1] != germ.n_vars:
+        raise SchemaMismatch("base/grad length differs from n")
+    return extend_rows(germ.coeffs[None], base, order, chart).jet(0)
 
 
 def to_poly(j: GraphJet, order: int | None = None) -> TruncatedJet:
     """Polynomial germ (local at ``j.base``) reconstructing the jet."""
     if order is None:
         order = j.order
-    n = j.n
-    c = np.zeros(n_coeffs(n, order))
     if order < 1:
-        raise OrderUnderflow(f"term {_exps(n, (0,))} exceeds order {order}")
-    c[0] = j.u
-    c[linear_positions(n)] = j.grad
-    if j.order >= 2 and order >= 2:
-        hess_pos, hess_fact, cubic_pos, cubic_fact = _slots(n)
-        c[hess_pos] = j.hess.data / hess_fact
-        if j.order >= 3 and order >= 3:
-            c[cubic_pos] = j.cubic.data / cubic_fact
-    return TruncatedJet(n, order, c)
+        raise OrderUnderflow(f"term {_exps(j.n, (0,))} exceeds order {order}")
+    return TruncatedJet(j.n, order, poly_rows(JetBatch.of([j]), order)[0])
 
 
 def project(j: GraphJet, order: int) -> GraphJet:

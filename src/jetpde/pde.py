@@ -9,9 +9,11 @@ the cubic C alone: the squared norm of the H-trace-free part of C against
 H, ``8 Q / det(H)^3`` with Q the polynomial of
 :func:`~jetpde.invariants.pick_numerator`.  ``residual_via_normalization``
 keeps the moving-frame route (normalize the jet to the origin, then read
-the invariants off the normal form) as an independent check.  Residual
-values transform by a nonzero factor under the group, so only zero sets
-and eigenvalue ratios are meaningful across points.
+the invariants off the normal form) as an independent check.
+:func:`residuals` evaluates a whole jet batch at once, one value per
+sample; :func:`residual` is its batch of one.  Residual values transform
+by a nonzero factor under the group, so only zero sets and eigenvalue
+ratios are meaningful across points.
 
 ``expand_polynomial`` writes the n = 2 equations as exact polynomials.
 The affine ``pick`` leaf expands to the 13-term table
@@ -40,15 +42,17 @@ from .invariants import (
     F_AFF3_MONOMIALS,
     elementary_symmetric,
     eigenvalues,
-    hessian_det,
+    hessian_dets,
     pick_norm,
-    pick_numerator,
+    pick_numerators,
     shape_matrix,
     tau_d,
     tracefree_cubic,
     tracefree_shape,
 )
-from .jetspace import GraphJet
+from .jetspace import GraphJet, JetBatch
+from .symtensor import _cubic_gather, _matrix_gather
+from .taylor import pow_rows
 
 DIV_EPS = 1e-300
 
@@ -221,12 +225,13 @@ def _eval_tree(e: Expr, leaf_value):
 
 
 def second_order_residuals(desc: PdeDescriptor, grad, H: np.ndarray) -> np.ndarray:
-    """Euclidean or conformal residuals of the jets with gradient ``grad``
-    and the full Hessians of the (m, n, n) stack ``H``, as an (m,) array.
+    """Euclidean or conformal residuals of the jets with the full Hessians
+    of the (m, n, n) stack ``H`` and the gradient ``grad``, one (n,) for
+    the stack or one per row (m, n), as an (m,) array.
 
-    :func:`residual` is this function at m = 1.  The leaves are the
-    stacked invariants, so each row is bitwise the value a stack of one
-    gives.  numpy warnings are off: an inf or nan row is a value, which a
+    :func:`residuals` calls this function with one gradient per row.  The
+    leaves are the stacked invariants, so each row is bitwise the value a
+    stack of one gives.  numpy warnings are off: an inf or nan row is a value, which a
     report counts as an infinite defect.
     """
     cache: dict = {}
@@ -253,30 +258,69 @@ def second_order_residuals(desc: PdeDescriptor, grad, H: np.ndarray) -> np.ndarr
     return out if isinstance(out, np.ndarray) else np.full(len(H), out)
 
 
-def residual(desc: PdeDescriptor, j: GraphJet) -> float:
-    """Scalar whose vanishing says the jet solves the PDE."""
-    if j.chart != desc.chart:
-        raise SchemaMismatch(f"jet chart {j.chart!r}, descriptor wants {desc.chart!r}")
-    if j.order != desc.order:
-        raise SchemaMismatch(f"jet order {j.order}, descriptor wants {desc.order}")
-    if j.n != desc.geometry.n:
+class _NothingLive(Exception):
+    """Every row of a batch was skipped while its expression was evaluated."""
+
+
+def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
+    """Scalars whose vanishing says the jets solve the PDE, one per row, and
+    {row: DegenerateHessian} for the rows skipped on the degenerate locus.
+
+    A skipped row's value is nan, so no later node can raise for it.  As
+    for Python floats, an overflow or an inf - inf is a value, not a
+    warning.
+    """
+    if jets.chart != desc.chart:
+        raise SchemaMismatch(f"jet chart {jets.chart!r}, descriptor wants {desc.chart!r}")
+    if jets.order != desc.order:
+        raise SchemaMismatch(f"jet order {jets.order}, descriptor wants {desc.order}")
+    if jets.n != desc.geometry.n:
         raise SchemaMismatch("jet and descriptor dimension differ")
+    H = jets.hess[:, _matrix_gather(jets.n)]
     if desc.geometry.name in ("euclidean", "conformal"):
-        return float(second_order_residuals(desc, j.grad, j.hess.full()[None])[0])
+        return second_order_residuals(desc, jets.grad, H), {}
 
     # affine / projective third-order route: the normalized jet has hess =
     # 2 eps, so the pick norm against eps is 8 pick_norm(hess, C0) = 8 Q / det^3.
     cache: dict = {}
+    skipped: dict = {}
 
-    def leaf_value(e: Expr) -> float:
+    def leaf_value(e: Expr) -> np.ndarray:
         if e.op != "pick":
             raise InvalidExpr(f"leaf {e.op!r} unexpected here")
         if "pick" not in cache:
-            det = hessian_det(j.hess)
-            cache["pick"] = 8.0 * pick_numerator(j.hess, j.cubic) / det**3
+            det, skipped_rows = hessian_dets(H)
+            skipped.update(skipped_rows)
+            if len(skipped) == len(det):
+                raise _NothingLive
+
+            def pick_rows(rows):
+                C = jets.cubic[rows][:, _cubic_gather(jets.n)]
+                return 8.0 * pick_numerators(H[rows], C) / pow_rows(det[rows], 3)
+
+            if skipped:
+                live = np.delete(np.arange(len(det)), list(skipped))
+                cache["pick"] = np.full(len(det), np.nan)
+                cache["pick"][live] = pick_rows(live)
+            else:
+                cache["pick"] = pick_rows(slice(None))
         return cache["pick"]
 
-    return _eval_tree(desc.expr, leaf_value)
+    try:
+        with np.errstate(all="ignore"):
+            out = _eval_tree(desc.expr, leaf_value)
+    except _NothingLive:
+        out = np.nan
+    return (out if isinstance(out, np.ndarray) else np.full(len(jets), out)), skipped
+
+
+def residual(desc: PdeDescriptor, j: GraphJet) -> float:
+    """Scalar whose vanishing says the jet solves the PDE: the batch of one
+    of :func:`residuals`, raising its skip."""
+    values, skipped = residuals(desc, JetBatch.of([j]))
+    if skipped:
+        raise skipped[0]
+    return float(values[0])
 
 
 def residual_via_normalization(desc: PdeDescriptor, j: GraphJet) -> float:

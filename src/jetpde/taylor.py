@@ -9,18 +9,24 @@ the same prefix at every order >= k.  The caps ``n_vars <= 8``,
 ``order <= 4`` keep every table below 495 entries.
 
 The arithmetic is a layer of kernels on raw coefficient arrays, one jet
-per vector or per row of a 2-D array: :func:`mul_rows`, :func:`divide_rows`,
-:func:`linear_rows`, :func:`compose_rows` and :func:`invert_rows`,
-driven by index tables built lazily and cached per (n, order).
-:class:`TruncatedJet` and the module-level functions are the public
-boundary over them; :mod:`jetpde.groups` prolongs on arrays.
+per row, with a leading batch axis of samples: :func:`mul_rows`,
+:func:`divide_rows`, :func:`linear_rows`, :func:`compose_rows` and
+:func:`invert_rows`, driven by index tables built lazily and cached per
+(n, order).  :class:`TruncatedJet` and the module-level functions are the
+public boundary over them and call them at one sample; :mod:`jetpde.groups`
+prolongs whole batches on arrays.
 
 The rule of the kernel layer: every floating-point operation keeps its
 operands and its order (products summed in ``_mul_table`` order, terms in
 multi-index order, linear combinations in column order).  An operation is
 left out only where that is exact for finite data, e.g. adding a zero
 product to a sum that starts at +0.0.  Results are therefore bit for bit
-those of plain jet-by-jet arithmetic.
+those of plain jet-by-jet arithmetic.  The batch axis keeps the rule: each
+sample's rows see the same operations as a batch of one, reductions run
+per row through the same BLAS/LAPACK call (:func:`sumsq_rows`, stacked
+``det``/``inv``), powers go through Python's ``float.__pow__``
+(:func:`pow_rows`), and a sample that fails a test (a singular Jacobian)
+is reported for its row and dropped from the rows that go on.
 
 The coefficient of the multi-index ``alpha`` is the Taylor coefficient,
 i.e. the partial derivative divided by ``alpha!``.  All operations are
@@ -127,14 +133,57 @@ def _factor_table(m: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # -- kernels on coefficient arrays -------------------------------------------
 
 
+def sumsq_rows(x: np.ndarray) -> np.ndarray:
+    """Each row's dot product with itself over the last axis, one BLAS
+    ``ddot`` per row.
+
+    Bitwise ``float(x[i] @ x[i])`` for a contiguous row; a numpy sum over
+    the axis is not.  The rows are made contiguous first: ``ddot`` takes
+    another route for strided vectors.
+    """
+    x = np.ascontiguousarray(x)
+    return x @ x if x.ndim == 1 else (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def norm_rows(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row over the last axis: bitwise
+    ``np.linalg.norm`` of the row (or of a C-ordered tensor flattened to it)."""
+    return np.sqrt(sumsq_rows(x))
+
+
+def pow_rows(x, k) -> np.ndarray:
+    """``v ** k`` for every entry by Python's float power (libm ``pow``),
+    which numpy's array ``**`` does not always match in the last bit; an
+    overflow raises as the float power does."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return np.asarray(float(x) ** k)
+    return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _unit_rows(rows: int, size: int, cols) -> np.ndarray:
     out = np.zeros((rows, size))
     out[np.arange(rows), cols] = 1.0
     return out
 
 
+def _bins(iout: np.ndarray, size: int, rows: int) -> np.ndarray:
+    """Output bin of each product of each row, rows laid end to end."""
+    return (iout + size * np.arange(rows)[:, None]).ravel()
+
+
+@functools.lru_cache(maxsize=64)
+def _row_bins(n: int, order: int, rows: int) -> np.ndarray:
+    """:func:`_bins`, cached for the small row counts of single jets and
+    small batches."""
+    out = _bins(_mul_table(n, order)[2], n_coeffs(n, order), rows)
+    out.setflags(write=False)
+    return out
+
+
 def mul_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
-    """Cauchy products of coefficient vectors or rows (``b`` broadcasts).
+    """Cauchy products of coefficient vectors over any leading shape
+    (``a`` and ``b`` broadcast).
 
     Each output coefficient is 0.0 plus its products in ``_mul_table``
     order, the order ``np.add.at`` accumulates them in.
@@ -142,102 +191,132 @@ def mul_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
     ia, ib, iout = _mul_table(n, order)
     size = n_coeffs(n, order)
     w = a[..., ia] * b[..., ib]
-    if w.ndim == 1:
-        return np.bincount(iout, weights=w, minlength=size)
-    rows = w.shape[0]
-    flat = (iout + size * np.arange(rows)[:, None]).ravel()
-    return np.bincount(flat, weights=w.ravel(), minlength=rows * size).reshape(rows, size)
+    lead = w.shape[:-1]
+    rows = math.prod(lead)
+    flat = _row_bins(n, order, rows) if rows <= 32 else _bins(iout, size, rows)
+    out = np.bincount(flat, weights=w.ravel(), minlength=rows * size)
+    return out.reshape(lead + (size,))
 
 
 def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int,
                 tol: float = DIVISION_RTOL) -> np.ndarray:
-    """``a / b`` for a coefficient vector or rows ``a`` and one divisor ``b``:
+    """``a / b`` for N samples: ``b`` holds one divisor per sample (N, size),
+    ``a`` one vector (N, size) or rows (N, r, size) per sample.
+
     ``a`` times the series ``1 - r + r^2 - ...`` of ``r = (b - b(0)) / b(0)``,
-    times ``1 / b(0)``."""
-    b0 = float(b[0])
-    scale = max(1.0, float(np.max(np.abs(b))))
-    if abs(b0) < tol * scale:
-        raise DivisionBySingular(f"|b(0)|={abs(b0):.3e} below {tol * scale:.3e}")
+    times ``1 / b(0)``.  Raises DivisionBySingular when any sample's divisor
+    fails the test, naming the first.
+    """
+    b0 = b[:, 0]
+    scale = np.fmax(1.0, np.abs(b).max(axis=-1))
+    bad = np.abs(b0) < tol * scale
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DivisionBySingular(f"|b(0)|={abs(b0[i]):.3e} below {tol * scale[i]:.3e}")
     s = 1.0 / b0
     r = b.copy()
-    r[0] += -b0
-    neg_r = -(r * s)
+    r[:, 0] += -b0
+    neg_r = -(r * s[:, None])
     inv = np.zeros_like(r)
-    inv[0] = 1.0
+    inv[:, 0] = 1.0
     term = inv
     for _ in range(order):
         term = mul_rows(term, neg_r, n, order)
         inv = inv + term
-    return mul_rows(a, inv, n, order) * s
+    per_sample = (len(b),) + (1,) * (a.ndim - 2)
+    return mul_rows(a, inv.reshape(per_sample + inv.shape[-1:]), n, order) * s.reshape(per_sample + (1,))
 
 
 def linear_rows(M: np.ndarray, V: np.ndarray, off=None) -> np.ndarray:
-    """Rows ``off[i] + sum_j M[i, j] V[j]``, added in column order.
+    """Rows ``off[..., i] + sum_j M[..., i, j] V[..., j]``, added in column
+    order, over any leading shape (``V`` (c, size) may be shared).
 
-    Terms with ``M[i, j] == 0`` are skipped: they become -0.0, which leaves
-    every sum bit for bit as it was.
+    Terms with ``M[..., i, j] == 0`` are skipped: they become -0.0, which
+    leaves every sum bit for bit as it was.
     """
-    P = M[:, :, None] * V[None, :, :]
+    P = M[..., :, :, None] * V[..., None, :, :]
     P[M == 0.0] = -0.0
-    out = np.zeros((M.shape[0], V.shape[1]))
+    out = np.zeros(P.shape[:-2] + P.shape[-1:])
     if off is not None:
-        out[:, 0] = off
-    for j in range(M.shape[1]):
-        out += P[:, j]
+        out[..., 0] = off
+    for j in range(M.shape[-1]):
+        out += P[..., j, :]
     return out
 
 
 def compose_rows(C: np.ndarray, D: np.ndarray, n: int, order: int) -> np.ndarray:
-    """Rows ``C[k](D[0], ..., D[m-1])`` for inner germs with zero constant terms.
+    """Rows ``C[s, k](D[s, 0], ..., D[s, m-1])`` of N samples ``s`` for inner
+    germs with zero constant terms.
 
-    ``C`` holds one outer germ per row, over the m = len(D) variables and
-    of order >= ``order``, expanded about the origin.  Each term is its
-    coefficient times the inner powers of its monomial, multiplied in
-    increasing variable order; the terms of a row are added in multi-index
-    order to 0.0.
+    ``C`` (N, R, K) holds R outer germs per sample, over the m variables of
+    the sample's inner germs ``D`` (N, m, size) and of order >= ``order``,
+    expanded about the origin.  Each term is its coefficient times the
+    inner powers of its monomial, multiplied in increasing variable order;
+    the terms of a row are added in multi-index order to 0.0.  The rows of
+    all samples are concatenated, so zero outer terms are masked per row.
     """
-    m = D.shape[0]
+    N, R = C.shape[:2]
+    m = D.shape[1]
     size = n_coeffs(n, order)
     count, var, power = _factor_table(m, order)
-    powers = np.empty((order + 1, m, size))
-    powers[0] = _unit_rows(m, size, 0)
+    # inner germ i of sample s is row s * m + i of the power tables
+    D = D.reshape(N * m, size)
+    powers = np.empty((order + 1, N * m, size))
+    powers[0] = 0.0
+    powers[0, :, 0] = 1.0
     if order >= 1:
         powers[1] = D
     for p in range(2, order + 1):
         powers[p] = mul_rows(powers[p - 1], D, n, order)
-    row, mono = np.nonzero(C[:, : count.size] != 0.0)
+    outer = C[:, :, : count.size].reshape(N * R, count.size)
+    row, mono = np.nonzero(outer != 0.0)
     var, power, count = var[mono], power[mono], count[mono]
-    terms = C[row, mono][:, None] * powers[power[:, 0], var[:, 0]]
+    if N > 1:
+        var = var + ((row // R) * m)[:, None]
+    terms = outer[row, mono][:, None] * powers[power[:, 0], var[:, 0]]
     for s in range(1, var.shape[1]):
         more = np.flatnonzero(count > s)
         if more.size == 0:
             break
         terms[more] = mul_rows(terms[more], powers[power[more, s], var[more, s]], n, order)
     flat = (size * row[:, None] + np.arange(size)).ravel()
-    out = np.bincount(flat, weights=terms.ravel(), minlength=C.shape[0] * size)
-    return out.reshape(C.shape[0], size)
+    out = np.bincount(flat, weights=terms.ravel(), minlength=N * R * size)
+    return out.reshape(N, R, size)
 
 
-def invert_rows(F: np.ndarray, n: int, order: int) -> np.ndarray:
-    """Compositional inverse of the map germ with coefficient rows ``F``.
+def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
+    """Compositional inverses of N map germs with coefficient rows ``F``.
 
-    ``F`` is n rows over n variables with zero constant terms; the inverse
-    is the fixed point of ``g = J^-1 (x - high(g))``, iterated order - 1
-    times from ``J^-1 x``.
+    ``F`` (N, n, size) holds n rows over n variables with zero constant
+    terms per sample; each inverse is the fixed point of
+    ``g = J^-1 (x - high(g))``, iterated order - 1 times from ``J^-1 x``.
+    Returns the inverses of the samples with an invertible Jacobian, in
+    order, and ``{sample: SingularJacobian}`` for the others.
     """
     lin = linear_positions(n)
-    J = F[:, lin] if order >= 1 else np.zeros((n, n))
-    det = float(np.linalg.det(J))
-    scale = float(np.linalg.norm(J) / math.sqrt(n))
-    if det == 0.0 or abs(det) < SINGULAR_RTOL * scale**n:
-        raise SingularJacobian(f"|det J|={abs(det):.3e}, scale={scale:.3e}")
+    J = F[..., lin] if order >= 1 else np.zeros(F.shape[:1] + (n, n))
+    det = np.linalg.det(J)
+    scale = norm_rows(J.reshape(-1, n * n)) / math.sqrt(n)
+    bad = (det == 0.0) | (np.abs(det) < SINGULAR_RTOL * pow_rows(scale, n))
+    errors = {}
+    if bad.any():
+        errors = {
+            int(i): SingularJacobian(f"|det J|={abs(det[i]):.3e}, scale={scale[i]:.3e}")
+            for i in np.flatnonzero(bad)
+        }
+        F, J = F[~bad], J[~bad]
     Jinv = np.linalg.inv(J)
-    coords = _unit_rows(n, F.shape[1], lin)
-    high = F - linear_rows(J, coords)
-    g = linear_rows(Jinv, coords)
+    coords = _unit_rows(n, F.shape[-1], lin)
+    # F - J x and J^-1 x, written directly: for finite J the linear rows
+    # give exactly these values, up to the sign of zeros, which neither
+    # compose_rows (it skips zero terms) nor the sums after it can see.
+    high = F.copy()
+    high[..., lin] = 0.0
+    g = np.zeros(F.shape)
+    g[..., lin] = Jinv + 0.0
     for _ in range(order - 1):
         g = linear_rows(Jinv, coords - compose_rows(high, g, n, order))
-    return g
+    return g, errors
 
 
 # -- jets ----------------------------------------------------------------------
@@ -441,7 +520,7 @@ def differentiate(a: TruncatedJet, i: int) -> TruncatedJet:
 def divide(a: TruncatedJet, b: TruncatedJet, tol: float = DIVISION_RTOL) -> TruncatedJet:
     """``a * b**-1`` with the reciprocal expanded as a geometric series."""
     order, num, den = a._common(b)
-    return TruncatedJet(a.n_vars, order, divide_rows(num, den, a.n_vars, order, tol))
+    return TruncatedJet(a.n_vars, order, divide_rows(num[None], den[None], a.n_vars, order, tol)[0])
 
 
 def _binom_shift(outer: TruncatedJet, center: np.ndarray) -> np.ndarray:
@@ -495,7 +574,7 @@ def compose(
     # About a zero center the re-expansion changes no nonzero coefficient.
     shifted = _binom_shift(outer, center) if np.any(center != 0.0) else outer.coeffs
     D[:, 0] += -center
-    return TruncatedJet(n, order, compose_rows(shifted[None, :], D, n, order)[0])
+    return TruncatedJet(n, order, compose_rows(shifted[None, None, :], D[None], n, order)[0, 0])
 
 
 def compose_map(
@@ -520,4 +599,7 @@ def invert_map(fs: Sequence[TruncatedJet]) -> list[TruncatedJet]:
             raise ValueError("invert_map requires zero constant terms")
     size = n_coeffs(n, order)
     F = np.array([f.coeffs[:size] for f in fs])
-    return [TruncatedJet(n, order, row) for row in invert_rows(F, n, order)]
+    g, errors = invert_rows(F[None], n, order)
+    if errors:
+        raise errors[0]
+    return [TruncatedJet(n, order, row) for row in g[0]]

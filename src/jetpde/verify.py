@@ -5,6 +5,9 @@ random group elements and records how far the transformed jets drift off
 the zero set.  Residuals are normalized by a local homogeneity scale so
 the tolerances are scale-free.  Sampling is counter-based per index, so a
 report is a pure function of (descriptor, config) regardless of schedule.
+The samples are drawn one index at a time; the group elements, the
+prolongation, the residuals and the defects then run once on the whole
+jet batch, bit for bit as one sample at a time.
 """
 
 from __future__ import annotations
@@ -17,19 +20,26 @@ import numpy as np
 import scipy.optimize
 
 from .errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch
-from .groups import affine_element, prolong, random_element
+from .groups import affine_element, prolong, prolong_batch, random_elements
 from .invariants import (
     eigenvalues,
     hessian_congruence,
-    hessian_det,
-    pick_numerator,
+    hessian_dets,
+    pick_numerators,
     rho_of,
     sym_outer,
 )
-from .jetspace import GraphJet, jet_extend, to_poly
-from .pde import PdeDescriptor, homogeneity_degree, residual, second_order_residuals, tauring
-from .symtensor import SymCubic, SymMatrix, _matrix_gather
-from .taylor import TruncatedJet, compose
+from .jetspace import GraphJet, JetBatch, jet_extend, to_poly
+from .pde import (
+    PdeDescriptor,
+    homogeneity_degree,
+    residual,
+    residuals,
+    second_order_residuals,
+    tauring,
+)
+from .symtensor import SymCubic, SymMatrix, _cubic_gather, _matrix_gather
+from .taylor import TruncatedJet, compose, norm_rows, pow_rows
 
 # On-locus samples must satisfy |residual| <= this (normalized) before any
 # transformation is applied; the 1-D solves are polished to this level.
@@ -77,26 +87,36 @@ class Report:
         }
 
 
-def residual_scale(desc: PdeDescriptor, j: GraphJet) -> float:
-    """The residual's homogeneity scale.
+def residual_scales(desc: PdeDescriptor, jets: JetBatch) -> np.ndarray:
+    """The residual's homogeneity scale at each jet of the batch.
 
     Second order: (1 + |hess|)^degree.  Third order: each ``pick`` leaf is
     8 Q / det(hess)^3 with Q of degree 3(n-1) in hess and 2 in cubic, so
     the scale per pick is (1 + |hess|)^(3(n-1)) (1 + |cubic|)^2 / |det hess|^3;
     the defect then measures Q itself and stays well conditioned near
-    det(hess) = 0, where the residual is not.
+    det(hess) = 0, where the residual is not.  Raises DegenerateHessian
+    when a third-order scale meets the degenerate locus.
     """
     degree = homogeneity_degree(desc.expr)
-    if j.order < 3:
-        return (1.0 + j.hess.norm()) ** degree
+    n = jets.n
+    H = jets.hess[:, _matrix_gather(n)]
+    # the Frobenius norms SymMatrix.norm and SymCubic.norm take
+    hess = 1.0 + norm_rows(H.reshape(len(jets), -1))
+    if jets.order < 3:
+        return pow_rows(hess, degree)
     if degree == 0:
-        return 1.0
-    per_pick = (
-        (1.0 + j.hess.norm()) ** (3 * (j.n - 1))
-        * (1.0 + j.cubic.norm()) ** 2
-        / abs(hessian_det(j.hess)) ** 3
-    )
-    return per_pick ** (degree / 2)
+        return np.ones(len(jets))
+    det, degenerate = hessian_dets(H)
+    if degenerate:
+        raise next(iter(degenerate.values()))
+    cubic = 1.0 + norm_rows(jets.cubic[:, _cubic_gather(n)].reshape(len(jets), -1))
+    per_pick = pow_rows(hess, 3 * (n - 1)) * pow_rows(cubic, 2) / pow_rows(np.abs(det), 3)
+    return pow_rows(per_pick, degree / 2)
+
+
+def residual_scale(desc: PdeDescriptor, j: GraphJet) -> float:
+    """The batch of one of :func:`residual_scales`."""
+    return float(residual_scales(desc, JetBatch.of([j]))[0])
 
 
 def _smallest_root(a: float, b: float, c: float, bracket: float):
@@ -141,20 +161,26 @@ def _sample_euclidean(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | 
     grad = jet_scale * rng.standard_normal(n)
     hess_entries = rng.standard_normal(n * (n + 1) // 2)
 
+    gather = _matrix_gather(n)
+
     def with_last(t):
         entries = hess_entries.copy()
         entries[-1] = t
-        return GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix(n, entries))
+        return entries
+
+    def residual_at(t) -> float:
+        """residual(desc, jet with last Hessian entry t), without the jet."""
+        return float(second_order_residuals(desc, grad, with_last(t)[gather][None])[0])
 
     # one stacked residual call scans the last Hessian entry over [-50, 50]
     ts = np.linspace(-50.0, 50.0, 65)
     line = np.repeat(hess_entries[None, :], ts.size, axis=0)
     line[:, -1] = ts
-    vals = second_order_residuals(desc, grad, line[:, _matrix_gather(n)])
-    root = _solve_on_line(lambda t: residual(desc, with_last(t)), ts, vals)
+    vals = second_order_residuals(desc, grad, line[:, gather])
+    root = _solve_on_line(residual_at, ts, vals)
     if root is None:
         return None
-    j = with_last(root)
+    j = GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix(n, with_last(root)))
     if abs(residual(desc, j)) > SOUNDNESS_TOL * residual_scale(desc, j):
         return None
     return j
@@ -202,17 +228,14 @@ def _sample_affine(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | Non
     # Q (same zero set as the residual off det(hess) = 0).  Q is quadratic
     # in t, so its values at t = 0, 1, -1 give the coefficients exactly.
     cubic_entries = rng.standard_normal(len(SymCubic(n).data))
-
-    def with_last(t):
-        entries = cubic_entries.copy()
-        entries[-1] = t
-        return SymCubic(n, entries)
-
-    q0, q1, qm = (pick_numerator(hess, with_last(t)) for t in (0.0, 1.0, -1.0))
+    line = np.repeat(cubic_entries[None, :], 3, axis=0)
+    line[:, -1] = (0.0, 1.0, -1.0)
+    q0, q1, qm = pick_numerators(np.repeat(H[None], 3, axis=0), line[:, _cubic_gather(n)]).tolist()
     root = _smallest_root(0.5 * (q1 + qm) - q0, 0.5 * (q1 - qm), q0, bracket=50.0)
     if root is None:
         return None
-    j = GraphJet(desc.chart, n, 3, base, u, grad, hess, with_last(root))
+    cubic_entries[-1] = root
+    j = GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic(n, cubic_entries))
     if abs(residual(desc, j)) > SOUNDNESS_TOL * residual_scale(desc, j):
         return None
     return j
@@ -230,25 +253,27 @@ def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet |
     return _sample_affine(desc, rng, jet_scale)
 
 
-def _ratio_defect(l1: np.ndarray, l2: np.ndarray) -> float:
-    """Deviation of two descending spectra from proportionality.
+def _ratio_defects(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """Deviation of two descending spectra from proportionality, per row of
+    the (m, n) stacks.
 
     The factor may be negative (the transformed graph can flip its normal),
     in which case descending order pairs the spectra in reverse; both
     pairings are tried.
     """
-    s = np.linalg.norm(l1) * np.linalg.norm(l2)
-    if s < 1e-12:
-        return 0.0
+    s = norm_rows(l1) * norm_rows(l2)
+    small = s < 1e-12
 
     def cross(a, b):
-        worst = 0.0
-        for i in range(a.size):
-            for k in range(i + 1, a.size):
-                worst = max(worst, abs(a[i] * b[k] - a[k] * b[i]))
+        # fmax keeps the running value against a nan, as max(worst, nan) does
+        worst = np.zeros(len(a))
+        for i in range(a.shape[1]):
+            for k in range(i + 1, a.shape[1]):
+                worst = np.fmax(worst, np.abs(a[:, i] * b[:, k] - a[:, k] * b[:, i]))
         return worst
 
-    return min(cross(l1, l2), cross(l1, l2[::-1])) / s
+    ratio = np.minimum(cross(l1, l2), cross(l1, l2[:, ::-1])) / np.where(small, 1.0, s)
+    return np.where(small, 0.0, ratio)
 
 
 def _defect(value: float, scale: float) -> float:
@@ -265,32 +290,49 @@ def _passed(max_defect: float, tol: float, evaluated: int, attempted: int) -> bo
 
 
 def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
-    """Zero-set preservation under random group elements, as a report."""
+    """Zero-set preservation under random group elements, as a report.
+
+    The samples are drawn one index at a time; their elements, prolongation,
+    residuals and defects are then computed for all of them at once, and a
+    sample skipped by one step (prolongation first, then the residual)
+    reaches no later step.  A JetError other than a skip raises, for
+    instance DivisionByZero from a custom quotient expression whose
+    denominator vanishes at a sample.
+    """
     tag = desc.geometry
     skipped = {k: 0 for k in SKIP_KINDS}
+    drawn, seeds = [], []
+    for idx in range(cfg.count):
+        j = sample_on_zero_set(desc, np.random.default_rng((cfg.seed, idx)), cfg.jet_scale)
+        if j is None:
+            skipped["no_root"] += 1
+        else:
+            drawn.append(j)
+            seeds.append((cfg.seed, idx, 1))
     max_defect = 0.0
     max_ratio = 0.0
     evaluated = 0
-    for idx in range(cfg.count):
-        rng = np.random.default_rng((cfg.seed, idx))
-        j = sample_on_zero_set(desc, rng, cfg.jet_scale)
-        if j is None:
-            skipped["no_root"] += 1
-            continue
-        g = random_element(tag, (cfg.seed, idx, 1), cfg.scale)
-        try:
-            moved = prolong(g, j)
-            value = residual(desc, moved)
-        except tuple(SKIP_EXCEPTIONS) as exc:
+    if drawn:
+        jets = JetBatch.of(drawn)
+        moved, skips = prolong_batch(random_elements(tag, seeds, cfg.scale), jets)
+        kept = np.delete(np.arange(len(jets)), list(skips))
+        if len(kept):
+            values, degenerate = residuals(desc, moved)
+            skips.update({int(kept[i]): exc for i, exc in degenerate.items()})
+            live = np.delete(np.arange(len(kept)), list(degenerate))
+            moved = moved.take(live)
+            evaluated = len(live)
+            scales = residual_scales(desc, moved).tolist() if evaluated else []
+            for value, scale in zip(values[live].tolist(), scales):
+                max_defect = max(max_defect, _defect(value, scale))
+            if tag.name == "euclidean":
+                jets = jets.take(kept[live])
+                before = eigenvalues(jets.grad, jets.hess[:, _matrix_gather(tag.n)])
+                after = eigenvalues(moved.grad, moved.hess[:, _matrix_gather(tag.n)])
+                for ratio in _ratio_defects(before, after).tolist():
+                    max_ratio = max(max_ratio, ratio)
+        for exc in skips.values():
             skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
-            continue
-        evaluated += 1
-        max_defect = max(max_defect, _defect(value, residual_scale(desc, moved)))
-        if tag.name == "euclidean":
-            max_ratio = max(
-                max_ratio,
-                _ratio_defect(eigenvalues(j.grad, j.hess), eigenvalues(moved.grad, moved.hess)),
-            )
     return Report(
         desc=desc.desc_id,
         seed=cfg.seed,
@@ -469,7 +511,9 @@ def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-
                    **params) -> Report:
     """Max normalized residual of the named exact solution at the points;
     the report passes when it is at most ``tol`` and some point was
-    evaluated (or none was asked for)."""
+    evaluated (or none was asked for).  A JetError other than a skip
+    raises, for instance DivisionByZero from a custom quotient expression
+    whose denominator vanishes at a point."""
     catalog = solution_catalog()
     if germ_name not in catalog:
         raise SchemaMismatch(f"unknown catalog surface {germ_name!r}")

@@ -9,7 +9,10 @@ replaced:
   builds its germs term by term;
 * the stacked second-order residual and the one-call line scan of the
   Euclidean sampler: one jet, one :class:`SymMatrix` and one float per
-  invariant at a time, the scan made of 65 residual calls.
+  invariant at a time, the scan made of 65 residual calls;
+* the per-sample loop of ``invariance_report``: one jet, one group
+  element, one prolongation and one residual at a time, through the
+  library's batch-of-one calls.
 
 The tests assert that the kernels reproduce them bit for bit; they are
 compared live, never against stored numbers, because LAPACK results may
@@ -32,8 +35,9 @@ from jetpde.errors import (
     SchemaMismatch,
     SingularJacobian,
 )
-from jetpde.groups import CHART_DENOM_RTOL
-from jetpde.invariants import rho_of
+from jetpde import verify
+from jetpde.groups import CHART_DENOM_RTOL, prolong, random_element
+from jetpde.invariants import eigenvalues, rho_of
 from jetpde.jetspace import GraphJet, _exps
 from jetpde.pde import DIV_EPS, LEAVES, Expr, PdeDescriptor
 from jetpde.symtensor import SymCubic, SymMatrix, cubic_indices
@@ -46,7 +50,7 @@ from jetpde.taylor import (
     multi_indices,
     n_coeffs,
 )
-from jetpde.verify import SOUNDNESS_TOL, residual_scale
+from jetpde.verify import SKIP_EXCEPTIONS, SKIP_KINDS, SOUNDNESS_TOL, Report, residual_scale
 
 
 def bits(x) -> np.ndarray:
@@ -346,3 +350,60 @@ def sample_euclidean(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | N
     if abs(residual(desc, j)) > SOUNDNESS_TOL * residual_scale(desc, j):
         return None
     return j
+
+
+# -- per-sample invariance report ---------------------------------------------
+
+
+def ratio_defect(l1: np.ndarray, l2: np.ndarray) -> float:
+    s = np.linalg.norm(l1) * np.linalg.norm(l2)
+    if s < 1e-12:
+        return 0.0
+
+    def cross(a, b):
+        worst = 0.0
+        for i in range(a.size):
+            for k in range(i + 1, a.size):
+                worst = max(worst, abs(a[i] * b[k] - a[k] * b[i]))
+        return worst
+
+    return min(cross(l1, l2), cross(l1, l2[::-1])) / s
+
+
+def invariance_report(desc: PdeDescriptor, cfg) -> Report:
+    """The report one sample at a time: draw, element, prolong, residual."""
+    tag = desc.geometry
+    skipped = {k: 0 for k in SKIP_KINDS}
+    max_defect = 0.0
+    max_ratio = 0.0
+    evaluated = 0
+    for idx in range(cfg.count):
+        rng = np.random.default_rng((cfg.seed, idx))
+        j = verify.sample_on_zero_set(desc, rng, cfg.jet_scale)
+        if j is None:
+            skipped["no_root"] += 1
+            continue
+        g = random_element(tag, (cfg.seed, idx, 1), cfg.scale)
+        try:
+            moved = prolong(g, j)
+            value = verify.residual(desc, moved)
+        except tuple(SKIP_EXCEPTIONS) as exc:
+            skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
+            continue
+        evaluated += 1
+        max_defect = max(max_defect, verify._defect(value, residual_scale(desc, moved)))
+        if tag.name == "euclidean":
+            max_ratio = max(
+                max_ratio,
+                ratio_defect(eigenvalues(j.grad, j.hess), eigenvalues(moved.grad, moved.hess)),
+            )
+    return Report(
+        desc=desc.desc_id,
+        seed=cfg.seed,
+        attempted=cfg.count,
+        evaluated=evaluated,
+        skipped=skipped,
+        max_defect=max_defect,
+        max_ratio_defect=max_ratio,
+        passed=verify._passed(max_defect, cfg.tol, evaluated, cfg.count),
+    )

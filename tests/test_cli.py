@@ -59,6 +59,18 @@ class TestBuild:
                     "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("existing", [None, "previous contents\n"])
+    def test_writes_nothing_unless_every_output_can_be_written(self, tmp_path, capsys, existing):
+        out = tmp_path / "ok.json"
+        if existing is not None:
+            out.write_text(existing)
+        code = run(["build", "--geometry", "euclidean", "--preset", "minimal-surface",
+                    "--out", str(out), "--latex", str(tmp_path / "missing" / "x.tex")])
+        assert code == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert (out.read_text() if out.exists() else None) == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["ok.json"] if existing else [])
+
     def test_idempotent_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["build", "--geometry", "euclidean", "--preset", "monge-ampere"]
@@ -252,6 +264,8 @@ def inputs(tmp_path):
     (["build", "--geometry", "euclidean", "--preset", "minimal-surface",
       "--out", "/nonexistent/d.json", "--latex", "{tex}", "--expanded", "{mono}"], 3),
     (["verify", "{ms}", "--samples", "3", "--out", "/nonexistent/rep.json"], 3),
+    (["verify", "{div0}", "--samples", "1"], 4),
+    (["verify", "{div0}", "--samples", "20"], 4),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]

@@ -14,7 +14,19 @@ from jetpde.errors import JetError
 from jetpde.groups import GEOMETRIES, GeometryTag, prolong, random_element
 from jetpde.jetspace import GraphJet
 from jetpde.symtensor import SymCubic, SymMatrix
-from jetpde.taylor import TruncatedJet, compose, divide, invert_map, mul, n_coeffs
+from jetpde.taylor import (
+    TruncatedJet,
+    compose,
+    compose_rows,
+    divide,
+    divide_rows,
+    invert_map,
+    invert_rows,
+    linear_rows,
+    mul,
+    mul_rows,
+    n_coeffs,
+)
 
 DIMS = (1, 2, 3, 4)
 DRAWS = 3
@@ -101,3 +113,45 @@ def test_prolong(geometry, n, order):
             g = random_element(tag, (draw, n, order), scale)
             j = random_graph_jet(rng, geometry, n, order)
             assert_same_outcome(outcome(prolong, g, j), outcome(ref.prolong, g, j))
+
+
+@pytest.mark.parametrize("n,order", [(1, 3), (2, 2), (2, 3), (3, 3), (4, 2)])
+def test_batch_axis_is_per_row(n, order):
+    """Each sample of a batch gets bitwise what a batch of one gets."""
+    rng = np.random.default_rng((n, order, 2))
+    N, R, size = 6, 3, n_coeffs(n, order)
+
+    def rows(*shape):
+        c = rng.standard_normal(shape + (size,))
+        c[rng.random(c.shape) < 0.2] = 0.0
+        return c
+
+    def per_row(fn, *args):
+        return [fn(*(a[i : i + 1] for a in args)) for i in range(N)]
+
+    a, b = rows(N, R), rows(N)
+    b[:, 0] = 3.0 + np.abs(b[:, 0])
+    for got, want in ((mul_rows(a, b[:, None], n, order), per_row(lambda x, y: mul_rows(x, y[:, None], n, order), a, b)),
+                      (divide_rows(a, b, n, order), per_row(lambda x, y: divide_rows(x, y, n, order), a, b)),
+                      (linear_rows(a[..., :R], a, b[..., :R]), per_row(lambda x, y: linear_rows(x[..., :R], x, y[..., :R]), a, b))):
+        for i in range(N):
+            assert_bitwise(got[i], want[i][0])
+
+    C = rng.standard_normal((N, R, n_coeffs(2, order)))
+    C[rng.random(C.shape) < 0.3] = 0.0
+    D = rows(N, 2)
+    D[..., 0] = 0.0
+    got = compose_rows(C, D, n, order)
+    for i in range(N):
+        assert_bitwise(got[i], compose_rows(C[i : i + 1], D[i : i + 1], n, order)[0])
+
+    F = rng.standard_normal((N, n, size))
+    F[..., 0] = 0.0
+    F[2] = 0.0  # a singular Jacobian: reported for its row, dropped from the rest
+    got, errors = invert_rows(F, n, order)
+    assert list(errors) == [2]
+    kept = [i for i in range(N) if i != 2]
+    for k, i in enumerate(kept):
+        single, none = invert_rows(F[i : i + 1], n, order)
+        assert not none
+        assert_bitwise(got[k], single[0])

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from jetpde.errors import ChartDomain, DegenerateHessian
+from jetpde.errors import ChartDomain, DegenerateHessian, DivisionByZero
 from jetpde.groups import GeometryTag
 from jetpde.invariants import F_aff3, pick_numerator
-from jetpde.jetspace import GraphJet, jet_extend
+from jetpde.jetspace import GraphJet, JetBatch, jet_extend
 from jetpde import verify
-from jetpde.pde import build, const, residual, tau, tauring
+from jetpde.pde import build, const, pick, residual, residuals, sigma, tau, tauring
 from jetpde.symtensor import SymCubic, SymMatrix
 from jetpde.verify import (
     SampleConfig,
@@ -312,8 +312,8 @@ class TestCheckSolution:
 
 
 def test_nan_residual_fails_invariance_report(monkeypatch):
-    # the umbilic sampler needs no residual, so every one evaluated is on a moved jet
-    monkeypatch.setattr(verify, "residual", lambda desc, j: float("nan"))
+    # the report's batched residual stage returns nan for every moved jet
+    monkeypatch.setattr(verify, "residuals", lambda desc, jets: (np.full(len(jets), np.nan), {}))
     rep = invariance_report(build(C2, "umbilical"), SampleConfig(seed=3, count=5))
     assert build(C2, "umbilical").expr == tauring(2)
     assert rep.evaluated > 0
@@ -330,3 +330,25 @@ def test_every_sample_skipped_fails_invariance_report():
     assert rep.max_defect == 0.0
     assert not rep.passed
     assert invariance_report(build(E2, big - big), SampleConfig(seed=1, count=0)).passed
+
+
+@pytest.mark.parametrize("count", [1, 20])
+def test_vanishing_quotient_raises_from_invariance_report(count):
+    # DivisionByZero is a documented raise, not a skip kind: here the
+    # sampler's line scan meets the zero denominator
+    with pytest.raises(DivisionByZero):
+        invariance_report(build(E2, tau(1) / (sigma(2) - sigma(2))), SampleConfig(1, count))
+
+
+def test_vanishing_quotient_raises_from_the_batched_residual():
+    desc = build(A2, pick() / (pick() - pick()))
+    # seed 2's one sample takes the sampler branch that evaluates no
+    # residual, so the batched residual of the moved jet meets the zero first
+    with pytest.raises(DivisionByZero):
+        invariance_report(desc, SampleConfig(2, 1))
+    rng = np.random.default_rng(4)
+    jets = [GraphJet("affine", 2, 3, rng.standard_normal(2), 0.0, rng.standard_normal(2),
+                     SymMatrix(2, [2.0, 0.1 * k, -1.0]), SymCubic(2, rng.standard_normal(4)))
+            for k in range(20)]
+    with pytest.raises(DivisionByZero):
+        residuals(desc, JetBatch.of(jets))
