@@ -10,9 +10,11 @@ significant digits; identical flags produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -55,39 +57,57 @@ def _json_text(obj) -> str:
 
 
 def _dump_json(obj, path: str | None) -> None:
-    text = _json_text(obj)
+    _write_text(_json_text(obj), path)
+
+
+def _write_all(outputs) -> None:
+    """Write each (path, text) of ``outputs``, None meaning stdout, and no
+    file unless every file can be written.
+
+    A regular file's text goes to a new file beside the file its path
+    resolves to (through symlinks), with that file's mode; the new files
+    are renamed into place only once all of them are complete, and are
+    removed on failure.  Targets that cannot be staged so (devices, pipes,
+    and files in a directory that takes no new file) must be writable, and
+    are written after the renames, as stdout is.
+    """
+    staged, direct = [], []
+    try:
+        for k, (path, text) in enumerate(outputs):
+            if path is None:
+                direct.append((path, text))
+                continue
+            real = os.path.realpath(path)
+            if os.path.isdir(real):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            exists = os.path.exists(real)
+            if exists and not os.access(real, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            if exists and not (os.path.isfile(real) and os.access(os.path.dirname(real), os.W_OK)):
+                direct.append((path, text))
+                continue
+            tmp = f"{real}.{os.getpid()}.{k}.tmp"
+            with open(tmp, "x") as fh:
+                staged.append((tmp, real))
+                fh.write(text)
+            if exists:
+                shutil.copymode(real, tmp)
+        for tmp, real in staged:
+            os.replace(tmp, real)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    for path, text in direct:
+        _write_text(text, path)
+
+
+def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _write_all(outputs) -> None:
-    """Write each (path, text) of ``outputs``, None meaning stdout, and no
-    file unless every file can be written: each text goes to a new file
-    beside its target, and those are renamed into place only once all of
-    them are complete.  On failure the new files are removed."""
-    staged = []
-    try:
-        for k, (path, text) in enumerate(outputs):
-            if path is None:
-                continue
-            if os.path.isdir(path):
-                raise IsADirectoryError(f"{path} is a directory")
-            tmp = f"{path}.{os.getpid()}.{k}.tmp"
-            with open(tmp, "x") as fh:
-                staged.append((tmp, path))
-                fh.write(text)
-        for tmp, path in staged:
-            os.replace(tmp, path)
-    finally:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    for path, text in outputs:
-        if path is None:
-            sys.stdout.write(text)
 
 
 def _load_json(path: str) -> dict:

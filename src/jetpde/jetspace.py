@@ -26,7 +26,6 @@ from .taylor import (
     TruncatedJet,
     differentiate,
     index_position,
-    linear_positions,
     multi_indices,
     n_coeffs,
 )
@@ -106,12 +105,7 @@ class JetBatch:
     @classmethod
     def of(cls, jets) -> "JetBatch":
         """The batch of the given jets, which share chart, n and order."""
-        j = jets[0]
-        chart, n, order = j.chart, j.n, j.order
-        if len(jets) == 1:  # views of the jet's read-only arrays
-            return cls(chart, n, order, j.base[None], np.array([j.u]), j.grad[None],
-                       None if j.hess is None else j.hess.data[None],
-                       None if j.cubic is None else j.cubic.data[None])
+        chart, n, order = jets[0].chart, jets[0].n, jets[0].order
         if any((j.chart, j.n, j.order) != (chart, n, order) for j in jets):
             raise SchemaMismatch("jets of one batch must share chart, n and order")
         return cls(
@@ -142,21 +136,21 @@ class JetBatch:
 
 
 @functools.lru_cache(maxsize=None)
-def _slots(n: int) -> tuple[np.ndarray, ...]:
-    """Taylor-table positions of the Hessian (lower triangle, row-major) and
-    cubic (``cubic_indices`` order) entries, with their multi-index
-    factorials: a derivative is its Taylor coefficient times the factorial.
+def _columns(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor-table positions of the entries of an order-``order`` jet (u,
+    the gradient, the Hessian's lower triangle row-major, the cubic in
+    ``cubic_indices`` order), with their multi-index factorials: an entry
+    is its Taylor coefficient times the factorial.
     """
-    pos = index_position(n, 3)
-    hess = [_exps(n, (i, k)) for i in range(n) for k in range(i + 1)]
-    cubic = [_exps(n, ijk) for ijk in cubic_indices(n)]
-
-    def fact(alpha):
-        return float(math.prod(math.factorial(a) for a in alpha))
-
+    pos = index_position(n, order)
+    alphas = [_exps(n, ())] + [_exps(n, (i,)) for i in range(n)]
+    if order >= 2:
+        alphas += [_exps(n, (i, k)) for i in range(n) for k in range(i + 1)]
+    if order >= 3:
+        alphas += [_exps(n, ijk) for ijk in cubic_indices(n)]
     return (
-        np.array([pos[a] for a in hess]), np.array([fact(a) for a in hess]),
-        np.array([pos[a] for a in cubic]), np.array([fact(a) for a in cubic]),
+        np.array([pos[a] for a in alphas]),
+        np.array([float(math.prod(math.factorial(e) for e in a)) for a in alphas]),
     )
 
 
@@ -165,29 +159,25 @@ def extend_rows(coeffs: np.ndarray, base: np.ndarray, order: int, chart: str) ->
     coefficient rows ``coeffs`` (N, size), local at their base points: the
     coefficients times the multinomial factorials."""
     n = base.shape[1]
-    parts = [base, coeffs[:, :1], coeffs[:, linear_positions(n)]]
-    if order >= 2:
-        hess_pos, hess_fact, cubic_pos, cubic_fact = _slots(n)
-        parts.append(coeffs[:, hess_pos] * hess_fact)
-        if order >= 3:
-            parts.append(coeffs[:, cubic_pos] * cubic_fact)
-    if not np.isfinite(np.concatenate(parts, axis=1)).all():
+    pos, fact = _columns(n, order)
+    entries = coeffs[:, pos] * fact
+    if not (np.isfinite(entries).all() and np.isfinite(base).all()):
         raise SchemaMismatch("jet entries must be finite")
-    return JetBatch(chart, n, order, base, parts[1][:, 0], *parts[2:])
+    h = n + 1 + n * (n + 1) // 2
+    return JetBatch(
+        chart, n, order, base, entries[:, 0], entries[:, 1 : n + 1],
+        entries[:, n + 1 : h] if order >= 2 else None, entries[:, h:] if order >= 3 else None,
+    )
 
 
 def poly_rows(jets: JetBatch, order: int) -> np.ndarray:
     """Coefficient rows (N, size) of the germs (local at the base points)
     reconstructing the jets, at the given order >= 1."""
-    n = jets.n
-    c = np.zeros((len(jets), n_coeffs(n, order)))
-    c[:, 0] = jets.u
-    c[:, linear_positions(n)] = jets.grad
-    if jets.order >= 2 and order >= 2:
-        hess_pos, hess_fact, cubic_pos, cubic_fact = _slots(n)
-        c[:, hess_pos] = jets.hess / hess_fact
-        if jets.order >= 3 and order >= 3:
-            c[:, cubic_pos] = jets.cubic / cubic_fact
+    k = min(order, jets.order)
+    pos, fact = _columns(jets.n, k)
+    parts = [jets.u[:, None], jets.grad] + [jets.hess, jets.cubic][: k - 1]
+    c = np.zeros((len(jets), n_coeffs(jets.n, order)))
+    c[:, pos] = np.concatenate(parts, axis=1) / fact
     return c
 
 

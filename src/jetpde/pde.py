@@ -185,18 +185,13 @@ def build(geometry: GeometryTag, expr: Expr | str) -> PdeDescriptor:
 
 
 def _power(x, k: int):
-    """x ** k by Python's float power, elementwise on an array.
-
-    numpy's ``**`` squares by x * x and takes other integer powers by a
-    route of its own, either of which can differ from libm's ``pow`` in
-    the last bit; each row therefore takes the scalar route.  An overflow
-    gives +-inf where ``float ** int`` raises.
-    """
-    if isinstance(x, np.ndarray):
-        return np.array([_power(v, k) for v in x.tolist()])
+    """x ** k, elementwise on an array by :func:`~jetpde.taylor.pow_rows`;
+    an overflow gives +-inf where the float power raises."""
     try:
-        return x**k
+        return pow_rows(x, k) if isinstance(x, np.ndarray) else x**k
     except OverflowError:
+        if isinstance(x, np.ndarray):
+            return np.array([_power(v, k) for v in x.tolist()])
         return math.copysign(math.inf, x) if k % 2 else math.inf
 
 

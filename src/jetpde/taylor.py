@@ -156,8 +156,6 @@ def pow_rows(x, k) -> np.ndarray:
     which numpy's array ``**`` does not always match in the last bit; an
     overflow raises as the float power does."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return np.asarray(float(x) ** k)
     return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
 
 
@@ -167,18 +165,21 @@ def _unit_rows(rows: int, size: int, cols) -> np.ndarray:
     return out
 
 
-def _bins(iout: np.ndarray, size: int, rows: int) -> np.ndarray:
-    """Output bin of each product of each row, rows laid end to end."""
-    return (iout + size * np.arange(rows)[:, None]).ravel()
+_BINS: dict = {}
 
 
-@functools.lru_cache(maxsize=64)
-def _row_bins(n: int, order: int, rows: int) -> np.ndarray:
-    """:func:`_bins`, cached for the small row counts of single jets and
-    small batches."""
-    out = _bins(_mul_table(n, order)[2], n_coeffs(n, order), rows)
-    out.setflags(write=False)
-    return out
+def _bins(n: int, order: int, rows: int) -> np.ndarray:
+    """Output bin of each product of each of ``rows`` rows laid end to end:
+    a prefix of one read-only table per (n, order), which doubles in rows
+    whenever a batch outgrows it."""
+    iout = _mul_table(n, order)[2]
+    table = _BINS.get((n, order))
+    if table is None or table.size < rows * iout.size:
+        held = 0 if table is None else table.size // iout.size
+        table = (iout + n_coeffs(n, order) * np.arange(max(rows, 2 * held))[:, None]).ravel()
+        table.setflags(write=False)
+        _BINS[(n, order)] = table
+    return table[: rows * iout.size]
 
 
 def mul_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
@@ -188,13 +189,12 @@ def mul_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
     Each output coefficient is 0.0 plus its products in ``_mul_table``
     order, the order ``np.add.at`` accumulates them in.
     """
-    ia, ib, iout = _mul_table(n, order)
+    ia, ib, _ = _mul_table(n, order)
     size = n_coeffs(n, order)
     w = a[..., ia] * b[..., ib]
     lead = w.shape[:-1]
     rows = math.prod(lead)
-    flat = _row_bins(n, order, rows) if rows <= 32 else _bins(iout, size, rows)
-    out = np.bincount(flat, weights=w.ravel(), minlength=rows * size)
+    out = np.bincount(_bins(n, order, rows), weights=w.ravel(), minlength=rows * size)
     return out.reshape(lead + (size,))
 
 
@@ -271,8 +271,7 @@ def compose_rows(C: np.ndarray, D: np.ndarray, n: int, order: int) -> np.ndarray
     outer = C[:, :, : count.size].reshape(N * R, count.size)
     row, mono = np.nonzero(outer != 0.0)
     var, power, count = var[mono], power[mono], count[mono]
-    if N > 1:
-        var = var + ((row // R) * m)[:, None]
+    var = var + ((row // R) * m)[:, None]
     terms = outer[row, mono][:, None] * powers[power[:, 0], var[:, 0]]
     for s in range(1, var.shape[1]):
         more = np.flatnonzero(count > s)
@@ -295,16 +294,16 @@ def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
     """
     lin = linear_positions(n)
     J = F[..., lin] if order >= 1 else np.zeros(F.shape[:1] + (n, n))
-    det = np.linalg.det(J)
-    scale = norm_rows(J.reshape(-1, n * n)) / math.sqrt(n)
-    bad = (det == 0.0) | (np.abs(det) < SINGULAR_RTOL * pow_rows(scale, n))
-    errors = {}
-    if bad.any():
-        errors = {
-            int(i): SingularJacobian(f"|det J|={abs(det[i]):.3e}, scale={scale[i]:.3e}")
-            for i in np.flatnonzero(bad)
-        }
-        F, J = F[~bad], J[~bad]
+    det = np.linalg.det(J).tolist()
+    scale = (norm_rows(J.reshape(-1, n * n)) / math.sqrt(n)).tolist()
+    errors = {
+        i: SingularJacobian(f"|det J|={abs(d):.3e}, scale={s:.3e}")
+        for i, (d, s) in enumerate(zip(det, scale))
+        if d == 0.0 or abs(d) < SINGULAR_RTOL * s**n
+    }
+    if errors:
+        keep = np.delete(np.arange(len(F)), list(errors))
+        F, J = F[keep], J[keep]
     Jinv = np.linalg.inv(J)
     coords = _unit_rows(n, F.shape[-1], lin)
     # F - J x and J^-1 x, written directly: for finite J the linear rows

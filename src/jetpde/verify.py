@@ -119,6 +119,18 @@ def residual_scale(desc: PdeDescriptor, j: GraphJet) -> float:
     return float(residual_scales(desc, JetBatch.of([j]))[0])
 
 
+def _sound(desc: PdeDescriptor, j: GraphJet) -> GraphJet | None:
+    """The drawn jet, or None when its residual exceeds SOUNDNESS_TOL times
+    its scale: :func:`residual` and :func:`residual_scale` on one batch."""
+    jets = JetBatch.of([j])
+    values, skipped = residuals(desc, jets)
+    if skipped:
+        raise skipped[0]
+    if abs(values[0]) > SOUNDNESS_TOL * residual_scales(desc, jets)[0]:
+        return None
+    return j
+
+
 def _smallest_root(a: float, b: float, c: float, bracket: float):
     """Smallest real root of a t^2 + b t + c (a != 0) in [-bracket, bracket],
     or None."""
@@ -180,10 +192,7 @@ def _sample_euclidean(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | 
     root = _solve_on_line(residual_at, ts, vals)
     if root is None:
         return None
-    j = GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix(n, with_last(root)))
-    if abs(residual(desc, j)) > SOUNDNESS_TOL * residual_scale(desc, j):
-        return None
-    return j
+    return _sound(desc, GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix(n, with_last(root))))
 
 
 def _sample_umbilic(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet:
@@ -235,10 +244,7 @@ def _sample_affine(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | Non
     if root is None:
         return None
     cubic_entries[-1] = root
-    j = GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic(n, cubic_entries))
-    if abs(residual(desc, j)) > SOUNDNESS_TOL * residual_scale(desc, j):
-        return None
-    return j
+    return _sound(desc, GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic(n, cubic_entries)))
 
 
 def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:

@@ -10,9 +10,14 @@ replaced:
 * the stacked second-order residual and the one-call line scan of the
   Euclidean sampler: one jet, one :class:`SymMatrix` and one float per
   invariant at a time, the scan made of 65 residual calls;
+* the scalar group and third-order routes: one ``expm`` and one
+  re-projection per drawn element, the Hessian determinant and the pick
+  numerator of one jet (cofactors by ``math.prod``, unstacked einsums),
+  the third-order residual and the residual scale of one jet, and the
+  affine sampler with one pick-numerator call per line point;
 * the per-sample loop of ``invariance_report``: one jet, one group
-  element, one prolongation and one residual at a time, through the
-  library's batch-of-one calls.
+  element, one prolongation and one residual at a time, all through the
+  routines of this module.
 
 The tests assert that the kernels reproduce them bit for bit; they are
 compared live, never against stored numbers, because LAPACK results may
@@ -26,8 +31,11 @@ import math
 import numpy as np
 import scipy.optimize
 
+import scipy.linalg
+
 from jetpde.errors import (
     ChartDomain,
+    DegenerateHessian,
     DivisionBySingular,
     DivisionByZero,
     InvalidExpr,
@@ -36,10 +44,18 @@ from jetpde.errors import (
     SingularJacobian,
 )
 from jetpde import verify
-from jetpde.groups import CHART_DENOM_RTOL, prolong, random_element
-from jetpde.invariants import eigenvalues, rho_of
+from jetpde.groups import (
+    CHART_DENOM_RTOL,
+    _form_matrix,
+    _skew,
+    affine_element,
+    conformal_element,
+    euclidean_element,
+    projective_element,
+)
+from jetpde.invariants import DEGENERATE_HESSIAN_RTOL, Signature, rho_of, sym_outer
 from jetpde.jetspace import GraphJet, _exps
-from jetpde.pde import DIV_EPS, LEAVES, Expr, PdeDescriptor
+from jetpde.pde import DIV_EPS, LEAVES, Expr, PdeDescriptor, homogeneity_degree, tauring
 from jetpde.symtensor import SymCubic, SymMatrix, cubic_indices
 from jetpde.taylor import (
     DIVISION_RTOL,
@@ -50,7 +66,7 @@ from jetpde.taylor import (
     multi_indices,
     n_coeffs,
 )
-from jetpde.verify import SKIP_EXCEPTIONS, SKIP_KINDS, SOUNDNESS_TOL, Report, residual_scale
+from jetpde.verify import SKIP_EXCEPTIONS, SKIP_KINDS, SOUNDNESS_TOL, Report
 
 
 def bits(x) -> np.ndarray:
@@ -226,6 +242,39 @@ def prolong(g, j: GraphJet) -> GraphJet:
     return jet_extend(compose(u_img, inv), new_base, order, j.chart)
 
 
+# -- scalar group elements ---------------------------------------------------
+
+
+def unimodular(P: np.ndarray) -> np.ndarray:
+    det = np.linalg.det(P)
+    if det <= 0.0:
+        raise SchemaMismatch("cannot rescale a non-positive determinant to 1")
+    return P / det ** (1.0 / P.shape[0])
+
+
+def random_element(tag, seed, scale: float):
+    """One generator, one ``expm`` and one re-projection per element."""
+    if scale < 0:
+        raise SchemaMismatch("scale must be non-negative")
+    rng = np.random.default_rng(seed)
+    n = tag.n
+    if tag.name == "euclidean":
+        K = _skew(rng.standard_normal((n + 1, n + 1))) * scale
+        U, _, Vt = np.linalg.svd(scipy.linalg.expm(K))
+        b = scale * rng.standard_normal(n + 1)
+        return euclidean_element(U @ Vt, b)
+    if tag.name == "affine":
+        A = scipy.linalg.expm(scale * rng.standard_normal((n + 1, n + 1)))
+        b = scale * rng.standard_normal(n + 1)
+        return affine_element(A, b)
+    if tag.name == "projective":
+        M = scale * rng.standard_normal((n + 2, n + 2))
+        M -= np.trace(M) / (n + 2) * np.eye(n + 2)
+        return projective_element(unimodular(scipy.linalg.expm(M)))
+    X = _form_matrix(n) @ _skew(rng.standard_normal((n + 3, n + 3))) * scale
+    return conformal_element(scipy.linalg.expm(X))
+
+
 # -- scalar second-order route ----------------------------------------------
 
 
@@ -289,8 +338,19 @@ def eval_tree(e: Expr, leaf_value) -> float:
 
 
 def residual(desc: PdeDescriptor, j: GraphJet) -> float:
-    """Euclidean or conformal residual, one leaf value at a time."""
+    """The residual of one jet, one leaf value at a time."""
     cache: dict = {}
+    if desc.geometry.name in ("affine", "projective"):
+
+        def pick_value(e: Expr) -> float:
+            if e.op != "pick":
+                raise InvalidExpr(f"leaf {e.op!r} unexpected here")
+            if "pick" not in cache:
+                det = hessian_det(j.hess)
+                cache["pick"] = 8.0 * pick_numerator(j.hess, j.cubic) / det**3
+            return cache["pick"]
+
+        return eval_tree(desc.expr, pick_value)
 
     def leaf_value(e: Expr) -> float:
         if e.op == "lam":
@@ -312,6 +372,95 @@ def residual(desc: PdeDescriptor, j: GraphJet) -> float:
         raise InvalidExpr(f"leaf {e.op!r} unexpected here")
 
     return eval_tree(desc.expr, leaf_value)
+
+
+# -- scalar third-order route -----------------------------------------------
+
+
+def nondegenerate_det(lams: np.ndarray) -> float:
+    det = float(np.prod(lams))
+    scale = float(np.max(np.abs(lams))) or 1.0
+    if abs(det) < DEGENERATE_HESSIAN_RTOL * scale**lams.size:
+        raise DegenerateHessian(f"|det hess| = {abs(det):.3e}")
+    return det
+
+
+def hessian_det(hess: SymMatrix) -> float:
+    return nondegenerate_det(np.linalg.eigvalsh(hess.full()))
+
+
+def hessian_congruence(hess: SymMatrix):
+    lams, Q = np.linalg.eigh(hess.full())
+    nondegenerate_det(lams)
+    idx = np.argsort(-lams)
+    lams, Q = lams[idx], Q[:, idx]
+    n = lams.size
+    B = np.diag(np.sqrt(np.abs(lams) / 2.0)) @ Q.T
+    if np.linalg.det(B) < 0.0:
+        B = np.diag([1.0] * (n - 1) + [-1.0]) @ B
+    return B, Signature(int(np.sum(lams > 0.0)), n)
+
+
+def pick_numerator(hess: SymMatrix, cubic: SymCubic) -> float:
+    lams, V = np.linalg.eigh(hess.full())
+    n = lams.size
+    spec = lams.tolist()
+    cofactors = [math.prod(spec[:i] + spec[i + 1 :]) for i in range(n)]
+    A = (V * cofactors) @ V.T
+    C = cubic.full()
+    s = np.einsum("ij,ijk->k", A, C)
+    full = np.einsum("il,jm,kn,ijk,lmn->", A, A, A, C, C)
+    return float(full - 3.0 / (n + 2.0) * (s @ A @ s))
+
+
+def residual_scale(desc: PdeDescriptor, j: GraphJet) -> float:
+    degree = homogeneity_degree(desc.expr)
+    if j.order < 3:
+        return (1.0 + j.hess.norm()) ** degree
+    if degree == 0:
+        return 1.0
+    per_pick = (
+        (1.0 + j.hess.norm()) ** (3 * (j.n - 1))
+        * (1.0 + j.cubic.norm()) ** 2
+        / abs(hessian_det(j.hess)) ** 3
+    )
+    return per_pick ** (degree / 2)
+
+
+def sample_affine(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
+    n = desc.geometry.n
+    base = jet_scale * rng.standard_normal(n)
+    u = jet_scale * rng.standard_normal()
+    grad = jet_scale * rng.standard_normal(n)
+    hess = None
+    for _ in range(20):
+        cand = SymMatrix(n, rng.standard_normal(n * (n + 1) // 2))
+        if abs(np.linalg.det(cand.full())) >= 0.3:
+            hess = cand
+            break
+    if hess is None:
+        return None
+    if np.linalg.det(hess.full()) > 0.0:
+        B, signature = hessian_congruence(hess)
+        w = rng.standard_normal(n)
+        relation = sym_outer(w, signature.metric())
+        Cfull = np.einsum("ai,bj,ck,abc->ijk", B, B, B, relation.full())
+        return GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic.from_full(Cfull))
+    cubic_entries = rng.standard_normal(len(SymCubic(n).data))
+
+    def with_last(t):
+        entries = cubic_entries.copy()
+        entries[-1] = t
+        return SymCubic(n, entries)
+
+    q0, q1, qm = (pick_numerator(hess, with_last(t)) for t in (0.0, 1.0, -1.0))
+    root = verify._smallest_root(0.5 * (q1 + qm) - q0, 0.5 * (q1 - qm), q0, bracket=50.0)
+    if root is None:
+        return None
+    j = GraphJet(desc.chart, n, 3, base, u, grad, hess, with_last(root))
+    if abs(residual(desc, j)) > SOUNDNESS_TOL * residual_scale(desc, j):
+        return None
+    return j
 
 
 def solve_on_line(f, bracket: float, npts: int = 65):
@@ -370,6 +519,15 @@ def ratio_defect(l1: np.ndarray, l2: np.ndarray) -> float:
     return min(cross(l1, l2), cross(l1, l2[::-1])) / s
 
 
+def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
+    name = desc.geometry.name
+    if name == "conformal" and desc.expr == tauring(2):
+        return verify._sample_umbilic(desc, rng, jet_scale)
+    if name in ("euclidean", "conformal"):
+        return sample_euclidean(desc, rng, jet_scale)
+    return sample_affine(desc, rng, jet_scale)
+
+
 def invariance_report(desc: PdeDescriptor, cfg) -> Report:
     """The report one sample at a time: draw, element, prolong, residual."""
     tag = desc.geometry
@@ -379,14 +537,14 @@ def invariance_report(desc: PdeDescriptor, cfg) -> Report:
     evaluated = 0
     for idx in range(cfg.count):
         rng = np.random.default_rng((cfg.seed, idx))
-        j = verify.sample_on_zero_set(desc, rng, cfg.jet_scale)
+        j = sample_on_zero_set(desc, rng, cfg.jet_scale)
         if j is None:
             skipped["no_root"] += 1
             continue
         g = random_element(tag, (cfg.seed, idx, 1), cfg.scale)
         try:
             moved = prolong(g, j)
-            value = verify.residual(desc, moved)
+            value = residual(desc, moved)
         except tuple(SKIP_EXCEPTIONS) as exc:
             skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
             continue

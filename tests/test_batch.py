@@ -1,7 +1,8 @@
 """The batch axis: invariance reports, element draws, prolongation and
 residuals over N samples reproduce N batches of one bit for bit, with the
-same skips, and the batched report reproduces the per-sample loop of
-``jet_reference`` byte for byte.
+same skips; the batches of one reproduce the scalar routes of
+``jet_reference``; and the batched report reproduces its per-sample loop
+byte for byte.
 
 Both sides run live in this process on the same inputs, so the comparison
 holds whatever BLAS/LAPACK build the wheels carry.
@@ -24,9 +25,17 @@ from jetpde.groups import (
     random_elements,
 )
 from jetpde.jetspace import GraphJet, JetBatch
-from jetpde.pde import build, residual, residuals
+from jetpde.invariants import hessian_det, pick_numerator
+from jetpde.pde import build, const, pick, residual, residuals
 from jetpde.symtensor import SymCubic, SymMatrix
-from jetpde.verify import SampleConfig, invariance_report, report_to_text, residual_scale, residual_scales
+from jetpde.verify import (
+    SampleConfig,
+    invariance_report,
+    report_to_text,
+    residual_scale,
+    residual_scales,
+    sample_on_zero_set,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -98,6 +107,77 @@ def assert_same_jet(got: GraphJet, want: GraphJet):
     for name in ("hess", "cubic"):
         if getattr(want, name) is not None:
             assert_bitwise(getattr(got, name).data, getattr(want, name).data)
+
+
+def assert_same_value(got, want):
+    """Bitwise equal floats, or the same JetError type."""
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_element_draw_matches_scalar_reference(geometry, n):
+    tag = GeometryTag(geometry, n)
+    for k in range(40):
+        for scale in (0.0, 0.3, 0.5, 3.0):
+            got = outcome(random_element, tag, (k, 3, 1), scale)
+            want = outcome(ref.random_element, tag, (k, 3, 1), scale)
+            if isinstance(want, type) or isinstance(got, type):
+                assert got is want
+                continue
+            assert_bitwise(got.mat, want.mat)
+            if want.shift is not None:
+                assert_bitwise(got.shift, want.shift)
+
+
+def degenerate(rng, n):
+    """A rank-one Hessian: on the degenerate locus."""
+    v = rng.standard_normal(n)
+    return SymMatrix.from_full(np.outer(v, v))
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("geometry", ("affine", "projective"))
+def test_third_order_batch_of_one_matches_scalar_reference(geometry, n):
+    tag = GeometryTag(geometry, n)
+    descs = [build(tag, PRESET_OF[geometry]), build(tag, pick() ** 2 - pick() * 0.5),
+             build(tag, const(2.0))]
+    rng = np.random.default_rng((n, 17))
+    for k in range(150):
+        j = random_jet(rng, tag, 3, 0.5)
+        if k % 10 == 0:
+            j = GraphJet(j.chart, n, 3, j.base, j.u, j.grad, degenerate(rng, n), j.cubic)
+        assert_same_value(outcome(hessian_det, j.hess), outcome(ref.hessian_det, j.hess))
+        assert_bitwise(pick_numerator(j.hess, j.cubic), ref.pick_numerator(j.hess, j.cubic))
+        for desc in descs:
+            assert_same_value(outcome(residual, desc, j), outcome(ref.residual, desc, j))
+            assert_same_value(outcome(residual_scale, desc, j), outcome(ref.residual_scale, desc, j))
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("preset", ("minimal_surface", "monge_ampere", "umbilical"))
+def test_second_order_scale_matches_scalar_reference(preset, n):
+    geometry = "conformal" if preset == "umbilical" else "euclidean"
+    desc = build(GeometryTag(geometry, n), preset)
+    rng = np.random.default_rng((n, 19))
+    for _ in range(100):
+        j = random_jet(rng, desc.geometry, 2, 3.0)
+        assert_bitwise(residual_scale(desc, j), ref.residual_scale(desc, j))
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("preset,geometry", PRESETS)
+def test_samplers_match_scalar_reference(preset, geometry, n):
+    desc = build(GeometryTag(geometry, n), preset)
+    for k in range(40):
+        got = sample_on_zero_set(desc, np.random.default_rng((k, 23)), 0.5)
+        want = ref.sample_on_zero_set(desc, np.random.default_rng((k, 23)), 0.5)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_same_jet(got, want)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import threading
 import traceback
 
 import numpy as np
@@ -70,6 +72,33 @@ class TestBuild:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert (out.read_text() if out.exists() else None) == existing
         assert sorted(p.name for p in tmp_path.iterdir()) == (["ok.json"] if existing else [])
+
+    def test_writes_through_a_symlinked_out(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("previous contents\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code = run(["build", "--geometry", "euclidean", "--preset", "minimal-surface",
+                    "--out", str(link)])
+        assert code == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["geometry"] == "euclidean"
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_writes_a_pipe_in_place(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+        reader.start()
+        code = run(["build", "--geometry", "euclidean", "--preset", "minimal-surface",
+                    "--out", str(pipe)])
+        reader.join(timeout=10)
+        assert code == 0
+        assert got and json.loads(got[0])["geometry"] == "euclidean"
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     def test_idempotent_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
