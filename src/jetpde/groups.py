@@ -124,13 +124,17 @@ class Elements(NamedTuple):
     shift: np.ndarray | None = None
 
 
+def _check_finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays if a is not None):
+        raise SchemaMismatch("group element entries must be finite")
+
+
 def _check_elements(g: Elements) -> None:
     """The GroupElement validators, run on every element of the stack;
     raises SchemaMismatch when any element fails."""
     kind, n, mat, shift = g
     count = len(mat)
-    if not np.isfinite(mat).all():
-        raise SchemaMismatch("group element entries must be finite")
+    _check_finite(mat, shift)
     if kind in ("euclidean", "affine"):
         if mat.shape[1:] != (n + 1, n + 1) or shift is None or shift.shape[1:] != (n + 1,):
             raise SchemaMismatch(f"{kind} element needs (n+1)x(n+1) A and b")
@@ -358,26 +362,32 @@ def _skew(M: np.ndarray) -> np.ndarray:
 def _draw_elements(tag: GeometryTag, seeds, scale: float) -> Elements:
     """Unchecked elements, one per seed: each seed's generator draws the
     Lie-algebra element (and shift), then one stacked ``expm`` and
-    re-projection make the group elements."""
+    re-projection make the group elements.  The scale must be finite, and
+    an exponential that overflows raises before the re-projection."""
     if scale < 0:
         raise SchemaMismatch("scale must be non-negative")
+    if not math.isfinite(scale):
+        raise SchemaMismatch("scale must be finite")
     n = tag.n
     gens, shifts = [], []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        if tag.name == "euclidean":
-            gens.append(_skew(rng.standard_normal((n + 1, n + 1))) * scale)
-        elif tag.name == "affine":
-            gens.append(scale * rng.standard_normal((n + 1, n + 1)))
-        elif tag.name == "projective":
-            M = scale * rng.standard_normal((n + 2, n + 2))
-            M -= np.trace(M) / (n + 2) * np.eye(n + 2)
-            gens.append(M)
-        else:
-            gens.append(_form_matrix(n) @ _skew(rng.standard_normal((n + 3, n + 3))) * scale)
-        if tag.name in ("euclidean", "affine"):
-            shifts.append(scale * rng.standard_normal(n + 1))
-    mat = scipy.linalg.expm(np.array(gens))
+    # an overflow to inf or nan is caught by _check_finite, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            if tag.name == "euclidean":
+                gens.append(_skew(rng.standard_normal((n + 1, n + 1))) * scale)
+            elif tag.name == "affine":
+                gens.append(scale * rng.standard_normal((n + 1, n + 1)))
+            elif tag.name == "projective":
+                M = scale * rng.standard_normal((n + 2, n + 2))
+                M -= np.trace(M) / (n + 2) * np.eye(n + 2)
+                gens.append(M)
+            else:
+                gens.append(_form_matrix(n) @ _skew(rng.standard_normal((n + 3, n + 3))) * scale)
+            if tag.name in ("euclidean", "affine"):
+                shifts.append(scale * rng.standard_normal(n + 1))
+        mat = scipy.linalg.expm(np.array(gens))
+    _check_finite(mat)
     if tag.name == "euclidean":
         U, _, Vt = np.linalg.svd(mat)
         mat = U @ Vt

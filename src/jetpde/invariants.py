@@ -102,10 +102,11 @@ def _metric_numerator(grad: np.ndarray):
     """rho^2 and rho I - grad grad^T, which is rho^2 h, for a gradient (n,)
     or per row of (m, n); rho^2 comes shaped to divide the matrices."""
     rho = 1.0 + sumsq_rows(grad)
+    rho2 = pow_rows(rho, 2)
     eye = _identity(grad.shape[-1])
     if grad.ndim == 1:
-        return float(rho) ** 2, rho * eye - grad[:, None] * grad
-    return pow_rows(rho, 2)[:, None, None], rho[:, None, None] * eye - grad[:, :, None] * grad[:, None, :]
+        return rho2, rho * eye - grad[:, None] * grad
+    return rho2[:, None, None], rho[:, None, None] * eye - grad[:, :, None] * grad[:, None, :]
 
 
 def chart_metric_h(grad) -> SymMatrix:

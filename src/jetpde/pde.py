@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -185,14 +184,10 @@ def build(geometry: GeometryTag, expr: Expr | str) -> PdeDescriptor:
 
 
 def _power(x, k: int):
-    """x ** k, elementwise on an array by :func:`~jetpde.taylor.pow_rows`;
+    """x ** k by :func:`~jetpde.taylor.pow_rows`, elementwise on an array;
     an overflow gives +-inf where the float power raises."""
-    try:
-        return pow_rows(x, k) if isinstance(x, np.ndarray) else x**k
-    except OverflowError:
-        if isinstance(x, np.ndarray):
-            return np.array([_power(v, k) for v in x.tolist()])
-        return math.copysign(math.inf, x) if k % 2 else math.inf
+    out = pow_rows(x, k)
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
 def _eval_tree(e: Expr, leaf_value):

@@ -41,13 +41,15 @@ def _cubic_gather(n: int) -> np.ndarray:
     return np.array([pos[tuple(sorted(ijk))] for ijk in np.ndindex(n, n, n)]).reshape(n, n, n)
 
 
-class SymMatrix:
-    """Symmetric n x n matrix, lower triangle stored row-major."""
+class _SymTensor:
+    """Checked immutable storage of a symmetric tensor and the operations
+    that act on it entry by entry; a subclass gives its layout: the
+    storage ``_size(n)`` and the ``_gather(n)`` that ``full()`` reads."""
 
     __slots__ = ("n", "data")
 
     def __init__(self, n: int, data=None):
-        size = n * (n + 1) // 2
+        size = self._size(n)
         if data is None:
             arr = np.zeros(size)
         else:
@@ -59,7 +61,41 @@ class SymMatrix:
         object.__setattr__(self, "data", arr)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SymMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def full(self) -> np.ndarray:
+        return self.data[self._gather(self.n)]
+
+    def __add__(self, other):
+        return type(self)(self.n, self.data + other.data)
+
+    def __sub__(self, other):
+        return type(self)(self.n, self.data - other.data)
+
+    def __neg__(self):
+        return type(self)(self.n, -self.data)
+
+    def __mul__(self, c: float):
+        return type(self)(self.n, self.data * c)
+
+    __rmul__ = __mul__
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.full()))
+
+    def allclose(self, other, tol: float = 1e-12) -> bool:
+        return bool(np.all(np.abs(self.data - other.data) <= tol))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, data={self.data})"
+
+
+class SymMatrix(_SymTensor):
+    """Symmetric n x n matrix, lower triangle stored row-major."""
+
+    __slots__ = ()
+    _size = staticmethod(lambda n: n * (n + 1) // 2)
+    _gather = staticmethod(_matrix_gather)
 
     @classmethod
     def from_full(cls, arr) -> "SymMatrix":
@@ -76,58 +112,19 @@ class SymMatrix:
     def identity(cls, n: int) -> "SymMatrix":
         return cls.from_full(np.eye(n))
 
-    def full(self) -> np.ndarray:
-        return self.data[_matrix_gather(self.n)]
-
     def __getitem__(self, ij):
         i, j = ij
         if j > i:
             i, j = j, i
         return float(self.data[i * (i + 1) // 2 + j])
 
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(self.n, self.data + other.data)
 
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(self.n, self.data - other.data)
-
-    def __neg__(self) -> "SymMatrix":
-        return SymMatrix(self.n, -self.data)
-
-    def __mul__(self, c: float) -> "SymMatrix":
-        return SymMatrix(self.n, self.data * c)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.full()))
-
-    def allclose(self, other: "SymMatrix", tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.data - other.data) <= tol))
-
-    def __repr__(self):
-        return f"SymMatrix(n={self.n}, data={self.data})"
-
-
-class SymCubic:
+class SymCubic(_SymTensor):
     """Fully symmetric n x n x n tensor, entries for i <= j <= k."""
 
-    __slots__ = ("n", "data")
-
-    def __init__(self, n: int, data=None):
-        size = len(cubic_indices(n))
-        if data is None:
-            arr = np.zeros(size)
-        else:
-            arr = np.array(data, dtype=float).reshape(-1)
-            if arr.size != size:
-                raise ValueError(f"expected {size} entries for n={n}, got {arr.size}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "data", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymCubic is immutable")
+    __slots__ = ()
+    _size = staticmethod(lambda n: len(cubic_indices(n)))
+    _gather = staticmethod(_cubic_gather)
 
     @classmethod
     def from_full(cls, arr) -> "SymCubic":
@@ -147,31 +144,5 @@ class SymCubic:
             data[pos[tuple(sorted(key))]] = value
         return cls(n, data)
 
-    def full(self) -> np.ndarray:
-        return self.data[_cubic_gather(self.n)]
-
     def __getitem__(self, ijk):
         return float(self.data[_cubic_position(self.n)[tuple(sorted(ijk))]])
-
-    def __add__(self, other: "SymCubic") -> "SymCubic":
-        return SymCubic(self.n, self.data + other.data)
-
-    def __sub__(self, other: "SymCubic") -> "SymCubic":
-        return SymCubic(self.n, self.data - other.data)
-
-    def __neg__(self) -> "SymCubic":
-        return SymCubic(self.n, -self.data)
-
-    def __mul__(self, c: float) -> "SymCubic":
-        return SymCubic(self.n, self.data * c)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.full()))
-
-    def allclose(self, other: "SymCubic", tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.data - other.data) <= tol))
-
-    def __repr__(self):
-        return f"SymCubic(n={self.n}, data={self.data})"

@@ -151,12 +151,20 @@ def norm_rows(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sumsq_rows(x))
 
 
+def _float_power(v: float, k):
+    try:
+        return v**k
+    except OverflowError:
+        return math.copysign(math.inf, v) if k % 2 == 1 else math.inf
+
+
 def pow_rows(x, k) -> np.ndarray:
     """``v ** k`` for every entry by Python's float power (libm ``pow``),
-    which numpy's array ``**`` does not always match in the last bit; an
-    overflow raises as the float power does."""
+    which numpy's array ``**`` does not always match in the last bit.
+    Where the float power overflows, the entry is inf, signed as ``v`` for
+    an odd integer ``k``."""
     x = np.asarray(x, dtype=float)
-    return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.array([_float_power(v, k) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _unit_rows(rows: int, size: int, cols) -> np.ndarray:
@@ -198,8 +206,7 @@ def mul_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
     return out.reshape(lead + (size,))
 
 
-def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int,
-                tol: float = DIVISION_RTOL) -> np.ndarray:
+def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
     """``a / b`` for N samples: ``b`` holds one divisor per sample (N, size),
     ``a`` one vector (N, size) or rows (N, r, size) per sample.
 
@@ -209,10 +216,10 @@ def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int,
     """
     b0 = b[:, 0]
     scale = np.fmax(1.0, np.abs(b).max(axis=-1))
-    bad = np.abs(b0) < tol * scale
+    bad = np.abs(b0) < DIVISION_RTOL * scale
     if bad.any():
         i = int(np.argmax(bad))
-        raise DivisionBySingular(f"|b(0)|={abs(b0[i]):.3e} below {tol * scale[i]:.3e}")
+        raise DivisionBySingular(f"|b(0)|={abs(b0[i]):.3e} below {DIVISION_RTOL * scale[i]:.3e}")
     s = 1.0 / b0
     r = b.copy()
     r[:, 0] += -b0
@@ -294,12 +301,13 @@ def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
     """
     lin = linear_positions(n)
     J = F[..., lin] if order >= 1 else np.zeros(F.shape[:1] + (n, n))
-    det = np.linalg.det(J).tolist()
-    scale = (norm_rows(J.reshape(-1, n * n)) / math.sqrt(n)).tolist()
+    with np.errstate(over="ignore"):  # an overflow is inf, which the test below reads
+        det = np.linalg.det(J).tolist()
+        scale = (norm_rows(J.reshape(-1, n * n)) / math.sqrt(n)).tolist()
     errors = {
         i: SingularJacobian(f"|det J|={abs(d):.3e}, scale={s:.3e}")
         for i, (d, s) in enumerate(zip(det, scale))
-        if d == 0.0 or abs(d) < SINGULAR_RTOL * s**n
+        if d == 0.0 or abs(d) < SINGULAR_RTOL * _float_power(s, n)
     }
     if errors:
         keep = np.delete(np.arange(len(F)), list(errors))
@@ -516,10 +524,10 @@ def differentiate(a: TruncatedJet, i: int) -> TruncatedJet:
     return TruncatedJet(n, order - 1, out)
 
 
-def divide(a: TruncatedJet, b: TruncatedJet, tol: float = DIVISION_RTOL) -> TruncatedJet:
+def divide(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
     """``a * b**-1`` with the reciprocal expanded as a geometric series."""
     order, num, den = a._common(b)
-    return TruncatedJet(a.n_vars, order, divide_rows(num[None], den[None], a.n_vars, order, tol)[0])
+    return TruncatedJet(a.n_vars, order, divide_rows(num[None], den[None], a.n_vars, order)[0])
 
 
 def _binom_shift(outer: TruncatedJet, center: np.ndarray) -> np.ndarray:

@@ -7,7 +7,12 @@ the tolerances are scale-free.  Sampling is counter-based per index, so a
 report is a pure function of (descriptor, config) regardless of schedule.
 The samples are drawn one index at a time; the group elements, the
 prolongation, the residuals and the defects then run once on the whole
-jet batch, bit for bit as one sample at a time.
+jet batch, bit for bit as one sample at a time.  ``check_solution`` builds
+each catalog germ at its point, then sends the jets as one batch through
+the same evaluation stage (residual, skips, scale, worst defect).  A
+power that overflows in a residual or a scale is +-inf
+(:func:`~jetpde.taylor.pow_rows`), a value and not an error; the group
+scale must be finite.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .jetspace import GraphJet, JetBatch, jet_extend, to_poly
 from .pde import (
     PdeDescriptor,
     homogeneity_degree,
-    residual,
     residuals,
     second_order_residuals,
     tauring,
@@ -150,7 +154,10 @@ def _solve_on_line(f, ts: np.ndarray, vals: np.ndarray):
     zero is returned as it is, and the first cell whose end values have
     opposite signs is polished by Brent's method on f.  None when no grid
     value is zero and no cell changes sign (a nan value brackets nothing).
+    The signs are tested on Python floats, whose product overflows to inf
+    without a warning.
     """
+    vals = vals.tolist()
     for k in range(ts.size - 1):
         a, b = vals[k], vals[k + 1]
         if a == 0.0:
@@ -295,6 +302,27 @@ def _passed(max_defect: float, tol: float, evaluated: int, attempted: int) -> bo
     return max_defect <= tol and (evaluated > 0 or attempted == 0)
 
 
+def _report(desc: str, seed: int, attempted: int, skipped: dict, max_defect: float,
+            evaluated: int, tol: float, max_ratio: float = 0.0) -> Report:
+    """The report of either check, passing as :func:`_passed` says."""
+    return Report(desc, seed, attempted, evaluated, skipped, max_defect, max_ratio,
+                  _passed(max_defect, tol, evaluated, attempted))
+
+
+def _evaluate(desc: PdeDescriptor, jets: JetBatch, skipped: dict) -> tuple[float, np.ndarray]:
+    """The evaluation stage of both reports: the residual of every row of
+    the batch, each row it skips counted under its kind in ``skipped``, and
+    the largest defect over the other rows, the live ones (0.0 when none is
+    live).  Returns that maximum and the live rows' indices.
+    """
+    values, degenerate = residuals(desc, jets)
+    for exc in degenerate.values():
+        skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
+    live = np.delete(np.arange(len(jets)), list(degenerate))
+    scales = residual_scales(desc, jets.take(live)).tolist() if len(live) else []
+    return max([0.0, *map(_defect, values[live].tolist(), scales)]), live
+
+
 def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     """Zero-set preservation under random group elements, as a report.
 
@@ -317,38 +345,23 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
             seeds.append((cfg.seed, idx, 1))
     max_defect = 0.0
     max_ratio = 0.0
-    evaluated = 0
+    live = ()
     if drawn:
         jets = JetBatch.of(drawn)
         moved, skips = prolong_batch(random_elements(tag, seeds, cfg.scale), jets)
-        kept = np.delete(np.arange(len(jets)), list(skips))
-        if len(kept):
-            values, degenerate = residuals(desc, moved)
-            skips.update({int(kept[i]): exc for i, exc in degenerate.items()})
-            live = np.delete(np.arange(len(kept)), list(degenerate))
-            moved = moved.take(live)
-            evaluated = len(live)
-            scales = residual_scales(desc, moved).tolist() if evaluated else []
-            for value, scale in zip(values[live].tolist(), scales):
-                max_defect = max(max_defect, _defect(value, scale))
-            if tag.name == "euclidean":
-                jets = jets.take(kept[live])
-                before = eigenvalues(jets.grad, jets.hess[:, _matrix_gather(tag.n)])
-                after = eigenvalues(moved.grad, moved.hess[:, _matrix_gather(tag.n)])
-                for ratio in _ratio_defects(before, after).tolist():
-                    max_ratio = max(max_ratio, ratio)
         for exc in skips.values():
             skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
-    return Report(
-        desc=desc.desc_id,
-        seed=cfg.seed,
-        attempted=cfg.count,
-        evaluated=evaluated,
-        skipped=skipped,
-        max_defect=max_defect,
-        max_ratio_defect=max_ratio,
-        passed=_passed(max_defect, cfg.tol, evaluated, cfg.count),
-    )
+        max_defect, live = _evaluate(desc, moved, skipped)
+        if tag.name == "euclidean" and len(live):
+            kept = np.delete(np.arange(len(jets)), list(skips))
+            jets = jets.take(kept[live])
+            moved = moved.take(live)
+            before = eigenvalues(jets.grad, jets.hess[:, _matrix_gather(tag.n)])
+            after = eigenvalues(moved.grad, moved.hess[:, _matrix_gather(tag.n)])
+            for ratio in _ratio_defects(before, after).tolist():
+                max_ratio = max(max_ratio, ratio)
+    return _report(desc.desc_id, cfg.seed, cfg.count, skipped, max_defect, len(live), cfg.tol,
+                   max_ratio)
 
 
 # -- exact-solution catalog -----------------------------------------------------
@@ -517,37 +530,26 @@ def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-
                    **params) -> Report:
     """Max normalized residual of the named exact solution at the points;
     the report passes when it is at most ``tol`` and some point was
-    evaluated (or none was asked for).  A JetError other than a skip
-    raises, for instance DivisionByZero from a custom quotient expression
-    whose denominator vanishes at a point."""
+    evaluated (or none was asked for).  Each point's germ is built on its
+    own (a constructor may skip the point); the jets then go through the
+    evaluation stage of :func:`invariance_report` as one batch.  A JetError
+    other than a skip raises, for instance DivisionByZero from a custom
+    quotient expression whose denominator vanishes at a point."""
     catalog = solution_catalog()
     if germ_name not in catalog:
         raise SchemaMismatch(f"unknown catalog surface {germ_name!r}")
     make = catalog[germ_name]
     points = [np.asarray(p, dtype=float) for p in points]
-    max_defect = 0.0
-    evaluated = 0
     skipped = {k: 0 for k in SKIP_KINDS}
+    built = []
     for p in points:
         try:
             germ = make(p, desc.order, **params)
-            j = jet_extend(germ, p, desc.order, chart=desc.chart)
-            value = residual(desc, j)
+            built.append(jet_extend(germ, p, desc.order, chart=desc.chart))
         except tuple(SKIP_EXCEPTIONS) as exc:
             skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
-            continue
-        evaluated += 1
-        max_defect = max(max_defect, _defect(value, residual_scale(desc, j)))
-    return Report(
-        desc=f"{desc.desc_id}:{germ_name}",
-        seed=0,
-        attempted=len(points),
-        evaluated=evaluated,
-        skipped=skipped,
-        max_defect=max_defect,
-        max_ratio_defect=0.0,
-        passed=_passed(max_defect, tol, evaluated, len(points)),
-    )
+    max_defect, live = _evaluate(desc, JetBatch.of(built), skipped) if built else (0.0, ())
+    return _report(f"{desc.desc_id}:{germ_name}", 0, len(points), skipped, max_defect, len(live), tol)
 
 
 def report_to_text(r: Report) -> str:

@@ -256,6 +256,10 @@ def inputs(tmp_path):
         # tau_1 / (sigma_1 - sigma_1): every residual divides by zero
         "div0": descriptor_to_json(build(GeometryTag("euclidean", 2), tau(1) / (sigma(1) - sigma(1)))),
         "expr": expr_to_json(tau(1)),
+        "aff": descriptor_to_json(build(GeometryTag("affine", 2), "affine_cubic")),
+        "proj": descriptor_to_json(build(GeometryTag("projective", 2), "projective_cubic")),
+        "pick100": descriptor_to_json(build(GeometryTag("affine", 2), pick() ** 100)),
+        "tau200": descriptor_to_json(build(GeometryTag("euclidean", 2), tau(1) ** 200)),
         "jet": jet_to_json(GraphJet("euclidean", 2, 2, [0, 0], 0.0, [0, 0], SymMatrix(2))),
     }
     paths = {}
@@ -295,6 +299,10 @@ def inputs(tmp_path):
     (["verify", "{ms}", "--samples", "3", "--out", "/nonexistent/rep.json"], 3),
     (["verify", "{div0}", "--samples", "1"], 4),
     (["verify", "{div0}", "--samples", "20"], 4),
+    (["verify", "{ms}", "--samples", "3", "--scale", "1e300"], 2),
+    (["verify", "{ms}", "--samples", "3", "--scale", "nan"], 2),
+    (["verify", "{aff}", "--samples", "3", "--scale", "1e10"], 2),
+    (["verify", "{proj}", "--samples", "3", "--scale", "1e10"], 2),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]
@@ -308,3 +316,24 @@ def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     assert got == code
     assert len(err.strip().splitlines()) == 1
     assert not any(inputs[k].exists() for k in ("out", "tex", "mono"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{ms}", "--samples", "20", "--jet-scale", "1e100"],
+    ["verify", "{pick100}", "--samples", "5"],
+    ["verify", "{tau200}", "--samples", "5"],
+    ["verify", "{aff}", "--samples", "20", "--jet-scale", "1e200"],
+])
+def test_overflow_ends_as_a_value(inputs, capsys, argv):
+    # an overflowing power, product or determinant is an infinite value
+    # that the report reads, never a traceback or a warning
+    argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]
+    try:
+        got = main(argv)
+    except Exception:  # what the interpreter would print for an escape
+        traceback.print_exc()
+        got = None
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == ""
+    assert got in (0, 1)

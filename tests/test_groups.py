@@ -154,6 +154,26 @@ class TestRandomElement:
         with pytest.raises(SchemaMismatch):
             GroupElement("affine", 1, [[1.0, np.nan], [0.0, 1.0]], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, bad):
+        with pytest.raises(SchemaMismatch, match="must be finite"):
+            GroupElement("affine", 2, np.eye(3), [bad, 0.0, 0.0])
+        with pytest.raises(SchemaMismatch, match="must be finite"):
+            element_from_json({"type": "euclidean", "n": 1, "A": [[1, 0], [0, 1]], "b": [bad, 0]})
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        for tag in TAGS:
+            with pytest.raises(SchemaMismatch, match="scale must be finite"):
+                random_element(tag, 0, scale)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e300, 1e308])
+    def test_overflowing_exponential_rejected_without_warning(self, scale):
+        for tag in TAGS:
+            with pytest.raises(SchemaMismatch, match="must be finite"):
+                random_element(tag, 0, scale)
+
 
 class TestProlong:
     def test_identity(self):

@@ -22,10 +22,12 @@ from jetpde.taylor import (
     divide_rows,
     invert_map,
     invert_rows,
+    linear_positions,
     linear_rows,
     mul,
     mul_rows,
     n_coeffs,
+    pow_rows,
 )
 
 DIMS = (1, 2, 3, 4)
@@ -155,3 +157,18 @@ def test_batch_axis_is_per_row(n, order):
         single, none = invert_rows(F[i : i + 1], n, order)
         assert not none
         assert_bitwise(got[k], single[0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_is_a_value():
+    # an overflowing float power is inf, signed as the base for odd powers
+    x = np.array([1e200, -1e200, 2.0])
+    assert_bitwise(pow_rows(x, 2), np.array([np.inf, np.inf, 4.0]))
+    assert_bitwise(pow_rows(x, 3), np.array([np.inf, -np.inf, 8.0]))
+    assert_bitwise(pow_rows(1e300, 1.5), np.array(np.inf))
+    # a Jacobian whose det and norm overflow passes the singularity test
+    F = np.zeros((1, 3, n_coeffs(3, 2)))
+    F[0][:, linear_positions(3)] = 1e120 * np.eye(3)
+    g, errors = invert_rows(F, 3, 2)
+    assert not errors
+    np.testing.assert_allclose(g[0][:, linear_positions(3)], 1e-120 * np.eye(3), rtol=1e-15)

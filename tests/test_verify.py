@@ -278,6 +278,20 @@ class TestCheckSolution:
         assert rep.max_defect == math.inf
         assert not rep.passed
 
+    def test_points_evaluated_as_one_batch(self, monkeypatch):
+        # each point's jet is built first; one residuals and one
+        # residual_scales call then evaluate all of them
+        calls = []
+        for name in ("residuals", "residual_scales"):
+            def spy(desc, jets, name=name, real=getattr(verify, name)):
+                calls.append((name, len(jets)))
+                return real(desc, jets)
+            monkeypatch.setattr(verify, name, spy)
+        rep = check_solution(build(E2, "minimal_surface"), "sphere_cap",
+                             [[0.1, 0.2], [2.0, 0.0], [0.3, -0.1]])
+        assert calls == [("residuals", 2), ("residual_scales", 2)]
+        assert rep.evaluated == 2 and rep.skipped["chart_domain"] == 1
+
     def test_every_point_skipped_fails(self):
         # no point lies inside the cap, so nothing is evaluated
         rep = check_solution(build(E2, "minimal_surface"), "sphere_cap", [[2.0, 0.0], [0.0, 3.0]])
