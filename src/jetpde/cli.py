@@ -48,6 +48,13 @@ class UsageError(JetError):
     """The command line asks for something that cannot be made (exit 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, and its subparsers', are usage errors."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -181,7 +188,7 @@ def cmd_normalize(args) -> int:
 @functools.lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: nothing mutates it."""
-    p = argparse.ArgumentParser(prog="jetpde", description=__doc__)
+    p = _Parser(prog="jetpde", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="emit a PDE descriptor")
@@ -205,7 +212,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=300)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--scale", type=float, default=0.5)
-    v.add_argument("--jet-scale", type=float, default=0.5)
+    v.add_argument("--jet-scale", type=float, default=0.5, help="size of the drawn 1-jets (finite, >= 0)")
     v.add_argument("--tol", type=float, default=1e-7)
     v.add_argument("--surface", help="check a catalog solution instead")
     v.add_argument("--points", type=int, default=200)
@@ -226,8 +233,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; every error ends in its exit code and one
     stderr line."""
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
         print(f"I/O: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ each catalog germ at its point, then sends the jets as one batch through
 the same evaluation stage (residual, skips, scale, worst defect).  A
 power that overflows in a residual or a scale is +-inf
 (:func:`~jetpde.taylor.pow_rows`), a value and not an error; the group
-scale must be finite.
+scale and the jet scale must be finite and non-negative.
 """
 
 from __future__ import annotations
@@ -26,18 +26,12 @@ import scipy.optimize
 
 from .errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch
 from .groups import affine_element, prolong, prolong_batch, random_elements
-from .invariants import (
-    eigenvalues,
-    hessian_congruence,
-    hessian_dets,
-    pick_numerators,
-    rho_of,
-    sym_outer,
-)
+from .invariants import eigenvalues, hessian_dets, pick_numerators, rho_of, sym_outer
 from .jetspace import GraphJet, JetBatch, jet_extend, to_poly
 from .pde import (
     PdeDescriptor,
     homogeneity_degree,
+    pick,
     residuals,
     second_order_residuals,
     tauring,
@@ -56,6 +50,11 @@ SKIP_EXCEPTIONS = {
     DegenerateHessian: "degenerate_hessian",
 }
 SKIP_KINDS = ("no_root", *SKIP_EXCEPTIONS.values())
+
+# Tries per draw: Hessians with |det| >= 0.3, then lines through a cubic.
+DRAW_TRIES = 20
+# The expressions whose zero set is the orbit's sub-bundle (pick: definite hess).
+ORBIT_EXPRS = (tauring(2), pick())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,9 +129,7 @@ def _sound(desc: PdeDescriptor, j: GraphJet) -> GraphJet | None:
     values, skipped = residuals(desc, jets)
     if skipped:
         raise skipped[0]
-    if abs(values[0]) > SOUNDNESS_TOL * residual_scales(desc, jets)[0]:
-        return None
-    return j
+    return None if abs(values[0]) > SOUNDNESS_TOL * residual_scales(desc, jets)[0] else j
 
 
 def _smallest_root(a: float, b: float, c: float, bracket: float):
@@ -173,11 +170,23 @@ def _solve_on_line(f, ts: np.ndarray, vals: np.ndarray):
     return None
 
 
-def _sample_euclidean(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
-    n = desc.geometry.n
-    base = jet_scale * rng.standard_normal(n)
-    u = jet_scale * rng.standard_normal()
-    grad = jet_scale * rng.standard_normal(n)
+def orbit_point(chart: str, lower: tuple, param) -> GraphJet:
+    """The point over the lower jet (base, u, grad[, hess]) of the G-orbit's
+    affine sub-bundle, from its model-space parameter: over a 1-jet and c,
+    the umbilic hess = c rho (I + grad grad^T) (conformal); over a 2-jet and
+    a covector w, cubic = sym_outer(w, hess) (affine, projective)."""
+    base, u, grad, *hess = lower
+    n = grad.size
+    if hess:
+        return GraphJet(chart, n, 3, base, u, grad, hess[0], sym_outer(param, hess[0]))
+    rho = rho_of(grad)
+    hinv = rho * (np.eye(n) + np.outer(grad, grad))
+    return GraphJet(chart, n, 2, base, u, grad, SymMatrix.from_full(param * hinv))
+
+
+def _sample_euclidean(desc: PdeDescriptor, rng, lower: tuple) -> GraphJet | None:
+    base, u, grad = lower
+    n = grad.size
     hess_entries = rng.standard_normal(n * (n + 1) // 2)
 
     gather = _matrix_gather(n)
@@ -199,71 +208,60 @@ def _sample_euclidean(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | 
     root = _solve_on_line(residual_at, ts, vals)
     if root is None:
         return None
-    return _sound(desc, GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix(n, with_last(root))))
+    return GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix(n, with_last(root)))
 
 
-def _sample_umbilic(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet:
+def _sample_cubic(desc: PdeDescriptor, rng, lower: tuple) -> tuple[GraphJet | None, bool]:
+    """A third-order draw, and whether it lies on the orbit's sub-bundle."""
     n = desc.geometry.n
-    base = jet_scale * rng.standard_normal(n)
-    u = jet_scale * rng.standard_normal()
-    grad = jet_scale * rng.standard_normal(n)
-    c = rng.standard_normal() + np.sign(rng.standard_normal()) * 0.2
-    rho = rho_of(grad)
-    hinv = rho * (np.eye(n) + np.outer(grad, grad))
-    return GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix.from_full(c * hinv))
-
-
-def _sample_affine(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
-    n = desc.geometry.n
-    base = jet_scale * rng.standard_normal(n)
-    u = jet_scale * rng.standard_normal()
-    grad = jet_scale * rng.standard_normal(n)
-    hess = None
-    for _ in range(20):
-        entries = rng.standard_normal(n * (n + 1) // 2)
-        cand = SymMatrix(n, entries)
-        H = cand.full()
+    for _ in range(DRAW_TRIES):
+        hess = SymMatrix(n, rng.standard_normal(n * (n + 1) // 2))
+        H = hess.full()
         if abs(np.linalg.det(H)) >= 0.3:
-            hess = cand
             break
-    if hess is None:
-        return None
-    H = hess.full()
-
-    if np.linalg.det(H) > 0.0:
-        # the relation family cubic = pullback of (w . eps) through the
-        # normalizing congruence lies on the zero set; for definite hess it
-        # is the whole zero set.
-        B, signature = hessian_congruence(hess)
-        w = rng.standard_normal(n)
-        relation = sym_outer(w, signature.metric())
-        Cfull = np.einsum("ai,bj,ck,abc->ijk", B, B, B, relation.full())
-        return GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic.from_full(Cfull))
-
-    # det(hess) < 0: solve for the last cubic coefficient t on the numerator
-    # Q (same zero set as the residual off det(hess) = 0).  Q is quadratic
-    # in t, so its values at t = 0, 1, -1 give the coefficients exactly.
-    cubic_entries = rng.standard_normal(len(SymCubic(n).data))
-    line = np.repeat(cubic_entries[None, :], 3, axis=0)
-    line[:, -1] = (0.0, 1.0, -1.0)
-    q0, q1, qm = pick_numerators(np.repeat(H[None], 3, axis=0), line[:, _cubic_gather(n)]).tolist()
-    root = _smallest_root(0.5 * (q1 + qm) - q0, 0.5 * (q1 - qm), q0, bracket=50.0)
-    if root is None:
-        return None
-    cubic_entries[-1] = root
-    return _sound(desc, GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic(n, cubic_entries)))
+    else:
+        return None, False
+    lams = np.linalg.eigvalsh(H)
+    if lams[0] * lams[-1] > 0.0:
+        # definite: the pick numerator Q is definite in the cubic, so the sub-bundle is its zero set
+        return orbit_point(desc.chart, (*lower, hess), rng.standard_normal(n)), True
+    # indefinite: Q = 0 along the last coefficient, then along fresh lines;
+    # Q is quadratic in t, so its values at t = 0, 1, -1 give it exactly
+    point = rng.standard_normal(len(SymCubic(n).data))
+    point[-1] = 0.0
+    direction = np.eye(point.size)[-1]
+    for _ in range(DRAW_TRIES):
+        line = point + np.array([[0.0], [1.0], [-1.0]]) * direction
+        q0, q1, qm = pick_numerators(np.repeat(H[None], 3, axis=0), line[:, _cubic_gather(n)]).tolist()
+        root = _smallest_root(0.5 * (q1 + qm) - q0, 0.5 * (q1 - qm), q0, bracket=50.0)
+        if root is not None:
+            return GraphJet(desc.chart, n, 3, *lower, hess, SymCubic(n, point + root * direction)), False
+        direction = rng.standard_normal(point.size)
+    return None, False
 
 
 def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
-    """A random jet solving the PDE, or None when the draw found no root."""
-    name = desc.geometry.name
-    if name == "euclidean":
-        return _sample_euclidean(desc, rng, jet_scale)
-    if name == "conformal":
-        if desc.expr == tauring(2):
-            return _sample_umbilic(desc, rng, jet_scale)
-        return _sample_euclidean(desc, rng, jet_scale)  # generic 1-D solve
-    return _sample_affine(desc, rng, jet_scale)
+    """A random jet solving the PDE, or None when the draw found no root.
+
+    Each draw starts from one 1-jet (base, u, grad) of size ``jet_scale``.
+    ``tauring(2)``, and third order over a definite Hessian, draw a point of
+    the orbit's sub-bundle (:func:`orbit_point`), exact for ``ORBIT_EXPRS``;
+    every other draw (a line solve) must pass the soundness check.
+    """
+    n = desc.geometry.n
+    lower = (jet_scale * rng.standard_normal(n), jet_scale * rng.standard_normal(),
+             jet_scale * rng.standard_normal(n))
+    exact = desc.expr in ORBIT_EXPRS
+    if desc.order == 3:
+        j, on_orbit = _sample_cubic(desc, rng, lower)
+    elif exact:  # tauring(2)
+        c = rng.standard_normal() + np.sign(rng.standard_normal()) * 0.2
+        j, on_orbit = orbit_point(desc.chart, lower, c), True
+    else:
+        j, on_orbit = _sample_euclidean(desc, rng, lower), False
+    if j is None or (on_orbit and exact):
+        return j
+    return _sound(desc, j)
 
 
 def _ratio_defects(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
@@ -333,6 +331,8 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     instance DivisionByZero from a custom quotient expression whose
     denominator vanishes at a sample.
     """
+    if not 0.0 <= cfg.jet_scale < math.inf:
+        raise SchemaMismatch(f"jet scale must be finite and non-negative, got {cfg.jet_scale}")
     tag = desc.geometry
     skipped = {k: 0 for k in SKIP_KINDS}
     drawn, seeds = [], []

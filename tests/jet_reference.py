@@ -13,8 +13,9 @@ replaced:
 * the scalar group and third-order routes: one ``expm`` and one
   re-projection per drawn element, the Hessian determinant and the pick
   numerator of one jet (cofactors by ``math.prod``, unstacked einsums),
-  the third-order residual and the residual scale of one jet, and the
-  affine sampler with one pick-numerator call per line point;
+  the third-order residual and the residual scale of one jet, the
+  affine sampler with one pick-numerator call per line point, and the
+  umbilic sampler entry by entry;
 * the per-sample loop of ``invariance_report``: one jet, one group
   element, one prolongation and one residual at a time, all through the
   routines of this module.
@@ -53,9 +54,9 @@ from jetpde.groups import (
     euclidean_element,
     projective_element,
 )
-from jetpde.invariants import DEGENERATE_HESSIAN_RTOL, Signature, rho_of, sym_outer
+from jetpde.invariants import DEGENERATE_HESSIAN_RTOL, rho_of, sym_outer
 from jetpde.jetspace import GraphJet, _exps
-from jetpde.pde import DIV_EPS, LEAVES, Expr, PdeDescriptor, homogeneity_degree, tauring
+from jetpde.pde import DIV_EPS, LEAVES, Expr, PdeDescriptor, homogeneity_degree, pick, tauring
 from jetpde.symtensor import SymCubic, SymMatrix, cubic_indices
 from jetpde.taylor import (
     DIVISION_RTOL,
@@ -389,18 +390,6 @@ def hessian_det(hess: SymMatrix) -> float:
     return nondegenerate_det(np.linalg.eigvalsh(hess.full()))
 
 
-def hessian_congruence(hess: SymMatrix):
-    lams, Q = np.linalg.eigh(hess.full())
-    nondegenerate_det(lams)
-    idx = np.argsort(-lams)
-    lams, Q = lams[idx], Q[:, idx]
-    n = lams.size
-    B = np.diag(np.sqrt(np.abs(lams) / 2.0)) @ Q.T
-    if np.linalg.det(B) < 0.0:
-        B = np.diag([1.0] * (n - 1) + [-1.0]) @ B
-    return B, Signature(int(np.sum(lams > 0.0)), n)
-
-
 def pick_numerator(hess: SymMatrix, cubic: SymCubic) -> float:
     lams, V = np.linalg.eigh(hess.full())
     n = lams.size
@@ -427,7 +416,23 @@ def residual_scale(desc: PdeDescriptor, j: GraphJet) -> float:
     return per_pick ** (degree / 2)
 
 
+def sample_umbilic(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet:
+    """An umbilic 2-jet, hess = c rho (I + grad grad^T), entry by entry."""
+    n = desc.geometry.n
+    base = jet_scale * rng.standard_normal(n)
+    u = jet_scale * rng.standard_normal()
+    grad = jet_scale * rng.standard_normal(n)
+    c = rng.standard_normal() + np.sign(rng.standard_normal()) * 0.2
+    rho = rho_of(grad)
+    lower = [c * (rho * ((i == k) + grad[i] * grad[k])) for i in range(n) for k in range(i + 1)]
+    return GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix(n, lower))
+
+
 def sample_affine(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
+    """A third-order draw: a definite Hessian carries cubic = sym_outer(w,
+    hess), unchecked only for ``pick()``; an indefinite one solves the pick
+    numerator on lines through a drawn cubic, last coefficient first, one
+    pick-numerator call per line point."""
     n = desc.geometry.n
     base = jet_scale * rng.standard_normal(n)
     u = jet_scale * rng.standard_normal()
@@ -440,27 +445,24 @@ def sample_affine(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None
             break
     if hess is None:
         return None
-    if np.linalg.det(hess.full()) > 0.0:
-        B, signature = hessian_congruence(hess)
-        w = rng.standard_normal(n)
-        relation = sym_outer(w, signature.metric())
-        Cfull = np.einsum("ai,bj,ck,abc->ijk", B, B, B, relation.full())
-        return GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic.from_full(Cfull))
-    cubic_entries = rng.standard_normal(len(SymCubic(n).data))
-
-    def with_last(t):
-        entries = cubic_entries.copy()
-        entries[-1] = t
-        return SymCubic(n, entries)
-
-    q0, q1, qm = (pick_numerator(hess, with_last(t)) for t in (0.0, 1.0, -1.0))
-    root = verify._smallest_root(0.5 * (q1 + qm) - q0, 0.5 * (q1 - qm), q0, bracket=50.0)
-    if root is None:
-        return None
-    j = GraphJet(desc.chart, n, 3, base, u, grad, hess, with_last(root))
-    if abs(residual(desc, j)) > SOUNDNESS_TOL * residual_scale(desc, j):
-        return None
-    return j
+    lams = np.linalg.eigvalsh(hess.full())
+    if all(lams > 0.0) or all(lams < 0.0):
+        j = GraphJet(desc.chart, n, 3, base, u, grad, hess, sym_outer(rng.standard_normal(n), hess))
+        if desc.expr == pick():
+            return j
+        return j if abs(residual(desc, j)) <= SOUNDNESS_TOL * residual_scale(desc, j) else None
+    point = rng.standard_normal(len(SymCubic(n).data))
+    point[-1] = 0.0
+    direction = np.zeros(point.size)
+    direction[-1] = 1.0
+    for _ in range(20):
+        q0, q1, qm = (pick_numerator(hess, SymCubic(n, point + t * direction)) for t in (0.0, 1.0, -1.0))
+        root = verify._smallest_root(0.5 * (q1 + qm) - q0, 0.5 * (q1 - qm), q0, bracket=50.0)
+        if root is not None:
+            j = GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic(n, point + root * direction))
+            return j if abs(residual(desc, j)) <= SOUNDNESS_TOL * residual_scale(desc, j) else None
+        direction = rng.standard_normal(point.size)
+    return None
 
 
 def solve_on_line(f, bracket: float, npts: int = 65):
@@ -522,7 +524,7 @@ def ratio_defect(l1: np.ndarray, l2: np.ndarray) -> float:
 def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
     name = desc.geometry.name
     if name == "conformal" and desc.expr == tauring(2):
-        return verify._sample_umbilic(desc, rng, jet_scale)
+        return sample_umbilic(desc, rng, jet_scale)
     if name in ("euclidean", "conformal"):
         return sample_euclidean(desc, rng, jet_scale)
     return sample_affine(desc, rng, jet_scale)

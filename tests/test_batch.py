@@ -67,11 +67,17 @@ def test_reports_match_per_sample_loop(preset, geometry, n, cfg):
 
 @pytest.mark.parametrize("n,cfg,kinds", [
     (2, SampleConfig(7, 300), {"chart_domain"}),
-    (3, SampleConfig(5, 30, scale=3.0, jet_scale=3.0), {"no_root", "not_graph", "degenerate_hessian"}),
+    (3, SampleConfig(5, 30, scale=3.0, jet_scale=3.0), {"not_graph", "degenerate_hessian"}),
 ])
 def test_reports_with_every_skip_kind_match(n, cfg, kinds):
     rep = same_report(build(GeometryTag("projective", n), "projective_cubic"), cfg)
     assert {k for k, v in rep.skipped.items() if v} >= kinds
+
+
+def test_reports_with_no_root_match():
+    # the sampler draws on pick = 0, where pick - 1 is -1: no draw is sound
+    rep = same_report(build(GeometryTag("projective", 3), pick() - 1.0), SampleConfig(7, 30))
+    assert rep.skipped["no_root"] == rep.attempted
 
 
 def random_jet(rng, tag, order, spread):

@@ -52,9 +52,7 @@ class TestBuild:
         assert len(blob["monomials"]) == 13
 
     def test_unknown_preset(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["build", "--geometry", "euclidean", "--preset", "nope"])
-        assert exc.value.code == 2
+        assert run(["build", "--geometry", "euclidean", "--preset", "nope"]) == 2
 
     def test_wrong_geometry_for_preset(self, tmp_path):
         code = run(["build", "--geometry", "conformal", "--preset", "minimal-surface",
@@ -303,6 +301,11 @@ def inputs(tmp_path):
     (["verify", "{ms}", "--samples", "3", "--scale", "nan"], 2),
     (["verify", "{aff}", "--samples", "3", "--scale", "1e10"], 2),
     (["verify", "{proj}", "--samples", "3", "--scale", "1e10"], 2),
+    (["verify", "{ms}", "--samples", "abc"], 2),
+    (["verify", "{ms}", "--samples", "3", "--scale", "-inf"], 2),
+    (["verify", "{ms}", "--samples", "3", "--jet-scale", "-1"], 2),
+    (["verify", "{ms}", "--samples", "3", "--jet-scale", "nan"], 2),
+    (["verify", "{ms}", "--samples", "3", "--jet-scale", "inf"], 2),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]

@@ -27,7 +27,7 @@ from jetpde.pde import (
     tauring,
 )
 from jetpde.symtensor import SymMatrix, _matrix_gather
-from jetpde.verify import _sample_euclidean
+from jetpde.verify import sample_on_zero_set
 
 DIMS = (1, 2, 3, 4)
 ROWS = 9
@@ -150,7 +150,7 @@ def test_sampler_matches_scalar_scan(geometry, n, expr):
     desc = build(GeometryTag(geometry, n), expr)
     found = 0
     for seed in range(60):
-        got = _sample_euclidean(desc, np.random.default_rng((seed, 3)), 0.5)
+        got = sample_on_zero_set(desc, np.random.default_rng((seed, 3)), 0.5)
         want = ref.sample_euclidean(desc, np.random.default_rng((seed, 3)), 0.5)
         assert (got is None) == (want is None)
         if want is not None:

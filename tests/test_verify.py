@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from jetpde.errors import ChartDomain, DegenerateHessian, DivisionByZero
-from jetpde.groups import GeometryTag
-from jetpde.invariants import F_aff3, pick_numerator
+from jetpde.errors import ChartDomain, DegenerateHessian, DivisionByZero, SingularMetric
+from jetpde.groups import GeometryTag, prolong, random_element
+from jetpde.invariants import F_aff3, pick_numerator, shape_matrix, tracefree_cubic, tracefree_shape
 from jetpde.jetspace import GraphJet, JetBatch, jet_extend
 from jetpde import verify
 from jetpde.pde import build, const, pick, residual, residuals, sigma, tau, tauring
 from jetpde.symtensor import SymCubic, SymMatrix
 from jetpde.verify import (
+    SKIP_EXCEPTIONS,
+    SOUNDNESS_TOL,
     SampleConfig,
     check_solution,
     invariance_report,
+    orbit_point,
     report_to_text,
     residual_scale,
     sample_on_zero_set,
@@ -37,7 +40,8 @@ class TestSamplers:
         [(E2, "minimal_surface"), (E2, "monge_ampere"), (C2, "umbilical"),
          (A2, "affine_cubic"), (P2, "projective_cubic"),
          (GeometryTag("affine", 3), "affine_cubic"),
-         (GeometryTag("projective", 3), "projective_cubic")],
+         (GeometryTag("projective", 3), "projective_cubic"),
+         (GeometryTag("projective", 3), pick() * 2.0)],
     )
     def test_soundness(self, tag, preset):
         desc = build(tag, preset)
@@ -51,6 +55,65 @@ class TestSamplers:
             found += 1
             assert abs(residual(desc, j)) <= 1e-12 * residual_scale(desc, j)
         assert found >= rng_count // 3
+
+    @pytest.mark.parametrize("tag", [A2, GeometryTag("projective", 3)])
+    def test_custom_third_order_draws_are_checked(self, tag):
+        # a sub-bundle point solves pick = 0, not pick = 1: only the preset's
+        # sub-bundle draws may skip the soundness check
+        desc = build(tag, pick() - 1.0)
+        for idx in range(200):
+            j = sample_on_zero_set(desc, np.random.default_rng((idx, 5)), 0.5)
+            assert j is None or abs(residual(desc, j)) <= SOUNDNESS_TOL * residual_scale(desc, j)
+
+    @pytest.mark.parametrize("seed", (7, 11))
+    @pytest.mark.parametrize("tag", [GeometryTag("affine", 3), GeometryTag("projective", 3)])
+    def test_cubic_draws_find_a_root(self, tag, seed):
+        # indefinite Hessians retry along fresh lines until Q = 0 has a root
+        rep = invariance_report(build(tag, f"{tag.name}_cubic"), SampleConfig(seed, 300))
+        assert rep.skipped["no_root"] == 0 and rep.passed
+
+
+def orbit_defect(j: GraphJet) -> float:
+    """How far a jet is off the orbit's sub-bundle: its trace-free shape
+    against 1 + |shape| (order 2), or its trace-free cubic against
+    (1 + |cubic|) cond(hess) (order 3), since that projection inverts hess."""
+    if j.order == 2:
+        return np.linalg.norm(tracefree_shape(j.grad, j.hess)) / (
+            1.0 + np.linalg.norm(shape_matrix(j.grad, j.hess)))
+    return tracefree_cubic(j.hess, j.cubic).norm() / (
+        (1.0 + j.cubic.norm()) * np.linalg.cond(j.hess.full()))
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("geometry", ("conformal", "affine", "projective"))
+def test_group_keeps_the_orbit_sub_bundle(geometry, n):
+    # the paper's claim as a tensor equation: prolonged sub-bundle points stay
+    # on it in every component, where a scalar residual checks one; a point
+    # nudged off by a relative 1e-2 is seen
+    tag = GeometryTag(geometry, n)
+    rng = np.random.default_rng((n, 41))
+    worst, seen, checked = 0.0, 0, 0
+    for idx in range(100):
+        lower = tuple(0.5 * rng.standard_normal(size) for size in (n, None, n))
+        if geometry == "conformal":
+            j = orbit_point(tag.chart, lower, rng.standard_normal())
+        else:
+            hess = SymMatrix(n, rng.standard_normal(n * (n + 1) // 2))
+            j = orbit_point(tag.chart, (*lower, hess), rng.standard_normal(n))
+        top = j.hess if j.order == 2 else j.cubic
+        d = rng.standard_normal(top.data.size)
+        top = type(top)(n, top.data + 1e-2 * (1.0 + top.norm()) * d / np.linalg.norm(d))
+        off = GraphJet(j.chart, n, j.order, j.base, j.u, j.grad, *(
+            (top,) if j.order == 2 else (j.hess, top)))
+        g = random_element(tag, (41, idx), 0.5)
+        try:
+            on_defect, off_defect = orbit_defect(prolong(g, j)), orbit_defect(prolong(g, off))
+        except (*SKIP_EXCEPTIONS, SingularMetric):
+            continue
+        worst = max(worst, on_defect)
+        seen += off_defect > 1e-7
+        checked += 1
+    assert checked >= 90 and worst <= 1e-7 and seen >= 0.9 * checked
 
 
 class TestThirdOrderDefect:
