@@ -13,6 +13,7 @@ import argparse
 import errno
 import functools
 import json
+import math
 import os
 import shutil
 import sys
@@ -63,10 +64,6 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _dump_json(obj, path: str | None) -> None:
-    _write_text(_json_text(obj), path)
-
-
 def _write_all(outputs) -> None:
     """Write each (path, text) of ``outputs``, None meaning stdout, and no
     file unless every file can be written.
@@ -106,15 +103,11 @@ def _write_all(outputs) -> None:
             if os.path.exists(tmp):
                 os.remove(tmp)
     for path, text in direct:
-        _write_text(text, path)
-
-
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
 
 
 def _load_json(path: str) -> dict:
@@ -153,21 +146,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag, count in (("--samples", args.samples), ("--points", args.points)):
-        if count < 0:
-            raise UsageError(f"{flag} must be >= 0, got {count}")
     desc = descriptor_from_json(_load_json(args.descriptor))
-    if args.surface is not None:
+    if args.surface is None:
+        cfg = SampleConfig(args.seed, args.samples, args.scale, args.jet_scale, args.tol)
+        rep = invariance_report(desc, cfg)
+    else:
+        for flag, value in (("--points", args.points), ("--seed", args.seed),
+                            ("--point-scale", args.point_scale)):
+            if not 0 <= value < math.inf:
+                raise UsageError(f"{flag} must be finite and >= 0, got {value}")
         rng = np.random.default_rng(args.seed)
         pts = args.point_scale * rng.uniform(-1.0, 1.0, size=(args.points, desc.geometry.n))
         rep = check_solution(desc, args.surface, pts, tol=args.tol)
-    else:
-        cfg = SampleConfig(
-            seed=args.seed, count=args.samples, scale=args.scale,
-            jet_scale=args.jet_scale, tol=args.tol,
-        )
-        rep = invariance_report(desc, cfg)
-    _dump_json(rep.to_json(), args.out)
+    _write_all([(args.out, _json_text(rep.to_json()))])
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
@@ -181,7 +172,7 @@ def cmd_normalize(args) -> int:
     }
     if res.signature is not None:
         out["signature"] = res.signature.d
-    _dump_json(out, args.out)
+    _write_all([(args.out, _json_text(out))])
     return EXIT_OK
 
 
@@ -216,7 +207,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", type=float, default=1e-7)
     v.add_argument("--surface", help="check a catalog solution instead")
     v.add_argument("--points", type=int, default=200)
-    v.add_argument("--point-scale", type=float, default=0.5)
+    v.add_argument("--point-scale", type=float, default=0.5, help="size of the drawn points (finite, >= 0)")
     v.add_argument("--out", help="report path (default: stdout)")
     v.set_defaults(func=cmd_verify)
 

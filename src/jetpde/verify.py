@@ -7,19 +7,24 @@ the tolerances are scale-free.  Sampling is counter-based per index, so a
 report is a pure function of (descriptor, config) regardless of schedule.
 The samples are drawn one index at a time; the group elements, the
 prolongation, the residuals and the defects then run once on the whole
-jet batch, bit for bit as one sample at a time.  ``check_solution`` builds
-each catalog germ at its point, then sends the jets as one batch through
-the same evaluation stage (residual, skips, scale, worst defect).  A
-power that overflows in a residual or a scale is +-inf
-(:func:`~jetpde.taylor.pow_rows`), a value and not an error; the group
-scale and the jet scale must be finite and non-negative.
+jet batch, bit for bit as one sample at a time.  The catalog's polynomial
+germs are Taylor-engine arithmetic on the coordinate germs base[i] + x_i;
+``scherk``, ``saddle`` and (by its default shear) ``sheared_quadric`` are
+two-dimensional.  ``check_solution`` builds each germ at its point, then
+extends them to one jet batch for the same evaluation stage (residual,
+skips, scale, worst defect).  A power that overflows in a residual or a
+scale is +-inf (:func:`~jetpde.taylor.pow_rows`), a value and not an
+error; seed and count must be integers >= 0, the group scale and the jet
+scale finite and >= 0.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import numbers
 
 import numpy as np
 import scipy.optimize
@@ -27,7 +32,7 @@ import scipy.optimize
 from .errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch
 from .groups import affine_element, prolong, prolong_batch, random_elements
 from .invariants import eigenvalues, hessian_dets, pick_numerators, rho_of, sym_outer
-from .jetspace import GraphJet, JetBatch, jet_extend, to_poly
+from .jetspace import GraphJet, JetBatch, extend_rows, jet_extend, to_poly
 from .pde import (
     PdeDescriptor,
     homogeneity_degree,
@@ -37,7 +42,7 @@ from .pde import (
     tauring,
 )
 from .symtensor import SymCubic, SymMatrix, _cubic_gather, _matrix_gather
-from .taylor import TruncatedJet, compose, norm_rows, pow_rows
+from .taylor import TruncatedJet, norm_rows, pow_rows
 
 # On-locus samples must satisfy |residual| <= this (normalized) before any
 # transformation is applied; the 1-D solves are polished to this level.
@@ -329,10 +334,15 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     sample skipped by one step (prolongation first, then the residual)
     reaches no later step.  A JetError other than a skip raises, for
     instance DivisionByZero from a custom quotient expression whose
-    denominator vanishes at a sample.
+    denominator vanishes at a sample; a bad config raises SchemaMismatch
+    before any draw.
     """
-    if not 0.0 <= cfg.jet_scale < math.inf:
-        raise SchemaMismatch(f"jet scale must be finite and non-negative, got {cfg.jet_scale}")
+    for name, value in (("seed", cfg.seed), ("count", cfg.count)):
+        if not (isinstance(value, numbers.Integral) and value >= 0):
+            raise SchemaMismatch(f"{name} must be an integer >= 0, got {value!r}")
+    for name, value in (("scale", cfg.scale), ("jet scale", cfg.jet_scale)):
+        if not 0.0 <= value < math.inf:
+            raise SchemaMismatch(f"{name} must be finite and >= 0, got {value}")
     tag = desc.geometry
     skipped = {k: 0 for k in SKIP_KINDS}
     drawn, seeds = [], []
@@ -367,13 +377,18 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
 # -- exact-solution catalog -----------------------------------------------------
 
 
-def _poly1d_taylor(coeffs, x0: float, order: int) -> list[float]:
-    """Taylor coefficients at x0 of a univariate polynomial (ascending)."""
-    out = [0.0] * (order + 1)
-    for k, c in enumerate(coeffs):
-        for m in range(min(k, order) + 1):
-            out[m] += c * math.comb(k, m) * x0 ** (k - m)
-    return out
+def _coordinates(base, order: int) -> list[TruncatedJet]:
+    """The germs base[i] + x_i of the coordinate functions at ``base``."""
+    base = np.ravel(base).tolist()
+    return [TruncatedJet.coordinate(i, len(base), order) + float(b) for i, b in enumerate(base)]
+
+
+def _shaped(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array, which must have ``shape`` (n = shape[0])."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise SchemaMismatch(f"{name} must have shape {shape} at n = {shape[0]}, got {value.shape}")
+    return value
 
 
 def _log_cos_taylor(x0: float, order: int) -> list[float]:
@@ -384,32 +399,15 @@ def _log_cos_taylor(x0: float, order: int) -> list[float]:
     return [derivs[k] / math.factorial(k) for k in range(order + 1)]
 
 
-def _sqrt_taylor(t0: float, order: int) -> list[float]:
-    """Coefficients of sqrt(t0 + z) in z, t0 > 0."""
-    out = [math.sqrt(t0)]
-    binom = 0.5
-    acc = 0.5
-    for k in range(1, order + 1):
-        out.append(out[0] * acc / t0**k)
-        binom -= 1.0
-        acc = acc * binom / (k + 1)
-    return out
-
-
 def plane(base, order: int, value: float = 0.0, slope=None) -> TruncatedJet:
-    base = np.asarray(base, dtype=float)
-    n = base.size
-    slope = np.zeros(n) if slope is None else np.asarray(slope, dtype=float)
-    terms = {(0,) * n: value + float(slope @ base)}
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        terms[e] = slope[i]
-    return TruncatedJet.from_terms(terms, n, order)
+    """Germ of u = value + slope . x."""
+    xs = _coordinates(base, order)
+    slope = np.zeros(len(xs)) if slope is None else _shaped("slope", slope, (len(xs),))
+    return sum((s * x for s, x in zip(slope.tolist(), xs)), TruncatedJet.constant(value, len(xs), order))
 
 
 def paraboloid(base, order: int) -> TruncatedJet:
-    base = np.asarray(base, dtype=float)
-    return quadric_germ(np.eye(base.size), base, order)
+    return quadric_germ(np.eye(np.size(base)), base, order)
 
 
 def saddle(base, order: int) -> TruncatedJet:
@@ -417,53 +415,30 @@ def saddle(base, order: int) -> TruncatedJet:
 
 
 def quadric_germ(Q, base, order: int) -> TruncatedJet:
-    """Germ of u = x^T Q x at the given base point."""
-    Q = 0.5 * (np.asarray(Q, dtype=float) + np.asarray(Q, dtype=float).T)
-    base = np.asarray(base, dtype=float)
-    n = base.size
-    terms = {(0,) * n: float(base @ Q @ base)}
-    lin = 2.0 * Q @ base
-    for i in range(n):
-        terms[tuple(1 if k == i else 0 for k in range(n))] = lin[i]
-    if order >= 2:
-        for i in range(n):
-            for k in range(i + 1):
-                e = [0] * n
-                e[i] += 1
-                e[k] += 1
-                terms[tuple(e)] = Q[i, k] if i != k else Q[i, i]
-    return TruncatedJet.from_terms(terms, n, order)
+    """Germ of u = x^T Q x at the given base point; Q is n x n."""
+    xs = _coordinates(base, order)
+    Q = _shaped("Q", Q, (len(xs), len(xs))).tolist()
+    return sum((q * x * y for row, x in zip(Q, xs) for q, y in zip(row, xs)), TruncatedJet(len(xs), order))
 
 
 def cylinder_graph(base, order: int, coeffs=(0.0, 0.0, 0.0, 1.0)) -> TruncatedJet:
-    """Germ of u = f(x^1) for the univariate polynomial f (ascending coeffs)."""
-    base = np.asarray(base, dtype=float)
-    n = base.size
-    taylor = _poly1d_taylor(coeffs, float(base[0]), order)
-    terms = {}
-    for k, c in enumerate(taylor):
-        e = [0] * n
-        e[0] = k
-        terms[tuple(e)] = c
-    return TruncatedJet.from_terms(terms, n, order)
+    """Germ of u = f(x^1) for the univariate polynomial f (ascending coeffs), by Horner's rule."""
+    x = _coordinates(base, order)[0]
+    return functools.reduce(lambda f, c: f * x + c, reversed(coeffs), 0.0 * x)
 
 
 def sphere_cap(base, order: int, radius: float = 1.0, center_u: float = 0.0) -> TruncatedJet:
-    """Germ of the lower hemisphere graph u = c - sqrt(r^2 - |x|^2)."""
-    base = np.asarray(base, dtype=float)
-    n = base.size
-    q0 = float(base @ base)
-    if q0 >= radius**2 - 1e-12:
-        raise ChartDomain(f"|x| = {math.sqrt(q0):.3f} outside the cap of radius {radius}")
-    # u = c - sqrt(t0 - z) with t0 = r^2 - q0 and z = |x|^2 - q0
-    sqrt_c = _sqrt_taylor(radius**2 - q0, order)
-    outer = TruncatedJet.from_terms(
-        {(k,): (center_u if k == 0 else 0.0) - sqrt_c[k] * (-1.0) ** k
-         for k in range(order + 1)},
-        1, order,
-    )
-    inner = quadric_germ(np.eye(n), base, order)
-    return compose(outer, [inner - inner.const_term])
+    """Germ of the lower hemisphere graph u = c - t w, t = r^2 - |x|^2, where
+    w = 1/sqrt(t) takes three Newton steps w <- w (3 - t w^2) / 2 from
+    1/sqrt(t(0)), each doubling the order to which w is exact (1, 3, 7 >
+    MAX_ORDER).  No step divides, so near the rim no divisor test fails."""
+    t = radius**2 - paraboloid(base, order)
+    if t.const_term <= 1e-12:
+        raise ChartDomain(f"|x| = {math.hypot(*np.ravel(base)):.4g} outside the cap of radius {radius}")
+    w = TruncatedJet.constant(1.0 / math.sqrt(t.const_term), t.n_vars, order)
+    for _ in range(3):
+        w = w * (3.0 - t * w * w) * 0.5
+    return center_u - t * w
 
 
 def scherk(base, order: int) -> TruncatedJet:
@@ -489,8 +464,8 @@ def sheared_quadric(base, order: int, Q=None, w=(0.3, -0.2)) -> TruncatedJet:
     """
     base = np.asarray(base, dtype=float)
     n = base.size
-    Q = np.eye(n) if Q is None else 0.5 * (np.asarray(Q) + np.asarray(Q).T)
-    w = np.asarray(w, dtype=float)
+    Q = np.eye(n) if Q is None else _shaped("Q", Q, (n, n))
+    w = _shaped("w", w, (n,))
     x = base.copy()
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -531,24 +506,31 @@ def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-
     """Max normalized residual of the named exact solution at the points;
     the report passes when it is at most ``tol`` and some point was
     evaluated (or none was asked for).  Each point's germ is built on its
-    own (a constructor may skip the point); the jets then go through the
-    evaluation stage of :func:`invariance_report` as one batch.  A JetError
-    other than a skip raises, for instance DivisionByZero from a custom
-    quotient expression whose denominator vanishes at a point."""
+    own (a constructor may skip the point); the germs, which must be over
+    the descriptor's n variables, are then extended to jets as one batch
+    and go through the evaluation stage of :func:`invariance_report`.  A
+    JetError other than a skip raises, for instance DivisionByZero from a
+    custom quotient expression whose denominator vanishes at a point."""
     catalog = solution_catalog()
     if germ_name not in catalog:
         raise SchemaMismatch(f"unknown catalog surface {germ_name!r}")
     make = catalog[germ_name]
     points = [np.asarray(p, dtype=float) for p in points]
     skipped = {k: 0 for k in SKIP_KINDS}
-    built = []
+    bases, germs = [], []
     for p in points:
         try:
-            germ = make(p, desc.order, **params)
-            built.append(jet_extend(germ, p, desc.order, chart=desc.chart))
+            germs.append(make(p, desc.order, **params))
+            bases.append(p)
         except tuple(SKIP_EXCEPTIONS) as exc:
             skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
-    max_defect, live = _evaluate(desc, JetBatch.of(built), skipped) if built else (0.0, ())
+    max_defect, live = 0.0, ()
+    if germs:
+        n = desc.geometry.n
+        if any(g.n_vars != n or p.size != n for g, p in zip(germs, bases)):
+            raise SchemaMismatch(f"surface {germ_name!r} needs points and germs over n = {n} variables")
+        jets = extend_rows(np.array([g.coeffs for g in germs]), np.array(bases), desc.order, desc.chart)
+        max_defect, live = _evaluate(desc, jets, skipped)
     return _report(f"{desc.desc_id}:{germ_name}", 0, len(points), skipped, max_defect, len(live), tol)
 
 

@@ -8,6 +8,7 @@ import traceback
 import numpy as np
 import pytest
 
+from jetpde import cli
 from jetpde.cli import main
 from jetpde.groups import GeometryTag
 from jetpde.jetspace import GraphJet, jet_to_json
@@ -208,6 +209,27 @@ class TestVerify:
         assert run(["verify", str(ms_desc), "--samples", "10", "--seed", "0", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_writes_through_a_symlinked_out(self, tmp_path, ms_desc):
+        target = tmp_path / "target.json"
+        target.write_text("previous contents\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert run(["verify", str(ms_desc), "--samples", "5", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["attempted"] == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "ms.json", "target.json"]
+
+    @pytest.mark.parametrize("surface", [None, "plane"])
+    def test_reports_staged_like_every_output(self, tmp_path, ms_desc, monkeypatch, surface):
+        # verify writes its report through the one writer that stages files
+        writes = []
+        monkeypatch.setattr(cli, "_write_all", writes.append)
+        rep = tmp_path / "rep.json"
+        argv = ["verify", str(ms_desc), "--samples", "5", "--points", "5", "--out", str(rep)]
+        assert run(argv + (["--surface", surface] if surface else [])) == 0
+        assert [[path for path, _ in w] for w in writes] == [[str(rep)]]
+        assert not rep.exists()
+
     def test_failed_verification_exit_1(self, tmp_path, ms_desc):
         rep = tmp_path / "rep.json"
         code = run(["verify", str(ms_desc), "--samples", "20", "--seed", "5",
@@ -238,6 +260,16 @@ class TestNormalize:
         hess = blob["jet"]["hess_lower"]
         assert np.allclose(hess, [2.0, 0.0, -2.0], atol=1e-9)
 
+    def test_output_staged_like_every_output(self, tmp_path, monkeypatch):
+        writes = []
+        monkeypatch.setattr(cli, "_write_all", writes.append)
+        jp, out = tmp_path / "jet.json", tmp_path / "nf.json"
+        write_jet(jp, GraphJet("euclidean", 2, 2, [1.0, 2.0], 3.0, [0.4, -0.1],
+                               SymMatrix.diag([1.0, 2.0])))
+        assert run(["normalize", "--geometry", "euclidean", str(jp), "--out", str(out)]) == 0
+        assert [[path for path, _ in w] for w in writes] == [[str(out)]]
+        assert json.loads(writes[0][0][1])["jet"]["u"] is not None
+
     def test_degenerate_exit_4(self, tmp_path):
         j = GraphJet("affine", 2, 3, [0, 0], 0.0, [0, 0],
                      SymMatrix.diag([1.0, 0.0]), SymCubic(2))
@@ -251,6 +283,7 @@ def inputs(tmp_path):
     """Input files for the error cases, keyed by their argv placeholder."""
     files = {
         "ms": descriptor_to_json(build(GeometryTag("euclidean", 2), "minimal_surface")),
+        "ms3": descriptor_to_json(build(GeometryTag("euclidean", 3), "minimal_surface")),
         # tau_1 / (sigma_1 - sigma_1): every residual divides by zero
         "div0": descriptor_to_json(build(GeometryTag("euclidean", 2), tau(1) / (sigma(1) - sigma(1)))),
         "expr": expr_to_json(tau(1)),
@@ -306,6 +339,15 @@ def inputs(tmp_path):
     (["verify", "{ms}", "--samples", "3", "--jet-scale", "-1"], 2),
     (["verify", "{ms}", "--samples", "3", "--jet-scale", "nan"], 2),
     (["verify", "{ms}", "--samples", "3", "--jet-scale", "inf"], 2),
+    (["verify", "{ms}", "--samples", "3", "--seed", "-1"], 2),
+    (["verify", "{ms}", "--samples", "0", "--scale", "nan"], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--seed", "-2"], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--point-scale", "inf"], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--point-scale", "-1"], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--point-scale", "nan"], 2),
+    (["verify", "{ms3}", "--surface", "saddle", "--points", "5"], 2),
+    (["verify", "{ms3}", "--surface", "sheared_quadric", "--points", "5"], 2),
+    (["verify", "{ms3}", "--surface", "scherk", "--points", "5"], 2),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from jetpde.errors import ChartDomain, DegenerateHessian, DivisionByZero, SingularMetric
+from jetpde.errors import ChartDomain, DegenerateHessian, DivisionByZero, SchemaMismatch, SingularMetric
 from jetpde.groups import GeometryTag, prolong, random_element
 from jetpde.invariants import F_aff3, pick_numerator, shape_matrix, tracefree_cubic, tracefree_shape
 from jetpde.jetspace import GraphJet, JetBatch, jet_extend
@@ -17,16 +17,22 @@ from jetpde.verify import (
     SOUNDNESS_TOL,
     SampleConfig,
     check_solution,
+    cylinder_graph,
     invariance_report,
     orbit_point,
+    paraboloid,
+    plane,
+    quadric_germ,
     report_to_text,
     residual_scale,
+    saddle,
     sample_on_zero_set,
     scherk,
     sheared_quadric,
     solution_catalog,
     sphere_cap,
 )
+from jetpde.taylor import TruncatedJet, multi_indices
 
 E2 = GeometryTag("euclidean", 2)
 C2 = GeometryTag("conformal", 2)
@@ -171,6 +177,19 @@ class TestInvarianceReport:
         rep = invariance_report(desc, SampleConfig(seed=1, count=0))
         assert rep.passed and rep.attempted == 0 and rep.max_defect == 0.0
 
+    @pytest.mark.parametrize("cfg", [
+        SampleConfig(-1, 3), SampleConfig(7, -5), SampleConfig(2.5, 3), SampleConfig(7, 3.0),
+        SampleConfig(7, 0, scale=math.nan), SampleConfig(7, 0, scale=-1.0),
+        SampleConfig(7, 0, scale=math.inf),
+    ])
+    def test_config_checked_before_any_draw(self, cfg, monkeypatch):
+        # a negative seed once ended in numpy's ValueError, a negative count in
+        # a report with "attempted": -5, and a nan scale passed when nothing
+        # was drawn; each is a SchemaMismatch before the sampler runs
+        monkeypatch.setattr(verify, "sample_on_zero_set", lambda *args: pytest.fail("drew a sample"))
+        with pytest.raises(SchemaMismatch):
+            invariance_report(build(E2, "minimal_surface"), cfg)
+
     def test_scale_zero_nothing_skipped(self):
         desc = build(E2, "monge_ampere")
         rep = invariance_report(desc, SampleConfig(seed=3, count=40, scale=0.0, tol=1e-10))
@@ -274,6 +293,60 @@ class TestCatalog:
         expected_hess = np.eye(2) / s + np.outer(base, base) / s**3
         assert np.allclose(j.hess.full(), expected_hess, atol=1e-12)
 
+    def test_quadric_cross_terms(self):
+        # (b + d)^T Q (b + d) = b^T Q b + d^T (Q + Q^T) b + d^T Q d, so the
+        # d0 d1 coefficient is Q01 + Q10: 2 Q01 for a symmetric Q
+        b, d = np.array([0.3, -0.2]), np.array([0.1, 0.05])
+        for Q in (np.array([[1.0, 0.5], [0.5, 2.0]]), np.array([[1.0, 0.9], [0.1, -2.0]])):
+            g = quadric_germ(Q, b, 3)
+            assert g.coeff((0, 0)) == pytest.approx(b @ Q @ b, abs=1e-15)
+            assert np.allclose(g.linear_part(), (Q + Q.T) @ b, atol=1e-15)
+            quadratic = (g.coeff((2, 0)), g.coeff((1, 1)), g.coeff((0, 2)))
+            assert quadratic == (Q[0, 0], Q[0, 1] + Q[1, 0], Q[1, 1])
+            assert all(g.coeff(a) == 0.0 for a in multi_indices(2, 3) if sum(a) == 3)
+            assert g(d) == pytest.approx((b + d) @ Q @ (b + d), abs=1e-15)
+        Q = np.array([[1.0, 0.5], [0.5, 2.0]])
+        assert quadric_germ(Q, b, 2)(d) == pytest.approx(0.1450, abs=1e-15)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_polynomial_surfaces_closed_forms(self, order):
+        # Taylor coefficients at b written out by hand, truncated at the order
+        b0, b1 = b = np.array([0.4, -0.7])
+        cases = {
+            "plane": (plane(b, order, value=0.3, slope=[0.1, -0.2]),
+                      {(0, 0): 0.3 + 0.1 * b0 - 0.2 * b1, (1, 0): 0.1, (0, 1): -0.2}),
+            "paraboloid": (paraboloid(b, order),
+                           {(0, 0): b0**2 + b1**2, (1, 0): 2 * b0, (0, 1): 2 * b1,
+                            (2, 0): 1.0, (0, 2): 1.0}),
+            "saddle": (saddle(b, order),
+                       {(0, 0): b0**2 - b1**2, (1, 0): 2 * b0, (0, 1): -2 * b1,
+                        (2, 0): 1.0, (0, 2): -1.0}),
+            # f = 0.5 - x + 2 x^2 + x^3: f, f', f''/2, f'''/6 at b0
+            "cylinder_graph": (cylinder_graph(b, order, coeffs=(0.5, -1.0, 2.0, 1.0)),
+                               {(0, 0): 0.5 - b0 + 2 * b0**2 + b0**3, (1, 0): -1.0 + 4 * b0 + 3 * b0**2,
+                                (2, 0): 2.0 + 3 * b0, (3, 0): 1.0}),
+        }
+        for name, (germ, terms) in cases.items():
+            want = TruncatedJet.from_terms({a: v for a, v in terms.items() if sum(a) <= order}, 2, order)
+            assert germ.order == order and germ.allclose(want, tol=1e-15), name
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_sphere_cap_is_the_square_root(self, order):
+        # c - u is the positive root of t = r^2 - |x|^2 to the germ's order
+        for base in ([0.3, -0.1], [-0.9, 0.6], [0.0, 0.0]):
+            s = 0.7 - sphere_cap(np.array(base), order, radius=1.3, center_u=0.7)
+            t = 1.3**2 - paraboloid(base, order)
+            assert s.const_term > 0.0 and (s * s).allclose(t, tol=1e-12)
+
+    def test_sphere_cap_near_the_rim(self):
+        # t(0) = 1e-6: the coefficients reach t(0)^(1/2 - 3) ~ 1e15, which a
+        # Newton step dividing by sqrt(t) would refuse as a singular divisor
+        s = math.sqrt(1e-6)
+        base = np.array([math.sqrt(1.0 - 1e-6), 0.0])
+        j = jet_extend(sphere_cap(base, 3), base, 3)
+        assert np.allclose(j.grad, base / s, rtol=1e-9)
+        assert np.allclose(j.hess.full(), np.eye(2) / s + np.outer(base, base) / s**3, rtol=1e-9)
+
     def test_sheared_quadric_relation(self):
         # third jet at 0 differs from the quadric's by the symmetric tensor
         # of -2 Q(t) <t, w>
@@ -342,17 +415,18 @@ class TestCheckSolution:
         assert not rep.passed
 
     def test_points_evaluated_as_one_batch(self, monkeypatch):
-        # each point's jet is built first; one residuals and one
-        # residual_scales call then evaluate all of them
+        # each point's germ is built first; one extend_rows, one residuals
+        # and one residual_scales call then take all of them
         calls = []
-        for name in ("residuals", "residual_scales"):
-            def spy(desc, jets, name=name, real=getattr(verify, name)):
-                calls.append((name, len(jets)))
-                return real(desc, jets)
+        for name in ("extend_rows", "residuals", "residual_scales"):
+            def spy(*args, name=name, real=getattr(verify, name)):
+                calls.append((name, len(args[1])))
+                return real(*args)
             monkeypatch.setattr(verify, name, spy)
+        monkeypatch.setattr(verify, "jet_extend", lambda *args, **kw: pytest.fail("per-point jet_extend"))
         rep = check_solution(build(E2, "minimal_surface"), "sphere_cap",
                              [[0.1, 0.2], [2.0, 0.0], [0.3, -0.1]])
-        assert calls == [("residuals", 2), ("residual_scales", 2)]
+        assert calls == [("extend_rows", 2), ("residuals", 2), ("residual_scales", 2)]
         assert rep.evaluated == 2 and rep.skipped["chart_domain"] == 1
 
     def test_every_point_skipped_fails(self):
@@ -362,6 +436,24 @@ class TestCheckSolution:
         assert rep.max_defect == 0.0
         assert not rep.passed
         assert check_solution(build(E2, "minimal_surface"), "sphere_cap", []).passed
+
+    @pytest.mark.parametrize("name,params", [
+        ("saddle", {}), ("sheared_quadric", {}),
+        ("sheared_quadric", {"Q": np.eye(2), "w": (0.1, 0.2, 0.3)}), ("scherk", {}),
+        ("plane", {"slope": [1.0, 2.0]}), ("plane", {"slope": [1.0, 2.0, 3.0, 4.0]}),
+    ])
+    def test_surfaces_check_their_dimension(self, name, params):
+        # saddle's Q and sheared_quadric's default w fix n = 2; a too long
+        # slope is refused, not truncated
+        pts = 0.3 * np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 3))
+        with pytest.raises(SchemaMismatch):
+            check_solution(build(GeometryTag("euclidean", 3), "minimal_surface"), name, pts, **params)
+
+    def test_sheared_quadric_in_three_variables(self):
+        pts = 0.2 * np.random.default_rng(5).standard_normal((20, 3))
+        rep = check_solution(build(GeometryTag("affine", 3), "affine_cubic"), "sheared_quadric", pts,
+                             Q=np.diag([1.0, 2.0, -1.0]), w=(0.3, -0.2, 0.1))
+        assert rep.evaluated == 20 and rep.max_defect <= 1e-10
 
     def test_sheared_quadric_solves_affine(self):
         desc = build(A2, "affine_cubic")
