@@ -86,11 +86,6 @@ class Signature:
         return SymMatrix.diag([1.0] * self.d + [-1.0] * (self.n - self.d))
 
 
-def rho_of(grad) -> float:
-    grad = np.asarray(grad, dtype=float)
-    return 1.0 + float(grad @ grad)
-
-
 @functools.lru_cache(maxsize=None)
 def _identity(n: int) -> np.ndarray:
     eye = np.eye(n)
@@ -213,13 +208,23 @@ def cubic_trace(g: SymMatrix, C: SymCubic) -> np.ndarray:
     return np.einsum("ij,ijk->k", ginv, C.full())
 
 
+@functools.lru_cache(maxsize=None)
+def _sym_outer_columns(n: int) -> np.ndarray:
+    """Per stored cubic entry (i, j, k): i, j, k and the storage positions of g_jk, g_ik, g_ij."""
+    at = [[max(a, b) * (max(a, b) + 1) // 2 + min(a, b) for b in range(n)] for a in range(n)]
+    return np.array([(i, j, k, at[j][k], at[i][k], at[i][j]) for i, j, k in cubic_indices(n)]).T
+
+
+def sym_outers(W: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The stored cubics of :func:`sym_outer` for the rows of covectors W
+    (m, n) and of stored symmetric matrices G (m, n(n+1)/2)."""
+    i, j, k, jk, ik, ij = _sym_outer_columns(W.shape[-1])
+    return W[:, i] * G[:, jk] + W[:, j] * G[:, ik] + W[:, k] * G[:, ij]
+
+
 def sym_outer(w, g: SymMatrix) -> SymCubic:
     """The symmetrized product (w . g)_{ijk} = w_i g_jk + w_j g_ik + w_k g_ij."""
-    w = np.asarray(w, dtype=float)
-    vals = []
-    for i, j, k in cubic_indices(g.n):
-        vals.append(w[i] * g[j, k] + w[j] * g[i, k] + w[k] * g[i, j])
-    return SymCubic(g.n, vals)
+    return SymCubic(g.n, sym_outers(np.asarray(w, dtype=float)[None], g.data[None])[0])
 
 
 def tracefree_cubic(g: SymMatrix, C: SymCubic) -> SymCubic:

@@ -214,40 +214,6 @@ def _eval_tree(e: Expr, leaf_value):
     raise InvalidExpr(f"unknown node {e.op!r}")
 
 
-def second_order_residuals(desc: PdeDescriptor, grad, H: np.ndarray) -> np.ndarray:
-    """Euclidean or conformal residuals of the jets with the full Hessians
-    of the (m, n, n) stack ``H`` and the gradient ``grad``, one (n,) for
-    the stack or one per row (m, n), as an (m,) array.
-
-    :func:`residuals` calls this function with one gradient per row.  The
-    leaves are the stacked invariants, so each row is bitwise the value a
-    stack of one gives.  numpy warnings are off: an inf or nan row is a value, which a
-    report counts as an infinite defect.
-    """
-    cache: dict = {}
-
-    def leaf_value(e: Expr) -> np.ndarray:
-        if e.op in ("lam", "sigma"):
-            if "lams" not in cache:
-                cache["lams"] = eigenvalues(grad, H)
-            if e.op == "lam":
-                return cache["lams"][:, e.index - 1]
-            return elementary_symmetric(cache["lams"], e.index)
-        if e.op == "tau":
-            if "S" not in cache:
-                cache["S"] = shape_matrix(grad, H)
-            return tau_d(cache["S"], e.index)
-        if e.op == "tauring":
-            if "S0" not in cache:
-                cache["S0"] = tracefree_shape(grad, H)
-            return tau_d(cache["S0"], e.index)
-        raise InvalidExpr(f"leaf {e.op!r} unexpected here")
-
-    with np.errstate(all="ignore"):
-        out = _eval_tree(desc.expr, leaf_value)
-    return out if isinstance(out, np.ndarray) else np.full(len(H), out)
-
-
 class _NothingLive(Exception):
     """Every row of a batch was skipped while its expression was evaluated."""
 
@@ -256,9 +222,11 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
     """Scalars whose vanishing says the jets solve the PDE, one per row, and
     {row: DegenerateHessian} for the rows skipped on the degenerate locus.
 
-    A skipped row's value is nan, so no later node can raise for it.  As
-    for Python floats, an overflow or an inf - inf is a value, not a
-    warning.
+    The leaves are the stacked invariants of the rows, each leaf computed
+    once, so each row is bitwise the value a batch of one gives.  A skipped
+    row's value is nan, so no later node can raise for it.  numpy warnings
+    are off: as for Python floats, an overflow or an inf - inf is a value,
+    which a report counts as an infinite defect.
     """
     if jets.chart != desc.chart:
         raise SchemaMismatch(f"jet chart {jets.chart!r}, descriptor wants {desc.chart!r}")
@@ -266,35 +234,37 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
         raise SchemaMismatch(f"jet order {jets.order}, descriptor wants {desc.order}")
     if jets.n != desc.geometry.n:
         raise SchemaMismatch("jet and descriptor dimension differ")
-    H = jets.hess[:, _matrix_gather(jets.n)]
-    if desc.geometry.name in ("euclidean", "conformal"):
-        return second_order_residuals(desc, jets.grad, H), {}
-
-    # affine / projective third-order route: the normalized jet has hess =
-    # 2 eps, so the pick norm against eps is 8 pick_norm(hess, C0) = 8 Q / det^3.
-    cache: dict = {}
+    grad, H = jets.grad, jets.hess[:, _matrix_gather(jets.n)]
     skipped: dict = {}
 
+    def pick_leaf() -> np.ndarray:
+        # the normalized jet has hess = 2 eps, so the pick norm against eps
+        # is 8 pick_norm(hess, C0) = 8 Q / det^3
+        det, degenerate = hessian_dets(H)
+        skipped.update(degenerate)
+        if len(skipped) == len(det):
+            raise _NothingLive
+        live = np.delete(np.arange(len(det)), list(skipped)) if skipped else slice(None)
+        out = np.full(len(det), np.nan)
+        C = jets.cubic[live][:, _cubic_gather(jets.n)]
+        out[live] = 8.0 * pick_numerators(H[live], C) / pow_rows(det[live], 3)
+        return out
+
+    makers = {"lam": lambda: eigenvalues(grad, H), "tau": lambda: shape_matrix(grad, H),
+              "tauring": lambda: tracefree_shape(grad, H), "pick": pick_leaf}
+    cache: dict = {}
+
     def leaf_value(e: Expr) -> np.ndarray:
-        if e.op != "pick":
+        if e.op not in ALLOWED_LEAVES[desc.geometry.name]:
             raise InvalidExpr(f"leaf {e.op!r} unexpected here")
-        if "pick" not in cache:
-            det, skipped_rows = hessian_dets(H)
-            skipped.update(skipped_rows)
-            if len(skipped) == len(det):
-                raise _NothingLive
-
-            def pick_rows(rows):
-                C = jets.cubic[rows][:, _cubic_gather(jets.n)]
-                return 8.0 * pick_numerators(H[rows], C) / pow_rows(det[rows], 3)
-
-            if skipped:
-                live = np.delete(np.arange(len(det)), list(skipped))
-                cache["pick"] = np.full(len(det), np.nan)
-                cache["pick"][live] = pick_rows(live)
-            else:
-                cache["pick"] = pick_rows(slice(None))
-        return cache["pick"]
+        key = "lam" if e.op == "sigma" else e.op
+        if key not in cache:
+            cache[key] = makers[key]()
+        if e.op in ("tau", "tauring"):
+            return tau_d(cache[key], e.index)
+        if e.op == "sigma":
+            return elementary_symmetric(cache[key], e.index)
+        return cache[key][:, e.index - 1] if e.op == "lam" else cache[key]
 
     try:
         with np.errstate(all="ignore"):

@@ -36,6 +36,7 @@ pure and return new jets; instances are never mutated after construction.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -164,7 +165,11 @@ def pow_rows(x, k) -> np.ndarray:
     Where the float power overflows, the entry is inf, signed as ``v`` for
     an odd integer ``k``."""
     x = np.asarray(x, dtype=float)
-    return np.array([_float_power(v, k) for v in x.ravel().tolist()]).reshape(x.shape)
+    try:  # the builtin power on every entry, unless one overflows
+        out = np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(k)), float, x.size)
+    except OverflowError:
+        out = np.array([_float_power(v, k) for v in x.ravel().tolist()])
+    return out.reshape(x.shape)
 
 
 def _unit_rows(rows: int, size: int, cols) -> np.ndarray:

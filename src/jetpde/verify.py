@@ -5,7 +5,8 @@ random group elements and records how far the transformed jets drift off
 the zero set.  Residuals are normalized by a local homogeneity scale so
 the tolerances are scale-free.  Sampling is counter-based per index, so a
 report is a pure function of (descriptor, config) regardless of schedule.
-The samples are drawn one index at a time; the group elements, the
+One draw stage (:func:`sample_rows`) draws every sample, each from its own
+generator, with its retries in masked rounds; the group elements, the
 prolongation, the residuals and the defects then run once on the whole
 jet batch, bit for bit as one sample at a time.  The catalog's polynomial
 germs are Taylor-engine arithmetic on the coordinate germs base[i] + x_i;
@@ -27,22 +28,15 @@ import math
 import numbers
 
 import numpy as np
-import scipy.optimize
+import scipy.optimize  # noqa: F401  bench/tracing.py wraps brentq through sys.modules["scipy.optimize"]
 
 from .errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch
 from .groups import affine_element, prolong, prolong_batch, random_elements
-from .invariants import eigenvalues, hessian_dets, pick_numerators, rho_of, sym_outer
+from .invariants import eigenvalues, hessian_dets, pick_numerators, sym_outers
 from .jetspace import GraphJet, JetBatch, extend_rows, jet_extend, to_poly
-from .pde import (
-    PdeDescriptor,
-    homogeneity_degree,
-    pick,
-    residuals,
-    second_order_residuals,
-    tauring,
-)
-from .symtensor import SymCubic, SymMatrix, _cubic_gather, _matrix_gather
-from .taylor import TruncatedJet, norm_rows, pow_rows
+from .pde import PdeDescriptor, homogeneity_degree, pick, residuals, tauring
+from .symtensor import _cubic_gather, _matrix_gather, cubic_indices
+from .taylor import TruncatedJet, norm_rows, pow_rows, sumsq_rows
 
 # On-locus samples must satisfy |residual| <= this (normalized) before any
 # transformation is applied; the 1-D solves are polished to this level.
@@ -58,6 +52,10 @@ SKIP_KINDS = ("no_root", *SKIP_EXCEPTIONS.values())
 
 # Tries per draw: Hessians with |det| >= 0.3, then lines through a cubic.
 DRAW_TRIES = 20
+# The points at which a second-order draw scans its last Hessian entry, and
+# the most draws one residual call scans.
+LINE = np.linspace(-50.0, 50.0, 65)
+SCAN_DRAWS = 1024
 # The expressions whose zero set is the orbit's sub-bundle (pick: definite hess).
 ORBIT_EXPRS = (tauring(2), pick())
 
@@ -127,16 +125,6 @@ def residual_scale(desc: PdeDescriptor, j: GraphJet) -> float:
     return float(residual_scales(desc, JetBatch.of([j]))[0])
 
 
-def _sound(desc: PdeDescriptor, j: GraphJet) -> GraphJet | None:
-    """The drawn jet, or None when its residual exceeds SOUNDNESS_TOL times
-    its scale: :func:`residual` and :func:`residual_scale` on one batch."""
-    jets = JetBatch.of([j])
-    values, skipped = residuals(desc, jets)
-    if skipped:
-        raise skipped[0]
-    return None if abs(values[0]) > SOUNDNESS_TOL * residual_scales(desc, jets)[0] else j
-
-
 def _smallest_root(a: float, b: float, c: float, bracket: float):
     """Smallest real root of a t^2 + b t + c (a != 0) in [-bracket, bracket],
     or None."""
@@ -149,124 +137,204 @@ def _smallest_root(a: float, b: float, c: float, bracket: float):
     return min(inside) if inside else None
 
 
-def _solve_on_line(f, ts: np.ndarray, vals: np.ndarray):
-    """Leftmost root of f found on the grid ``ts``, given ``vals = f(ts)``.
-
-    Scans the cells from the left: a grid point where the scan is exactly
-    zero is returned as it is, and the first cell whose end values have
-    opposite signs is polished by Brent's method on f.  None when no grid
-    value is zero and no cell changes sign (a nan value brackets nothing).
-    The signs are tested on Python floats, whose product overflows to inf
-    without a warning.
-    """
-    vals = vals.tolist()
-    for k in range(ts.size - 1):
-        a, b = vals[k], vals[k + 1]
-        if a == 0.0:
-            return float(ts[k])
-        if a * b < 0.0:
-            return float(
-                scipy.optimize.brentq(
-                    f, ts[k], ts[k + 1], xtol=1e-15, rtol=8.9e-16, maxiter=200
-                )
-            )
-    if vals[-1] == 0.0:
-        return float(ts[-1])
+def _brent(xpre: float, xcur: float, fpre: float, fcur: float):
+    """Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4) on a cell whose end values do not share a
+    sign, as a coroutine on Python floats: ``fcur = yield xcur``.  A port
+    of scipy's brentq.c at xtol 1e-15, rtol 8.9e-16: its root is brentq's
+    bit for bit.  Returns the root and its value, or None after 200 steps
+    or at a nan value, where brentq raises."""
+    if fpre == 0.0 or fcur == 0.0:
+        return (xpre, fpre) if fpre == 0.0 else (xcur, fcur)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(200):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (1e-15 + 8.9e-16 * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+        good = False  # a short interpolated step, else bisection
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:  # where C divides by zero, its inf or nan step bisects
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:
+                pass
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = yield xcur
+        if math.isnan(fcur):
+            return None
     return None
 
 
-def orbit_point(chart: str, lower: tuple, param) -> GraphJet:
-    """The point over the lower jet (base, u, grad[, hess]) of the G-orbit's
-    affine sub-bundle, from its model-space parameter: over a 1-jet and c,
-    the umbilic hess = c rho (I + grad grad^T) (conformal); over a 2-jet and
-    a covector w, cubic = sym_outer(w, hess) (affine, projective)."""
-    base, u, grad, *hess = lower
-    n = grad.size
-    if hess:
-        return GraphJet(chart, n, 3, base, u, grad, hess[0], sym_outer(param, hess[0]))
-    rho = rho_of(grad)
-    hinv = rho * (np.eye(n) + np.outer(grad, grad))
-    return GraphJet(chart, n, 2, base, u, grad, SymMatrix.from_full(param * hinv))
+def orbit_points(lower: JetBatch, params: np.ndarray) -> JetBatch:
+    """The points of the G-orbit's affine sub-bundle over the lower jets,
+    from their model-space parameters: over 1-jets and c (N,), the umbilic
+    hess = c rho (I + grad grad^T) (conformal); over 2-jets and covectors w
+    (N, n), cubic = sym_outer(w, hess) (affine, projective)."""
+    n, grad, top = lower.n, lower.grad, lower.hess
+    if lower.order == 1:
+        rho = (1.0 + sumsq_rows(grad))[:, None, None]
+        full = params[:, None, None] * (rho * (np.eye(n) + grad[:, :, None] * grad[:, None, :]))
+        top = np.empty((len(lower), n * (n + 1) // 2))  # symmetrized as SymMatrix.from_full
+        top[:, _matrix_gather(n).ravel()] = (0.5 * (full + full.swapaxes(1, 2))).reshape(len(lower), n * n)
+    top = [top] if lower.order == 1 else [top, sym_outers(params, top)]
+    return JetBatch(lower.chart, n, lower.order + 1, lower.base, lower.u, grad, *top)
 
 
-def _sample_euclidean(desc: PdeDescriptor, rng, lower: tuple) -> GraphJet | None:
-    base, u, grad = lower
-    n = grad.size
-    hess_entries = rng.standard_normal(n * (n + 1) // 2)
+def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
+    """Roots of the residual along the last Hessian entry of each row.  One
+    residual call scans up to SCAN_DRAWS rows at LINE; :func:`_brent` polishes each
+    row's first cell with a zero end or end values whose product is
+    negative, the live polishes of a round sharing one residual call.
+    Returns the rows with a root, their Hessian entries and residuals."""
 
-    gather = _matrix_gather(n)
+    def values(rows, hess) -> np.ndarray:
+        jets = JetBatch(desc.chart, lower.n, 2, lower.base[rows], lower.u[rows], lower.grad[rows], hess)
+        return residuals(desc, jets)[0]
 
-    def with_last(t):
-        entries = hess_entries.copy()
-        entries[-1] = t
-        return entries
+    def scanned(rows) -> np.ndarray:
+        scan = np.repeat(entries[rows], LINE.size, axis=0)
+        scan.reshape(len(rows), LINE.size, entries.shape[1])[:, :, -1] = LINE
+        return values(np.repeat(rows, LINE.size), scan).reshape(len(rows), LINE.size)
 
-    def residual_at(t) -> float:
-        """residual(desc, jet with last Hessian entry t), without the jet."""
-        return float(second_order_residuals(desc, grad, with_last(t)[gather][None])[0])
+    # blocks bound the memory of the scan; a row scans bit for bit as it would alone
+    vals = np.concatenate([scanned(np.arange(len(entries))[i : i + SCAN_DRAWS])
+                           for i in range(0, max(len(entries), 1), SCAN_DRAWS)])
+    with np.errstate(all="ignore"):  # the products overflow or meet inf * 0 as Python floats do
+        zero = vals == 0.0
+        events = np.concatenate([zero[:, :-1] | (vals[:, :-1] * vals[:, 1:] < 0.0), zero[:, -1:]], axis=1)
+    polish = {}
+    for r in np.flatnonzero(events.any(axis=1)).tolist():
+        k = min(int(events[r].argmax()), LINE.size - 2)  # a zero at the end closes the last cell
+        polish[r] = _brent(float(LINE[k]), float(LINE[k + 1]), *vals[r, k : k + 2].tolist())
+    roots, sent = {}, dict.fromkeys(polish)  # the value each live polish is sent next
+    while sent:
+        asked = {}
+        for r, f in sent.items():
+            try:
+                asked[r] = polish[r].send(f)
+            except StopIteration as stop:
+                if stop.value:
+                    roots[r] = stop.value
+        hess = entries[list(asked)]
+        hess[:, -1] = list(asked.values())
+        sent = dict(zip(asked, values(list(asked), hess).tolist())) if asked else {}
+    rows = sorted(roots)
+    hess = entries[rows]
+    hess[:, -1] = [roots[r][0] for r in rows]
+    return rows, hess, np.array([roots[r][1] for r in rows])
 
-    # one stacked residual call scans the last Hessian entry over [-50, 50]
-    ts = np.linspace(-50.0, 50.0, 65)
-    line = np.repeat(hess_entries[None, :], ts.size, axis=0)
-    line[:, -1] = ts
-    vals = second_order_residuals(desc, grad, line[:, gather])
-    root = _solve_on_line(residual_at, ts, vals)
-    if root is None:
-        return None
-    return GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix(n, with_last(root)))
 
-
-def _sample_cubic(desc: PdeDescriptor, rng, lower: tuple) -> tuple[GraphJet | None, bool]:
-    """A third-order draw, and whether it lies on the orbit's sub-bundle."""
-    n = desc.geometry.n
-    for _ in range(DRAW_TRIES):
-        hess = SymMatrix(n, rng.standard_normal(n * (n + 1) // 2))
-        H = hess.full()
-        if abs(np.linalg.det(H)) >= 0.3:
+def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
+    """Third-order draws: a Hessian with |det| >= 0.3 (``first`` holds the
+    first tries), then over a definite one a sub-bundle cubic (there Q is
+    definite in the cubic, so the sub-bundle is its zero set), over an
+    indefinite one a root of Q along the last coefficient of a drawn cubic,
+    then along fresh lines (Q is quadratic in t, so t = 0, 1, -1 give it).
+    A round of tries makes one ``det`` or ``pick_numerators`` call.  Returns
+    the rows drawn, their jets and whether each lies on the sub-bundle."""
+    n, gather, size = lower.n, _matrix_gather(lower.n), len(cubic_indices(lower.n))
+    hess, H, todo = first.copy(), first[:, gather], list(range(len(rngs)))
+    for r in range(DRAW_TRIES):
+        if r:
+            hess[todo] = [rngs[i].standard_normal(hess.shape[1]) for i in todo]
+            H[todo] = hess[todo][:, gather]
+        todo = [i for i, d in zip(todo, np.linalg.det(H[todo]).tolist()) if not abs(d) >= 0.3]
+        if not todo:
             break
-    else:
-        return None, False
     lams = np.linalg.eigvalsh(H)
-    if lams[0] * lams[-1] > 0.0:
-        # definite: the pick numerator Q is definite in the cubic, so the sub-bundle is its zero set
-        return orbit_point(desc.chart, (*lower, hess), rng.standard_normal(n)), True
-    # indefinite: Q = 0 along the last coefficient, then along fresh lines;
-    # Q is quadratic in t, so its values at t = 0, 1, -1 give it exactly
-    point = rng.standard_normal(len(SymCubic(n).data))
-    point[-1] = 0.0
-    direction = np.eye(point.size)[-1]
-    for _ in range(DRAW_TRIES):
-        line = point + np.array([[0.0], [1.0], [-1.0]]) * direction
-        q0, q1, qm = pick_numerators(np.repeat(H[None], 3, axis=0), line[:, _cubic_gather(n)]).tolist()
-        root = _smallest_root(0.5 * (q1 + qm) - q0, 0.5 * (q1 - qm), q0, bracket=50.0)
-        if root is not None:
-            return GraphJet(desc.chart, n, 3, *lower, hess, SymCubic(n, point + root * direction)), False
-        direction = rng.standard_normal(point.size)
-    return None, False
+    definite = (lams[:, 0] * lams[:, -1] > 0.0).tolist()
+    failed = set(todo)
+    drawn = [i for i in range(len(rngs)) if i not in failed]
+    orbit, lines = [i for i in drawn if definite[i]], [i for i in drawn if not definite[i]]
+    cubic = np.zeros((len(rngs), size))
+    if orbit:
+        cubic[orbit] = sym_outers(np.array([rngs[i].standard_normal(n) for i in orbit]), hess[orbit])
+    point = np.array([rngs[i].standard_normal(size) for i in lines]).reshape(-1, size)
+    point[:, -1] = 0.0
+    direction = np.zeros(point.shape)
+    direction[:, -1] = 1.0
+    live = list(range(len(lines)))
+    for _ in range(DRAW_TRIES if lines else 0):
+        ends = point[live, None] + np.array([[0.0], [1.0], [-1.0]]) * direction[live, None]
+        q = pick_numerators(np.repeat(H[[lines[k] for k in live]], 3, axis=0),
+                            ends.reshape(-1, size)[:, _cubic_gather(n)])
+        retry = []
+        for k, (q0, q1, qm) in zip(live, q.reshape(-1, 3).tolist()):
+            root = _smallest_root(0.5 * (q1 + qm) - q0, 0.5 * (q1 - qm), q0, bracket=50.0)
+            if root is None:
+                direction[k] = rngs[lines[k]].standard_normal(size)
+                retry.append(k)
+            else:
+                cubic[lines[k]] = point[k] + root * direction[k]
+        live = retry
+        if not live:
+            break
+    lost = {lines[k] for k in live}
+    rows = [i for i in drawn if i not in lost]
+    jets = JetBatch(lower.chart, n, 3, lower.base, lower.u, lower.grad, hess, cubic)
+    return rows, jets if len(rows) == len(rngs) else jets.take(rows), [definite[i] for i in rows]
+
+
+def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray, JetBatch]:
+    """One draw on the zero set per generator, as a batch: the indices of
+    the draws that found a root, and their jets.  Each row draws from its
+    generator what it would draw alone, in the same order: a 1-jet (base,
+    u, grad) of size ``jet_scale``, then a point of the orbit's sub-bundle
+    (:func:`orbit_points`) or a root on a line (:func:`_line_draws`,
+    :func:`_cubic_draws`), retrying in masked rounds.  A row that is not a
+    sub-bundle point of ``ORBIT_EXPRS`` is kept when |residual| <=
+    SOUNDNESS_TOL * scale, checked by one :func:`residual_scales` call (and
+    one :func:`residuals` call where the draw does not know the residual).
+    """
+    n, count = desc.geometry.n, len(rngs)
+    exact = desc.expr in ORBIT_EXPRS
+    # the 1-jet, then the first Hessian try or the umbilic parameter's two normals
+    width = 2 * n + 1 + (2 if exact and desc.order == 2 else n * (n + 1) // 2)
+    z = np.array([rng.standard_normal(width) for rng in rngs]).reshape(count, width)
+    base, u, grad = jet_scale * z[:, :n], jet_scale * z[:, n], jet_scale * z[:, n + 1 : 2 * n + 1]
+    lower, top, values = JetBatch(desc.chart, n, 1, base, u, grad), z[:, 2 * n + 1 :], None
+    if desc.order == 3:
+        rows, jets, definite = _cubic_draws(rngs, lower, top)
+        checked = [k for k, d in enumerate(definite) if not (d and exact)]
+    elif exact:  # tauring(2)
+        rows, checked = list(range(count)), []
+        jets = orbit_points(lower, top[:, 0] + np.sign(top[:, 1]) * 0.2)
+    else:
+        rows, hess, values = _line_draws(desc, lower, top)
+        jets = JetBatch(desc.chart, n, 2, base[rows], u[rows], grad[rows], hess)
+        checked = list(range(len(rows)))
+    entries = [jets.base, jets.u[:, None], jets.grad, jets.hess] + ([jets.cubic] if desc.order == 3 else [])
+    if not np.isfinite(np.concatenate(entries, axis=1)).all():
+        raise SchemaMismatch("jet entries must be finite")
+    if checked:
+        sub = jets if len(checked) == len(rows) else jets.take(checked)
+        if values is None:
+            values, degenerate = residuals(desc, sub)
+            if degenerate:
+                raise degenerate[min(degenerate)]
+        bad = (np.abs(values) > SOUNDNESS_TOL * residual_scales(desc, sub)).tolist()
+        unsound = {k for k, b in zip(checked, bad) if b}
+        keep = [k for k in range(len(rows)) if k not in unsound]
+        rows, jets = [rows[k] for k in keep], jets if len(keep) == len(rows) else jets.take(keep)
+    return np.array(rows, dtype=int), jets
 
 
 def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
-    """A random jet solving the PDE, or None when the draw found no root.
-
-    Each draw starts from one 1-jet (base, u, grad) of size ``jet_scale``.
-    ``tauring(2)``, and third order over a definite Hessian, draw a point of
-    the orbit's sub-bundle (:func:`orbit_point`), exact for ``ORBIT_EXPRS``;
-    every other draw (a line solve) must pass the soundness check.
-    """
-    n = desc.geometry.n
-    lower = (jet_scale * rng.standard_normal(n), jet_scale * rng.standard_normal(),
-             jet_scale * rng.standard_normal(n))
-    exact = desc.expr in ORBIT_EXPRS
-    if desc.order == 3:
-        j, on_orbit = _sample_cubic(desc, rng, lower)
-    elif exact:  # tauring(2)
-        c = rng.standard_normal() + np.sign(rng.standard_normal()) * 0.2
-        j, on_orbit = orbit_point(desc.chart, lower, c), True
-    else:
-        j, on_orbit = _sample_euclidean(desc, rng, lower), False
-    if j is None or (on_orbit and exact):
-        return j
-    return _sound(desc, j)
+    """A random jet solving the PDE, or None when the draw found no root (a
+    line polish that meets a nan residual finds none): the batch of one of
+    :func:`sample_rows`."""
+    rows, jets = sample_rows(desc, [rng], jet_scale)
+    return jets.jet(0) if rows.size else None
 
 
 def _ratio_defects(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
@@ -329,13 +397,13 @@ def _evaluate(desc: PdeDescriptor, jets: JetBatch, skipped: dict) -> tuple[float
 def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     """Zero-set preservation under random group elements, as a report.
 
-    The samples are drawn one index at a time; their elements, prolongation,
-    residuals and defects are then computed for all of them at once, and a
-    sample skipped by one step (prolongation first, then the residual)
-    reaches no later step.  A JetError other than a skip raises, for
-    instance DivisionByZero from a custom quotient expression whose
-    denominator vanishes at a sample; a bad config raises SchemaMismatch
-    before any draw.
+    The samples are drawn as one batch (:func:`sample_rows`); their
+    elements, prolongation, residuals and defects are then computed for all
+    of them at once, and a sample skipped by one step (prolongation first,
+    then the residual) reaches no later step.  A JetError other than a skip
+    raises, for instance DivisionByZero from a custom quotient expression
+    whose denominator vanishes at a sample; a bad config raises
+    SchemaMismatch before any draw.
     """
     for name, value in (("seed", cfg.seed), ("count", cfg.count)):
         if not (isinstance(value, numbers.Integral) and value >= 0):
@@ -345,19 +413,14 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
             raise SchemaMismatch(f"{name} must be finite and >= 0, got {value}")
     tag = desc.geometry
     skipped = {k: 0 for k in SKIP_KINDS}
-    drawn, seeds = [], []
-    for idx in range(cfg.count):
-        j = sample_on_zero_set(desc, np.random.default_rng((cfg.seed, idx)), cfg.jet_scale)
-        if j is None:
-            skipped["no_root"] += 1
-        else:
-            drawn.append(j)
-            seeds.append((cfg.seed, idx, 1))
+    rngs = [np.random.default_rng((cfg.seed, idx)) for idx in range(cfg.count)]
+    drawn, jets = sample_rows(desc, rngs, cfg.jet_scale)
+    skipped["no_root"] = cfg.count - drawn.size
     max_defect = 0.0
     max_ratio = 0.0
     live = ()
-    if drawn:
-        jets = JetBatch.of(drawn)
+    if drawn.size:
+        seeds = [(cfg.seed, idx, 1) for idx in drawn.tolist()]
         moved, skips = prolong_batch(random_elements(tag, seeds, cfg.scale), jets)
         for exc in skips.values():
             skipped[SKIP_EXCEPTIONS[type(exc)]] += 1

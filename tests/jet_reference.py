@@ -14,8 +14,11 @@ replaced:
   re-projection per drawn element, the Hessian determinant and the pick
   numerator of one jet (cofactors by ``math.prod``, unstacked einsums),
   the third-order residual and the residual scale of one jet, the
-  affine sampler with one pick-numerator call per line point, and the
-  umbilic sampler entry by entry;
+  affine sampler with one pick-numerator call per line point and its
+  sub-bundle cubic entry by entry, and the umbilic sampler entry by entry;
+* the samplers one index at a time, with their own generator, as the
+  batched draw stage must reproduce them row by row; the Euclidean one
+  polishes with ``scipy.optimize.brentq``;
 * the per-sample loop of ``invariance_report``: one jet, one group
   element, one prolongation and one residual at a time, all through the
   routines of this module.
@@ -54,7 +57,7 @@ from jetpde.groups import (
     euclidean_element,
     projective_element,
 )
-from jetpde.invariants import DEGENERATE_HESSIAN_RTOL, rho_of, sym_outer
+from jetpde.invariants import DEGENERATE_HESSIAN_RTOL
 from jetpde.jetspace import GraphJet, _exps
 from jetpde.pde import DIV_EPS, LEAVES, Expr, PdeDescriptor, homogeneity_degree, pick, tauring
 from jetpde.symtensor import SymCubic, SymMatrix, cubic_indices
@@ -68,6 +71,12 @@ from jetpde.taylor import (
     n_coeffs,
 )
 from jetpde.verify import SKIP_EXCEPTIONS, SKIP_KINDS, SOUNDNESS_TOL, Report
+
+
+def rho_of(grad) -> float:
+    """1 + |grad|^2 by one dot product."""
+    grad = np.asarray(grad, dtype=float)
+    return 1.0 + float(grad @ grad)
 
 
 def bits(x) -> np.ndarray:
@@ -414,6 +423,14 @@ def residual_scale(desc: PdeDescriptor, j: GraphJet) -> float:
         / abs(hessian_det(j.hess)) ** 3
     )
     return per_pick ** (degree / 2)
+
+
+def sym_outer(w, g: SymMatrix) -> SymCubic:
+    """The symmetrized product (w . g)_{ijk} = w_i g_jk + w_j g_ik + w_k g_ij,
+    entry by entry."""
+    w = np.asarray(w, dtype=float)
+    vals = [w[i] * g[j, k] + w[j] * g[i, k] + w[k] * g[i, j] for i, j, k in cubic_indices(g.n)]
+    return SymCubic(g.n, vals)
 
 
 def sample_umbilic(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet:

@@ -50,6 +50,12 @@ PRESETS = (
 PRESET_OF = {"euclidean": "monge_ampere", "conformal": "umbilical",
              "affine": "affine_cubic", "projective": "projective_cubic"}
 CONFIGS = (SampleConfig(7, 40), SampleConfig(11, 40), SampleConfig(5, 30, scale=3.0, jet_scale=3.0))
+# the byte-identity grid of 300-sample reports
+GRID = (SampleConfig(7, 300), SampleConfig(11, 300), SampleConfig(13, 300))
+
+
+def config_id(cfg) -> str:
+    return f"seed{cfg.seed}-scale{cfg.scale}" + ("-300" if cfg in GRID else "")
 
 
 def same_report(desc, cfg):
@@ -58,7 +64,7 @@ def same_report(desc, cfg):
     return invariance_report(desc, cfg)
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"seed{c.seed}-scale{c.scale}")
+@pytest.mark.parametrize("cfg", CONFIGS + GRID, ids=config_id)
 @pytest.mark.parametrize("n", (2, 3))
 @pytest.mark.parametrize("preset,geometry", PRESETS)
 def test_reports_match_per_sample_loop(preset, geometry, n, cfg):

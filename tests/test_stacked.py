@@ -1,6 +1,6 @@
-"""The stacked second-order residual and the one-call line scan of the
-Euclidean sampler reproduce the scalar reference (``jet_reference``) bit
-for bit.
+"""The stacked invariants, the batched second-order residual and the
+batched line draws of the Euclidean sampler reproduce the scalar reference
+(``jet_reference``) bit for bit.
 
 Both sides run live in this process on the same inputs, so the comparison
 holds whatever BLAS/LAPACK build the wheels carry.
@@ -14,14 +14,14 @@ from jet_reference import assert_bitwise
 from jetpde import invariants
 from jetpde.errors import DivisionByZero
 from jetpde.groups import GeometryTag
-from jetpde.jetspace import GraphJet
+from jetpde.jetspace import GraphJet, JetBatch
 from jetpde.pde import (
     _power,
     build,
     const,
     lam,
     residual,
-    second_order_residuals,
+    residuals,
     sigma,
     tau,
     tauring,
@@ -41,6 +41,13 @@ def random_line(rng, n, m=ROWS):
     entries[rng.random(entries.shape) < 0.1] = 0.0
     entries[rng.random(entries.shape) < 0.1] *= -0.0
     return grad, entries, entries[:, _matrix_gather(n)]
+
+
+def line_batch(tag, grad, entries) -> JetBatch:
+    """The second-order jets at the origin with the gradient and the
+    Hessian rows of a line, as one batch with one gradient per row."""
+    m, n = len(entries), tag.n
+    return JetBatch(tag.chart, n, 2, np.zeros((m, n)), np.zeros(m), np.tile(grad, (m, 1)), entries)
 
 
 def euclidean_exprs(n):
@@ -102,9 +109,9 @@ def test_second_order_residuals_rows(geometry, n):
     for expr in exprs:
         desc = build(tag, expr)
         for _ in range(2):
-            grad, entries, H = random_line(rng, n)
-            values = second_order_residuals(desc, grad, H)
-            assert values.shape == (ROWS,)
+            grad, entries, _ = random_line(rng, n)
+            values, skipped = residuals(desc, line_batch(tag, grad, entries))
+            assert values.shape == (ROWS,) and not skipped
             for row, h in enumerate(entries):
                 j = GraphJet(tag.chart, n, 2, np.zeros(n), 0.0, grad, SymMatrix(n, h))
                 want = ref.residual(desc, j)
@@ -113,10 +120,11 @@ def test_second_order_residuals_rows(geometry, n):
 
 
 def test_vanishing_denominator_in_any_row_raises():
-    desc = build(GeometryTag("euclidean", 2), tau(1) / tau(2))
-    H = np.array([np.diag([3.0, 0.5]), np.zeros((2, 2))])
+    tag = GeometryTag("euclidean", 2)
+    desc = build(tag, tau(1) / tau(2))
+    entries = np.array([[3.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
     with pytest.raises(DivisionByZero):
-        second_order_residuals(desc, np.zeros(2), H)
+        residuals(desc, line_batch(tag, np.zeros(2), entries))
 
 
 def test_power_is_float_power_row_by_row():

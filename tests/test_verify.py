@@ -19,7 +19,7 @@ from jetpde.verify import (
     check_solution,
     cylinder_graph,
     invariance_report,
-    orbit_point,
+    orbit_points,
     paraboloid,
     plane,
     quadric_germ,
@@ -77,6 +77,14 @@ class TestSamplers:
         # indefinite Hessians retry along fresh lines until Q = 0 has a root
         rep = invariance_report(build(tag, f"{tag.name}_cubic"), SampleConfig(seed, 300))
         assert rep.skipped["no_root"] == 0 and rep.passed
+
+
+def orbit_point(chart: str, lower: tuple, param) -> GraphJet:
+    """The sub-bundle point over (base, u, grad[, hess]): a batch of one."""
+    base, u, grad, *hess = lower
+    jets = JetBatch(chart, len(grad), 1 + len(hess), np.array([base]), np.array([u]), np.array([grad]),
+                    *(h.data[None] for h in hess))
+    return orbit_points(jets, np.array([param])).jet(0)
 
 
 def orbit_defect(j: GraphJet) -> float:
@@ -186,7 +194,7 @@ class TestInvarianceReport:
         # a negative seed once ended in numpy's ValueError, a negative count in
         # a report with "attempted": -5, and a nan scale passed when nothing
         # was drawn; each is a SchemaMismatch before the sampler runs
-        monkeypatch.setattr(verify, "sample_on_zero_set", lambda *args: pytest.fail("drew a sample"))
+        monkeypatch.setattr(verify, "sample_rows", lambda *args: pytest.fail("drew a sample"))
         with pytest.raises(SchemaMismatch):
             invariance_report(build(E2, "minimal_surface"), cfg)
 
