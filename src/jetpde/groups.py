@@ -15,8 +15,8 @@ through the point map, re-graphing over the image base point, and reading
 the jet there (transform, invert, compose, extend).  It runs on a batch:
 :func:`prolong_batch` moves N jets by N elements of one group, given as an
 :class:`Elements` stack, and :func:`prolong` is its batch of one.  Likewise
-:func:`random_elements` draws one element per seed and
-:func:`random_element` is its batch of one.
+:func:`random_elements` draws one element per generator and
+:func:`random_element` is its batch of one, from ``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -359,8 +359,8 @@ def _skew(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M - M.T)
 
 
-def _draw_elements(tag: GeometryTag, seeds, scale: float) -> Elements:
-    """Unchecked elements, one per seed: each seed's generator draws the
+def _draw_elements(tag: GeometryTag, rngs, scale: float) -> Elements:
+    """Unchecked elements, one per generator: each generator draws the
     Lie-algebra element (and shift), then one stacked ``expm`` and
     re-projection make the group elements.  The scale must be finite, and
     an exponential that overflows raises before the re-projection."""
@@ -372,8 +372,7 @@ def _draw_elements(tag: GeometryTag, seeds, scale: float) -> Elements:
     gens, shifts = [], []
     # an overflow to inf or nan is caught by _check_finite, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
+        for rng in rngs:
             if tag.name == "euclidean":
                 gens.append(_skew(rng.standard_normal((n + 1, n + 1))) * scale)
             elif tag.name == "affine":
@@ -396,21 +395,22 @@ def _draw_elements(tag: GeometryTag, seeds, scale: float) -> Elements:
     return Elements(tag.name, n, mat, np.array(shifts) if shifts else None)
 
 
-def random_elements(tag: GeometryTag, seeds, scale: float) -> Elements:
-    """Deterministic pseudorandom elements, one per seed, at the given
+def random_elements(tag: GeometryTag, rngs, scale: float) -> Elements:
+    """Pseudorandom elements, one drawn from each generator, at the given
     generator scale, checked by the GroupElement validators.
 
     Exponentials of scaled random Lie-algebra elements, re-projected onto
     the constraint set where cheap; scale = 0 yields the identity.
     """
-    g = _draw_elements(tag, seeds, scale)
+    g = _draw_elements(tag, rngs, scale)
     _check_elements(g)
     return g
 
 
 def random_element(tag: GeometryTag, seed, scale: float) -> GroupElement:
-    """The batch of one of :func:`random_elements`."""
-    g = _draw_elements(tag, [seed], scale)
+    """The batch of one of :func:`random_elements`, drawn from
+    ``np.random.default_rng(seed)``."""
+    g = _draw_elements(tag, [np.random.default_rng(seed)], scale)
     return GroupElement(g.kind, g.n, g.mat[0], None if g.shift is None else g.shift[0])
 
 

@@ -4,11 +4,14 @@
 random group elements and records how far the transformed jets drift off
 the zero set.  Residuals are normalized by a local homogeneity scale so
 the tolerances are scale-free.  Sampling is counter-based per index, so a
-report is a pure function of (descriptor, config) regardless of schedule.
-One draw stage (:func:`sample_rows`) draws every sample, each from its own
-generator, with its retries in masked rounds; the group elements, the
-prolongation, the residuals and the defects then run once on the whole
-jet batch, bit for bit as one sample at a time.  The catalog's polynomial
+report is a pure function of (descriptor, config) regardless of schedule:
+sample i's generators are ``default_rng((seed, i))`` and
+``default_rng((seed, i, 1))``, and :func:`seed_states` hashes the seeds of
+a whole report in one pass.  One draw stage (:func:`sample_rows`) draws
+every sample, each from its own generator, with its retries in masked
+rounds; the group elements, the prolongation, the residuals and the
+defects then run on blocks of the jet batch, bit for bit as one sample at
+a time.  The catalog's polynomial
 germs are Taylor-engine arithmetic on the coordinate germs base[i] + x_i;
 ``scherk``, ``saddle`` and (by its default shear) ``sheared_quadric`` are
 two-dimensional.  ``check_solution`` builds each germ at its point, then
@@ -26,9 +29,11 @@ import functools
 import json
 import math
 import numbers
+import operator
 
 import numpy as np
 import scipy.optimize  # noqa: F401  bench/tracing.py wraps brentq through sys.modules["scipy.optimize"]
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch
 from .groups import affine_element, prolong, prolong_batch, random_elements
@@ -52,10 +57,11 @@ SKIP_KINDS = ("no_root", *SKIP_EXCEPTIONS.values())
 
 # Tries per draw: Hessians with |det| >= 0.3, then lines through a cubic.
 DRAW_TRIES = 20
-# The points at which a second-order draw scans its last Hessian entry, and
-# the most draws one residual call scans.
+# The points at which a second-order draw scans its last Hessian entry.
 LINE = np.linspace(-50.0, 50.0, 65)
-SCAN_DRAWS = 1024
+# The most samples one line scan's residual call, or one pass of a report's
+# element, prolongation and evaluation stages, holds at once.
+BLOCK_SAMPLES = 1024
 # The expressions whose zero set is the orbit's sub-bundle (pick: definite hess).
 ORBIT_EXPRS = (tauring(2), pick())
 
@@ -175,6 +181,118 @@ def _brent(xpre: float, xcur: float, fpre: float, fcur: float):
     return None
 
 
+# -- counter-based streams --------------------------------------------------------
+
+# NumPy's SeedSequence hash (after M. E. O'Neill, "Developing a seed_seq
+# Alternative", 2015): a pool of four 32-bit words, its hash constants and
+# multipliers.
+POOL_SIZE = 4
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_steps(init: int, mult: int, steps) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The constants (h_i, h_(i+1)), h_i = init mult^i (mod 2^32), of the
+    hashmix calls of each step, as uint32 columns with one row per word the
+    step hashes: ``step[r]`` is row r's index i, or None for a row that the
+    step leaves as it is (zeros)."""
+    h = [init]
+    for _ in range(max(i for step in steps for i in step if i is not None) + 1):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return [tuple(np.array([[0 if i is None else h[i + j]] for i in step], dtype=np.uint32) for j in (0, 1))
+            for step in steps]
+
+
+@functools.lru_cache
+def _pool_steps(extra: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The pool's hash steps: the first hash of each pool word, then per
+    source word its mixing into the other three (for a fixed source they
+    are independent), then per entropy word beyond the pool its mixing
+    into all four."""
+    mixing = [[POOL_SIZE + 3 * src + dst - (dst > src) if dst != src else None for dst in range(POOL_SIZE)]
+              for src in range(POOL_SIZE)]
+    beyond = [range(POOL_SIZE * src, POOL_SIZE * (src + 1)) for src in range(POOL_SIZE, POOL_SIZE + extra)]
+    return _hash_steps(INIT_A, MULT_A, [range(POOL_SIZE), *mixing, *beyond])
+
+
+# generate_state's step: the pool, cycled, hashed to 8 words (four uint64)
+_STATE_STEP = _hash_steps(INIT_B, MULT_B, [range(2 * POOL_SIZE)])[0]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix with the constants of its successive calls
+    (uint32 arithmetic wraps mod 2^32)."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = MIX_MULT_L * x - MIX_MULT_R * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _entropy_words(entropy) -> tuple[np.ndarray, np.ndarray]:
+    """Each tuple's ints as SeedSequence coerces them, little-endian 32-bit
+    words concatenated: an (L, N) uint32 array, one column per tuple,
+    zero-padded to at least the pool size, and each tuple's word count."""
+    ints = [operator.index(v) for t in entropy for v in t]
+    if ints and min(ints) < 0:
+        raise ValueError("expected non-negative integer")
+    limbs, rest = [], ints
+    while rest is not None:  # 64 bits a round; ints from 2^64 on leave their high bits for the next
+        try:
+            low, rest = np.array(rest, dtype="<u8"), None
+        except OverflowError:
+            rest = np.array(rest, dtype=object)
+            low, rest = (rest & 0xFFFFFFFFFFFFFFFF).astype("<u8"), rest >> 64
+        limbs.append(low.view("<u4").reshape(-1, 2))
+    words = np.concatenate(limbs, axis=1)
+    counts = np.ones(len(ints), dtype=int)
+    for k in range(1, words.shape[1]):
+        counts[words[:, k] != 0] = k + 1
+    tuples = np.repeat(np.repeat(np.arange(len(entropy)), [len(t) for t in entropy]), counts)
+    lens = np.bincount(tuples, minlength=len(entropy))
+    out = np.zeros((max(POOL_SIZE, lens.max(initial=0)), len(entropy)), dtype=np.uint32)
+    out[np.arange(tuples.size) - (np.cumsum(lens) - lens)[tuples], tuples] = \
+        words[np.arange(words.shape[1]) < counts[:, None]]
+    return out, lens
+
+
+def seed_states(entropy) -> np.ndarray:
+    """``SeedSequence(t).generate_state(4, np.uint64)`` for every entropy
+    tuple t of non-negative ints, as the rows of one C-contiguous (N, 4)
+    uint64 array, hashed for all rows at once: the PCG64 seeds of
+    ``np.random.default_rng(t)``.  Tuples shorter than the pool mix in
+    zeros; words beyond it are mixed in by the pool's extra loop."""
+    words, lens = _entropy_words(entropy)
+    steps = _pool_steps(words.shape[0] - POOL_SIZE)
+    pool = _hashmix(words[:POOL_SIZE], *steps[0])
+    for src, step in enumerate(steps[1 : POOL_SIZE + 1]):
+        mixed = _mix(pool, _hashmix(pool[src], *step))
+        mixed[src] = pool[src]  # the source word is not mixed into itself
+        pool = mixed
+    for src, step in enumerate(steps[POOL_SIZE + 1 :], start=POOL_SIZE):
+        pool = np.where(lens > src, _mix(pool, _hashmix(words[src], *step)), pool)
+    state = _hashmix(np.tile(pool, (2, 1)), *_STATE_STEP)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")  # PCG64 reads each row's raw buffer
+
+
+class _SeedState(ISeedSequence):
+    """One row of :func:`seed_states`, the state a PCG64 reads as it is built."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def generators(states: np.ndarray) -> list:
+    """One ``np.random.Generator`` per row of :func:`seed_states`, in the
+    state ``np.random.default_rng`` gives it."""
+    return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in states]
+
+
 def orbit_points(lower: JetBatch, params: np.ndarray) -> JetBatch:
     """The points of the G-orbit's affine sub-bundle over the lower jets,
     from their model-space parameters: over 1-jets and c (N,), the umbilic
@@ -192,7 +310,7 @@ def orbit_points(lower: JetBatch, params: np.ndarray) -> JetBatch:
 
 def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
     """Roots of the residual along the last Hessian entry of each row.  One
-    residual call scans up to SCAN_DRAWS rows at LINE; :func:`_brent` polishes each
+    residual call scans up to BLOCK_SAMPLES rows at LINE; :func:`_brent` polishes each
     row's first cell with a zero end or end values whose product is
     negative, the live polishes of a round sharing one residual call.
     Returns the rows with a root, their Hessian entries and residuals."""
@@ -207,8 +325,8 @@ def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
         return values(np.repeat(rows, LINE.size), scan).reshape(len(rows), LINE.size)
 
     # blocks bound the memory of the scan; a row scans bit for bit as it would alone
-    vals = np.concatenate([scanned(np.arange(len(entries))[i : i + SCAN_DRAWS])
-                           for i in range(0, max(len(entries), 1), SCAN_DRAWS)])
+    vals = np.concatenate([scanned(np.arange(len(entries))[i : i + BLOCK_SAMPLES])
+                           for i in range(0, max(len(entries), 1), BLOCK_SAMPLES)])
     with np.errstate(all="ignore"):  # the products overflow or meet inf * 0 as Python floats do
         zero = vals == 0.0
         events = np.concatenate([zero[:, :-1] | (vals[:, :-1] * vals[:, 1:] < 0.0), zero[:, -1:]], axis=1)
@@ -397,10 +515,14 @@ def _evaluate(desc: PdeDescriptor, jets: JetBatch, skipped: dict) -> tuple[float
 def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     """Zero-set preservation under random group elements, as a report.
 
-    The samples are drawn as one batch (:func:`sample_rows`); their
-    elements, prolongation, residuals and defects are then computed for all
-    of them at once, and a sample skipped by one step (prolongation first,
-    then the residual) reaches no later step.  A JetError other than a skip
+    Sample i draws its jet from ``default_rng((seed, i))`` and its group
+    element from ``default_rng((seed, i, 1))``, the generators of all
+    samples seeded by one :func:`seed_states` pass.  The samples are drawn
+    as one batch (:func:`sample_rows`); their elements, prolongation,
+    residuals and defects are then computed in blocks of at most
+    BLOCK_SAMPLES samples, the skip counts and maxima added up over the
+    blocks, and a sample skipped by one step (prolongation first, then the
+    residual) reaches no later step.  A JetError other than a skip
     raises, for instance DivisionByZero from a custom quotient expression
     whose denominator vanishes at a sample; a bad config raises
     SchemaMismatch before any draw.
@@ -411,30 +533,31 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     for name, value in (("scale", cfg.scale), ("jet scale", cfg.jet_scale)):
         if not 0.0 <= value < math.inf:
             raise SchemaMismatch(f"{name} must be finite and >= 0, got {value}")
-    tag = desc.geometry
+    tag, count = desc.geometry, cfg.count
     skipped = {k: 0 for k in SKIP_KINDS}
-    rngs = [np.random.default_rng((cfg.seed, idx)) for idx in range(cfg.count)]
-    drawn, jets = sample_rows(desc, rngs, cfg.jet_scale)
-    skipped["no_root"] = cfg.count - drawn.size
-    max_defect = 0.0
-    max_ratio = 0.0
-    live = ()
-    if drawn.size:
-        seeds = [(cfg.seed, idx, 1) for idx in drawn.tolist()]
-        moved, skips = prolong_batch(random_elements(tag, seeds, cfg.scale), jets)
+    states = seed_states([(cfg.seed, idx) for idx in range(count)]
+                         + [(cfg.seed, idx, 1) for idx in range(count)])
+    drawn, jets = sample_rows(desc, generators(states[:count]), cfg.jet_scale)
+    skipped["no_root"] = count - drawn.size
+    max_defect = max_ratio = 0.0
+    evaluated = 0
+    for start in range(0, drawn.size, BLOCK_SAMPLES):
+        block = slice(start, start + BLOCK_SAMPLES)
+        elements = random_elements(tag, generators(states[count + drawn[block]]), cfg.scale)
+        sub = jets.take(block)
+        moved, skips = prolong_batch(elements, sub)
         for exc in skips.values():
             skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
-        max_defect, live = _evaluate(desc, moved, skipped)
+        defect, live = _evaluate(desc, moved, skipped)
+        max_defect, evaluated = max(max_defect, defect), evaluated + len(live)
         if tag.name == "euclidean" and len(live):
-            kept = np.delete(np.arange(len(jets)), list(skips))
-            jets = jets.take(kept[live])
-            moved = moved.take(live)
-            before = eigenvalues(jets.grad, jets.hess[:, _matrix_gather(tag.n)])
-            after = eigenvalues(moved.grad, moved.hess[:, _matrix_gather(tag.n)])
-            for ratio in _ratio_defects(before, after).tolist():
+            before, after = sub.take(np.delete(np.arange(len(sub)), list(skips))[live]), moved.take(live)
+            for ratio in _ratio_defects(
+                eigenvalues(before.grad, before.hess[:, _matrix_gather(tag.n)]),
+                eigenvalues(after.grad, after.hess[:, _matrix_gather(tag.n)]),
+            ).tolist():
                 max_ratio = max(max_ratio, ratio)
-    return _report(desc.desc_id, cfg.seed, cfg.count, skipped, max_defect, len(live), cfg.tol,
-                   max_ratio)
+    return _report(desc.desc_id, cfg.seed, count, skipped, max_defect, evaluated, cfg.tol, max_ratio)
 
 
 # -- exact-solution catalog -----------------------------------------------------
@@ -494,8 +617,10 @@ def sphere_cap(base, order: int, radius: float = 1.0, center_u: float = 0.0) -> 
     """Germ of the lower hemisphere graph u = c - t w, t = r^2 - |x|^2, where
     w = 1/sqrt(t) takes three Newton steps w <- w (3 - t w^2) / 2 from
     1/sqrt(t(0)), each doubling the order to which w is exact (1, 3, 7 >
-    MAX_ORDER).  No step divides, so near the rim no divisor test fails."""
-    t = radius**2 - paraboloid(base, order)
+    MAX_ORDER).  No step divides, so near the rim no divisor test fails.
+    Far outside the cap |x|^2 overflows to inf, which the domain test reads."""
+    with np.errstate(over="ignore"):
+        t = radius**2 - paraboloid(base, order)
     if t.const_term <= 1e-12:
         raise ChartDomain(f"|x| = {math.hypot(*np.ravel(base)):.4g} outside the cap of radius {radius}")
     w = TruncatedJet.constant(1.0 / math.sqrt(t.const_term), t.n_vars, order)

@@ -1,8 +1,9 @@
 """The batch axis: invariance reports, element draws, prolongation and
 residuals over N samples reproduce N batches of one bit for bit, with the
 same skips; the batches of one reproduce the scalar routes of
-``jet_reference``; and the batched report reproduces its per-sample loop
-byte for byte.
+``jet_reference``; the batched report reproduces its per-sample loop
+byte for byte, whatever its block size; and one seeding pass gives every
+generator the state ``np.random.default_rng`` gives it.
 
 Both sides run live in this process on the same inputs, so the comparison
 holds whatever BLAS/LAPACK build the wheels carry.
@@ -13,6 +14,7 @@ import pytest
 
 import jet_reference as ref
 from jet_reference import assert_bitwise
+from jetpde import verify
 from jetpde.errors import JetError
 from jetpde.groups import (
     GEOMETRIES,
@@ -30,11 +32,13 @@ from jetpde.pde import build, const, pick, residual, residuals
 from jetpde.symtensor import SymCubic, SymMatrix
 from jetpde.verify import (
     SampleConfig,
+    generators,
     invariance_report,
     report_to_text,
     residual_scale,
     residual_scales,
     sample_on_zero_set,
+    seed_states,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -49,7 +53,8 @@ PRESETS = (
 )
 PRESET_OF = {"euclidean": "monge_ampere", "conformal": "umbilical",
              "affine": "affine_cubic", "projective": "projective_cubic"}
-CONFIGS = (SampleConfig(7, 40), SampleConfig(11, 40), SampleConfig(5, 30, scale=3.0, jet_scale=3.0))
+CONFIGS = (SampleConfig(7, 40), SampleConfig(11, 40), SampleConfig(5, 30, scale=3.0, jet_scale=3.0),
+           SampleConfig(2**32 + 5, 40), SampleConfig(2**64 + 5, 40))
 # the byte-identity grid of 300-sample reports
 GRID = (SampleConfig(7, 300), SampleConfig(11, 300), SampleConfig(13, 300))
 
@@ -84,6 +89,40 @@ def test_reports_with_no_root_match():
     # the sampler draws on pick = 0, where pick - 1 is -1: no draw is sound
     rep = same_report(build(GeometryTag("projective", 3), pick() - 1.0), SampleConfig(7, 30))
     assert rep.skipped["no_root"] == rep.attempted
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("preset,geometry", PRESETS)
+def test_blocks_give_the_unblocked_report(preset, geometry, n, monkeypatch):
+    desc = build(GeometryTag(geometry, n), preset)
+    cfgs = (SampleConfig(7, 40), SampleConfig(5, 30, scale=3.0, jet_scale=3.0))
+    whole = [report_to_text(invariance_report(desc, cfg)) for cfg in cfgs]
+    monkeypatch.setattr(verify, "BLOCK_SAMPLES", 7)
+    assert [report_to_text(invariance_report(desc, cfg)) for cfg in cfgs] == whole
+
+
+def assert_default_states(entropy):
+    rngs = generators(seed_states(entropy))
+    assert len(rngs) == len(entropy)
+    for t, rng in zip(entropy, rngs):
+        assert rng.bit_generator.state == np.random.default_rng(t).bit_generator.state
+
+
+def test_seed_states_at_word_boundaries():
+    # 2**64 + 5 coerces to the words [5, 0, 1]; longer entropy than the
+    # four-word pool goes through its extra mixing loop
+    edges = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 5)
+    assert_default_states([(e,) for e in edges] + [(7, e) for e in edges] + [
+        (7, 3), (7, 3, 1), (2**64 + 5, 3, 1), (2**32, 0, 2**64 - 1, 1, 5), (1, 2, 3, 4, 5, 6),
+    ])
+    assert seed_states([]).shape == (0, 4)
+    assert generators(seed_states([])) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.integers(0, 2**130 - 1), min_size=1, max_size=6).map(tuple), max_size=8))
+def test_seed_states_match_default_rng(entropy):
+    assert_default_states(entropy)
 
 
 def random_jet(rng, tag, order, spread):
@@ -208,7 +247,7 @@ def test_batch_equals_batches_of_one(geometry, n, order, count, seed, scale, ver
     jets = [random_jet(rng, tag, order, scale) for _ in range(count)]
     seeds = [(seed, i, 1) for i in range(count)]
 
-    elements = random_elements(tag, seeds, scale)
+    elements = random_elements(tag, [np.random.default_rng(s) for s in seeds], scale)
     singles = [random_element(tag, s, scale) for s in seeds]
     for i, g in enumerate(singles):
         assert_bitwise(elements.mat[i], g.mat)

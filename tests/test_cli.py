@@ -174,6 +174,17 @@ class TestVerify:
         assert blob["pass"] is False
         assert code == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_surface_far_outside_its_domain_is_skipped(self, tmp_path, ms_desc, capsys):
+        # |x|^2 overflows at these points: an infinite value that sphere_cap's
+        # domain test reads, never a warning
+        rep = tmp_path / "rep.json"
+        code = run(["verify", str(ms_desc), "--surface", "sphere_cap", "--point-scale", "1e308",
+                    "--points", "20", "--out", str(rep)])
+        assert capsys.readouterr().err == ""
+        assert code == 1
+        assert json.loads(rep.read_text())["skipped"]["chart_domain"] == 20
+
     def test_surface_check(self, tmp_path, ms_desc):
         rep = tmp_path / "rep.json"
         code = run(["verify", str(ms_desc), "--surface", "scherk", "--points", "50",

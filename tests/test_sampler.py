@@ -210,7 +210,7 @@ def test_batched_draws_match_batches_of_one_and_reference(case, n):
 def test_scan_blocks_do_not_change_the_draws(monkeypatch):
     desc = build(GeometryTag("euclidean", 3), "monge_ampere")
     whole_rows, whole = sample_rows(desc, [np.random.default_rng((13, i)) for i in range(40)], 0.5)
-    monkeypatch.setattr(verify, "SCAN_DRAWS", 7)
+    monkeypatch.setattr(verify, "BLOCK_SAMPLES", 7)
     rows, jets = sample_rows(desc, [np.random.default_rng((13, i)) for i in range(40)], 0.5)
     assert_bitwise(rows, whole_rows)
     for name in ("base", "u", "grad", "hess"):
