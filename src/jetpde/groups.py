@@ -34,7 +34,7 @@ from .errors import (
     OrderUnderflow,
     SchemaMismatch,
 )
-from .invariants import Signature, hessian_congruence
+from .invariants import Signature, _trace, hessian_congruence
 from .jetspace import GraphJet, JetBatch, extend_rows, poly_rows
 from .taylor import (
     compose_rows,
@@ -266,13 +266,26 @@ def _drop(rows: np.ndarray, errors: dict) -> np.ndarray:
     return np.delete(rows, list(errors), axis=0) if errors else rows
 
 
+def _skip(errors: dict, samples: np.ndarray, found: dict, kind=None) -> np.ndarray:
+    """Records each error ``found`` at a position of ``samples`` under its
+    sample in ``errors`` (as a ``kind`` error caused by it, when given), and
+    returns the samples left."""
+    for i, exc in found.items():
+        errors[int(samples[i])] = err = exc if kind is None else kind(str(exc))
+        if err is not exc:
+            err.__cause__ = exc
+    return _drop(samples, found)
+
+
 def _push_components(g: Elements, comps: np.ndarray, order: int) -> tuple[np.ndarray, dict]:
     """Apply the point maps to ambient-jet parametrizations (u, x)(delta).
 
     ``comps`` (N, n + 1, size) holds the coefficient rows of the n + 1
     chart coordinates of each sample as germs in n variables; so does the
     result, for the samples whose image stays in the chart.  The others
-    are returned as {sample: ChartDomain}.
+    are returned as {sample: ChartDomain}: an image denominator too close
+    to zero, or a divisor that fails the division test (the ChartDomain
+    is caused by its DivisionBySingular).
     """
     count, n = comps.shape[0], comps.shape[1] - 1
     one = np.zeros((count, 1, comps.shape[2]))
@@ -285,7 +298,9 @@ def _push_components(g: Elements, comps: np.ndarray, order: int) -> tuple[np.nda
         out = linear_rows(g.mat, np.concatenate([comps, one], axis=1))
         errors = _chart_domain(out, out[:, -1], "projective image leaves the affine chart")
         out = _drop(out, errors)
-        return divide_rows(out[:, :-1], out[:, -1], n, order), errors
+        quotients, singular = divide_rows(out[:, :-1], out[:, -1], n, order)
+        _skip(errors, _drop(np.arange(count), errors), singular, ChartDomain)
+        return quotients, errors
 
     # conformal
     squares = mul_rows(comps, comps, n, order)
@@ -296,12 +311,17 @@ def _push_components(g: Elements, comps: np.ndarray, order: int) -> tuple[np.nda
     den0[:, 0] += 4.0
     last = -m
     last[:, 0] += 4.0
-    lifted = divide_rows(np.concatenate([comps * 4.0, last[:, None]], axis=1), den0, n, order)
-    out = linear_rows(g.mat, np.concatenate([one, lifted], axis=1))
+    lifted, singular = divide_rows(np.concatenate([comps * 4.0, last[:, None]], axis=1), den0, n, order)
+    errors: dict = {}
+    samples = _skip(errors, np.arange(count), singular, ChartDomain)
+    out = linear_rows(_drop(g.mat, singular), np.concatenate([_drop(one, singular), lifted], axis=1))
     den = out[:, -1] + out[:, 0]
-    errors = _chart_domain(out, den, "conformal image hits the projection antipode")
-    out, den = _drop(out, errors), _drop(den, errors)
-    return divide_rows(out[:, 1:-1] * 2.0, den, n, order), errors
+    outside = _chart_domain(out, den, "conformal image hits the projection antipode")
+    samples = _skip(errors, samples, outside)
+    out, den = _drop(out, outside), _drop(den, outside)
+    quotients, singular = divide_rows(out[:, 1:-1] * 2.0, den, n, order)
+    _skip(errors, samples, singular, ChartDomain)
+    return quotients, errors
 
 
 def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
@@ -326,11 +346,8 @@ def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
     deltas[:, :, 0] += -new_base
     inv, singular = invert_rows(deltas, n, order)
     if singular:
-        rows = _drop(np.arange(len(jets)), skips)
-        for i, exc in singular.items():
-            skips[int(rows[i])] = err = NotGraph(str(exc))
-            err.__cause__ = exc
-        keep = _drop(np.arange(len(rows)), singular)
+        _skip(skips, _drop(np.arange(len(jets)), skips), singular, NotGraph)
+        keep = _drop(np.arange(len(imgs)), singular)
         imgs, new_base = imgs[keep], new_base[keep]
     # the inverse germs have zero constant terms, so the outer germ is
     # composed as it is, about the origin
@@ -356,43 +373,50 @@ def prolong(g: GroupElement, j: GraphJet) -> GraphJet:
 
 
 def _skew(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M - M.T)
+    """The skew part of a matrix (k, k), or of each matrix of a stack (N, k, k)."""
+    return 0.5 * (M - M.swapaxes(-1, -2))
 
 
 def _draw_elements(tag: GeometryTag, rngs, scale: float) -> Elements:
-    """Unchecked elements, one per generator: each generator draws the
-    Lie-algebra element (and shift), then one stacked ``expm`` and
-    re-projection make the group elements.  The scale must be finite, and
-    an exponential that overflows raises before the re-projection."""
+    """Unchecked elements, one per generator: each generator fills its
+    Lie-algebra element's normals (then its shift's) in one preallocated
+    stack, then the stack is made into Lie-algebra elements and one stacked
+    ``expm`` and re-projection make the group elements.  The scale must be
+    finite, and an exponential that overflows raises before the
+    re-projection."""
     if scale < 0:
         raise SchemaMismatch("scale must be non-negative")
     if not math.isfinite(scale):
         raise SchemaMismatch("scale must be finite")
     n = tag.n
-    gens, shifts = [], []
+    k = {"euclidean": n + 1, "affine": n + 1, "projective": n + 2, "conformal": n + 3}[tag.name]
+    gens = np.empty((len(rngs), k, k))
+    shifts = np.empty((len(rngs), n + 1)) if tag.name in ("euclidean", "affine") else None
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=gens[i])
+        if shifts is not None:
+            rng.standard_normal(out=shifts[i])
     # an overflow to inf or nan is caught by _check_finite, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for rng in rngs:
-            if tag.name == "euclidean":
-                gens.append(_skew(rng.standard_normal((n + 1, n + 1))) * scale)
-            elif tag.name == "affine":
-                gens.append(scale * rng.standard_normal((n + 1, n + 1)))
-            elif tag.name == "projective":
-                M = scale * rng.standard_normal((n + 2, n + 2))
-                M -= np.trace(M) / (n + 2) * np.eye(n + 2)
-                gens.append(M)
-            else:
-                gens.append(_form_matrix(n) @ _skew(rng.standard_normal((n + 3, n + 3))) * scale)
-            if tag.name in ("euclidean", "affine"):
-                shifts.append(scale * rng.standard_normal(n + 1))
-        mat = scipy.linalg.expm(np.array(gens))
+        if tag.name == "euclidean":
+            gens = _skew(gens) * scale
+        elif tag.name == "affine":
+            gens = scale * gens
+        elif tag.name == "projective":
+            gens = scale * gens
+            gens -= (_trace(gens) / (n + 2))[:, None, None] * np.eye(n + 2)
+        else:
+            gens = _form_matrix(n) @ _skew(gens) * scale
+        if shifts is not None:
+            shifts = scale * shifts
+        mat = scipy.linalg.expm(gens)
     _check_finite(mat)
     if tag.name == "euclidean":
         U, _, Vt = np.linalg.svd(mat)
         mat = U @ Vt
     elif tag.name == "projective":
         mat = _unimodular(mat)
-    return Elements(tag.name, n, mat, np.array(shifts) if shifts else None)
+    return Elements(tag.name, n, mat, shifts)
 
 
 def random_elements(tag: GeometryTag, rngs, scale: float) -> Elements:

@@ -17,9 +17,11 @@ and eigenvalue ratios, which are insensitive to global positive factors.
 
 Stack axis: :func:`shape_matrix`, :func:`tracefree_shape` and
 :func:`eigenvalues` take either a :class:`SymMatrix` or a stack of full
-Hessians of shape (m, n, n), with one gradient (n,) shared by the stack
-or one per row (m, n); :func:`tau_d` takes an (n, n) or (m, n, n) matrix
-and :func:`elementary_symmetric` an (n,) or (m, n) spectrum.
+Hessians of shape (m, n, n), with one gradient (n,) shared by the stack,
+one per row (m, n), or a :class:`~jetpde.jetspace.JetBatch` in place of
+its gradients, whose chart metrics it keeps per row (:func:`_metric`);
+:func:`tau_d` takes an (n, n) or (m, n, n) matrix and
+:func:`elementary_symmetric` an (n,) or (m, n) spectrum.
 :func:`hessian_dets` and :func:`pick_numerators` are the stacked forms of
 :func:`hessian_det` and :func:`pick_numerator`, which are their stacks of
 one.  A stack gives one value (or matrix, or spectrum) per row, each
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateHessian, SingularMetric, WrongDimension
 from .exactpoly import Poly
-from .jetspace import GraphJet
+from .jetspace import GraphJet, JetBatch
 from .symtensor import SymCubic, SymMatrix, cubic_indices
 from .taylor import pow_rows, sumsq_rows
 
@@ -104,6 +106,26 @@ def _metric_numerator(grad: np.ndarray):
     return rho2[:, None, None], rho[:, None, None] * eye - grad[:, :, None] * grad[:, None, :]
 
 
+def _metric(grad, factor: bool = False):
+    """rho^2 and rho^2 h of :func:`_metric_numerator`, or with ``factor`` the
+    Cholesky factor L of h = L L^T, for a gradient (n,), one per row (m, n)
+    or the rows of a :class:`~jetpde.jetspace.JetBatch`.  A batch keeps them
+    per row (:meth:`~jetpde.jetspace.JetBatch.per_row`): each row's metric
+    is computed once for all the batches taken from one batch, and factored
+    once, only for the rows a factor is asked for."""
+    if isinstance(grad, JetBatch):
+        if factor:
+            return grad.per_row("chart_factor", lambda jets: (_cholesky(*_metric(jets)),))[0]
+        return grad.per_row("chart_metric", lambda jets: _metric_numerator(jets.grad))
+    rho2, M = _metric_numerator(np.asarray(grad, dtype=float))
+    return _cholesky(rho2, M) if factor else (rho2, M)
+
+
+def _cholesky(rho2, M) -> np.ndarray:
+    """L with L L^T = h = M / rho2."""
+    return np.linalg.cholesky(M / rho2)
+
+
 def chart_metric_h(grad) -> SymMatrix:
     """Round-metric pullback h = rho^-2 (rho I - grad grad^T)."""
     rho2, M = _metric_numerator(np.asarray(grad, dtype=float))
@@ -124,7 +146,7 @@ def _trace(P: np.ndarray):
 
 def shape_matrix(grad, hess) -> np.ndarray:
     """Endomorphism h . hess measuring the Hessian against the chart metric."""
-    rho2, M = _metric_numerator(np.asarray(grad, dtype=float))
+    rho2, M = _metric(grad)
     return M @ _full(hess) / rho2
 
 
@@ -143,12 +165,14 @@ def eigenvalues(grad, hess) -> np.ndarray:
     Computed through the symmetric congruence L^T hess L with h = L L^T
     (Cholesky of the positive-definite chart metric), which is similar to
     h . hess and guarantees a real spectrum.  h and L depend on the
-    gradient only, so a stack of Hessians with one gradient shares them.
-    h is taken as computed: it is exactly symmetric, so the symmetrizing
-    round trip of :func:`chart_metric_h` would return it unchanged.
+    gradient only, so they are shared per row: a stack of Hessians with
+    one gradient shares them, and the rows of a JetBatch share them with
+    every batch taken from the same batch, the line scan's repeated rows
+    and a report's later stages included (:func:`_metric`).  h is taken
+    as computed: it is exactly symmetric, so the symmetrizing round trip
+    of :func:`chart_metric_h` would return it unchanged.
     """
-    rho2, M = _metric_numerator(np.asarray(grad, dtype=float))
-    L = np.linalg.cholesky(M / rho2)
+    L = _metric(grad, factor=True)
     lams = np.linalg.eigvalsh(L.swapaxes(-1, -2) @ _full(hess) @ L)
     return lams[..., ::-1]
 

@@ -223,7 +223,9 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
     {row: DegenerateHessian} for the rows skipped on the degenerate locus.
 
     The leaves are the stacked invariants of the rows, each leaf computed
-    once, so each row is bitwise the value a batch of one gives.  A skipped
+    once, so each row is bitwise the value a batch of one gives; the chart
+    metric under the Euclidean and conformal leaves is the one the batch
+    keeps per row, shared with the batches taken from the same batch.  A skipped
     row's value is nan, so no later node can raise for it.  numpy warnings
     are off: as for Python floats, an overflow or an inf - inf is a value,
     which a report counts as an infinite defect.
@@ -234,7 +236,7 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
         raise SchemaMismatch(f"jet order {jets.order}, descriptor wants {desc.order}")
     if jets.n != desc.geometry.n:
         raise SchemaMismatch("jet and descriptor dimension differ")
-    grad, H = jets.grad, jets.hess[:, _matrix_gather(jets.n)]
+    H = jets.hess[:, _matrix_gather(jets.n)]
     skipped: dict = {}
 
     def pick_leaf() -> np.ndarray:
@@ -250,8 +252,8 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
         out[live] = 8.0 * pick_numerators(H[live], C) / pow_rows(det[live], 3)
         return out
 
-    makers = {"lam": lambda: eigenvalues(grad, H), "tau": lambda: shape_matrix(grad, H),
-              "tauring": lambda: tracefree_shape(grad, H), "pick": pick_leaf}
+    makers = {"lam": lambda: eigenvalues(jets, H), "tau": lambda: shape_matrix(jets, H),
+              "tauring": lambda: tracefree_shape(jets, H), "pick": pick_leaf}
     cache: dict = {}
 
     def leaf_value(e: Expr) -> np.ndarray:

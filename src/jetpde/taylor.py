@@ -25,8 +25,9 @@ those of plain jet-by-jet arithmetic.  The batch axis keeps the rule: each
 sample's rows see the same operations as a batch of one, reductions run
 per row through the same BLAS/LAPACK call (:func:`sumsq_rows`, stacked
 ``det``/``inv``), powers go through Python's ``float.__pow__``
-(:func:`pow_rows`), and a sample that fails a test (a singular Jacobian)
-is reported for its row and dropped from the rows that go on.
+(:func:`pow_rows`), and a sample that fails a test (a singular Jacobian,
+a divisor too close to zero) is reported for its row and dropped from the
+rows that go on.
 
 The coefficient of the multi-index ``alpha`` is the Taylor coefficient,
 i.e. the partial derivative divided by ``alpha!``.  All operations are
@@ -211,20 +212,23 @@ def mul_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
     return out.reshape(lead + (size,))
 
 
-def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
+def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
     """``a / b`` for N samples: ``b`` holds one divisor per sample (N, size),
     ``a`` one vector (N, size) or rows (N, r, size) per sample.
 
     ``a`` times the series ``1 - r + r^2 - ...`` of ``r = (b - b(0)) / b(0)``,
-    times ``1 / b(0)``.  Raises DivisionBySingular when any sample's divisor
-    fails the test, naming the first.
+    times ``1 / b(0)``.  Returns the quotients of the samples whose divisor
+    passes the test, in order, and ``{sample: DivisionBySingular}`` for the
+    others.
     """
     b0 = b[:, 0]
     scale = np.fmax(1.0, np.abs(b).max(axis=-1))
     bad = np.abs(b0) < DIVISION_RTOL * scale
+    errors = {}
     if bad.any():
-        i = int(np.argmax(bad))
-        raise DivisionBySingular(f"|b(0)|={abs(b0[i]):.3e} below {DIVISION_RTOL * scale[i]:.3e}")
+        errors = {int(i): DivisionBySingular(f"|b(0)|={abs(b0[i]):.3e} below {DIVISION_RTOL * scale[i]:.3e}")
+                  for i in np.flatnonzero(bad)}
+        a, b, b0 = a[~bad], b[~bad], b0[~bad]
     s = 1.0 / b0
     r = b.copy()
     r[:, 0] += -b0
@@ -236,7 +240,7 @@ def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
         term = mul_rows(term, neg_r, n, order)
         inv = inv + term
     per_sample = (len(b),) + (1,) * (a.ndim - 2)
-    return mul_rows(a, inv.reshape(per_sample + inv.shape[-1:]), n, order) * s.reshape(per_sample + (1,))
+    return mul_rows(a, inv.reshape(per_sample + inv.shape[-1:]), n, order) * s.reshape(per_sample + (1,)), errors
 
 
 def linear_rows(M: np.ndarray, V: np.ndarray, off=None) -> np.ndarray:
@@ -532,7 +536,10 @@ def differentiate(a: TruncatedJet, i: int) -> TruncatedJet:
 def divide(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
     """``a * b**-1`` with the reciprocal expanded as a geometric series."""
     order, num, den = a._common(b)
-    return TruncatedJet(a.n_vars, order, divide_rows(num[None], den[None], a.n_vars, order)[0])
+    q, errors = divide_rows(num[None], den[None], a.n_vars, order)
+    if errors:
+        raise errors[0]
+    return TruncatedJet(a.n_vars, order, q[0])
 
 
 def _binom_shift(outer: TruncatedJet, center: np.ndarray) -> np.ndarray:

@@ -304,8 +304,7 @@ def orbit_points(lower: JetBatch, params: np.ndarray) -> JetBatch:
         full = params[:, None, None] * (rho * (np.eye(n) + grad[:, :, None] * grad[:, None, :]))
         top = np.empty((len(lower), n * (n + 1) // 2))  # symmetrized as SymMatrix.from_full
         top[:, _matrix_gather(n).ravel()] = (0.5 * (full + full.swapaxes(1, 2))).reshape(len(lower), n * n)
-    top = [top] if lower.order == 1 else [top, sym_outers(params, top)]
-    return JetBatch(lower.chart, n, lower.order + 1, lower.base, lower.u, grad, *top)
+    return lower.over(top) if lower.order == 1 else lower.over(top, sym_outers(params, top))
 
 
 def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
@@ -313,11 +312,12 @@ def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
     residual call scans up to BLOCK_SAMPLES rows at LINE; :func:`_brent` polishes each
     row's first cell with a zero end or end values whose product is
     negative, the live polishes of a round sharing one residual call.
-    Returns the rows with a root, their Hessian entries and residuals."""
+    Every call takes its rows from ``lower``, so each row's chart metric
+    is computed once, not once per point and round.  Returns the rows with
+    a root, their jets and residuals."""
 
     def values(rows, hess) -> np.ndarray:
-        jets = JetBatch(desc.chart, lower.n, 2, lower.base[rows], lower.u[rows], lower.grad[rows], hess)
-        return residuals(desc, jets)[0]
+        return residuals(desc, lower.take(rows).over(hess))[0]
 
     def scanned(rows) -> np.ndarray:
         scan = np.repeat(entries[rows], LINE.size, axis=0)
@@ -343,13 +343,14 @@ def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
             except StopIteration as stop:
                 if stop.value:
                     roots[r] = stop.value
-        hess = entries[list(asked)]
+        rows = np.fromiter(asked, dtype=np.intp, count=len(asked))
+        hess = entries[rows]
         hess[:, -1] = list(asked.values())
-        sent = dict(zip(asked, values(list(asked), hess).tolist())) if asked else {}
+        sent = dict(zip(asked, values(rows, hess).tolist())) if asked else {}
     rows = sorted(roots)
     hess = entries[rows]
     hess[:, -1] = [roots[r][0] for r in rows]
-    return rows, hess, np.array([roots[r][1] for r in rows])
+    return rows, lower.take(rows).over(hess), np.array([roots[r][1] for r in rows])
 
 
 def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
@@ -399,7 +400,7 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
             break
     lost = {lines[k] for k in live}
     rows = [i for i in drawn if i not in lost]
-    jets = JetBatch(lower.chart, n, 3, lower.base, lower.u, lower.grad, hess, cubic)
+    jets = lower.over(hess, cubic)
     return rows, jets if len(rows) == len(rngs) else jets.take(rows), [definite[i] for i in rows]
 
 
@@ -418,7 +419,9 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
     exact = desc.expr in ORBIT_EXPRS
     # the 1-jet, then the first Hessian try or the umbilic parameter's two normals
     width = 2 * n + 1 + (2 if exact and desc.order == 2 else n * (n + 1) // 2)
-    z = np.array([rng.standard_normal(width) for rng in rngs]).reshape(count, width)
+    z = np.empty((count, width))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=z[i])
     base, u, grad = jet_scale * z[:, :n], jet_scale * z[:, n], jet_scale * z[:, n + 1 : 2 * n + 1]
     lower, top, values = JetBatch(desc.chart, n, 1, base, u, grad), z[:, 2 * n + 1 :], None
     if desc.order == 3:
@@ -428,8 +431,7 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
         rows, checked = list(range(count)), []
         jets = orbit_points(lower, top[:, 0] + np.sign(top[:, 1]) * 0.2)
     else:
-        rows, hess, values = _line_draws(desc, lower, top)
-        jets = JetBatch(desc.chart, n, 2, base[rows], u[rows], grad[rows], hess)
+        rows, jets, values = _line_draws(desc, lower, top)
         checked = list(range(len(rows)))
     entries = [jets.base, jets.u[:, None], jets.grad, jets.hess] + ([jets.cubic] if desc.order == 3 else [])
     if not np.isfinite(np.concatenate(entries, axis=1)).all():
@@ -553,8 +555,8 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
         if tag.name == "euclidean" and len(live):
             before, after = sub.take(np.delete(np.arange(len(sub)), list(skips))[live]), moved.take(live)
             for ratio in _ratio_defects(
-                eigenvalues(before.grad, before.hess[:, _matrix_gather(tag.n)]),
-                eigenvalues(after.grad, after.hess[:, _matrix_gather(tag.n)]),
+                eigenvalues(before, before.hess[:, _matrix_gather(tag.n)]),
+                eigenvalues(after, after.hess[:, _matrix_gather(tag.n)]),
             ).tolist():
                 max_ratio = max(max_ratio, ratio)
     return _report(desc.desc_id, cfg.seed, count, skipped, max_defect, evaluated, cfg.tol, max_ratio)

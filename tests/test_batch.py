@@ -14,8 +14,8 @@ import pytest
 
 import jet_reference as ref
 from jet_reference import assert_bitwise
-from jetpde import verify
-from jetpde.errors import JetError
+from jetpde import invariants, verify
+from jetpde.errors import ChartDomain, DivisionBySingular, JetError
 from jetpde.groups import (
     GEOMETRIES,
     GeometryTag,
@@ -23,6 +23,7 @@ from jetpde.groups import (
     _minimal_rotation,
     prolong,
     prolong_batch,
+    Elements,
     random_element,
     random_elements,
 )
@@ -38,6 +39,7 @@ from jetpde.verify import (
     residual_scale,
     residual_scales,
     sample_on_zero_set,
+    sample_rows,
     seed_states,
 )
 
@@ -285,3 +287,70 @@ def test_batch_equals_batches_of_one(geometry, n, order, count, seed, scale, ver
         for k, r in enumerate(live):
             assert_bitwise(scales[k], residual_scale(desc, moved.jet(r)))
 
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_failing_divisor_skips_its_sample_only(n):
+    # at jet scale 1e5 most conformal divisors fail the division test: each
+    # such sample is a chart_domain skip caused by it, alone as in the batch
+    tag = GeometryTag("conformal", n)
+    rows, jets = sample_rows(build(tag, "umbilical"), [np.random.default_rng((7, i)) for i in range(20)], 1e5)
+    elements = random_elements(tag, [np.random.default_rng((7, int(i), 1)) for i in rows], 0.5)
+    moved, skips = prolong_batch(elements, jets)
+    assert len(moved) + len(skips) == len(jets) and skips
+    assert any(isinstance(e.__cause__, DivisionBySingular) for e in skips.values())
+    kept = [i for i in range(len(jets)) if i not in skips]
+    for i in range(len(jets)):
+        one = Elements(elements.kind, n, elements.mat[i : i + 1])
+        got, alone = prolong_batch(one, jets.take([i]))
+        if i in skips:
+            assert type(skips[i]) is ChartDomain and type(alone[0]) is ChartDomain
+            assert type(skips[i].__cause__) is type(alone[0].__cause__)
+            with pytest.raises(ChartDomain):
+                prolong(GroupElement(elements.kind, n, elements.mat[i]), jets.jet(i))
+        else:
+            assert not alone
+            assert_same_jet(moved.jet(kept.index(i)), got.jet(0))
+
+
+def test_per_row_values_are_computed_once_and_shared():
+    rng = np.random.default_rng(3)
+    jets = JetBatch("euclidean", 2, 1, rng.standard_normal((6, 2)), rng.standard_normal(6),
+                    rng.standard_normal((6, 2)))
+    asked = []
+
+    def doubled(batch):
+        asked.append(len(batch))
+        return (batch.grad * 2.0,)
+
+    # rows asked through take() and over() are computed once each, in the shared store
+    scan = jets.take(np.repeat([4, 1], 3)).over(np.zeros((6, 3)))
+    assert_bitwise(scan.per_row("doubled", doubled)[0], np.repeat(jets.grad[[4, 1]], 3, axis=0) * 2.0)
+    assert_bitwise(jets.take([1, 2]).per_row("doubled", doubled)[0], jets.grad[[1, 2]] * 2.0)
+    assert_bitwise(jets.per_row("doubled", doubled)[0], jets.grad * 2.0)
+    jets.take(slice(1, 5)).take([2, 0]).per_row("doubled", doubled)
+    assert asked == [2, 1, 3]
+    # a batch made anew has a store of its own
+    again = JetBatch(jets.chart, 2, 1, jets.base, jets.u, jets.grad)
+    assert_bitwise(again.per_row("doubled", doubled)[0], jets.grad * 2.0)
+    assert asked == [2, 1, 3, 6]
+    assert len(jets.take([]).per_row("doubled", doubled)[0]) == 0
+
+
+def test_chart_metric_is_computed_once_per_row(monkeypatch):
+    # a report computes the chart metric of each drawn row once (its line
+    # scan and every Brent round reuse it) and of each moved row once (the
+    # ratio test reuses them), not once per point of the scan
+    desc, cfg = build(GeometryTag("euclidean", 3), "monge_ampere"), SampleConfig(7, 40)
+    want = report_to_text(invariance_report(desc, cfg))
+    metric_rows, factor_rows = [], []
+    numerator, cholesky = invariants._metric_numerator, invariants._cholesky
+    monkeypatch.setattr(invariants, "_metric_numerator",
+                        lambda grad: metric_rows.append(len(grad)) or numerator(grad))
+    monkeypatch.setattr(invariants, "_cholesky", lambda rho2, M: factor_rows.append(len(M)) or cholesky(rho2, M))
+    rep = invariance_report(desc, cfg)
+    assert report_to_text(rep) == want
+    drawn = rep.attempted - rep.skipped["no_root"]
+    bound = cfg.count + drawn  # the drawn rows' 1-jets, and the moved rows
+    assert cfg.count <= sum(metric_rows) <= bound
+    assert cfg.count <= sum(factor_rows) <= bound

@@ -185,6 +185,21 @@ class TestVerify:
         assert code == 1
         assert json.loads(rep.read_text())["skipped"]["chart_domain"] == 20
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n,outside", [(2, 18), (3, 19)])
+    def test_failing_divisor_skips_its_sample(self, tmp_path, capsys, n, outside):
+        # at this jet scale most samples' conformal divisors fail the division
+        # test: each is a chart_domain skip, and the report goes on
+        desc, rep = tmp_path / "um.json", tmp_path / "rep.json"
+        desc.write_text(json.dumps(descriptor_to_json(build(GeometryTag("conformal", n), "umbilical"))))
+        code = run(["verify", str(desc), "--jet-scale", "1e5", "--seed", "7", "--samples", "20",
+                    "--out", str(rep)])
+        assert capsys.readouterr().err == ""
+        assert code == 1
+        blob = json.loads(rep.read_text())
+        assert blob["skipped"]["chart_domain"] == outside
+        assert blob["evaluated"] == 20 - outside
+
     def test_surface_check(self, tmp_path, ms_desc):
         rep = tmp_path / "rep.json"
         code = run(["verify", str(ms_desc), "--surface", "scherk", "--points", "50",

@@ -10,7 +10,7 @@ import pytest
 
 import jet_reference as ref
 from jet_reference import assert_bitwise
-from jetpde.errors import JetError
+from jetpde.errors import DivisionBySingular, JetError
 from jetpde.groups import GEOMETRIES, GeometryTag, prolong, random_element
 from jetpde.jetspace import GraphJet
 from jetpde.symtensor import SymCubic, SymMatrix
@@ -134,7 +134,7 @@ def test_batch_axis_is_per_row(n, order):
     a, b = rows(N, R), rows(N)
     b[:, 0] = 3.0 + np.abs(b[:, 0])
     for got, want in ((mul_rows(a, b[:, None], n, order), per_row(lambda x, y: mul_rows(x, y[:, None], n, order), a, b)),
-                      (divide_rows(a, b, n, order), per_row(lambda x, y: divide_rows(x, y, n, order), a, b)),
+                      (divide_rows(a, b, n, order)[0], per_row(lambda x, y: divide_rows(x, y, n, order)[0], a, b)),
                       (linear_rows(a[..., :R], a, b[..., :R]), per_row(lambda x, y: linear_rows(x[..., :R], x, y[..., :R]), a, b))):
         for i in range(N):
             assert_bitwise(got[i], want[i][0])
@@ -157,6 +157,26 @@ def test_batch_axis_is_per_row(n, order):
         single, none = invert_rows(F[i : i + 1], n, order)
         assert not none
         assert_bitwise(got[k], single[0])
+
+
+def test_failing_divisors_are_reported_for_their_rows():
+    # a divisor that fails the test names its row; the other rows divide as alone
+    n, order, N = 2, 3, 6
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((N, 2, n_coeffs(n, order)))
+    b = rng.standard_normal((N, n_coeffs(n, order)))
+    b[:, 0] = 3.0 + np.abs(b[:, 0])
+    b[1, 0], b[4, 0] = 0.0, 1e-13
+    got, errors = divide_rows(a, b, n, order)
+    assert sorted(errors) == [1, 4]
+    assert all(type(e) is DivisionBySingular for e in errors.values())
+    for k, i in enumerate((0, 2, 3, 5)):
+        single, none = divide_rows(a[i : i + 1], b[i : i + 1], n, order)
+        assert not none
+        assert_bitwise(got[k], single[0])
+    # the division of two jets still raises for its one row
+    with pytest.raises(DivisionBySingular):
+        divide(TruncatedJet(n, order, a[1, 0]), TruncatedJet(n, order, b[1]))
 
 
 @pytest.mark.filterwarnings("error")

@@ -153,9 +153,9 @@ class Counting:
         self.rng = np.random.default_rng(seed)
         self.sizes = []
 
-    def standard_normal(self, size=None):
-        self.sizes.append(size)
-        return self.rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        self.sizes.append(size if out is None else out.size)
+        return self.rng.standard_normal(size, out=out)
 
 
 def assert_same_jet(got: GraphJet, want: GraphJet):
