@@ -143,7 +143,7 @@ def _check_elements(g: Elements) -> None:
             if (np.abs(det) < AFFINE_DET_TOL).any():
                 raise SchemaMismatch("affine matrix is singular")
             return
-        gram = (mat.swapaxes(1, 2) @ mat - np.eye(n + 1)).reshape(count, -1)
+        gram = (mat.swapaxes(1, 2) @ mat - np.eye(n + 1)).reshape(count, (n + 1) ** 2)
         if (norm_rows(gram) > ORTHOGONALITY_TOL).any():
             raise SchemaMismatch("A is not orthogonal")
         if (np.abs(det - 1.0) > ORTHOGONALITY_TOL).any():
@@ -158,9 +158,10 @@ def _check_elements(g: Elements) -> None:
         if mat.shape[1:] != (n + 3, n + 3):
             raise SchemaMismatch("conformal element needs an (n+3)x(n+3) matrix")
         J = _form_matrix(n)
-        defect = (mat.swapaxes(1, 2) @ J @ mat - J).reshape(count, -1)
-        bound = CONFORMAL_FORM_TOL * pow_rows(norm_rows(mat.reshape(count, -1)), 2)
-        if not (norm_rows(defect) <= bound).all():
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect or bound fails
+            defect = norm_rows((mat.swapaxes(1, 2) @ J @ mat - J).reshape(count, (n + 3) ** 2))
+            bound = CONFORMAL_FORM_TOL * pow_rows(norm_rows(mat.reshape(count, (n + 3) ** 2)), 2)
+        if not (np.isfinite(bound) & (defect <= bound)).all():
             raise SchemaMismatch("matrix does not preserve the ambient form")
     else:
         raise SchemaMismatch(f"unknown group element kind {kind!r}")

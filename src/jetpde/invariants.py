@@ -109,10 +109,10 @@ def _metric_numerator(grad: np.ndarray):
 def _metric(grad, factor: bool = False):
     """rho^2 and rho^2 h of :func:`_metric_numerator`, or with ``factor`` the
     Cholesky factor L of h = L L^T, for a gradient (n,), one per row (m, n)
-    or the rows of a :class:`~jetpde.jetspace.JetBatch`.  A batch keeps them
-    per row (:meth:`~jetpde.jetspace.JetBatch.per_row`): each row's metric
-    is computed once for all the batches taken from one batch, and factored
-    once, only for the rows a factor is asked for."""
+    or the rows of a :class:`~jetpde.jetspace.JetBatch`, which gathers them
+    (:meth:`~jetpde.jetspace.JetBatch.per_row`) from the batch it was taken
+    from: there they are computed once for every row, the factor only
+    when first asked for."""
     if isinstance(grad, JetBatch):
         if factor:
             return grad.per_row("chart_factor", lambda jets: (_cholesky(*_metric(jets)),))[0]
@@ -166,11 +166,11 @@ def eigenvalues(grad, hess) -> np.ndarray:
     (Cholesky of the positive-definite chart metric), which is similar to
     h . hess and guarantees a real spectrum.  h and L depend on the
     gradient only, so they are shared per row: a stack of Hessians with
-    one gradient shares them, and the rows of a JetBatch share them with
-    every batch taken from the same batch, the line scan's repeated rows
-    and a report's later stages included (:func:`_metric`).  h is taken
-    as computed: it is exactly symmetric, so the symmetrizing round trip
-    of :func:`chart_metric_h` would return it unchanged.
+    one gradient shares them, and a JetBatch gathers them from the batch
+    it was taken from, where each row's are computed once for the line
+    scan's repeated rows and a report's later stages (:func:`_metric`).
+    h is taken as computed: it is exactly symmetric, so the symmetrizing
+    round trip of :func:`chart_metric_h` would return it unchanged.
     """
     L = _metric(grad, factor=True)
     lams = np.linalg.eigvalsh(L.swapaxes(-1, -2) @ _full(hess) @ L)

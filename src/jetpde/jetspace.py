@@ -10,8 +10,9 @@ A :class:`JetBatch` holds N such jets as arrays with the sample axis
 first.  It is internal: the batched prolongation and residual run on it,
 and :func:`to_poly`/:func:`jet_extend` gather on it at one sample, while
 :class:`GraphJet` stays the public record.  Values that depend on the
-1-jets alone (the chart metric) are kept per row, once for all the
-batches taken from one batch (:meth:`JetBatch.per_row`).
+1-jets alone (the chart metric) are computed once on the whole batch that
+:meth:`JetBatch.take` started from and gathered for every batch taken
+from it (:meth:`JetBatch.per_row`).
 """
 
 from __future__ import annotations
@@ -84,26 +85,6 @@ class GraphJet:
         return np.concatenate(([self.u], self.base))
 
 
-class _RowStore:
-    """``kept``: name -> (held mask, arrays) over the rows of the batch that
-    made the store, whose 1-jets it keeps."""
-
-    __slots__ = ("kept", "size", "lower")
-
-    def __init__(self, jets: "JetBatch"):
-        self.kept = {}
-        self.size = len(jets.u)
-        self.lower = jets.chart, jets.n, jets.base, jets.u, jets.grad
-
-    def jets(self, rows=None) -> "JetBatch":
-        """The 1-jets of the given rows of the store (all of them for None),
-        as a batch sharing it."""
-        chart, n, base, u, grad = self.lower
-        if rows is not None:
-            base, u, grad = base[rows], u[rows], grad[rows]
-        return JetBatch(chart, n, 1, base, u, grad)._sharing(self, rows)
-
-
 @dataclasses.dataclass(frozen=True)
 class JetBatch:
     """N points of J^k(n, M) in the chart ``chart``, sample axis first.
@@ -123,10 +104,12 @@ class JetBatch:
     grad: np.ndarray
     hess: np.ndarray | None = None
     cubic: np.ndarray | None = None
-    # values of the 1-jets kept per row (see per_row): the store of the batch
-    # that take() and over() started from, and this batch's rows of it
-    _store: _RowStore | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
-    _rows: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    # per_row's cache: a batch made by take() holds the batch take() started
+    # from and its rows there (an index of any kind take() accepts); that
+    # source holds the values
+    _source: JetBatch | None = dataclasses.field(default=None, kw_only=True, repr=False, compare=False)
+    _rows: object = dataclasses.field(default=None, kw_only=True, repr=False, compare=False)
+    _kept: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, jets) -> "JetBatch":
@@ -144,67 +127,39 @@ class JetBatch:
     def __len__(self) -> int:
         return len(self.u)
 
-    def take(self, rows) -> "JetBatch":
-        """The batch of the given rows (indices, a slice or a mask), in order."""
+    def take(self, rows, hess: np.ndarray | None = None, cubic: np.ndarray | None = None) -> "JetBatch":
+        """The batch of the given rows (indices, a slice or a mask), in order;
+        with ``hess`` the jets over these rows' 1-jets with the given packed
+        Hessians (order 2), and cubics (order 3)."""
+        if hess is None:
+            order = self.order
+            hess, cubic = (None if a is None else a[rows] for a in (self.hess, self.cubic))
+        else:
+            order = 2 if cubic is None else 3
+        if self._source is None:
+            source, index = self, rows
+        else:  # the rows of rows, as indices into the source
+            source, index = self._source, np.arange(len(self._source))[self._rows][rows]
         return JetBatch(
-            self.chart, self.n, self.order, self.base[rows], self.u[rows], self.grad[rows],
-            None if self.hess is None else self.hess[rows],
-            None if self.cubic is None else self.cubic[rows],
-        )._sharing(self._own_store(), self._index()[rows])
-
-    def over(self, hess: np.ndarray, cubic: np.ndarray | None = None) -> "JetBatch":
-        """The jets over this batch's 1-jets with the given packed Hessians
-        (order 2), and cubics (order 3)."""
-        return JetBatch(
-            self.chart, self.n, 2 if cubic is None else 3, self.base, self.u, self.grad, hess, cubic,
-        )._sharing(self._own_store(), self._rows)
-
-    def _own_store(self) -> _RowStore:
-        if self._store is None:  # made on first use, by the batch that is its source
-            object.__setattr__(self, "_store", _RowStore(self))
-        return self._store
-
-    def _sharing(self, store: _RowStore, rows) -> "JetBatch":
-        object.__setattr__(self, "_store", store)
-        object.__setattr__(self, "_rows", rows)
-        return self
-
-    def _index(self) -> np.ndarray:
-        return np.arange(len(self)) if self._rows is None else self._rows
+            self.chart, self.n, order, self.base[rows], self.u[rows], self.grad[rows], hess, cubic,
+            _source=source, _rows=index,
+        )
 
     def per_row(self, name: str, compute) -> tuple:
-        """``compute(jets)`` at this batch's rows, each row computed once per
-        store: the batches that :meth:`take` and :meth:`over` make share
-        their source's store, which keeps every row computed so far under
-        ``name`` and gathers it.  ``compute`` maps a batch to a tuple of
-        arrays with one row per jet, each row a function of that jet's
-        1-jet alone, so that a row computed among others is the row
-        computed alone.  It runs once on every row of the store when the
-        first batch to ask covers them all, else on the rows asked and not
-        held yet.  The source batch gets the store's arrays themselves,
-        which are read-only."""
-        store, rows = self._own_store(), self._rows
-        held, values = store.kept.get(name, (None, None))
-        index = self._index()
-        if held is None or not held[index].all():
-            todo = np.zeros(store.size, dtype=bool)
-            todo[index] = True
-            if held is None and todo.all():
-                held, values = todo, compute(self if rows is None else store.jets())
-            else:
-                new = np.flatnonzero(todo if held is None else todo & ~held)
-                made = compute(store.jets(new))
-                if held is None:
-                    held = np.zeros(store.size, dtype=bool)
-                    values = tuple(np.empty((store.size,) + a.shape[1:], dtype=a.dtype) for a in made)
-                for v, a in zip(values, made):
-                    v.flags.writeable = True
-                    v[new] = a
-                held[new] = True
+        """``compute(jets)`` at this batch's rows.  ``compute`` maps a batch
+        to a tuple of arrays with one row per jet, each row a function of
+        that jet's 1-jet alone.  It runs once per ``name`` on the whole
+        source, the batch that :meth:`take` started from, the first time
+        the source or any batch taken from it asks; the source keeps its
+        arrays, read-only, and every later ask gathers this batch's rows
+        of them (the source gets the arrays themselves)."""
+        source = self if self._source is None else self._source
+        values = source._kept.get(name)
+        if values is None:
+            values = source._kept[name] = compute(source)
             for v in values:
                 v.flags.writeable = False
-            store.kept[name] = held, values
-        return values if rows is None else tuple(v[rows] for v in values)
+        return values if self._source is None else tuple(v[self._rows] for v in values)
 
     def jet(self, i: int) -> GraphJet:
         n = self.n

@@ -304,7 +304,7 @@ def orbit_points(lower: JetBatch, params: np.ndarray) -> JetBatch:
         full = params[:, None, None] * (rho * (np.eye(n) + grad[:, :, None] * grad[:, None, :]))
         top = np.empty((len(lower), n * (n + 1) // 2))  # symmetrized as SymMatrix.from_full
         top[:, _matrix_gather(n).ravel()] = (0.5 * (full + full.swapaxes(1, 2))).reshape(len(lower), n * n)
-    return lower.over(top) if lower.order == 1 else lower.over(top, sym_outers(params, top))
+    return lower.take(slice(None), top, None if lower.order == 1 else sym_outers(params, top))
 
 
 def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
@@ -317,7 +317,7 @@ def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
     a root, their jets and residuals."""
 
     def values(rows, hess) -> np.ndarray:
-        return residuals(desc, lower.take(rows).over(hess))[0]
+        return residuals(desc, lower.take(rows, hess))[0]
 
     def scanned(rows) -> np.ndarray:
         scan = np.repeat(entries[rows], LINE.size, axis=0)
@@ -350,7 +350,7 @@ def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
     rows = sorted(roots)
     hess = entries[rows]
     hess[:, -1] = [roots[r][0] for r in rows]
-    return rows, lower.take(rows).over(hess), np.array([roots[r][1] for r in rows])
+    return rows, lower.take(rows, hess), np.array([roots[r][1] for r in rows])
 
 
 def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
@@ -400,8 +400,7 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
             break
     lost = {lines[k] for k in live}
     rows = [i for i in drawn if i not in lost]
-    jets = lower.over(hess, cubic)
-    return rows, jets if len(rows) == len(rngs) else jets.take(rows), [definite[i] for i in rows]
+    return rows, lower.take(rows, hess[rows], cubic[rows]), [definite[i] for i in rows]
 
 
 def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray, JetBatch]:

@@ -315,26 +315,52 @@ def test_failing_divisor_skips_its_sample_only(n):
 
 def test_per_row_values_are_computed_once_and_shared():
     rng = np.random.default_rng(3)
-    jets = JetBatch("euclidean", 2, 1, rng.standard_normal((6, 2)), rng.standard_normal(6),
-                    rng.standard_normal((6, 2)))
+    base, u, grad = rng.standard_normal((6, 2)), rng.standard_normal(6), rng.standard_normal((6, 2))
     asked = []
 
     def doubled(batch):
         asked.append(len(batch))
         return (batch.grad * 2.0,)
 
-    # rows asked through take() and over() are computed once each, in the shared store
-    scan = jets.take(np.repeat([4, 1], 3)).over(np.zeros((6, 3)))
-    assert_bitwise(scan.per_row("doubled", doubled)[0], np.repeat(jets.grad[[4, 1]], 3, axis=0) * 2.0)
-    assert_bitwise(jets.take([1, 2]).per_row("doubled", doubled)[0], jets.grad[[1, 2]] * 2.0)
-    assert_bitwise(jets.per_row("doubled", doubled)[0], jets.grad * 2.0)
-    jets.take(slice(1, 5)).take([2, 0]).per_row("doubled", doubled)
-    assert asked == [2, 1, 3]
-    # a batch made anew has a store of its own
-    again = JetBatch(jets.chart, 2, 1, jets.base, jets.u, jets.grad)
-    assert_bitwise(again.per_row("doubled", doubled)[0], jets.grad * 2.0)
-    assert asked == [2, 1, 3, 6]
-    assert len(jets.take([]).per_row("doubled", doubled)[0]) == 0
+    # every batch taken from the source gathers from one compute call over
+    # the source's 6 rows, whichever batch asks first; a batch made anew
+    # has a cache of its own
+    mask = np.array([False, True, True, False, True, False])
+    for first in range(6):
+        jets = JetBatch("euclidean", 2, 1, base, u, grad)
+        taken = [
+            (jets.take(np.repeat([4, 1], 3), np.zeros((6, 3))), np.repeat([4, 1], 3)),
+            (jets.take([1, 2]), [1, 2]),
+            (jets, slice(None)),
+            (jets.take(slice(1, 5)).take([2, 0], np.ones((2, 3))), [3, 1]),
+            (jets.take(mask).take(slice(1, None)), [2, 4]),
+            (jets.take([]), []),
+        ]
+        for batch, rows in taken[first:] + taken[:first]:
+            assert_bitwise(batch.per_row("doubled", doubled)[0], grad[rows] * 2.0)
+        assert asked == [6] * (first + 1)
+
+
+def test_take_with_top_entries_is_one_batch_over_the_rows():
+    # take(rows, hess, cubic) is the batch of the rows with the top entries
+    # replaced, and gathers the same chart metric as a batch made anew
+    rng = np.random.default_rng(5)
+    lower = JetBatch("euclidean", 3, 1, rng.standard_normal((5, 3)), rng.standard_normal(5),
+                     rng.standard_normal((5, 3)))
+    rows, hess, cubic = [3, 0, 3, 4], rng.standard_normal((4, 6)), rng.standard_normal((4, 10))
+    for top in ((hess,), (hess, cubic)):
+        got = lower.take(rows, *top)
+        rows_alone = lower.take(rows)
+        want = JetBatch(lower.chart, 3, 1 + len(top), rows_alone.base, rows_alone.u, rows_alone.grad, *top)
+        assert got.order == want.order
+        for field in ("base", "u", "grad", "hess", "cubic"):
+            if getattr(want, field) is None:
+                assert getattr(got, field) is None
+            else:
+                assert_bitwise(getattr(got, field), getattr(want, field))
+        assert_bitwise(invariants._metric(got, factor=True), invariants._metric(want, factor=True))
+        for g, w in zip(invariants._metric(got), invariants._metric(want)):
+            assert_bitwise(g, w)
 
 
 def test_chart_metric_is_computed_once_per_row(monkeypatch):

@@ -315,6 +315,7 @@ def inputs(tmp_path):
         "expr": expr_to_json(tau(1)),
         "aff": descriptor_to_json(build(GeometryTag("affine", 2), "affine_cubic")),
         "proj": descriptor_to_json(build(GeometryTag("projective", 2), "projective_cubic")),
+        "um": descriptor_to_json(build(GeometryTag("conformal", 2), "umbilical")),
         "pick100": descriptor_to_json(build(GeometryTag("affine", 2), pick() ** 100)),
         "tau200": descriptor_to_json(build(GeometryTag("euclidean", 2), tau(1) ** 200)),
         "jet": jet_to_json(GraphJet("euclidean", 2, 2, [0, 0], 0.0, [0, 0], SymMatrix(2))),
@@ -360,6 +361,7 @@ def inputs(tmp_path):
     (["verify", "{ms}", "--samples", "3", "--scale", "nan"], 2),
     (["verify", "{aff}", "--samples", "3", "--scale", "1e10"], 2),
     (["verify", "{proj}", "--samples", "3", "--scale", "1e10"], 2),
+    (["verify", "{um}", "--samples", "20", "--seed", "7", "--scale", "300"], 2),
     (["verify", "{ms}", "--samples", "abc"], 2),
     (["verify", "{ms}", "--samples", "3", "--scale", "-inf"], 2),
     (["verify", "{ms}", "--samples", "3", "--jet-scale", "-1"], 2),

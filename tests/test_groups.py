@@ -22,6 +22,7 @@ from jetpde.groups import (
     prolong,
     projective_element,
     random_element,
+    random_elements,
 )
 from jetpde.invariants import sym_outer
 from jetpde.jetspace import GraphJet, jet_extend, project
@@ -160,6 +161,21 @@ class TestRandomElement:
             GroupElement("affine", 2, np.eye(3), [bad, 0.0, 0.0])
         with pytest.raises(SchemaMismatch, match="must be finite"):
             element_from_json({"type": "euclidean", "n": 1, "A": [[1, 0], [0, 1]], "b": [bad, 0]})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_conformal_overflowing_form_rejected_without_warning(self, scale):
+        # C^T J C overflows to inf, as does the bound; inf <= inf is no pass
+        with pytest.raises(SchemaMismatch, match="ambient form"):
+            GroupElement("conformal", 2, scale * np.eye(5))
+
+    @pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.name)
+    def test_no_generators_give_empty_elements(self, tag):
+        g = random_elements(tag, [], 0.5)
+        size = tag.n + {"euclidean": 1, "affine": 1, "projective": 2, "conformal": 3}[tag.name]
+        assert g.mat.shape == (0, size, size)
+        assert (None if g.shift is None else g.shift.shape) == (
+            (0, size) if tag.name in ("euclidean", "affine") else None)
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf])
     def test_non_finite_scale_rejected(self, scale):
