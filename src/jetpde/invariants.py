@@ -8,7 +8,8 @@ Conventions (fixed once, used everywhere):
   Darboux chart.
 * Shape matrix ``S = rho**-2 (rho I - grad grad^T) @ hess`` (= h @ hess);
   its eigenvalues are real because S is conjugate to the symmetric matrix
-  ``L^T hess L`` with ``h = L L^T``.
+  ``R hess R`` with ``R = h^(1/2)``, which has the closed form of
+  :func:`_chart_metric_rows`.
 * ``det S = rho**-(n+1) det(hess)``; for n = 2 this is rho**-3 det(hess),
   with no extra constant factor.
 
@@ -19,7 +20,7 @@ Stack axis: :func:`shape_matrix`, :func:`tracefree_shape` and
 :func:`eigenvalues` take either a :class:`SymMatrix` or a stack of full
 Hessians of shape (m, n, n), with one gradient (n,) shared by the stack,
 one per row (m, n), or a :class:`~jetpde.jetspace.JetBatch` in place of
-its gradients, whose chart metrics it keeps per row (:func:`_metric`);
+its gradients, whose chart metrics it keeps per row (:func:`_chart_metric`);
 :func:`tau_d` takes an (n, n) or (m, n, n) matrix and
 :func:`elementary_symmetric` an (n,) or (m, n) spectrum.
 :func:`hessian_dets` and :func:`pick_numerators` are the stacked forms of
@@ -95,41 +96,37 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _metric_numerator(grad: np.ndarray):
-    """rho^2 and rho I - grad grad^T, which is rho^2 h, for a gradient (n,)
-    or per row of (m, n); rho^2 comes shaped to divide the matrices."""
-    rho = 1.0 + sumsq_rows(grad)
-    rho2 = pow_rows(rho, 2)
-    eye = _identity(grad.shape[-1])
-    if grad.ndim == 1:
-        return rho2, rho * eye - grad[:, None] * grad
-    return rho2[:, None, None], rho[:, None, None] * eye - grad[:, :, None] * grad[:, None, :]
+def _chart_metric_rows(grad: np.ndarray):
+    """h and its root R = h^(1/2), for a gradient (n,) or per row of (m, n).
+
+    With s = sqrt(rho) and P = p p^T for the unit vector p along grad (0 at
+    grad = 0), R = (I - P + P / s) / s: eigenvalue 1/rho along grad, added
+    to I - P rather than taken off I, so exact on a coordinate axis, and
+    1/sqrt(rho) across it.  s comes from grad scaled by its largest entry,
+    so it is finite wherever sqrt(rho) is."""
+    big = np.maximum(1.0, np.abs(grad).max(axis=-1))
+    t = grad / big[..., None]
+    tt = sumsq_rows(t)
+    s = (big * np.sqrt(1.0 / big / big + tt))[..., None, None]
+    p = t / np.sqrt(np.where(tt > 0.0, tt, 1.0))[..., None]
+    P = p[..., :, None] * p[..., None, :]
+    R = (_identity(grad.shape[-1]) - P + P / s) / s
+    return R @ R, R
 
 
-def _metric(grad, factor: bool = False):
-    """rho^2 and rho^2 h of :func:`_metric_numerator`, or with ``factor`` the
-    Cholesky factor L of h = L L^T, for a gradient (n,), one per row (m, n)
-    or the rows of a :class:`~jetpde.jetspace.JetBatch`, which gathers them
-    (:meth:`~jetpde.jetspace.JetBatch.per_row`) from the batch it was taken
-    from: there they are computed once for every row, the factor only
-    when first asked for."""
+def _chart_metric(grad):
+    """h and R of :func:`_chart_metric_rows` for a gradient (n,), one per row
+    (m, n) or the rows of a :class:`~jetpde.jetspace.JetBatch`, which
+    gathers them (:meth:`~jetpde.jetspace.JetBatch.per_row`) from the batch
+    it was taken from, where they are computed once for every row."""
     if isinstance(grad, JetBatch):
-        if factor:
-            return grad.per_row("chart_factor", lambda jets: (_cholesky(*_metric(jets)),))[0]
-        return grad.per_row("chart_metric", lambda jets: _metric_numerator(jets.grad))
-    rho2, M = _metric_numerator(np.asarray(grad, dtype=float))
-    return _cholesky(rho2, M) if factor else (rho2, M)
-
-
-def _cholesky(rho2, M) -> np.ndarray:
-    """L with L L^T = h = M / rho2."""
-    return np.linalg.cholesky(M / rho2)
+        return grad.per_row("chart_metric", lambda jets: _chart_metric_rows(jets.grad))
+    return _chart_metric_rows(np.asarray(grad, dtype=float))
 
 
 def chart_metric_h(grad) -> SymMatrix:
     """Round-metric pullback h = rho^-2 (rho I - grad grad^T)."""
-    rho2, M = _metric_numerator(np.asarray(grad, dtype=float))
-    return SymMatrix.from_full(M / rho2)
+    return SymMatrix.from_full(_chart_metric(grad)[0])
 
 
 def _full(hess) -> np.ndarray:
@@ -146,8 +143,7 @@ def _trace(P: np.ndarray):
 
 def shape_matrix(grad, hess) -> np.ndarray:
     """Endomorphism h . hess measuring the Hessian against the chart metric."""
-    rho2, M = _metric(grad)
-    return M @ _full(hess) / rho2
+    return _chart_metric(grad)[0] @ _full(hess)
 
 
 def tau_d(S, d: int):
@@ -162,18 +158,16 @@ def tau_d(S, d: int):
 def eigenvalues(grad, hess) -> np.ndarray:
     """Real spectrum of the shape matrix, sorted descending along the last axis.
 
-    Computed through the symmetric congruence L^T hess L with h = L L^T
-    (Cholesky of the positive-definite chart metric), which is similar to
-    h . hess and guarantees a real spectrum.  h and L depend on the
-    gradient only, so they are shared per row: a stack of Hessians with
-    one gradient shares them, and a JetBatch gathers them from the batch
-    it was taken from, where each row's are computed once for the line
-    scan's repeated rows and a report's later stages (:func:`_metric`).
-    h is taken as computed: it is exactly symmetric, so the symmetrizing
-    round trip of :func:`chart_metric_h` would return it unchanged.
+    Computed through the symmetric congruence R hess R with R = h^(1/2)
+    (:func:`_chart_metric_rows`), which is similar to h . hess and
+    guarantees a real spectrum.  h and R depend on the gradient only, so
+    they are shared per row: a stack of Hessians with one gradient shares
+    them, and a JetBatch gathers them from the batch it was taken from,
+    where each row's are computed once for the line scan's repeated rows
+    and a report's later stages (:func:`_chart_metric`).
     """
-    L = _metric(grad, factor=True)
-    lams = np.linalg.eigvalsh(L.swapaxes(-1, -2) @ _full(hess) @ L)
+    R = _chart_metric(grad)[1]
+    lams = np.linalg.eigvalsh(R @ _full(hess) @ R)
     return lams[..., ::-1]
 
 

@@ -224,8 +224,8 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
 
     The leaves are the stacked invariants of the rows, each leaf computed
     once, so each row is bitwise the value a batch of one gives; the chart
-    metric under the Euclidean and conformal leaves is the one the batch
-    keeps per row, shared with the batches taken from the same batch.  A skipped
+    metric and its root under the Euclidean and conformal leaves are kept
+    per row by the batch, shared with the batches taken from it.  A skipped
     row's value is nan, so no later node can raise for it.  numpy warnings
     are off: as for Python floats, an overflow or an inf - inf is a value,
     which a report counts as an infinite defect.

@@ -288,10 +288,21 @@ def random_element(tag, seed, scale: float):
 # -- scalar second-order route ----------------------------------------------
 
 
-def shape_matrix(grad, hess: SymMatrix) -> np.ndarray:
+def chart_metric(grad) -> tuple[np.ndarray, np.ndarray]:
+    """h and its closed-form root R for one gradient, scalar by scalar."""
     grad = np.asarray(grad, dtype=float)
-    rho = rho_of(grad)
-    return (rho * np.eye(grad.size) - np.outer(grad, grad)) @ hess.full() / rho**2
+    big = max(1.0, float(np.max(np.abs(grad))))
+    t = grad / big
+    tt = float(t @ t)
+    s = big * math.sqrt(1.0 / big / big + tt)
+    p = t / math.sqrt(tt if tt > 0.0 else 1.0)
+    P = np.outer(p, p)
+    R = (np.eye(grad.size) - P + P / s) / s
+    return R @ R, R
+
+
+def shape_matrix(grad, hess: SymMatrix) -> np.ndarray:
+    return chart_metric(grad)[0] @ hess.full()
 
 
 def tau_d(S, d: int) -> float:
@@ -300,11 +311,8 @@ def tau_d(S, d: int) -> float:
 
 
 def eigenvalues(grad, hess: SymMatrix) -> np.ndarray:
-    grad = np.asarray(grad, dtype=float)
-    rho = rho_of(grad)
-    h = SymMatrix.from_full((rho * np.eye(grad.size) - np.outer(grad, grad)) / rho**2).full()
-    L = np.linalg.cholesky(h)
-    return np.linalg.eigvalsh(L.T @ hess.full() @ L)[::-1]
+    R = chart_metric(grad)[1]
+    return np.linalg.eigvalsh(R @ hess.full() @ R)[::-1]
 
 
 def elementary_symmetric(lams, i: int) -> float:

@@ -358,8 +358,7 @@ def test_take_with_top_entries_is_one_batch_over_the_rows():
                 assert getattr(got, field) is None
             else:
                 assert_bitwise(getattr(got, field), getattr(want, field))
-        assert_bitwise(invariants._metric(got, factor=True), invariants._metric(want, factor=True))
-        for g, w in zip(invariants._metric(got), invariants._metric(want)):
+        for g, w in zip(invariants._chart_metric(got), invariants._chart_metric(want)):
             assert_bitwise(g, w)
 
 
@@ -369,14 +368,12 @@ def test_chart_metric_is_computed_once_per_row(monkeypatch):
     # ratio test reuses them), not once per point of the scan
     desc, cfg = build(GeometryTag("euclidean", 3), "monge_ampere"), SampleConfig(7, 40)
     want = report_to_text(invariance_report(desc, cfg))
-    metric_rows, factor_rows = [], []
-    numerator, cholesky = invariants._metric_numerator, invariants._cholesky
-    monkeypatch.setattr(invariants, "_metric_numerator",
-                        lambda grad: metric_rows.append(len(grad)) or numerator(grad))
-    monkeypatch.setattr(invariants, "_cholesky", lambda rho2, M: factor_rows.append(len(M)) or cholesky(rho2, M))
+    metric_rows = []
+    closed_form = invariants._chart_metric_rows
+    monkeypatch.setattr(invariants, "_chart_metric_rows",
+                        lambda grad: metric_rows.append(len(grad)) or closed_form(grad))
     rep = invariance_report(desc, cfg)
     assert report_to_text(rep) == want
     drawn = rep.attempted - rep.skipped["no_root"]
     bound = cfg.count + drawn  # the drawn rows' 1-jets, and the moved rows
     assert cfg.count <= sum(metric_rows) <= bound
-    assert cfg.count <= sum(factor_rows) <= bound

@@ -410,3 +410,21 @@ def test_overflow_ends_as_a_value(inputs, capsys, argv):
     assert "Traceback" not in err
     assert err == ""
     assert got in (0, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("preset", ["minimal_surface", "monge_ampere"])
+@pytest.mark.parametrize("jet_scale", ["1e10", "1e40", "1e80", "1e120", "1e154", "1e200", "1e300"])
+def test_euclidean_reports_at_extreme_jet_scales(tmp_path, capsys, jet_scale, preset, n):
+    # the chart metric's root has a closed form: huge gradients give a
+    # report, never a traceback or a warning
+    desc = tmp_path / "d.json"
+    desc.write_text(json.dumps(descriptor_to_json(build(GeometryTag("euclidean", n), preset))))
+    try:
+        got = main(["verify", str(desc), "--jet-scale", jet_scale, "--seed", "7", "--samples", "20"])
+    except Exception:  # what the interpreter would print for an escape
+        traceback.print_exc()
+        got = None
+    assert capsys.readouterr().err == ""
+    assert got in (0, 1)

@@ -1,10 +1,12 @@
 """Tests for the scalar invariants against independent oracles."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from jetpde import invariants
 from jetpde.errors import DegenerateHessian, SingularMetric, WrongDimension
 from jetpde.invariants import (
     F_aff3,
@@ -71,6 +73,21 @@ class TestChartMetric:
                 fd = pullback_gram_fd(grad)
                 assert np.max(np.abs(chart_metric_h(grad).full() - fd)) <= 1e-6
 
+    def test_closed_form_root(self):
+        # R is symmetric and squares to (rho I - grad grad^T) / rho^2, taken
+        # exactly here and rounded once, which it returns as h
+        rng = np.random.default_rng(23)
+        for _ in range(1000):
+            n = rng.integers(1, 5)
+            grad = 0.5 * rng.standard_normal(n)
+            g = [Fraction(x) for x in grad.tolist()]
+            rho = 1 + sum(x * x for x in g)
+            want = np.array([[float((rho * (i == j) - g[i] * g[j]) / rho**2) for j in range(n)] for i in range(n)])
+            h, R = invariants._chart_metric_rows(grad)
+            assert np.array_equal(R, R.T)
+            assert np.array_equal(h, R @ R)
+            assert np.max(np.abs(h - want)) <= 2e-15 * np.max(np.abs(want))
+
 
 class TestShapeMatrix:
     def test_flat_gradient(self):
@@ -135,6 +152,41 @@ class TestEigenvalues:
             hess = SymMatrix(n, rng.standard_normal(n * (n + 1) // 2))
             direct = np.sort(np.linalg.eigvals(shape_matrix(grad, hess)).real)[::-1]
             assert np.allclose(eigenvalues(grad, hess), direct, atol=1e-10)
+
+    def test_matches_cholesky_route(self):
+        # the spectrum of L^T hess L with h = L L^T (Cholesky)
+        rng = np.random.default_rng(26)
+        for _ in range(1000):
+            n = rng.integers(1, 5)
+            grad = 0.5 * rng.standard_normal(n)
+            hess = SymMatrix(n, rng.standard_normal(n * (n + 1) // 2))
+            rho = 1.0 + grad @ grad
+            L = np.linalg.cholesky((rho * np.eye(n) - np.outer(grad, grad)) / rho**2)
+            want = np.linalg.eigvalsh(L.T @ hess.full() @ L)[::-1]
+            assert np.max(np.abs(eigenvalues(grad, hess) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a", [1e10, 1e40])
+    def test_along_an_axis_at_a_large_gradient(self, n, a):
+        # grad = (a, 0, ...) and a diagonal hess: the spectrum is
+        # hess_11 / rho^2 along grad and hess_ii / rho across it, here where
+        # rho - a^2 rounds to 0, so h has no Cholesky factor
+        grad, diag = np.eye(n)[0] * a, np.arange(2.0, n + 2.0)
+        rho = 1.0 + a * a
+        want = np.sort(np.concatenate([diag[:1] / rho**2, diag[1:] / rho]))[::-1]
+        np.testing.assert_allclose(eigenvalues(grad, SymMatrix.diag(diag.tolist())), want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("size", [1e100, 1e200, 1e300])
+    def test_finite_and_quiet_at_huge_gradients(self, size):
+        rng = np.random.default_rng(27)
+        for n in (1, 2, 3, 4):
+            grad = size * rng.standard_normal(n)
+            for hess in (SymMatrix(n, rng.standard_normal(n * (n + 1) // 2)),
+                         SymMatrix(n, size * rng.standard_normal(n * (n + 1) // 2))):
+                for value in (eigenvalues(grad, hess), shape_matrix(grad, hess), tracefree_shape(grad, hess),
+                              chart_metric_h(grad).full()):
+                    assert np.isfinite(value).all()
 
 
 class TestElementarySymmetric:
