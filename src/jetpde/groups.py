@@ -26,7 +26,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ChartDomain,
@@ -385,6 +384,8 @@ def _draw_elements(tag: GeometryTag, rngs, scale: float) -> Elements:
     ``expm`` and re-projection make the group elements.  The scale must be
     finite, and an exponential that overflows raises before the
     re-projection."""
+    import scipy.linalg  # imported by its one caller: runs that draw no element never load it
+
     if scale < 0:
         raise SchemaMismatch("scale must be non-negative")
     if not math.isfinite(scale):

@@ -304,7 +304,10 @@ def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
 
     ``F`` (N, n, size) holds n rows over n variables with zero constant
     terms per sample; each inverse is the fixed point of
-    ``g = J^-1 (x - high(g))``, iterated order - 1 times from ``J^-1 x``.
+    ``g = J^-1 (x - high(g))``, iterated from ``J^-1 x`` at growing order:
+    ``high(g)`` in degree k reads only g's degrees below k, so step
+    k = 2, ..., order runs at order k on the rows' degrees up to k and
+    fixes them, bit for bit as a full-order step would.
     Returns the inverses of the samples with an invertible Jacobian, in
     order, and ``{sample: SingularJacobian}`` for the others.
     """
@@ -330,8 +333,9 @@ def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
     high[..., lin] = 0.0
     g = np.zeros(F.shape)
     g[..., lin] = Jinv + 0.0
-    for _ in range(order - 1):
-        g = linear_rows(Jinv, coords - compose_rows(high, g, n, order))
+    for k in range(2, order + 1):
+        s = n_coeffs(n, k)
+        g[..., :s] = linear_rows(Jinv, coords[:, :s] - compose_rows(high[..., :s], g[..., :s], n, k))
     return g, errors
 
 

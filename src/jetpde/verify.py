@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.util
 import json
 import math
 import numbers
 import operator
+import sys
 
 import numpy as np
-import scipy.optimize  # noqa: F401  bench/tracing.py wraps brentq through sys.modules["scipy.optimize"]
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch
@@ -42,6 +43,25 @@ from .jetspace import GraphJet, JetBatch, extend_rows, jet_extend, to_poly
 from .pde import PdeDescriptor, homogeneity_degree, pick, residuals, tauring
 from .symtensor import _cubic_gather, _matrix_gather, cubic_indices
 from .taylor import TruncatedJet, norm_rows, pow_rows, sumsq_rows
+
+
+def _register_unloaded(name: str) -> None:
+    """Enter module ``name`` in ``sys.modules`` unexecuted, unless an entry
+    is there already; it executes on its first attribute access."""
+    if name in sys.modules:
+        return
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+
+
+# bench/tracing.py wraps brentq through sys.modules["scipy.optimize"]; no
+# jetpde code calls it (see _brent), so the module loads only when read.
+_register_unloaded("scipy.optimize")
 
 # On-locus samples must satisfy |residual| <= this (normalized) before any
 # transformation is applied; the 1-D solves are polished to this level.

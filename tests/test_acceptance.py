@@ -11,10 +11,12 @@ import numpy as np
 
 from jetpde.errors import ChartDomain, NotGraph
 from jetpde.groups import (
+    Elements,
     GeometryTag,
     compose_elements,
     normalize_to_origin,
     prolong,
+    prolong_batch,
     random_element,
 )
 from jetpde.invariants import (
@@ -28,7 +30,7 @@ from jetpde.invariants import (
     tracefree_cubic,
     tracefree_shape,
 )
-from jetpde.jetspace import GraphJet, jet_extend, project
+from jetpde.jetspace import GraphJet, JetBatch, jet_extend, project
 from jetpde.pde import build, expand_polynomial, residual, residual_via_normalization
 from jetpde.symtensor import SymCubic, SymMatrix
 from jetpde.taylor import TruncatedJet, compose_map, invert_map, multi_indices
@@ -368,7 +370,26 @@ def test_criterion_10_normalization_mechanics():
            f"self-check defect {worst_self:.3e} <= 1e-9")
 
 
+def element_stack(elements) -> Elements:
+    """GroupElements of one group as one Elements stack."""
+    shift = None if elements[0].shift is None else np.stack([g.shift for g in elements])
+    return Elements(elements[0].kind, elements[0].n, np.stack([g.mat for g in elements]), shift)
+
+
+def prolong_rows(elements, jets):
+    """``prolong_batch`` of the listed elements and jets: {row: moved jet}
+    of the rows that stay graphs, and {row: NotGraph or ChartDomain}."""
+    if not jets:
+        return {}, {}
+    moved, skips = prolong_batch(element_stack(elements), JetBatch.of(jets))
+    assert all(isinstance(e, (NotGraph, ChartDomain)) for e in skips.values())
+    rows = [r for r in range(len(jets)) if r not in skips]
+    return {r: moved.jet(i) for i, r in enumerate(rows)}, skips
+
+
 def test_criterion_11_functoriality():
+    """Each geometry's pairs run as batches of the pairs still needed, so
+    the loop draws the jets, in order, that one pair at a time would."""
     rng = np.random.default_rng(1011)
     worst_pair = 0.0
     worst_proj = 0.0
@@ -376,21 +397,27 @@ def test_criterion_11_functoriality():
         good = 0
         idx = 0
         while good < 300 and idx < 900:
-            idx += 1
-            g1 = random_element(tag, (1011, gidx, idx, 1), 0.3)
-            g2 = random_element(tag, (1011, gidx, idx, 2), 0.3)
-            j = random_jet(rng, tag, order=3)
-            try:
-                combined = prolong(compose_elements(g1, g2), j)
-                stepwise = prolong(g1, prolong(g2, j))
-            except (NotGraph, ChartDomain):
-                continue
-            worst_pair = max(worst_pair, jet_defect(combined, stepwise))
+            ids = range(idx + 1, idx + 1 + min(300 - good, 900 - idx))
+            idx = ids[-1]
+            g1 = [random_element(tag, (1011, gidx, i, 1), 0.3) for i in ids]
+            g2 = [random_element(tag, (1011, gidx, i, 2), 0.3) for i in ids]
+            jets = [random_jet(rng, tag, order=3) for _ in ids]
+            combined, _ = prolong_rows([compose_elements(a, b) for a, b in zip(g1, g2)], jets)
+            half, _ = prolong_rows(g2, jets)
+            live = sorted(half)
+            moved, _ = prolong_rows([g1[r] for r in live], [half[r] for r in live])
+            stepwise = {live[i]: jet for i, jet in moved.items()}
+            usable = [r for r in combined if r in stepwise]
+            for r in usable:
+                worst_pair = max(worst_pair, jet_defect(combined[r], stepwise[r]))
+            lifted, skips = prolong_rows([g1[r] for r in usable], [jets[r] for r in usable])
+            assert not skips
             for m in (1, 2):
-                lhs = project(prolong(g1, j), m)
-                rhs = prolong(g1, project(j, m))
-                worst_proj = max(worst_proj, jet_defect(lhs, rhs))
-            good += 1
+                rhs, skips = prolong_rows([g1[r] for r in usable], [project(jets[r], m) for r in usable])
+                assert not skips
+                for i in range(len(usable)):
+                    worst_proj = max(worst_proj, jet_defect(project(lifted[i], m), rhs[i]))
+            good += len(usable)
         assert good == 300, f"{tag.name}: only {good} usable pairs"
     ok = worst_pair <= 1e-9 and worst_proj <= 1e-10
     report("11 [functoriality]", ok,
