@@ -63,7 +63,6 @@ from .jetspace import (
     jet_to_json,
     project,
     shift_fiber,
-    tangency_check,
     to_poly,
 )
 from .pde import (

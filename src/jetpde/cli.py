@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from .errors import JetError, SchemaMismatch
-from .groups import GEOMETRIES, GeometryTag, element_to_json, normalize_to_origin
+from .geometries import GEOMETRIES, GEOMETRY
+from .groups import GeometryTag, element_to_json, normalize_to_origin
 from .jetspace import jet_from_json, jet_to_json
 from .pde import (
     PRESETS,
@@ -213,7 +214,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     nz = sub.add_parser("normalize", help="carry a jet to the origin")
     nz.add_argument("--geometry", required=True,
-                    choices=tuple(g for g in GEOMETRIES if g != "conformal"))
+                    choices=tuple(g for g in GEOMETRIES if GEOMETRY[g].normal_form))
     nz.add_argument("-n", type=int, default=2)
     nz.add_argument("jet")
     nz.add_argument("--out", help="output path (default: stdout)")

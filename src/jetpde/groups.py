@@ -33,6 +33,7 @@ from .errors import (
     OrderUnderflow,
     SchemaMismatch,
 )
+from .geometries import GEOMETRIES, GEOMETRY, Geometry
 from .invariants import Signature, _trace, hessian_congruence
 from .jetspace import GraphJet, JetBatch, extend_rows, poly_rows
 from .taylor import (
@@ -45,15 +46,6 @@ from .taylor import (
     norm_rows,
     pow_rows,
 )
-
-GEOMETRIES = ("euclidean", "affine", "projective", "conformal")
-
-CHART_FOR_GEOMETRY = {
-    "euclidean": "euclidean",
-    "affine": "affine",
-    "projective": "projective_affine_chart",
-    "conformal": "sphere_stereographic",
-}
 
 ORTHOGONALITY_TOL = 1e-10
 AFFINE_DET_TOL = 1e-10
@@ -80,8 +72,12 @@ class GeometryTag:
             raise SchemaMismatch("need at least one independent variable")
 
     @property
+    def facts(self) -> Geometry:
+        return GEOMETRY[self.name]
+
+    @property
     def chart(self) -> str:
-        return CHART_FOR_GEOMETRY[self.name]
+        return self.facts.chart
 
 
 def _form_matrix(n: int) -> np.ndarray:
@@ -115,7 +111,7 @@ class GroupElement:
 
 class Elements(NamedTuple):
     """N elements of one group as stacks: ``mat`` (N, k, k) and, for the
-    Euclidean and affine groups, ``shift`` (N, n + 1)."""
+    groups whose record has a shift, ``shift`` (N, n + 1)."""
 
     kind: str
     n: int
@@ -134,67 +130,63 @@ def _check_elements(g: Elements) -> None:
     kind, n, mat, shift = g
     count = len(mat)
     _check_finite(mat, shift)
+    if kind not in GEOMETRIES:
+        raise SchemaMismatch(f"unknown group element kind {kind!r}")
+    facts = GEOMETRY[kind]
+    k = facts.size(n)
+    shift_ok = shift is not None and shift.shape[1:] == (n + 1,) if facts.shifted else shift is None
+    if mat.shape[1:] != (k, k) or not shift_ok:
+        with_shift = "a shift b of length n+1" if facts.shifted else "no shift"
+        raise SchemaMismatch(f"{kind} element needs a {k}x{k} matrix and {with_shift}")
     if kind in ("euclidean", "affine"):
-        if mat.shape[1:] != (n + 1, n + 1) or shift is None or shift.shape[1:] != (n + 1,):
-            raise SchemaMismatch(f"{kind} element needs (n+1)x(n+1) A and b")
         det = np.linalg.det(mat)
         if kind == "affine":
             if (np.abs(det) < AFFINE_DET_TOL).any():
                 raise SchemaMismatch("affine matrix is singular")
             return
-        gram = (mat.swapaxes(1, 2) @ mat - np.eye(n + 1)).reshape(count, (n + 1) ** 2)
+        gram = (mat.swapaxes(1, 2) @ mat - np.eye(k)).reshape(count, k * k)
         if (norm_rows(gram) > ORTHOGONALITY_TOL).any():
             raise SchemaMismatch("A is not orthogonal")
         if (np.abs(det - 1.0) > ORTHOGONALITY_TOL).any():
             raise SchemaMismatch("A is not special orthogonal")
     elif kind == "projective":
-        if mat.shape[1:] != (n + 2, n + 2):
-            raise SchemaMismatch("projective element needs an (n+2)x(n+2) matrix")
         det = np.linalg.det(mat)
         if not (np.abs(det - 1.0) <= PROJECTIVE_DET_TOL * np.linalg.cond(mat) * np.abs(det)).all():
             raise SchemaMismatch("projective matrix is not unimodular")
-    elif kind == "conformal":
-        if mat.shape[1:] != (n + 3, n + 3):
-            raise SchemaMismatch("conformal element needs an (n+3)x(n+3) matrix")
+    else:
         J = _form_matrix(n)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect or bound fails
-            defect = norm_rows((mat.swapaxes(1, 2) @ J @ mat - J).reshape(count, (n + 3) ** 2))
-            bound = CONFORMAL_FORM_TOL * pow_rows(norm_rows(mat.reshape(count, (n + 3) ** 2)), 2)
+            defect = norm_rows((mat.swapaxes(1, 2) @ J @ mat - J).reshape(count, k * k))
+            bound = CONFORMAL_FORM_TOL * pow_rows(norm_rows(mat.reshape(count, k * k)), 2)
         if not (np.isfinite(bound) & (defect <= bound)).all():
             raise SchemaMismatch("matrix does not preserve the ambient form")
-    else:
-        raise SchemaMismatch(f"unknown group element kind {kind!r}")
+
+
+def _element(kind: str, mat, shift=None) -> GroupElement:
+    mat = np.asarray(mat, dtype=float)
+    return GroupElement(kind, mat.shape[0] - GEOMETRY[kind].extra, mat, shift)
 
 
 def euclidean_element(A, b) -> GroupElement:
-    A = np.asarray(A, dtype=float)
-    return GroupElement("euclidean", A.shape[0] - 1, A, np.asarray(b, dtype=float))
+    return _element("euclidean", A, b)
 
 
 def affine_element(A, b) -> GroupElement:
-    A = np.asarray(A, dtype=float)
-    return GroupElement("affine", A.shape[0] - 1, A, np.asarray(b, dtype=float))
+    return _element("affine", A, b)
 
 
 def projective_element(P) -> GroupElement:
-    P = np.asarray(P, dtype=float)
-    return GroupElement("projective", P.shape[0] - 2, P)
+    return _element("projective", P)
 
 
 def conformal_element(C) -> GroupElement:
-    C = np.asarray(C, dtype=float)
-    return GroupElement("conformal", C.shape[0] - 3, C)
+    return _element("conformal", C)
 
 
 def identity_element(tag: GeometryTag) -> GroupElement:
-    n = tag.n
-    if tag.name == "euclidean":
-        return euclidean_element(np.eye(n + 1), np.zeros(n + 1))
-    if tag.name == "affine":
-        return affine_element(np.eye(n + 1), np.zeros(n + 1))
-    if tag.name == "projective":
-        return projective_element(np.eye(n + 2))
-    return conformal_element(np.eye(n + 3))
+    facts = tag.facts
+    shift = np.zeros(tag.n + 1) if facts.shifted else None
+    return GroupElement(tag.name, tag.n, np.eye(facts.size(tag.n)), shift)
 
 
 def compose_elements(g1: GroupElement, g2: GroupElement) -> GroupElement:
@@ -229,6 +221,12 @@ def _unimodular(P: np.ndarray) -> np.ndarray:
 # -- chart maps ---------------------------------------------------------------
 
 
+def _off_chart(out: np.ndarray, den) -> np.ndarray:
+    """Whether each image denominator ``den`` is too close to zero against
+    the largest entry of its image, the last axis of ``out``."""
+    return np.abs(den) < CHART_DENOM_RTOL * np.fmax(1.0, np.abs(out).max(axis=-1))
+
+
 def act_point(g: GroupElement, p) -> np.ndarray:
     """Image of a chart point (u, x^1, ..., x^n) under the point map."""
     p = np.asarray(p, dtype=float).reshape(-1)
@@ -240,7 +238,7 @@ def act_point(g: GroupElement, p) -> np.ndarray:
         hom = np.concatenate([p, [1.0]])
         out = g.mat @ hom
         den = out[-1]
-        if abs(den) < CHART_DENOM_RTOL * max(1.0, float(np.linalg.norm(out))):
+        if _off_chart(out, den):
             raise ChartDomain("projective image leaves the affine chart")
         return out[:-1] / den
     # conformal: chart -> cone (lambda = 1) -> act -> rescale -> chart
@@ -248,7 +246,7 @@ def act_point(g: GroupElement, p) -> np.ndarray:
     w = np.concatenate([[1.0], 4.0 * p / (m + 4.0), [(4.0 - m) / (m + 4.0)]])
     w = g.mat @ w
     den = w[-1] + w[0]
-    if abs(den) < CHART_DENOM_RTOL * max(1.0, float(np.linalg.norm(w))):
+    if _off_chart(w, den):
         raise ChartDomain("conformal image hits the projection antipode")
     return 2.0 * w[1:-1] / den
 
@@ -256,8 +254,7 @@ def act_point(g: GroupElement, p) -> np.ndarray:
 def _chart_domain(out: np.ndarray, den: np.ndarray, what: str) -> dict:
     """{sample: ChartDomain} for the samples whose image denominator
     ``den[s, 0]`` is too close to zero against the image ``out[s, :, 0]``."""
-    scale = np.fmax(1.0, np.abs(out[:, :, 0]).max(axis=1))
-    bad = np.abs(den[:, 0]) < CHART_DENOM_RTOL * scale
+    bad = _off_chart(out[:, :, 0], den[:, 0])
     return {int(i): ChartDomain(what) for i in np.flatnonzero(bad)} if bad.any() else {}
 
 
@@ -390,10 +387,9 @@ def _draw_elements(tag: GeometryTag, rngs, scale: float) -> Elements:
         raise SchemaMismatch("scale must be non-negative")
     if not math.isfinite(scale):
         raise SchemaMismatch("scale must be finite")
-    n = tag.n
-    k = {"euclidean": n + 1, "affine": n + 1, "projective": n + 2, "conformal": n + 3}[tag.name]
+    n, k = tag.n, tag.facts.size(tag.n)
     gens = np.empty((len(rngs), k, k))
-    shifts = np.empty((len(rngs), n + 1)) if tag.name in ("euclidean", "affine") else None
+    shifts = np.empty((len(rngs), n + 1)) if tag.facts.shifted else None
     for i, rng in enumerate(rngs):
         rng.standard_normal(out=gens[i])
         if shifts is not None:
@@ -471,6 +467,8 @@ def normalize_to_origin(tag: GeometryTag, j: GraphJet) -> Normalization:
     """
     if j.chart != tag.chart or j.n != tag.n:
         raise SchemaMismatch("jet chart does not match the geometry")
+    if not tag.facts.normal_form:
+        raise SchemaMismatch(f"{tag.name} normalization is not provided")
     n = j.n
     p0 = j.point()
 
@@ -487,52 +485,45 @@ def normalize_to_origin(tag: GeometryTag, j: GraphJet) -> Normalization:
         g = euclidean_element(R, -R @ p0)
         return Normalization(g, prolong(g, j), None)
 
-    if tag.name in ("affine", "projective"):
-        if j.order != 3:
-            raise OrderUnderflow("third-order normalization needs order 3")
-        B, signature = hessian_congruence(j.hess)
-        A = np.zeros((n + 1, n + 1))
-        A[0, 0] = 1.0
-        A[0, 1:] = -j.grad
-        A[1:, 1:] = B
-        b = -A @ p0
-        if tag.name == "affine":
-            g = affine_element(A, b)
-        else:
-            P = np.zeros((n + 2, n + 2))
-            P[: n + 1, : n + 1] = A
-            P[: n + 1, n + 1] = b
-            P[n + 1, n + 1] = 1.0
-            g = projective_element(_unimodular(P))
-        return Normalization(g, prolong(g, j), signature)
-
-    raise SchemaMismatch("conformal normalization is not provided")
+    # affine and projective
+    if j.order != 3:
+        raise OrderUnderflow("third-order normalization needs order 3")
+    B, signature = hessian_congruence(j.hess)
+    A = np.zeros((n + 1, n + 1))
+    A[0, 0] = 1.0
+    A[0, 1:] = -j.grad
+    A[1:, 1:] = B
+    b = -A @ p0
+    if tag.name == "affine":
+        g = affine_element(A, b)
+    else:
+        P = np.zeros((n + 2, n + 2))
+        P[: n + 1, : n + 1] = A
+        P[: n + 1, n + 1] = b
+        P[n + 1, n + 1] = 1.0
+        g = projective_element(_unimodular(P))
+    return Normalization(g, prolong(g, j), signature)
 
 
 # -- JSON wire format ----------------------------------------------------------
 
 
 def element_to_json(g: GroupElement) -> dict:
-    out = {"type": g.kind, "n": g.n}
-    if g.kind in ("euclidean", "affine"):
-        out["A"] = g.mat.tolist()
+    out = {"type": g.kind, "n": g.n, GEOMETRY[g.kind].json_key: g.mat.tolist()}
+    if g.shift is not None:
         out["b"] = g.shift.tolist()
-    elif g.kind == "projective":
-        out["P"] = g.mat.tolist()
-    else:
-        out["C"] = g.mat.tolist()
     return out
 
 
 def element_from_json(d: dict) -> GroupElement:
+    """The element of a record; a ``"b"`` is read whenever present, so that
+    the element check rejects it for a group without a shift."""
     try:
         kind = d["type"]
-        if kind in ("euclidean", "affine"):
-            return GroupElement(kind, int(d["n"]), np.array(d["A"]), np.array(d["b"]))
-        if kind == "projective":
-            return GroupElement(kind, int(d["n"]), np.array(d["P"]))
-        if kind == "conformal":
-            return GroupElement(kind, int(d["n"]), np.array(d["C"]))
-        raise SchemaMismatch(f"unknown element type {kind!r}")
+        if kind not in GEOMETRIES:
+            raise SchemaMismatch(f"unknown element type {kind!r}")
+        facts = GEOMETRY[kind]
+        shift = np.array(d["b"]) if facts.shifted or "b" in d else None
+        return GroupElement(kind, int(d["n"]), np.array(d[facts.json_key]), shift)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"bad group element record: {exc}") from exc

@@ -2,9 +2,10 @@
 
 A :class:`GraphJet` is a dumb coordinate record: base point, value,
 gradient, Hessian and (at order 3) cubic coefficients of a graph
-``u = f(x)``.  Charts are tags only; their geometric meaning lives in
-:mod:`jetpde.groups`.  Germs exchanged with :mod:`jetpde.taylor` are in
-local coordinates centered at the jet's base point.
+``u = f(x)``.  Charts are tags only, named in :mod:`jetpde.geometries`;
+their geometric meaning lives in :mod:`jetpde.groups`.  Germs exchanged
+with :mod:`jetpde.taylor` are in local coordinates centered at the jet's
+base point.
 
 A :class:`JetBatch` holds N such jets as arrays with the sample axis
 first.  It is internal: the batched prolongation and residual run on it,
@@ -24,19 +25,9 @@ import math
 import numpy as np
 
 from .errors import DegreeMismatch, OrderUnderflow, SchemaMismatch
+from .geometries import CHARTS
 from .symtensor import SymCubic, SymMatrix, cubic_indices
-from .taylor import (
-    TruncatedJet,
-    differentiate,
-    index_position,
-    multi_indices,
-    n_coeffs,
-)
-
-CHARTS = ("euclidean", "affine", "projective_affine_chart", "sphere_stereographic")
-
-# Central-difference steps for the total-derivative tangency diagnostic.
-TANGENCY_STEPS = (1e-3, 5e-4)
+from .taylor import TruncatedJet, index_position, n_coeffs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,45 +268,6 @@ def shift_fiber(j: GraphJet, v: FiberVector) -> GraphJet:
     if j.order == 2:
         return dataclasses.replace(j, hess=j.hess + v.components)
     return dataclasses.replace(j, cubic=j.cubic + v.components)
-
-
-def tangency_check(germ: TruncatedJet, order: int, base=None) -> float:
-    """Max defect of the total-derivative tangency of the jet extension.
-
-    Builds the curve x -> (order-1)-jet of the germ at x, differentiates it
-    numerically in each direction (central differences with Richardson
-    extrapolation) and compares with the top coefficients of the
-    order-jet.  A correct jet extension returns ~0; the value is purely
-    diagnostic.
-    """
-    if germ.order < order:
-        raise OrderUnderflow(f"germ order {germ.order} < requested {order}")
-    n = germ.n_vars
-
-    derivs: dict[tuple[int, ...], TruncatedJet] = {(0,) * n: germ}
-    for deg in range(1, order + 1):
-        for alpha in multi_indices(n, deg):
-            if sum(alpha) != deg or tuple(alpha) in derivs:
-                continue
-            i = next(k for k, a in enumerate(alpha) if a > 0)
-            lower = tuple(a - 1 if k == i else a for k, a in enumerate(alpha))
-            derivs[tuple(alpha)] = differentiate(derivs[lower], i)
-
-    defect = 0.0
-    for alpha, jet_fn in derivs.items():
-        if sum(alpha) > order - 1:
-            continue
-        for i in range(n):
-            exact = derivs[tuple(a + 1 if k == i else a for k, a in enumerate(alpha))].const_term
-            estimates = []
-            for h in TANGENCY_STEPS:
-                step = np.zeros(n)
-                step[i] = h
-                estimates.append((jet_fn(step) - jet_fn(-step)) / (2.0 * h))
-            # Richardson: steps differ by 2, second-order scheme.
-            refined = (4.0 * estimates[1] - estimates[0]) / 3.0
-            defect = max(defect, abs(refined - exact))
-    return defect
 
 
 # -- JSON wire format ---------------------------------------------------------

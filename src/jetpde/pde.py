@@ -58,13 +58,6 @@ DIV_EPS = 1e-300
 LEAVES = ("const", "lam", "sigma", "tau", "tauring", "pick")
 NODES = ("add", "sub", "mul", "div", "pow")
 
-ALLOWED_LEAVES = {
-    "euclidean": ("const", "lam", "sigma", "tau"),
-    "conformal": ("const", "tauring"),
-    "affine": ("const", "pick"),
-    "projective": ("const", "pick"),
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class Expr:
@@ -146,8 +139,13 @@ PRESETS = {
 def _validate(geometry: GeometryTag, e: Expr, depth: int = 0):
     if depth > 64:
         raise InvalidExpr("expression too deep")
+    if e.op not in LEAVES and e.op not in NODES:
+        raise InvalidExpr(f"unknown node {e.op!r}")
+    arity = 0 if e.op in LEAVES else 1 if e.op == "pow" else 2
+    if len(e.args) != arity:
+        raise InvalidExpr(f"{e.op!r} takes {arity} argument{'' if arity == 1 else 's'}, got {len(e.args)}")
     if e.op in LEAVES:
-        if e.op not in ALLOWED_LEAVES[geometry.name]:
+        if e.op not in geometry.facts.leaves:
             raise InvalidExpr(f"leaf {e.op!r} not allowed for {geometry.name} geometry")
         if e.op in ("lam", "sigma") and not 1 <= e.index <= geometry.n:
             raise InvalidExpr(f"{e.op}({e.index}) outside 1..{geometry.n}")
@@ -156,16 +154,10 @@ def _validate(geometry: GeometryTag, e: Expr, depth: int = 0):
         if e.op == "tauring" and e.index < 2:
             raise InvalidExpr("tauring needs d >= 2")
         return
-    if e.op == "pow":
-        if e.index < 0:
-            raise InvalidExpr("negative powers go through div")
-        _validate(geometry, e.args[0], depth + 1)
-        return
-    if e.op in NODES:
-        for a in e.args:
-            _validate(geometry, a, depth + 1)
-        return
-    raise InvalidExpr(f"unknown node {e.op!r}")
+    if e.op == "pow" and e.index < 0:
+        raise InvalidExpr("negative powers go through div")
+    for a in e.args:
+        _validate(geometry, a, depth + 1)
 
 
 def build(geometry: GeometryTag, expr: Expr | str) -> PdeDescriptor:
@@ -178,9 +170,8 @@ def build(geometry: GeometryTag, expr: Expr | str) -> PdeDescriptor:
         if geo_name != geometry.name:
             raise InvalidExpr(f"preset {expr!r} belongs to the {geo_name} geometry")
         expr = make(geometry.n)
-    order = 3 if geometry.name in ("affine", "projective") else 2
     _validate(geometry, expr)
-    return PdeDescriptor(geometry, order, expr, geometry.chart)
+    return PdeDescriptor(geometry, geometry.facts.order, expr, geometry.chart)
 
 
 def _power(x, k: int):
@@ -257,7 +248,7 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
     cache: dict = {}
 
     def leaf_value(e: Expr) -> np.ndarray:
-        if e.op not in ALLOWED_LEAVES[desc.geometry.name]:
+        if e.op not in desc.geometry.facts.leaves:
             raise InvalidExpr(f"leaf {e.op!r} unexpected here")
         key = "lam" if e.op == "sigma" else e.op
         if key not in cache:
@@ -293,8 +284,8 @@ def residual_via_normalization(desc: PdeDescriptor, j: GraphJet) -> float:
     Affine/projective: the pick norm of the trace-free normalized cubic
     against eps = diag(1_d, -1_{n-d}).
     """
-    if desc.geometry.name == "conformal":
-        raise SchemaMismatch("normalization route is not defined for conformal descriptors")
+    if not desc.geometry.facts.normal_form:
+        raise SchemaMismatch(f"normalization route is not defined for {desc.geometry.name} descriptors")
     if j.chart != desc.chart or j.order != desc.order:
         raise SchemaMismatch("jet does not match descriptor")
     res = normalize_to_origin(desc.geometry, j)
@@ -452,20 +443,18 @@ def expr_to_json(e: Expr) -> dict:
 
 
 def expr_from_json(d: dict) -> Expr:
+    """The expression of a record; every node keeps the ``args`` it carries,
+    so that :func:`build` rejects a wrong number of them."""
     try:
         op = d["op"]
-        if op == "const":
-            return const(d["value"])
-        if op in ("lam", "sigma", "tau", "tauring"):
-            return Expr(op, index=int(d["index"]))
-        if op == "pick":
-            return pick()
+        if op not in LEAVES and op not in NODES:
+            raise SchemaMismatch(f"unknown op {op!r}")
         args = tuple(expr_from_json(a) for a in d.get("args", ()))
-        if op == "pow":
-            return Expr("pow", index=int(d["index"]), args=args)
-        if op in NODES:
+        if op == "const":
+            return Expr("const", value=float(d["value"]), args=args)
+        if op in ("pick", "add", "sub", "mul", "div"):
             return Expr(op, args=args)
-        raise SchemaMismatch(f"unknown op {op!r}")
+        return Expr(op, index=int(d["index"]), args=args)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"bad expression record: {exc}") from exc
 

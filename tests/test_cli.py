@@ -391,6 +391,37 @@ def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     assert not any(inputs[k].exists() for k in ("out", "tex", "mono"))
 
 
+TAU1 = {"op": "tau", "index": 1}
+
+
+@pytest.mark.parametrize("ast", [
+    {"op": "add", "args": [TAU1]},
+    {"op": "pow", "index": 2, "args": []},
+    {"op": "pow", "index": 2, "args": [TAU1, TAU1]},
+    {"op": "tau", "index": 1, "args": [TAU1]},
+], ids=["add-of-one", "pow-of-none", "pow-of-two", "leaf-with-args"])
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_wrong_arity_is_a_usage_error(tmp_path, capsys, ast, command):
+    # each node takes a fixed number of arguments: none is dropped, and a
+    # missing one is no traceback later on
+    expr, desc, tex = tmp_path / "expr.json", tmp_path / "desc.json", tmp_path / "out.tex"
+    expr.write_text(json.dumps(ast))
+    desc.write_text(json.dumps({"geometry": "euclidean", "n": 2, "order": 2, "chart": "euclidean",
+                                "expr": ast}))
+    argv = {"build": ["build", "--geometry", "euclidean", "--expr", str(expr), "--latex", str(tex)],
+            "verify": ["verify", str(desc), "--samples", "3"]}[command]
+    try:
+        got = main(argv)
+    except Exception:  # what the interpreter would print for an escape
+        traceback.print_exc()
+        got = None
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert got == 2
+    assert len(err.strip().splitlines()) == 1 and "argument" in err
+    assert not tex.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "{ms}", "--samples", "20", "--jet-scale", "1e100"],
     ["verify", "{pick100}", "--samples", "5"],

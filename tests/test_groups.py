@@ -88,6 +88,16 @@ class TestActPoint:
             act_point(g, [0.5, 0.5, 0.0])
 
 
+    def test_chart_rule_matches_prolong(self):
+        # |den| = 0.036 is below 1e-3 of the image's 2-norm (52.3) and above
+        # 1e-3 of its largest entry (30.2), the scale prolong tests against
+        P = np.array([[1, 0, 0, 10], [0, 1, 0, 10], [0, 0, 1, 10], [0, 0, 0, 0.012]]) / 0.012**0.25
+        g = projective_element(P)
+        j = GraphJet(g.geometry.chart, 2, 2, [0.0, 0.0], 0.0, [0.0, 0.0], SymMatrix(2))
+        moved = prolong(g, j)
+        assert np.allclose(moved.point(), 833.3, rtol=1e-4)
+        np.testing.assert_allclose(act_point(g, j.point()), moved.point(), rtol=0.0, atol=1e-12)
+
 class TestRandomElement:
     @pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.name)
     def test_identity_at_scale_zero(self, tag):
@@ -483,3 +493,13 @@ class TestElementJson:
     def test_bad_record(self):
         with pytest.raises(SchemaMismatch):
             element_from_json({"type": "euclidean", "n": 2})
+
+    @pytest.mark.parametrize("make", [
+        lambda: GroupElement("projective", 2, np.eye(4), [5.0, 5.0, 5.0]),
+        lambda: GroupElement("conformal", 2, np.eye(5), [5.0, 5.0, 5.0]),
+        lambda: element_from_json({"type": "projective", "n": 2, "P": np.eye(4).tolist(), "b": [5, 5, 5]}),
+    ], ids=["projective", "conformal", "projective-record"])
+    def test_shift_rejected_where_the_group_has_none(self, make):
+        # prolong and element_to_json would drop such a shift
+        with pytest.raises(SchemaMismatch, match="no shift"):
+            make()

@@ -1,4 +1,4 @@
-"""Tests for graph jets, jet extension, fiber shifts and tangency."""
+"""Tests for graph jets, jet extension and fiber shifts."""
 
 import numpy as np
 import pytest
@@ -12,11 +12,10 @@ from jetpde.jetspace import (
     jet_to_json,
     project,
     shift_fiber,
-    tangency_check,
     to_poly,
 )
 from jetpde.symtensor import SymCubic, SymMatrix
-from jetpde.taylor import TruncatedJet, multi_indices
+from jetpde.taylor import TruncatedJet
 
 
 def scherk_germ_origin(order=2):
@@ -125,22 +124,6 @@ class TestShiftFiber:
         j = random_graph_jet(rng, order=3)
         with pytest.raises(DegreeMismatch):
             shift_fiber(j, FiberVector(2, SymMatrix(2)))
-
-
-class TestTangency:
-    def test_polynomial_germ(self):
-        rng = np.random.default_rng(18)
-        for _ in range(5):
-            germ = TruncatedJet(2, 3, rng.standard_normal(len(multi_indices(2, 3))))
-            assert tangency_check(germ, 3) <= 1e-8
-
-    def test_cubic_power(self):
-        germ = TruncatedJet.from_terms({(3,): 1.0}, 1, 3)
-        assert tangency_check(germ, 2) <= 1e-8
-
-    def test_constant_germ(self):
-        germ = TruncatedJet.constant(3.0, 2, 2)
-        assert tangency_check(germ, 2) == 0.0
 
 
 class TestJson:
