@@ -115,7 +115,7 @@ def _load_json(path: str) -> dict:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # undecodable bytes or malformed JSON
+        except (ValueError, RecursionError) as exc:  # undecodable bytes, malformed or too deeply nested JSON
             raise SchemaMismatch(f"{path}: not valid JSON: {exc}") from exc
 
 

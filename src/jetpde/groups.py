@@ -332,7 +332,7 @@ def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
     ChartDomain} for the others, which no later step sees.
     """
     n, order = jets.n, jets.order
-    poly = poly_rows(jets, order)
+    poly = poly_rows(jets)
     comps = np.zeros((len(jets), n + 1, poly.shape[1]))
     comps[:, 0] = poly
     comps[:, np.arange(1, n + 1), linear_positions(n)] = 1.0

@@ -82,14 +82,13 @@ class JetBatch:
 
     ``base`` (N, n), ``u`` (N,), ``grad`` (N, n), and at orders 2 and 3 the
     packed Hessians ``hess`` (N, n(n+1)/2) and cubics ``cubic``
-    (N, C(n+2, 3)) in the storage orders of SymMatrix and SymCubic.  A
-    batch holds finite entries: :meth:`of` takes checked jets, and
-    :func:`extend_rows` checks the whole batch it makes at once.
+    (N, C(n+2, 3)) in the storage orders of SymMatrix and SymCubic; n and
+    the order are read off these arrays.  A batch holds finite entries:
+    :meth:`of` takes checked jets, and :func:`extend_rows` checks the whole
+    batch it makes at once.
     """
 
     chart: str
-    n: int
-    order: int
     base: np.ndarray
     u: np.ndarray
     grad: np.ndarray
@@ -109,11 +108,20 @@ class JetBatch:
         if any((j.chart, j.n, j.order) != (chart, n, order) for j in jets):
             raise SchemaMismatch("jets of one batch must share chart, n and order")
         return cls(
-            chart, n, order, np.array([j.base for j in jets]), np.array([j.u for j in jets]),
+            chart, np.array([j.base for j in jets]), np.array([j.u for j in jets]),
             np.array([j.grad for j in jets]),
             np.array([j.hess.data for j in jets]) if order >= 2 else None,
             np.array([j.cubic.data for j in jets]) if order == 3 else None,
         )
+
+    @property
+    def n(self) -> int:
+        return self.base.shape[1]
+
+    @property
+    def order(self) -> int:
+        """1, 2 or 3, as ``hess`` and ``cubic`` are present."""
+        return 1 if self.hess is None else 2 if self.cubic is None else 3
 
     def __len__(self) -> int:
         return len(self.u)
@@ -123,18 +131,13 @@ class JetBatch:
         with ``hess`` the jets over these rows' 1-jets with the given packed
         Hessians (order 2), and cubics (order 3)."""
         if hess is None:
-            order = self.order
             hess, cubic = (None if a is None else a[rows] for a in (self.hess, self.cubic))
-        else:
-            order = 2 if cubic is None else 3
         if self._source is None:
             source, index = self, rows
         else:  # the rows of rows, as indices into the source
             source, index = self._source, np.arange(len(self._source))[self._rows][rows]
-        return JetBatch(
-            self.chart, self.n, order, self.base[rows], self.u[rows], self.grad[rows], hess, cubic,
-            _source=source, _rows=index,
-        )
+        return JetBatch(self.chart, self.base[rows], self.u[rows], self.grad[rows], hess, cubic,
+                        _source=source, _rows=index)
 
     def per_row(self, name: str, compute) -> tuple:
         """``compute(jets)`` at this batch's rows.  ``compute`` maps a batch
@@ -191,18 +194,18 @@ def extend_rows(coeffs: np.ndarray, base: np.ndarray, order: int, chart: str) ->
         raise SchemaMismatch("jet entries must be finite")
     h = n + 1 + n * (n + 1) // 2
     return JetBatch(
-        chart, n, order, base, entries[:, 0], entries[:, 1 : n + 1],
+        chart, base, entries[:, 0], entries[:, 1 : n + 1],
         entries[:, n + 1 : h] if order >= 2 else None, entries[:, h:] if order >= 3 else None,
     )
 
 
-def poly_rows(jets: JetBatch, order: int) -> np.ndarray:
+def poly_rows(jets: JetBatch) -> np.ndarray:
     """Coefficient rows (N, size) of the germs (local at the base points)
-    reconstructing the jets, at the given order >= 1."""
-    k = min(order, jets.order)
-    pos, fact = _columns(jets.n, k)
-    parts = [jets.u[:, None], jets.grad] + [jets.hess, jets.cubic][: k - 1]
-    c = np.zeros((len(jets), n_coeffs(jets.n, order)))
+    reconstructing the jets, at the jets' order."""
+    n, order = jets.n, jets.order
+    pos, fact = _columns(n, order)
+    parts = [jets.u[:, None], jets.grad] + [jets.hess, jets.cubic][: order - 1]
+    c = np.zeros((len(jets), n_coeffs(n, order)))
     c[:, pos] = np.concatenate(parts, axis=1) / fact
     return c
 
@@ -224,13 +227,9 @@ def jet_extend(germ: TruncatedJet, base, order: int, chart: str = "euclidean") -
     return extend_rows(germ.coeffs[None], base, order, chart).jet(0)
 
 
-def to_poly(j: GraphJet, order: int | None = None) -> TruncatedJet:
+def to_poly(j: GraphJet) -> TruncatedJet:
     """Polynomial germ (local at ``j.base``) reconstructing the jet."""
-    if order is None:
-        order = j.order
-    if order < 1:
-        raise OrderUnderflow(f"term {_exps(j.n, (0,))} exceeds order {order}")
-    return TruncatedJet(j.n, order, poly_rows(JetBatch.of([j]), order)[0])
+    return TruncatedJet(j.n, j.order, poly_rows(JetBatch.of([j]))[0])
 
 
 def project(j: GraphJet, order: int) -> GraphJet:

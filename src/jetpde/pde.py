@@ -114,10 +114,19 @@ def pick() -> Expr:
 
 @dataclasses.dataclass(frozen=True)
 class PdeDescriptor:
+    """A geometry and the invariant expression of its PDE; the jet order and
+    the chart are the geometry's."""
+
     geometry: GeometryTag
-    order: int
     expr: Expr
-    chart: str
+
+    @property
+    def order(self) -> int:
+        return self.geometry.facts.order
+
+    @property
+    def chart(self) -> str:
+        return self.geometry.chart
 
     @property
     def desc_id(self) -> str:
@@ -171,7 +180,7 @@ def build(geometry: GeometryTag, expr: Expr | str) -> PdeDescriptor:
             raise InvalidExpr(f"preset {expr!r} belongs to the {geo_name} geometry")
         expr = make(geometry.n)
     _validate(geometry, expr)
-    return PdeDescriptor(geometry, geometry.facts.order, expr, geometry.chart)
+    return PdeDescriptor(geometry, expr)
 
 
 def _power(x, k: int):
@@ -205,10 +214,6 @@ def _eval_tree(e: Expr, leaf_value):
     raise InvalidExpr(f"unknown node {e.op!r}")
 
 
-class _NothingLive(Exception):
-    """Every row of a batch was skipped while its expression was evaluated."""
-
-
 def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
     """Scalars whose vanishing says the jets solve the PDE, one per row, and
     {row: DegenerateHessian} for the rows skipped on the degenerate locus.
@@ -235,8 +240,6 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
         # is 8 pick_norm(hess, C0) = 8 Q / det^3
         det, degenerate = hessian_dets(H)
         skipped.update(degenerate)
-        if len(skipped) == len(det):
-            raise _NothingLive
         live = np.delete(np.arange(len(det)), list(skipped)) if skipped else slice(None)
         out = np.full(len(det), np.nan)
         C = jets.cubic[live][:, _cubic_gather(jets.n)]
@@ -259,11 +262,8 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
             return elementary_symmetric(cache[key], e.index)
         return cache[key][:, e.index - 1] if e.op == "lam" else cache[key]
 
-    try:
-        with np.errstate(all="ignore"):
-            out = _eval_tree(desc.expr, leaf_value)
-    except _NothingLive:
-        out = np.nan
+    with np.errstate(all="ignore"):
+        out = _eval_tree(desc.expr, leaf_value)
     return (out if isinstance(out, np.ndarray) else np.full(len(jets), out)), skipped
 
 
@@ -444,7 +444,8 @@ def expr_to_json(e: Expr) -> dict:
 
 def expr_from_json(d: dict) -> Expr:
     """The expression of a record; every node keeps the ``args`` it carries,
-    so that :func:`build` rejects a wrong number of them."""
+    so that :func:`build` rejects a wrong number of them.  A record nested
+    past the interpreter's recursion limit is a schema mismatch too."""
     try:
         op = d["op"]
         if op not in LEAVES and op not in NODES:
@@ -455,7 +456,7 @@ def expr_from_json(d: dict) -> Expr:
         if op in ("pick", "add", "sub", "mul", "div"):
             return Expr(op, args=args)
         return Expr(op, index=int(d["index"]), args=args)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise SchemaMismatch(f"bad expression record: {exc}") from exc
 
 

@@ -251,40 +251,27 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> np.uint32(16))
 
 
-def _entropy_words(entropy) -> tuple[np.ndarray, np.ndarray]:
-    """Each tuple's ints as SeedSequence coerces them, little-endian 32-bit
-    words concatenated: an (L, N) uint32 array, one column per tuple,
-    zero-padded to at least the pool size, and each tuple's word count."""
-    ints = [operator.index(v) for t in entropy for v in t]
-    if ints and min(ints) < 0:
+def seed_states(seed: int, count: int) -> np.ndarray:
+    """``SeedSequence(t).generate_state(4, np.uint64)`` for t = (seed, i),
+    then for t = (seed, i, 1), i < count, as the rows of one C-contiguous
+    (2 count, 4) uint64 array, hashed for all rows at once: the PCG64
+    seeds of ``np.random.default_rng(t)``.
+
+    SeedSequence coerces t to the seed's little-endian 32-bit words, then
+    i's and 1's; each i < 2^32 is one word (a larger count could not be
+    allocated).  Entropy shorter than the pool mixes in zeros; words
+    beyond it are mixed in by the pool's extra loop.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
         raise ValueError("expected non-negative integer")
-    limbs, rest = [], ints
-    while rest is not None:  # 64 bits a round; ints from 2^64 on leave their high bits for the next
-        try:
-            low, rest = np.array(rest, dtype="<u8"), None
-        except OverflowError:
-            rest = np.array(rest, dtype=object)
-            low, rest = (rest & 0xFFFFFFFFFFFFFFFF).astype("<u8"), rest >> 64
-        limbs.append(low.view("<u4").reshape(-1, 2))
-    words = np.concatenate(limbs, axis=1)
-    counts = np.ones(len(ints), dtype=int)
-    for k in range(1, words.shape[1]):
-        counts[words[:, k] != 0] = k + 1
-    tuples = np.repeat(np.repeat(np.arange(len(entropy)), [len(t) for t in entropy]), counts)
-    lens = np.bincount(tuples, minlength=len(entropy))
-    out = np.zeros((max(POOL_SIZE, lens.max(initial=0)), len(entropy)), dtype=np.uint32)
-    out[np.arange(tuples.size) - (np.cumsum(lens) - lens)[tuples], tuples] = \
-        words[np.arange(words.shape[1]) < counts[:, None]]
-    return out, lens
-
-
-def seed_states(entropy) -> np.ndarray:
-    """``SeedSequence(t).generate_state(4, np.uint64)`` for every entropy
-    tuple t of non-negative ints, as the rows of one C-contiguous (N, 4)
-    uint64 array, hashed for all rows at once: the PCG64 seeds of
-    ``np.random.default_rng(t)``.  Tuples shorter than the pool mix in
-    zeros; words beyond it are mixed in by the pool's extra loop."""
-    words, lens = _entropy_words(entropy)
+    head = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    size = len(head) + 2
+    words = np.zeros((max(POOL_SIZE, size), 2 * count), dtype=np.uint32)
+    words[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    words[len(head)] = np.tile(np.arange(count, dtype=np.uint32), 2)
+    words[len(head) + 1, count:] = 1
+    lens = np.repeat([size - 1, size], count)
     steps = _pool_steps(words.shape[0] - POOL_SIZE)
     pool = _hashmix(words[:POOL_SIZE], *steps[0])
     for src, step in enumerate(steps[1 : POOL_SIZE + 1]):
@@ -375,8 +362,9 @@ def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
 
 def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     """Third-order draws: a Hessian with |det| >= 0.3 (``first`` holds the
-    first tries), then over a definite one a sub-bundle cubic (there Q is
-    definite in the cubic, so the sub-bundle is its zero set), over an
+    first tries), then over a definite one a sub-bundle cubic
+    (:func:`orbit_points`; there Q is definite in the cubic, so the
+    sub-bundle is its zero set), over an
     indefinite one a root of Q along the last coefficient of a drawn cubic,
     then along fresh lines (Q is quadratic in t, so t = 0, 1, -1 give it).
     A round of tries makes one ``det`` or ``pick_numerators`` call.  Returns
@@ -397,7 +385,8 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     orbit, lines = [i for i in drawn if definite[i]], [i for i in drawn if not definite[i]]
     cubic = np.zeros((len(rngs), size))
     if orbit:
-        cubic[orbit] = sym_outers(np.array([rngs[i].standard_normal(n) for i in orbit]), hess[orbit])
+        W = np.array([rngs[i].standard_normal(n) for i in orbit])
+        cubic[orbit] = orbit_points(lower.take(orbit, hess[orbit]), W).cubic
     point = np.array([rngs[i].standard_normal(size) for i in lines]).reshape(-1, size)
     point[:, -1] = 0.0
     direction = np.zeros(point.shape)
@@ -442,7 +431,7 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
     for i, rng in enumerate(rngs):
         rng.standard_normal(out=z[i])
     base, u, grad = jet_scale * z[:, :n], jet_scale * z[:, n], jet_scale * z[:, n + 1 : 2 * n + 1]
-    lower, top, values = JetBatch(desc.chart, n, 1, base, u, grad), z[:, 2 * n + 1 :], None
+    lower, top, values = JetBatch(desc.chart, base, u, grad), z[:, 2 * n + 1 :], None
     if desc.order == 3:
         rows, jets, definite = _cubic_draws(rngs, lower, top)
         checked = [k for k, d in enumerate(definite) if not (d and exact)]
@@ -556,8 +545,7 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
             raise SchemaMismatch(f"{name} must be finite and >= 0, got {value}")
     tag, count = desc.geometry, cfg.count
     skipped = {k: 0 for k in SKIP_KINDS}
-    states = seed_states([(cfg.seed, idx) for idx in range(count)]
-                         + [(cfg.seed, idx, 1) for idx in range(count)])
+    states = seed_states(cfg.seed, count)
     drawn, jets = sample_rows(desc, generators(states[:count]), cfg.jet_scale)
     skipped["no_root"] = count - drawn.size
     max_defect = max_ratio = 0.0

@@ -328,6 +328,10 @@ def inputs(tmp_path):
     paths["bad"].write_text('{"op": "tau", "index": ')
     paths["nan_jet"] = tmp_path / "nan_jet.json"
     paths["nan_jet"].write_text(paths["jet"].read_text().replace("0.0]", "NaN]", 1))
+    for depth in (600, 2000):  # nested past the JSON decoder's recursion limit
+        paths[f"deep{depth}"] = tmp_path / f"deep{depth}.json"
+        paths[f"deep{depth}"].write_text('{"op": "add", "args": [' * depth + json.dumps(TAU1)
+                                         + ', {"op": "const", "value": 1.0}]}' * depth)
     for key in ("out", "tex", "mono"):
         paths[key] = tmp_path / f"{key}.out"
     return paths
@@ -376,6 +380,8 @@ def inputs(tmp_path):
     (["verify", "{ms3}", "--surface", "saddle", "--points", "5"], 2),
     (["verify", "{ms3}", "--surface", "sheared_quadric", "--points", "5"], 2),
     (["verify", "{ms3}", "--surface", "scherk", "--points", "5"], 2),
+    (["build", "--geometry", "euclidean", "--expr", "{deep600}", "--out", "{out}"], 2),
+    (["build", "--geometry", "euclidean", "--expr", "{deep2000}", "--out", "{out}"], 2),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]

@@ -15,7 +15,7 @@ from jetpde.errors import (
 )
 from jetpde.groups import GeometryTag
 from jetpde.invariants import F_aff3
-from jetpde.jetspace import GraphJet, jet_extend
+from jetpde.jetspace import GraphJet, JetBatch, jet_extend
 from jetpde.pde import (
     build,
     const,
@@ -30,6 +30,7 @@ from jetpde.pde import (
     pick,
     residual,
     residual_via_normalization,
+    residuals,
     sigma,
     tau,
     tauring,
@@ -136,6 +137,20 @@ class TestResidual:
         j = ejet([0.0, 0.0], [0.0, 0.0, 0.0])
         with pytest.raises(DivisionByZero):
             residual(desc, j)
+
+    def test_division_by_zero_with_no_live_row(self):
+        # a skipped row's pick is nan, and the expression is still evaluated:
+        # a vanishing denominator raises whether or not any row is live
+        degenerate = ajet([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+        live = ajet([2.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
+        desc = build(A2, pick() / 0.0)
+        for jets in ([degenerate] * 3, [degenerate, live]):
+            with pytest.raises(DivisionByZero):
+                residuals(desc, JetBatch.of(jets))
+        with pytest.raises(DivisionByZero):
+            residual(desc, degenerate)
+        values, skipped = residuals(build(A2, pick()), JetBatch.of([degenerate] * 3))
+        assert np.isnan(values).all() and sorted(skipped) == [0, 1, 2]
 
     def test_affine_pick_matches_determinant_identity(self):
         # residual = 2 F / det(hess)^3: the normalization route agrees with
@@ -350,6 +365,13 @@ class TestEmit:
     def test_expr_json_round_trip(self):
         e = (tau(1) ** 2 - tau(2)) / (const(2.0) + sigma(1))
         assert expr_from_json(expr_to_json(e)) == e
+
+    def test_expr_record_past_the_recursion_limit(self):
+        record = {"op": "tau", "index": 1}
+        for _ in range(5000):
+            record = {"op": "add", "args": [record, {"op": "const", "value": 1.0}]}
+        with pytest.raises(SchemaMismatch):
+            expr_from_json(record)
 
     def test_affine_latex_has_13_monomials(self):
         desc = build(A2, "affine_cubic")

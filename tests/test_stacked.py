@@ -47,7 +47,7 @@ def line_batch(tag, grad, entries) -> JetBatch:
     """The second-order jets at the origin with the gradient and the
     Hessian rows of a line, as one batch with one gradient per row."""
     m, n = len(entries), tag.n
-    return JetBatch(tag.chart, n, 2, np.zeros((m, n)), np.zeros(m), np.tile(grad, (m, 1)), entries)
+    return JetBatch(tag.chart, np.zeros((m, n)), np.zeros(m), np.tile(grad, (m, 1)), entries)
 
 
 def euclidean_exprs(n):

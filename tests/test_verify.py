@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jetpde.errors import ChartDomain, DegenerateHessian, DivisionByZero, SchemaMismatch, SingularMetric
-from jetpde.groups import GeometryTag, prolong, random_element
+from jetpde.groups import GeometryTag, prolong, prolong_batch, random_element, random_elements
 from jetpde.invariants import F_aff3, pick_numerator, shape_matrix, tracefree_cubic, tracefree_shape
 from jetpde.jetspace import GraphJet, JetBatch, jet_extend
 from jetpde import verify
@@ -82,8 +82,7 @@ class TestSamplers:
 def orbit_point(chart: str, lower: tuple, param) -> GraphJet:
     """The sub-bundle point over (base, u, grad[, hess]): a batch of one."""
     base, u, grad, *hess = lower
-    jets = JetBatch(chart, len(grad), 1 + len(hess), np.array([base]), np.array([u]), np.array([grad]),
-                    *(h.data[None] for h in hess))
+    jets = JetBatch(chart, np.array([base]), np.array([u]), np.array([grad]), *(h.data[None] for h in hess))
     return orbit_points(jets, np.array([param])).jet(0)
 
 
@@ -128,6 +127,60 @@ def test_group_keeps_the_orbit_sub_bundle(geometry, n):
         seen += off_defect > 1e-7
         checked += 1
     assert checked >= 90 and worst <= 1e-7 and seen >= 0.9 * checked
+
+
+def jet_coordinates(jets: JetBatch) -> np.ndarray:
+    """The rows (base, u, grad[, hess[, cubic]]) of a batch: J^{k-1} first."""
+    parts = (jets.base, jets.u[:, None], jets.grad, jets.hess, jets.cubic)
+    return np.concatenate([a for a in parts if a is not None], axis=1)
+
+
+def sub_bundle_equation(n: int, order: int, x: np.ndarray) -> np.ndarray:
+    """The trace-free shape (order 2) or trace-free cubic (order 3) at the
+    jet coordinates x, zero exactly on the orbit's sub-bundle."""
+    h0 = 2 * n + 1
+    hess = SymMatrix(n, x[h0 : h0 + n * (n + 1) // 2])
+    if order == 2:
+        return tracefree_shape(x[n + 1 : h0], hess).ravel()
+    return tracefree_cubic(hess, SymCubic(n, x[h0 + n * (n + 1) // 2 :])).data
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("geometry", ("conformal", "affine", "projective"))
+def test_orbit_fills_the_sub_bundle(geometry, n):
+    # the paper's hypotheses at the fiducial k-jet's orbit: its tangent,
+    # spanned by the moves of 80 elements near the identity, (a) has the
+    # dimension of the sub-bundle, dim J^{k-1} + fibre dimension, (b) maps
+    # onto J^{k-1} (the (k-1)-orbit is open), and (c) lies in the kernel of
+    # the differential of the sub-bundle's equation, whose rank is the
+    # sub-bundle's codimension: the orbit is open in the sub-bundle
+    tag = GeometryTag(geometry, n)
+    rng = np.random.default_rng((n, 43))
+    lower = JetBatch(tag.chart, *(0.5 * rng.standard_normal(shape) for shape in ((1, n), 1, (1, n))))
+    if tag.facts.order == 2:
+        jet, fibre = orbit_points(lower, rng.standard_normal(1)), 1
+    else:
+        lower = lower.take(slice(None), rng.standard_normal((1, n * (n + 1) // 2)))
+        jet, fibre = orbit_points(lower, rng.standard_normal((1, n))), n
+    elements = random_elements(tag, [np.random.default_rng((n, 43, k)) for k in range(80)], 1e-6)
+    moved, skips = prolong_batch(elements, jet.take(np.zeros(80, dtype=int)))
+    assert not skips
+    x = jet_coordinates(jet)[0]
+    tangent = jet_coordinates(moved) - x
+    lower_dim = jet_coordinates(lower).shape[1]
+    rank = lower_dim + fibre
+    s = np.linalg.svd(tangent, compute_uv=False)
+    assert s[rank - 1] >= 1e-3 * s[0] and s[rank] <= 1e-5 * s[0]  # (a)
+    s = np.linalg.svd(tangent[:, :lower_dim], compute_uv=False)
+    assert s[-1] >= 1e-3 * s[0]  # (b)
+    step = 1e-5 * np.eye(x.size)
+    d_equation = np.array([sub_bundle_equation(n, jet.order, x + e) - sub_bundle_equation(n, jet.order, x - e)
+                           for e in step]).T / 2e-5
+    s = np.linalg.svd(d_equation, compute_uv=False)
+    codim = x.size - rank
+    assert s[codim - 1] >= 1e-3 * s[0] and s[codim] <= 1e-6 * s[0]
+    drift = np.linalg.norm(d_equation @ tangent.T)
+    assert drift <= 1e-5 * np.linalg.norm(d_equation) * np.linalg.norm(tangent)  # (c)
 
 
 class TestThirdOrderDefect:
