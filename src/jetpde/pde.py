@@ -15,6 +15,11 @@ sample; :func:`residual` is its batch of one.  Residual values transform
 by a nonzero factor under the group, so only zero sets and eigenvalue
 ratios are meaningful across points.
 
+An :class:`Expr` node takes the number of arguments ``NODES`` gives it;
+``INDEXED`` names the ops whose record carries an index.  Evaluation, the
+degree, the expansion and the JSON record are each a leaf rule and a node
+rule over one fold, :func:`_fold`, which takes the arguments first.
+
 ``expand_polynomial`` writes the n = 2 equations as exact polynomials.
 The affine ``pick`` leaf expands to the 13-term table
 :data:`~jetpde.invariants.F_AFF3_MONOMIALS`, the one copy of it, which
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -56,7 +62,13 @@ from .taylor import pow_rows
 DIV_EPS = 1e-300
 
 LEAVES = ("const", "lam", "sigma", "tau", "tauring", "pick")
-NODES = ("add", "sub", "mul", "div", "pow")
+NODES = {"add": 2, "sub": 2, "mul": 2, "div": 2, "pow": 1}  # each node's number of arguments
+INDEXED = ("lam", "sigma", "tau", "tauring", "pow")  # const's record carries a value
+
+
+def _binary(op: str):
+    """The operator method making an ``op`` node of self and the operand."""
+    return lambda self, other: Expr(op, args=(self, _coerce(other)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,17 +80,7 @@ class Expr:
     index: int = 0
     args: tuple["Expr", ...] = ()
 
-    def __add__(self, other):
-        return Expr("add", args=(self, _coerce(other)))
-
-    def __sub__(self, other):
-        return Expr("sub", args=(self, _coerce(other)))
-
-    def __mul__(self, other):
-        return Expr("mul", args=(self, _coerce(other)))
-
-    def __truediv__(self, other):
-        return Expr("div", args=(self, _coerce(other)))
+    __add__, __sub__, __mul__, __truediv__ = map(_binary, ("add", "sub", "mul", "div"))
 
     def __pow__(self, k: int):
         return Expr("pow", index=int(k), args=(self,))
@@ -148,9 +150,9 @@ PRESETS = {
 def _validate(geometry: GeometryTag, e: Expr, depth: int = 0):
     if depth > 64:
         raise InvalidExpr("expression too deep")
-    if e.op not in LEAVES and e.op not in NODES:
+    arity = 0 if e.op in LEAVES else NODES.get(e.op)
+    if arity is None:
         raise InvalidExpr(f"unknown node {e.op!r}")
-    arity = 0 if e.op in LEAVES else 1 if e.op == "pow" else 2
     if len(e.args) != arity:
         raise InvalidExpr(f"{e.op!r} takes {arity} argument{'' if arity == 1 else 's'}, got {len(e.args)}")
     if e.op in LEAVES:
@@ -183,35 +185,33 @@ def build(geometry: GeometryTag, expr: Expr | str) -> PdeDescriptor:
     return PdeDescriptor(geometry, expr)
 
 
-def _power(x, k: int):
-    """x ** k by :func:`~jetpde.taylor.pow_rows`, elementwise on an array;
-    an overflow gives +-inf where the float power raises."""
-    out = pow_rows(x, k)
-    return out if isinstance(x, np.ndarray) else float(out)
+def _fold(e: Expr, leaf, node):
+    """``leaf(e)`` at a leaf, ``node(e, values)`` at a node, the values of
+    its arguments taken first, left to right."""
+    if e.op in LEAVES:
+        return leaf(e)
+    if e.op not in NODES:
+        raise InvalidExpr(f"unknown node {e.op!r}")
+    return node(e, [_fold(a, leaf, node) for a in e.args])
+
+
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def _eval_node(e: Expr, vals):
+    if e.op == "div" and np.any(abs(vals[1]) < DIV_EPS):
+        raise DivisionByZero("quotient node hit a vanishing denominator")
+    if e.op == "pow":  # libm's pow, +-inf where the float power overflows
+        out = pow_rows(vals[0], e.index)
+        return out if isinstance(vals[0], np.ndarray) else float(out)
+    return _ARITHMETIC[e.op](*vals)
 
 
 def _eval_tree(e: Expr, leaf_value):
     """Value of the expression from its leaf values: floats, or arrays of
     one shape, on which every node acts row by row with the same float64
     operation."""
-    if e.op == "const":
-        return e.value
-    if e.op in LEAVES:
-        return leaf_value(e)
-    vals = [_eval_tree(a, leaf_value) for a in e.args]
-    if e.op == "add":
-        return vals[0] + vals[1]
-    if e.op == "sub":
-        return vals[0] - vals[1]
-    if e.op == "mul":
-        return vals[0] * vals[1]
-    if e.op == "div":
-        if np.any(abs(vals[1]) < DIV_EPS):
-            raise DivisionByZero("quotient node hit a vanishing denominator")
-        return vals[0] / vals[1]
-    if e.op == "pow":
-        return _power(vals[0], e.index)
-    raise InvalidExpr(f"unknown node {e.op!r}")
+    return _fold(e, lambda e: e.value if e.op == "const" else leaf_value(e), _eval_node)
 
 
 def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
@@ -296,27 +296,15 @@ def residual_via_normalization(desc: PdeDescriptor, j: GraphJet) -> float:
     return residual(desc, res.jet)
 
 
+_LEAF_DEGREES = {"const": 0, "lam": 1, "pick": 2}  # sigma, tau and tauring: their index
+_NODE_DEGREES = {"add": max, "sub": max, "mul": operator.add, "div": lambda a, b: max(a - b, 0)}
+
+
 def homogeneity_degree(e: Expr) -> int:
     """Degree of the residual in the top-order jet data (for scale-free
     defect normalization)."""
-    if e.op == "const":
-        return 0
-    if e.op == "lam":
-        return 1
-    if e.op in ("sigma", "tau", "tauring"):
-        return e.index
-    if e.op == "pick":
-        return 2
-    degs = [homogeneity_degree(a) for a in e.args]
-    if e.op in ("add", "sub"):
-        return max(degs)
-    if e.op == "mul":
-        return degs[0] + degs[1]
-    if e.op == "div":
-        return max(degs[0] - degs[1], 0)
-    if e.op == "pow":
-        return degs[0] * e.index
-    raise InvalidExpr(f"unknown node {e.op!r}")
+    return _fold(e, lambda e: _LEAF_DEGREES.get(e.op, e.index),
+                 lambda e, d: d[0] * e.index if e.op == "pow" else _NODE_DEGREES[e.op](*d))
 
 
 # -- exact polynomial expansion -------------------------------------------------
@@ -364,39 +352,36 @@ def _euclidean_leaf(e: Expr) -> tuple[Poly, int]:
                 for i in range(2)
             ]
         return P[0][0] + P[1][1], 2 * e.index
-    if e.op == "sigma":
-        t1 = _euclidean_leaf(tau(1))
-        if e.index == 1:
-            return t1
-        t2 = _euclidean_leaf(tau(2))
-        num = t1[0] * t1[0] - t2[0]  # both at rho power 4
-        return num * Fraction(1, 2), 4
+    if e.op == "sigma":  # Newton's identities: sigma_1 = tau_1, sigma_2 = (tau_1^2 - tau_2) / 2
+        return _expand(tau(1) if e.index == 1 else (tau(1) ** 2 - tau(2)) * 0.5, _euclidean_leaf, 5)
     raise NotPolynomial(f"leaf {e.op!r} has no polynomial expansion here")
 
 
 def _expand(e: Expr, leaf, nvars: int) -> tuple[Poly, int]:
     """Value of the expression as (numerator, rho power), the leaves
     expanded by ``leaf``."""
-    if e.op == "const":
+
+    def leaf_part(e: Expr) -> tuple[Poly, int]:
+        if e.op != "const":
+            return leaf(e)
+        if not np.isfinite(e.value):
+            raise NotPolynomial(f"constant {e.value} has no polynomial expansion")
         return Poly.const(nvars, Fraction(e.value).limit_denominator(10**12)), 0
-    if e.op in LEAVES:
-        return leaf(e)
-    if e.op == "div":
-        raise NotPolynomial("quotient expressions have no polynomial expansion")
-    parts = [_expand(a, leaf, nvars) for a in e.args]
-    if e.op in ("add", "sub"):
+
+    def node_part(e: Expr, parts) -> tuple[Poly, int]:
+        if e.op == "div":
+            raise NotPolynomial("quotient expressions have no polynomial expansion")
+        if e.op == "pow":
+            return parts[0][0] ** e.index, parts[0][1] * e.index
         (p1, m1), (p2, m2) = parts
+        if e.op == "mul":
+            return p1 * p2, m1 + m2
         m = max(m1, m2)
         p1 = p1 * _rho_poly() ** (m - m1) if m > m1 else p1
         p2 = p2 * _rho_poly() ** (m - m2) if m > m2 else p2
         return (p1 + p2, m) if e.op == "add" else (p1 - p2, m)
-    if e.op == "mul":
-        (p1, m1), (p2, m2) = parts
-        return p1 * p2, m1 + m2
-    if e.op == "pow":
-        p1, m1 = parts[0]
-        return p1**e.index, m1 * e.index
-    raise InvalidExpr(f"unknown node {e.op!r}")
+
+    return _fold(e, leaf_part, node_part)
 
 
 def expand_polynomial(desc: PdeDescriptor) -> ExpandedPolynomial:
@@ -429,17 +414,15 @@ def expand_polynomial(desc: PdeDescriptor) -> ExpandedPolynomial:
 # -- serialization --------------------------------------------------------------
 
 
-def expr_to_json(e: Expr) -> dict:
-    if e.op == "const":
-        return {"op": "const", "value": e.value}
-    if e.op in ("lam", "sigma", "tau", "tauring"):
-        return {"op": e.op, "index": e.index}
-    if e.op == "pick":
-        return {"op": "pick"}
-    out = {"op": e.op, "args": [expr_to_json(a) for a in e.args]}
-    if e.op == "pow":
+def _record(e: Expr, args=None) -> dict:
+    out = {"op": e.op, "value": e.value} if e.op == "const" else {"op": e.op}
+    if e.op in INDEXED:
         out["index"] = e.index
-    return out
+    return out if args is None else {**out, "args": args}
+
+
+def expr_to_json(e: Expr) -> dict:
+    return _fold(e, _record, _record)
 
 
 def expr_from_json(d: dict) -> Expr:
@@ -451,11 +434,8 @@ def expr_from_json(d: dict) -> Expr:
         if op not in LEAVES and op not in NODES:
             raise SchemaMismatch(f"unknown op {op!r}")
         args = tuple(expr_from_json(a) for a in d.get("args", ()))
-        if op == "const":
-            return Expr("const", value=float(d["value"]), args=args)
-        if op in ("pick", "add", "sub", "mul", "div"):
-            return Expr(op, args=args)
-        return Expr(op, index=int(d["index"]), args=args)
+        return Expr(op, value=float(d["value"]) if op == "const" else 0.0,
+                    index=int(d["index"]) if op in INDEXED else 0, args=args)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise SchemaMismatch(f"bad expression record: {exc}") from exc
 

@@ -18,8 +18,8 @@ two-dimensional.  ``check_solution`` builds each germ at its point, then
 extends them to one jet batch for the same evaluation stage (residual,
 skips, scale, worst defect).  A power that overflows in a residual or a
 scale is +-inf (:func:`~jetpde.taylor.pow_rows`), a value and not an
-error; seed and count must be integers >= 0, the group scale and the jet
-scale finite and >= 0.
+error; seed and count must be integers >= 0, the group scale, the jet
+scale and the tolerance finite and >= 0.
 """
 
 from __future__ import annotations
@@ -300,17 +300,20 @@ def generators(states: np.ndarray) -> list:
     return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in states]
 
 
+_lower_triangle = functools.lru_cache(np.tril_indices)  # (i, j), i >= j, of each packed SymMatrix entry
+
+
 def orbit_points(lower: JetBatch, params: np.ndarray) -> JetBatch:
     """The points of the G-orbit's affine sub-bundle over the lower jets,
     from their model-space parameters: over 1-jets and c (N,), the umbilic
     hess = c rho (I + grad grad^T) (conformal); over 2-jets and covectors w
     (N, n), cubic = sym_outer(w, hess) (affine, projective)."""
-    n, grad, top = lower.n, lower.grad, lower.hess
-    if lower.order == 1:
-        rho = (1.0 + sumsq_rows(grad))[:, None, None]
-        full = params[:, None, None] * (rho * (np.eye(n) + grad[:, :, None] * grad[:, None, :]))
-        top = np.empty((len(lower), n * (n + 1) // 2))  # symmetrized as SymMatrix.from_full
-        top[:, _matrix_gather(n).ravel()] = (0.5 * (full + full.swapaxes(1, 2))).reshape(len(lower), n * n)
+    top = lower.hess
+    if lower.order == 1:  # packed; an overflow is inf
+        i, j = _lower_triangle(lower.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = (1.0 + sumsq_rows(lower.grad))[:, None]
+            top = params[:, None] * (rho * ((i == j) + lower.grad[:, i] * lower.grad[:, j]))
     return lower.take(slice(None), top, None if lower.order == 1 else sym_outers(params, top))
 
 
@@ -422,6 +425,8 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
     sub-bundle point of ``ORBIT_EXPRS`` is kept when |residual| <=
     SOUNDNESS_TOL * scale, checked by one :func:`residual_scales` call (and
     one :func:`residuals` call where the draw does not know the residual).
+    A row whose 1-jet or umbilic overflows is dropped before the solves,
+    and so finds no root.
     """
     n, count = desc.geometry.n, len(rngs)
     exact = desc.expr in ORBIT_EXPRS
@@ -430,20 +435,25 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
     z = np.empty((count, width))
     for i, rng in enumerate(rngs):
         rng.standard_normal(out=z[i])
-    base, u, grad = jet_scale * z[:, :n], jet_scale * z[:, n], jet_scale * z[:, n + 1 : 2 * n + 1]
-    lower, top, values = JetBatch(desc.chart, base, u, grad), z[:, 2 * n + 1 :], None
+    with np.errstate(over="ignore"):
+        one = jet_scale * z[:, : 2 * n + 1]
+    lower, top, values = JetBatch(desc.chart, one[:, :n], one[:, n], one[:, n + 1 :]), z[:, 2 * n + 1 :], None
+    if exact and desc.order == 2:  # tauring(2): the umbilic over each 1-jet
+        lower = orbit_points(lower, top[:, 0] + np.sign(top[:, 1]) * 0.2)
+    finite = np.isfinite(one).all(axis=1) & (lower.order == 1 or np.isfinite(lower.hess).all(axis=1))
+    kept = np.flatnonzero(finite)
+    if kept.size < count:  # a batch of its own: per-row values are computed over the kept rows alone
+        lower = JetBatch(desc.chart, lower.base[kept], lower.u[kept], lower.grad[kept],
+                         None if lower.hess is None else lower.hess[kept])
+        top, rngs = top[kept], [rngs[i] for i in kept]
     if desc.order == 3:
         rows, jets, definite = _cubic_draws(rngs, lower, top)
         checked = [k for k, d in enumerate(definite) if not (d and exact)]
-    elif exact:  # tauring(2)
-        rows, checked = list(range(count)), []
-        jets = orbit_points(lower, top[:, 0] + np.sign(top[:, 1]) * 0.2)
+    elif exact:
+        rows, checked, jets = list(range(len(lower))), [], lower
     else:
         rows, jets, values = _line_draws(desc, lower, top)
         checked = list(range(len(rows)))
-    entries = [jets.base, jets.u[:, None], jets.grad, jets.hess] + ([jets.cubic] if desc.order == 3 else [])
-    if not np.isfinite(np.concatenate(entries, axis=1)).all():
-        raise SchemaMismatch("jet entries must be finite")
     if checked:
         sub = jets if len(checked) == len(rows) else jets.take(checked)
         if values is None:
@@ -454,7 +464,7 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
         unsound = {k for k, b in zip(checked, bad) if b}
         keep = [k for k in range(len(rows)) if k not in unsound]
         rows, jets = [rows[k] for k in keep], jets if len(keep) == len(rows) else jets.take(keep)
-    return np.array(rows, dtype=int), jets
+    return kept[np.array(rows, dtype=int)], jets
 
 
 def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
@@ -493,6 +503,11 @@ def _defect(value: float, scale: float) -> float:
     ``max`` keeps (``max(0.0, nan)`` is 0.0)."""
     defect = abs(value) / scale
     return defect if math.isfinite(defect) else math.inf
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise SchemaMismatch(f"{name} must be finite and >= 0, got {value}")
 
 
 def _passed(max_defect: float, tol: float, evaluated: int, attempted: int) -> bool:
@@ -540,9 +555,8 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     for name, value in (("seed", cfg.seed), ("count", cfg.count)):
         if not (isinstance(value, numbers.Integral) and value >= 0):
             raise SchemaMismatch(f"{name} must be an integer >= 0, got {value!r}")
-    for name, value in (("scale", cfg.scale), ("jet scale", cfg.jet_scale)):
-        if not 0.0 <= value < math.inf:
-            raise SchemaMismatch(f"{name} must be finite and >= 0, got {value}")
+    for name, value in (("scale", cfg.scale), ("jet scale", cfg.jet_scale), ("tol", cfg.tol)):
+        _check_nonnegative(name, value)
     tag, count = desc.geometry, cfg.count
     skipped = {k: 0 for k in SKIP_KINDS}
     states = seed_states(cfg.seed, count)
@@ -707,7 +721,9 @@ def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-
     the descriptor's n variables, are then extended to jets as one batch
     and go through the evaluation stage of :func:`invariance_report`.  A
     JetError other than a skip raises, for instance DivisionByZero from a
-    custom quotient expression whose denominator vanishes at a point."""
+    custom quotient expression whose denominator vanishes at a point; a
+    tol that is not finite and >= 0 raises SchemaMismatch."""
+    _check_nonnegative("tol", tol)
     catalog = solution_catalog()
     if germ_name not in catalog:
         raise SchemaMismatch(f"unknown catalog surface {germ_name!r}")

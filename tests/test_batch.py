@@ -232,6 +232,24 @@ def test_samplers_match_scalar_reference(preset, geometry, n):
             assert_same_jet(got, want)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("preset,geometry,jet_scale", [
+    ("minimal_surface", "euclidean", 1e308), ("umbilical", "conformal", 1e77),
+    ("affine_cubic", "affine", 1e308), ("projective_cubic", "projective", 1e308),
+])
+def test_overflowing_draws_find_no_root(preset, geometry, jet_scale, n):
+    # at these jet scales some rows' 1-jets or umbilics overflow: those rows
+    # find no root, and every other row draws what it draws alone
+    desc = build(GeometryTag(geometry, n), preset)
+    rows, jets = sample_rows(desc, generators(seed_states(7, 40)[:40]), jet_scale)
+    singles = [sample_on_zero_set(desc, rng, jet_scale) for rng in generators(seed_states(7, 40)[:40])]
+    assert 0 < rows.size < 30
+    assert rows.tolist() == [i for i, j in enumerate(singles) if j is not None]
+    for k, i in enumerate(rows.tolist()):
+        assert_same_jet(jets.jet(k), singles[i])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     geometry=st.sampled_from(GEOMETRIES),

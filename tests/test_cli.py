@@ -313,6 +313,7 @@ def inputs(tmp_path):
         # tau_1 / (sigma_1 - sigma_1): every residual divides by zero
         "div0": descriptor_to_json(build(GeometryTag("euclidean", 2), tau(1) / (sigma(1) - sigma(1)))),
         "expr": expr_to_json(tau(1)),
+        "inf_const": expr_to_json(const(float("inf")) + tau(1)),  # written as Infinity
         "aff": descriptor_to_json(build(GeometryTag("affine", 2), "affine_cubic")),
         "proj": descriptor_to_json(build(GeometryTag("projective", 2), "projective_cubic")),
         "um": descriptor_to_json(build(GeometryTag("conformal", 2), "umbilical")),
@@ -344,6 +345,7 @@ def inputs(tmp_path):
       "--latex", "{tex}"], 2),
     (["build", "--geometry", "euclidean", "-n", "3", "--preset", "minimal-surface",
       "--out", "{out}", "--expanded", "{mono}"], 2),
+    (["build", "--geometry", "euclidean", "--expr", "{inf_const}", "--out", "{out}", "--latex", "{tex}"], 2),
     (["eval", "{ms}", "{nan_jet}"], 2),
     (["eval", "{bad}", "{jet}"], 2),
     (["eval", "{div0}", "{jet}"], 4),
@@ -372,6 +374,12 @@ def inputs(tmp_path):
     (["verify", "{ms}", "--samples", "3", "--jet-scale", "nan"], 2),
     (["verify", "{ms}", "--samples", "3", "--jet-scale", "inf"], 2),
     (["verify", "{ms}", "--samples", "3", "--seed", "-1"], 2),
+    (["verify", "{ms}", "--samples", "3", "--tol", "nan"], 2),
+    (["verify", "{ms}", "--samples", "3", "--tol", "-1"], 2),
+    (["verify", "{ms}", "--samples", "3", "--tol", "inf"], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "nan"], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "-1"], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "inf"], 2),
     (["verify", "{ms}", "--samples", "0", "--scale", "nan"], 2),
     (["verify", "{ms}", "--surface", "plane", "--points", "3", "--seed", "-2"], 2),
     (["verify", "{ms}", "--surface", "plane", "--points", "3", "--point-scale", "inf"], 2),
@@ -447,6 +455,26 @@ def test_overflow_ends_as_a_value(inputs, capsys, argv):
     assert "Traceback" not in err
     assert err == ""
     assert got in (0, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("jet_scale", ["1e80", "1e120", "1e200", "1e308"])
+def test_overflowing_umbilics_find_no_root(tmp_path, capsys, jet_scale, n):
+    # every drawn umbilic (or 1-jet) overflows at these scales: each is a
+    # no_root skip, so the report fails, with no schema error or warning
+    desc, rep = tmp_path / "um.json", tmp_path / "rep.json"
+    desc.write_text(json.dumps(descriptor_to_json(build(GeometryTag("conformal", n), "umbilical"))))
+    try:
+        got = main(["verify", str(desc), "--jet-scale", jet_scale, "--seed", "7", "--samples", "20",
+                    "--out", str(rep)])
+    except Exception:  # what the interpreter would print for an escape
+        traceback.print_exc()
+        got = None
+    assert capsys.readouterr().err == ""
+    assert got == 1
+    blob = json.loads(rep.read_text())
+    assert blob["skipped"]["no_root"] == 20 and blob["evaluated"] == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

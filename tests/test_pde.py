@@ -345,6 +345,11 @@ class TestExpand:
         with pytest.raises(NotPolynomial):
             expand_polynomial(build(C2, "umbilical"))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_constant_not_polynomial(self, value):
+        with pytest.raises(NotPolynomial, match="constant"):
+            expand_polynomial(build(E2, const(value) * tau(1)))
+
 
 class TestEmit:
     def test_latex_minimal_surface(self):
