@@ -345,7 +345,6 @@ def inputs(tmp_path):
       "--latex", "{tex}"], 2),
     (["build", "--geometry", "euclidean", "-n", "3", "--preset", "minimal-surface",
       "--out", "{out}", "--expanded", "{mono}"], 2),
-    (["build", "--geometry", "euclidean", "--expr", "{inf_const}", "--out", "{out}", "--latex", "{tex}"], 2),
     (["eval", "{ms}", "{nan_jet}"], 2),
     (["eval", "{bad}", "{jet}"], 2),
     (["eval", "{div0}", "{jet}"], 4),
@@ -374,12 +373,6 @@ def inputs(tmp_path):
     (["verify", "{ms}", "--samples", "3", "--jet-scale", "nan"], 2),
     (["verify", "{ms}", "--samples", "3", "--jet-scale", "inf"], 2),
     (["verify", "{ms}", "--samples", "3", "--seed", "-1"], 2),
-    (["verify", "{ms}", "--samples", "3", "--tol", "nan"], 2),
-    (["verify", "{ms}", "--samples", "3", "--tol", "-1"], 2),
-    (["verify", "{ms}", "--samples", "3", "--tol", "inf"], 2),
-    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "nan"], 2),
-    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "-1"], 2),
-    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "inf"], 2),
     (["verify", "{ms}", "--samples", "0", "--scale", "nan"], 2),
     (["verify", "{ms}", "--surface", "plane", "--points", "3", "--seed", "-2"], 2),
     (["verify", "{ms}", "--surface", "plane", "--points", "3", "--point-scale", "inf"], 2),
@@ -390,6 +383,13 @@ def inputs(tmp_path):
     (["verify", "{ms3}", "--surface", "scherk", "--points", "5"], 2),
     (["build", "--geometry", "euclidean", "--expr", "{deep600}", "--out", "{out}"], 2),
     (["build", "--geometry", "euclidean", "--expr", "{deep2000}", "--out", "{out}"], 2),
+    (["build", "--geometry", "euclidean", "--expr", "{inf_const}", "--out", "{out}", "--latex", "{tex}"], 2),
+    (["verify", "{ms}", "--samples", "3", "--tol", "nan"], 2),
+    (["verify", "{ms}", "--samples", "3", "--tol", "-1"], 2),
+    (["verify", "{ms}", "--samples", "3", "--tol", "inf"], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "nan"], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "-1"], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "inf"], 2),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]
