@@ -185,7 +185,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="emit a PDE descriptor")
     b.add_argument("--geometry", required=True, choices=GEOMETRIES)
-    b.add_argument("-n", type=int, default=2, help="independent variables")
+    b.add_argument("-n", type=int, default=2, help="independent variables (1 to 8)")
     group = b.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=sorted(PRESET_FLAGS))
     group.add_argument("--expr", help="path to an expression AST (json)")

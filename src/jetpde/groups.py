@@ -37,6 +37,7 @@ from .geometries import GEOMETRIES, GEOMETRY, Geometry
 from .invariants import Signature, _trace, hessian_congruence
 from .jetspace import GraphJet, JetBatch, extend_rows, poly_rows
 from .taylor import (
+    MAX_VARS,
     compose_rows,
     divide_rows,
     invert_rows,
@@ -70,6 +71,8 @@ class GeometryTag:
             raise SchemaMismatch(f"unknown geometry {self.name!r}")
         if self.n < 1:
             raise SchemaMismatch("need at least one independent variable")
+        if self.n > MAX_VARS:
+            raise SchemaMismatch(f"n = {self.n} exceeds the Taylor engine's limit of {MAX_VARS} variables")
 
     @property
     def facts(self) -> Geometry:

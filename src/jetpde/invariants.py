@@ -163,7 +163,7 @@ def eigenvalues(grad, hess) -> np.ndarray:
     guarantees a real spectrum.  h and R depend on the gradient only, so
     they are shared per row: a stack of Hessians with one gradient shares
     them, and a JetBatch gathers them from the batch it was taken from,
-    where each row's are computed once for the line scan's repeated rows
+    where each row's are computed once for the line draws' repeated rows
     and a report's later stages (:func:`_chart_metric`).
     """
     R = _chart_metric(grad)[1]

@@ -307,6 +307,25 @@ def homogeneity_degree(e: Expr) -> int:
                  lambda e, d: d[0] * e.index if e.op == "pow" else _NODE_DEGREES[e.op](*d))
 
 
+_LINE_LEAF_DEGREES = {"const": 0, "lam": None, "sigma": 1, "pick": 2}  # tau and tauring: their index
+_LINE_NODE_DEGREES = {"add": max, "sub": max, "mul": operator.add}
+
+
+def line_degree(e: Expr) -> int | None:
+    """Degree of the residual as a polynomial along the samplers' lines, or
+    None where it is no polynomial (``lam``, ``div``).  Along the last
+    Hessian entry S = h hess moves by a rank-one term, so each minor of S,
+    and each ``sigma``, is affine, and ``tau``/``tauring`` of index d have
+    degree d; along the last cubic coefficient ``pick`` is quadratic."""
+
+    def node(e: Expr, d):
+        if None in d or e.op == "div":
+            return None
+        return d[0] * e.index if e.op == "pow" else _LINE_NODE_DEGREES[e.op](*d)
+
+    return _fold(e, lambda e: _LINE_LEAF_DEGREES.get(e.op, e.index), node)
+
+
 # -- exact polynomial expansion -------------------------------------------------
 
 EUCLID_VARS = ("u_x", "u_y", "u_xx", "u_xy", "u_yy")

@@ -9,9 +9,13 @@ sample i's generators are ``default_rng((seed, i))`` and
 ``default_rng((seed, i, 1))``, and :func:`seed_states` hashes the seeds of
 a whole report in one pass.  One draw stage (:func:`sample_rows`) draws
 every sample, each from its own generator, with its retries in masked
-rounds; the group elements, the prolongation, the residuals and the
-defects then run on blocks of the jet batch, bit for bit as one sample at
-a time.  The catalog's polynomial
+rounds.  Along a line in the affine fibre of J^k -> J^(k-1) a residual is
+often a polynomial of degree <= 2 (:func:`~jetpde.pde.line_degree`);
+there three values give its roots in closed form (:func:`_line_root`),
+and only the other second-order expressions scan their line.  The group
+elements, the prolongation, the residuals and the defects then run on
+blocks of the jet batch, bit for bit as one sample at a time.  The
+catalog's polynomial
 germs are Taylor-engine arithmetic on the coordinate germs base[i] + x_i;
 ``scherk``, ``saddle`` and (by its default shear) ``sheared_quadric`` are
 two-dimensional.  ``check_solution`` builds each germ at its point, then
@@ -40,7 +44,7 @@ from .errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch
 from .groups import affine_element, prolong, prolong_batch, random_elements
 from .invariants import eigenvalues, hessian_dets, pick_numerators, sym_outers
 from .jetspace import GraphJet, JetBatch, extend_rows, jet_extend, to_poly
-from .pde import PdeDescriptor, homogeneity_degree, pick, residuals, tauring
+from .pde import PdeDescriptor, homogeneity_degree, line_degree, pick, residuals, tauring
 from .symtensor import _cubic_gather, _matrix_gather, cubic_indices
 from .taylor import TruncatedJet, norm_rows, pow_rows, sumsq_rows
 
@@ -77,9 +81,10 @@ SKIP_KINDS = ("no_root", *SKIP_EXCEPTIONS.values())
 
 # Tries per draw: Hessians with |det| >= 0.3, then lines through a cubic.
 DRAW_TRIES = 20
-# The points at which a second-order draw scans its last Hessian entry.
+# The points at which a second-order draw scans its last Hessian entry; its
+# ends and middle give a residual of degree <= 2 along the entry.
 LINE = np.linspace(-50.0, 50.0, 65)
-# The most samples one line scan's residual call, or one pass of a report's
+# The most samples one line draw's residual call, or one pass of a report's
 # element, prolongation and evaluation stages, holds at once.
 BLOCK_SAMPLES = 1024
 # The expressions whose zero set is the orbit's sub-bundle (pick: definite hess).
@@ -151,15 +156,27 @@ def residual_scale(desc: PdeDescriptor, j: GraphJet) -> float:
     return float(residual_scales(desc, JetBatch.of([j]))[0])
 
 
-def _smallest_root(a: float, b: float, c: float, bracket: float):
-    """Smallest real root of a t^2 + b t + c (a != 0) in [-bracket, bracket],
-    or None."""
+def _line_root(f_minus: float, f_zero: float, f_plus: float, half_width: float, bracket: float):
+    """Smallest root in [-bracket, bracket] of the polynomial of degree <= 2
+    that takes the values f_minus, f_zero, f_plus at t = -half_width, 0,
+    half_width, or None: when no root lies there, a value is not finite or
+    the line is constant (identically zero included).  With s = t /
+    half_width the polynomial is a s^2 + b s + c; a == 0 with b != 0 is
+    its linear root.  The values are first scaled by the exact power of two
+    that brings the largest to [0.5, 1), which moves no root, so b * b
+    cannot underflow (or overflow) when all three are tiny (or huge)."""
+    values = (f_minus, f_zero, f_plus)
+    if not all(map(math.isfinite, values)):
+        return None
+    shift = -math.frexp(max(map(abs, values)))[1]
+    f_minus, f_zero, f_plus = (math.ldexp(v, shift) for v in values)
+    a, b, c = 0.5 * (f_plus + f_minus) - f_zero, 0.5 * (f_plus - f_minus), f_zero
     disc = b * b - 4.0 * a * c
-    if a == 0.0 or disc < 0.0:
+    if disc < 0.0 or a == b == 0.0:
         return None
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    roots = (q / a, c / q) if q != 0.0 else (0.0,)
-    inside = [t for t in roots if -bracket <= t <= bracket]
+    roots = (0.0,) if q == 0.0 else (c / q,) if a == 0.0 else (q / a, c / q)
+    inside = [half_width * s for s in roots if -bracket <= half_width * s <= bracket]
     return min(inside) if inside else None
 
 
@@ -317,29 +334,55 @@ def orbit_points(lower: JetBatch, params: np.ndarray) -> JetBatch:
     return lower.take(slice(None), top, None if lower.order == 1 else sym_outers(params, top))
 
 
-def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
-    """Roots of the residual along the last Hessian entry of each row.  One
-    residual call scans up to BLOCK_SAMPLES rows at LINE; :func:`_brent` polishes each
-    row's first cell with a zero end or end values whose product is
-    negative, the live polishes of a round sharing one residual call.
-    Every call takes its rows from ``lower``, so each row's chart metric
-    is computed once, not once per point and round.  Returns the rows with
-    a root, their jets and residuals."""
+def _line_values(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The residual of each row with its last Hessian entry at each of
+    ``points``, as a (rows, points) array: one residual call per
+    BLOCK_SAMPLES rows, each row taken from ``lower``, so that its chart
+    metric is computed once; a row's values are the ones it has alone."""
 
-    def values(rows, hess) -> np.ndarray:
-        return residuals(desc, lower.take(rows, hess))[0]
+    def block(rows) -> np.ndarray:
+        line = np.repeat(entries[rows], points.size, axis=0)
+        line.reshape(len(rows), points.size, entries.shape[1])[:, :, -1] = points
+        values = residuals(desc, lower.take(np.repeat(rows, points.size), line))[0]
+        return values.reshape(len(rows), points.size)
 
-    def scanned(rows) -> np.ndarray:
-        scan = np.repeat(entries[rows], LINE.size, axis=0)
-        scan.reshape(len(rows), LINE.size, entries.shape[1])[:, :, -1] = LINE
-        return values(np.repeat(rows, LINE.size), scan).reshape(len(rows), LINE.size)
-
-    # blocks bound the memory of the scan; a row scans bit for bit as it would alone
-    vals = np.concatenate([scanned(np.arange(len(entries))[i : i + BLOCK_SAMPLES])
+    return np.concatenate([block(np.arange(len(entries))[i : i + BLOCK_SAMPLES])
                            for i in range(0, max(len(entries), 1), BLOCK_SAMPLES)])
-    with np.errstate(all="ignore"):  # the products overflow or meet inf * 0 as Python floats do
-        zero = vals == 0.0
-        events = np.concatenate([zero[:, :-1] | (vals[:, :-1] * vals[:, 1:] < 0.0), zero[:, -1:]], axis=1)
+
+
+def _with_last(lower: JetBatch, entries: np.ndarray, roots: dict) -> tuple[list, JetBatch]:
+    """The rows of ``roots`` ({row: last Hessian entry}), in row order, as jets."""
+    rows = sorted(roots)
+    hess = entries[rows]
+    hess[:, -1] = [roots[r] for r in rows]
+    return rows, lower.take(rows, hess)
+
+
+def _closed_form_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
+    """Roots of a residual of degree <= 2 (:func:`~jetpde.pde.line_degree`)
+    along the last Hessian entry of each row: its values at the ends and the
+    middle of LINE give the polynomial, and :func:`_line_root` its smallest
+    root on LINE's span, so one residual call on three rows per row draws
+    them all.  Returns the rows with a root, their jets and None for their
+    residuals, which the soundness check computes."""
+    half = float(LINE[-1])
+    values = _line_values(desc, lower, entries, LINE[[0, LINE.size // 2, -1]])
+    roots = {r: _line_root(*v, half, half) for r, v in enumerate(values.tolist())}
+    return *_with_last(lower, entries, {r: t for r, t in roots.items() if t is not None}), None
+
+
+def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
+    """Roots of the residual along the last Hessian entry of each row, for
+    the expressions that are no polynomial of degree <= 2 along it (``lam``,
+    ``div``, degree >= 3).  A scan of every row at LINE
+    (:func:`_line_values`) finds the first cell with a zero end or end values
+    of opposite signs (a nan has no sign); :func:`_brent` polishes it, the
+    live polishes of a round sharing one residual call.  Returns the rows
+    with a root, their jets and residuals."""
+    vals = _line_values(desc, lower, entries, LINE)
+    signs = np.sign(vals)  # their product never underflows, as the values' does below ~1e-154
+    zero = vals == 0.0
+    events = np.concatenate([zero[:, :-1] | (signs[:, :-1] * signs[:, 1:] < 0.0), zero[:, -1:]], axis=1)
     polish = {}
     for r in np.flatnonzero(events.any(axis=1)).tolist():
         k = min(int(events[r].argmax()), LINE.size - 2)  # a zero at the end closes the last cell
@@ -353,14 +396,12 @@ def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
             except StopIteration as stop:
                 if stop.value:
                     roots[r] = stop.value
-        rows = np.fromiter(asked, dtype=np.intp, count=len(asked))
-        hess = entries[rows]
-        hess[:, -1] = list(asked.values())
-        sent = dict(zip(asked, values(rows, hess).tolist())) if asked else {}
-    rows = sorted(roots)
-    hess = entries[rows]
-    hess[:, -1] = [roots[r][0] for r in rows]
-    return rows, lower.take(rows, hess), np.array([roots[r][1] for r in rows])
+        if not asked:
+            break
+        rows, jets = _with_last(lower, entries, asked)
+        sent = dict(zip(rows, residuals(desc, jets)[0].tolist()))
+    rows, jets = _with_last(lower, entries, {r: x for r, (x, _) in roots.items()})
+    return rows, jets, np.array([roots[r][1] for r in rows])
 
 
 def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
@@ -369,7 +410,8 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     (:func:`orbit_points`; there Q is definite in the cubic, so the
     sub-bundle is its zero set), over an
     indefinite one a root of Q along the last coefficient of a drawn cubic,
-    then along fresh lines (Q is quadratic in t, so t = 0, 1, -1 give it).
+    then along fresh lines (Q is quadratic in t, so :func:`_line_root`
+    solves it from t = -1, 0, 1).
     A round of tries makes one ``det`` or ``pick_numerators`` call.  Returns
     the rows drawn, their jets and whether each lies on the sub-bundle."""
     n, gather, size = lower.n, _matrix_gather(lower.n), len(cubic_indices(lower.n))
@@ -401,7 +443,7 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
                             ends.reshape(-1, size)[:, _cubic_gather(n)])
         retry = []
         for k, (q0, q1, qm) in zip(live, q.reshape(-1, 3).tolist()):
-            root = _smallest_root(0.5 * (q1 + qm) - q0, 0.5 * (q1 - qm), q0, bracket=50.0)
+            root = _line_root(qm, q0, q1, 1.0, 50.0)
             if root is None:
                 direction[k] = rngs[lines[k]].standard_normal(size)
                 retry.append(k)
@@ -420,13 +462,14 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
     the draws that found a root, and their jets.  Each row draws from its
     generator what it would draw alone, in the same order: a 1-jet (base,
     u, grad) of size ``jet_scale``, then a point of the orbit's sub-bundle
-    (:func:`orbit_points`) or a root on a line (:func:`_line_draws`,
+    (:func:`orbit_points`) or a root on a line (:func:`_closed_form_draws`
+    where the residual has degree <= 2 along it, else :func:`_line_draws`;
     :func:`_cubic_draws`), retrying in masked rounds.  A row that is not a
-    sub-bundle point of ``ORBIT_EXPRS`` is kept when |residual| <=
-    SOUNDNESS_TOL * scale, checked by one :func:`residual_scales` call (and
-    one :func:`residuals` call where the draw does not know the residual).
-    A row whose 1-jet or umbilic overflows is dropped before the solves,
-    and so finds no root.
+    sub-bundle point of ``ORBIT_EXPRS`` is kept only when |residual| <=
+    SOUNDNESS_TOL * scale, so a nan residual is unsound; one
+    :func:`residual_scales` call checks them (and one :func:`residuals`
+    call where the draw does not know the residual).  A row whose 1-jet or
+    umbilic overflows is dropped before the solves, and so finds no root.
     """
     n, count = desc.geometry.n, len(rngs)
     exact = desc.expr in ORBIT_EXPRS
@@ -452,7 +495,9 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
     elif exact:
         rows, checked, jets = list(range(len(lower))), [], lower
     else:
-        rows, jets, values = _line_draws(desc, lower, top)
+        degree = line_degree(desc.expr)
+        draws = _closed_form_draws if degree is not None and degree <= 2 else _line_draws
+        rows, jets, values = draws(desc, lower, top)
         checked = list(range(len(rows)))
     if checked:
         sub = jets if len(checked) == len(rows) else jets.take(checked)
@@ -460,7 +505,7 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
             values, degenerate = residuals(desc, sub)
             if degenerate:
                 raise degenerate[min(degenerate)]
-        bad = (np.abs(values) > SOUNDNESS_TOL * residual_scales(desc, sub)).tolist()
+        bad = (~(np.abs(values) <= SOUNDNESS_TOL * residual_scales(desc, sub))).tolist()  # nan is unsound
         unsound = {k for k, b in zip(checked, bad) if b}
         keep = [k for k in range(len(rows)) if k not in unsound]
         rows, jets = [rows[k] for k in keep], jets if len(keep) == len(rows) else jets.take(keep)
@@ -469,8 +514,8 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
 
 def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
     """A random jet solving the PDE, or None when the draw found no root (a
-    line polish that meets a nan residual finds none): the batch of one of
-    :func:`sample_rows`."""
+    line polish that meets a nan residual finds none, nor does a root whose
+    residual is nan): the batch of one of :func:`sample_rows`."""
     rows, jets = sample_rows(desc, [rng], jet_scale)
     return jets.jet(0) if rows.size else None
 

@@ -7,9 +7,10 @@ replaced:
   product of two jets goes through ``np.add.at`` over the multiplication
   table, every intermediate is a :class:`TruncatedJet`, and ``prolong``
   builds its germs term by term;
-* the stacked second-order residual and the one-call line scan of the
+* the stacked second-order residual and the line draws of the
   Euclidean sampler: one jet, one :class:`SymMatrix` and one float per
-  invariant at a time, the scan made of 65 residual calls;
+  invariant at a time, the three-point line solve made of three residual
+  calls and the scan of 65;
 * the scalar group and third-order routes: one ``expm`` and one
   re-projection per drawn element, the Hessian determinant and the pick
   numerator of one jet (cofactors by ``math.prod``, unstacked einsums),
@@ -59,7 +60,7 @@ from jetpde.groups import (
 )
 from jetpde.invariants import DEGENERATE_HESSIAN_RTOL
 from jetpde.jetspace import GraphJet, _exps
-from jetpde.pde import DIV_EPS, LEAVES, Expr, PdeDescriptor, homogeneity_degree, pick, tauring
+from jetpde.pde import DIV_EPS, LEAVES, Expr, PdeDescriptor, homogeneity_degree, line_degree, pick, tauring
 from jetpde.symtensor import SymCubic, SymMatrix, cubic_indices
 from jetpde.taylor import (
     DIVISION_RTOL,
@@ -482,7 +483,7 @@ def sample_affine(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None
     direction[-1] = 1.0
     for _ in range(20):
         q0, q1, qm = (pick_numerator(hess, SymCubic(n, point + t * direction)) for t in (0.0, 1.0, -1.0))
-        root = verify._smallest_root(0.5 * (q1 + qm) - q0, 0.5 * (q1 - qm), q0, bracket=50.0)
+        root = verify._line_root(qm, q0, q1, 1.0, 50.0)
         if root is not None:
             j = GraphJet(desc.chart, n, 3, base, u, grad, hess, SymCubic(n, point + root * direction))
             return j if abs(residual(desc, j)) <= SOUNDNESS_TOL * residual_scale(desc, j) else None
@@ -491,14 +492,15 @@ def sample_affine(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None
 
 
 def solve_on_line(f, bracket: float, npts: int = 65):
-    """Scan f at npts points, one call each, then Brent on the first sign change."""
+    """Scan f at npts points, one call each, then Brent on the first cell
+    with a zero end or end values of opposite signs (a nan has no sign)."""
     ts = np.linspace(-bracket, bracket, npts)
     vals = [f(t) for t in ts]
     for k in range(npts - 1):
         a, b = vals[k], vals[k + 1]
         if a == 0.0:
             return float(ts[k])
-        if a * b < 0.0:
+        if a < 0.0 < b or b < 0.0 < a:
             return float(
                 scipy.optimize.brentq(f, ts[k], ts[k + 1], xtol=1e-15, rtol=8.9e-16, maxiter=200)
             )
@@ -508,6 +510,8 @@ def solve_on_line(f, bracket: float, npts: int = 65):
 
 
 def sample_euclidean(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
+    """A root along the last Hessian entry: from the residual at t = -50, 0,
+    50 where it has degree <= 2 along it, else by the scan; then checked."""
     n = desc.geometry.n
     base = jet_scale * rng.standard_normal(n)
     u = jet_scale * rng.standard_normal()
@@ -519,11 +523,18 @@ def sample_euclidean(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | N
         entries[-1] = t
         return GraphJet(desc.chart, n, 2, base, u, grad, SymMatrix(n, entries))
 
-    root = solve_on_line(lambda t: residual(desc, with_last(t)), bracket=50.0)
+    def f(t):
+        return residual(desc, with_last(t))
+
+    degree = line_degree(desc.expr)
+    if degree is not None and degree <= 2:
+        root = verify._line_root(f(-50.0), f(0.0), f(50.0), 50.0, 50.0)
+    else:
+        root = solve_on_line(f, bracket=50.0)
     if root is None:
         return None
     j = with_last(root)
-    if abs(residual(desc, j)) > SOUNDNESS_TOL * residual_scale(desc, j):
+    if not abs(residual(desc, j)) <= SOUNDNESS_TOL * residual_scale(desc, j):
         return None
     return j
 

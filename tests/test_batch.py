@@ -238,13 +238,26 @@ def test_samplers_match_scalar_reference(preset, geometry, n):
     ("minimal_surface", "euclidean", 1e308), ("umbilical", "conformal", 1e77),
     ("affine_cubic", "affine", 1e308), ("projective_cubic", "projective", 1e308),
 ])
-def test_overflowing_draws_find_no_root(preset, geometry, jet_scale, n):
+def test_overflowing_draws_find_no_root(monkeypatch, preset, geometry, jet_scale, n):
     # at these jet scales some rows' 1-jets or umbilics overflow: those rows
     # find no root, and every other row draws what it draws alone
     desc = build(GeometryTag(geometry, n), preset)
+    line_values, lines = verify._line_values, []
+
+    def recorded(*args):
+        lines.append(line_values(*args))
+        return lines[-1]
+
+    monkeypatch.setattr(verify, "_line_values", recorded)
     rows, jets = sample_rows(desc, generators(seed_states(7, 40)[:40]), jet_scale)
     singles = [sample_on_zero_set(desc, rng, jet_scale) for rng in generators(seed_states(7, 40)[:40])]
-    assert 0 < rows.size < 30
+    if geometry == "euclidean":
+        # h hess ~ hess / |grad|^2 underflows on every line that survives the
+        # draw: an identically zero line has no root
+        assert lines[0].size > 0 and not lines[0].any()
+        assert rows.size == 0
+    else:
+        assert 0 < rows.size < 30
     assert rows.tolist() == [i for i, j in enumerate(singles) if j is not None]
     for k, i in enumerate(rows.tolist()):
         assert_same_jet(jets.jet(k), singles[i])

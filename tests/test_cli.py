@@ -8,7 +8,7 @@ import traceback
 import numpy as np
 import pytest
 
-from jetpde import cli
+from jetpde import cli, taylor
 from jetpde.cli import main
 from jetpde.groups import GeometryTag
 from jetpde.jetspace import GraphJet, jet_to_json
@@ -317,6 +317,8 @@ def inputs(tmp_path):
         "aff": descriptor_to_json(build(GeometryTag("affine", 2), "affine_cubic")),
         "proj": descriptor_to_json(build(GeometryTag("projective", 2), "projective_cubic")),
         "um": descriptor_to_json(build(GeometryTag("conformal", 2), "umbilical")),
+        # a record past the Taylor engine's MAX_VARS = 8 variables
+        "ms9": {**descriptor_to_json(build(GeometryTag("euclidean", 2), "minimal_surface")), "n": 9},
         "pick100": descriptor_to_json(build(GeometryTag("affine", 2), pick() ** 100)),
         "tau200": descriptor_to_json(build(GeometryTag("euclidean", 2), tau(1) ** 200)),
         "jet": jet_to_json(GraphJet("euclidean", 2, 2, [0, 0], 0.0, [0, 0], SymMatrix(2))),
@@ -390,6 +392,8 @@ def inputs(tmp_path):
     (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "nan"], 2),
     (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "-1"], 2),
     (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "inf"], 2),
+    (["build", "--geometry", "euclidean", "-n", "9", "--preset", "minimal-surface", "--out", "{out}"], 2),
+    (["verify", "{ms9}", "--samples", "3"], 2),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]
@@ -403,6 +407,16 @@ def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     assert got == code
     assert len(err.strip().splitlines()) == 1
     assert not any(inputs[k].exists() for k in ("out", "tex", "mono"))
+
+
+def test_dimension_past_the_taylor_engine_allocates_no_table(inputs, capsys):
+    # n = 9 is rejected where the geometry is named, before any Taylor table
+    tables = (taylor.multi_indices, taylor.n_coeffs, taylor._mul_table, taylor.linear_positions)
+    before = [t.cache_info().currsize for t in tables]
+    assert main(["build", "--geometry", "projective", "-n", "9", "--preset", "projective-cubic"]) == 2
+    assert main(["verify", str(inputs["ms9"]), "--samples", "3"]) == 2
+    assert [t.cache_info().currsize for t in tables] == before
+    assert capsys.readouterr().err.count("exceeds the Taylor engine's limit of 8 variables") == 2
 
 
 TAU1 = {"op": "tau", "index": 1}
@@ -483,13 +497,18 @@ def test_overflowing_umbilics_find_no_root(tmp_path, capsys, jet_scale, n):
 @pytest.mark.parametrize("jet_scale", ["1e10", "1e40", "1e80", "1e120", "1e154", "1e200", "1e300"])
 def test_euclidean_reports_at_extreme_jet_scales(tmp_path, capsys, jet_scale, preset, n):
     # the chart metric's root has a closed form: huge gradients give a
-    # report, never a traceback or a warning
-    desc = tmp_path / "d.json"
+    # report, never a traceback or a warning.  From 1e200 up h hess
+    # underflows to 0 on every drawn line, which then has no root: the
+    # report fails, it does not pass on residuals that are exactly 0
+    desc, rep = tmp_path / "d.json", tmp_path / "rep.json"
     desc.write_text(json.dumps(descriptor_to_json(build(GeometryTag("euclidean", n), preset))))
     try:
-        got = main(["verify", str(desc), "--jet-scale", jet_scale, "--seed", "7", "--samples", "20"])
+        got = main(["verify", str(desc), "--jet-scale", jet_scale, "--seed", "7", "--samples", "20",
+                    "--out", str(rep)])
     except Exception:  # what the interpreter would print for an escape
         traceback.print_exc()
         got = None
     assert capsys.readouterr().err == ""
     assert got in (0, 1)
+    if float(jet_scale) >= 1e200:
+        assert got == 1 and json.loads(rep.read_text())["skipped"]["no_root"] == 20

@@ -27,7 +27,7 @@ from jetpde.groups import (
 from jetpde.invariants import sym_outer
 from jetpde.jetspace import GraphJet, jet_extend, project
 from jetpde.symtensor import SymCubic, SymMatrix
-from jetpde.taylor import TruncatedJet
+from jetpde.taylor import MAX_VARS, TruncatedJet
 
 TAGS = [GeometryTag(name, 2) for name in ("euclidean", "affine", "projective", "conformal")]
 
@@ -503,3 +503,12 @@ class TestElementJson:
         # prolong and element_to_json would drop such a shift
         with pytest.raises(SchemaMismatch, match="no shift"):
             make()
+
+
+@pytest.mark.parametrize("name", ["euclidean", "affine", "projective", "conformal"])
+def test_dimension_within_the_taylor_engine(name):
+    # prolongation holds n variables in the Taylor engine, which takes at most MAX_VARS
+    assert GeometryTag(name, MAX_VARS).n == MAX_VARS
+    for n in (0, MAX_VARS + 1, 40):
+        with pytest.raises(SchemaMismatch):
+            GeometryTag(name, n)

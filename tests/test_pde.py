@@ -27,6 +27,7 @@ from jetpde.pde import (
     expr_to_json,
     homogeneity_degree,
     lam,
+    line_degree,
     pick,
     residual,
     residual_via_normalization,
@@ -393,3 +394,49 @@ class TestHomogeneity:
         assert homogeneity_degree(tauring(2)) == 2
         assert homogeneity_degree(pick()) == 2
         assert homogeneity_degree(tau(1) ** 2 - tau(2)) == 2
+
+
+class TestLineDegree:
+    @pytest.mark.parametrize("preset,geometry,degree", [
+        ("minimal_surface", "euclidean", 1), ("monge_ampere", "euclidean", 1),
+        ("umbilical", "conformal", 2), ("affine_cubic", "affine", 2), ("projective_cubic", "projective", 2),
+    ])
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_presets(self, preset, geometry, degree, n):
+        assert line_degree(build(GeometryTag(geometry, n), preset).expr) == degree
+
+    def test_nodes(self):
+        assert line_degree(const(3.0)) == 0
+        assert line_degree(sigma(3)) == 1  # a minor of S is affine in a rank-one update
+        assert line_degree(tau(3)) == line_degree(tauring(3)) == 3
+        assert line_degree(tau(1) * (tau(1) - 1.0)) == 2
+        assert line_degree(sigma(2) * tau(2) + const(1.0)) == 3
+        assert line_degree(tau(2) ** 3) == 6
+        assert line_degree(tau(1) ** 0) == 0
+
+    @pytest.mark.parametrize("expr", [lam(1), lam(1) + lam(2), tau(1) * lam(2), lam(1) ** 2,
+                                      tau(1) / (const(1.0) + tau(2)), const(1.0) / const(2.0)])
+    def test_no_polynomial(self, expr):
+        assert line_degree(expr) is None
+
+    @pytest.mark.parametrize("geometry,expr", [
+        ("euclidean", sigma(3)), ("euclidean", sigma(2)), ("euclidean", tau(2) - sigma(1)),
+        ("conformal", tauring(2)),
+    ])
+    def test_degree_along_the_last_hessian_entry(self, geometry, expr):
+        # three points fix a polynomial of degree <= 2: it predicts the rest
+        desc = build(GeometryTag(geometry, 3), expr)
+        rng = np.random.default_rng(5)
+        grad, entries = 0.5 * rng.standard_normal(3), rng.standard_normal(6)
+
+        def f(t):
+            hess = entries.copy()
+            hess[-1] = t
+            return residual(desc, GraphJet(desc.chart, 3, 2, np.zeros(3), 0.0, grad, SymMatrix(3, hess)))
+
+        f_minus, f_zero, f_plus = f(-1.0), f(0.0), f(1.0)
+        a, b = 0.5 * (f_plus + f_minus) - f_zero, 0.5 * (f_plus - f_minus)
+        for t in (-7.5, 0.3, 12.0):
+            assert f(t) == pytest.approx(a * t * t + b * t + f_zero, rel=1e-10, abs=1e-10)
+        if line_degree(expr) == 1:
+            assert abs(a) <= 1e-12 * max(abs(f_minus), abs(f_plus))

@@ -1,8 +1,9 @@
 """The batched zero-set sampler: its Brent polish returns scipy's
-``brentq`` root bit for bit, a nan met while polishing ends the row as no
-root, and one batched draw stage over N generators reproduces N batches of
-one and the per-index reference sampler of ``jet_reference``, retries and
-no-root rows included.
+``brentq`` root bit for bit, a nan met while polishing or at a drawn root
+ends the row as no root, the three-point line solve finds the roots the
+scan finds, and one batched draw stage over N generators reproduces N
+batches of one and the per-index reference sampler of ``jet_reference``,
+retries and no-root rows included.
 
 Both sides run live in this process on the same inputs, so the comparison
 holds whatever BLAS/LAPACK build the wheels carry.
@@ -20,9 +21,19 @@ from jetpde import verify
 from jetpde.groups import GeometryTag
 from jetpde.invariants import sym_outers
 from jetpde.jetspace import GraphJet
-from jetpde.pde import build, const, pick, residual, tauring
+from jetpde.pde import build, const, lam, line_degree, pick, residual, residuals, tau, tauring
 from jetpde.symtensor import SymMatrix, cubic_indices
-from jetpde.verify import LINE, _brent, sample_on_zero_set, sample_rows
+from jetpde.verify import (
+    LINE,
+    SOUNDNESS_TOL,
+    _brent,
+    _line_root,
+    generators,
+    residual_scales,
+    sample_on_zero_set,
+    sample_rows,
+    seed_states,
+)
 
 XTOL, RTOL, MAXITER = 1e-15, 8.9e-16, 200
 
@@ -123,11 +134,16 @@ def test_nan_ends_the_polish():
         brentq(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, 0.0, 1.0)
 
 
+# a scan-path expression: lam has no polynomial form along the line
+SCANNED = lam(1) + lam(2)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_inside_a_bracket_is_no_root(monkeypatch):
     # the residual is nan off the scan's grid, so every polish meets a nan
     # inside its bracketing cell; the rows come back as no root
-    desc = build(GeometryTag("euclidean", 2), "minimal_surface")
+    desc = build(GeometryTag("euclidean", 2), SCANNED)
+    assert line_degree(desc.expr) is None
     real = verify.residuals
     polished = []
 
@@ -144,6 +160,126 @@ def test_nan_inside_a_bracket_is_no_root(monkeypatch):
     assert sample_on_zero_set(desc, np.random.default_rng((7, 0)), 0.5) is None
     rep = verify.invariance_report(desc, verify.SampleConfig(7, 20))
     assert rep.skipped["no_root"] == 20 and not rep.passed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("geometry,preset,kept", [
+    ("euclidean", "minimal_surface", 0), ("affine", "affine_cubic", 4),
+])
+def test_nan_at_the_roots_is_no_root(monkeypatch, geometry, preset, kept):
+    # the residual is nan at every drawn root, off the three points of the
+    # line solve (and everywhere at third order, where the draw evaluates no
+    # residual before its check): a nan is unsound, so every checked row
+    # finds no root, as in the reference sampler; the sub-bundle draws of
+    # pick() need no check and stay
+    desc = build(GeometryTag(geometry, 2), preset)
+    ends = LINE[[0, LINE.size // 2, -1]]
+    real, real_ref = verify.residuals, ref.residual
+
+    def planted(desc, jets):
+        values, skipped = real(desc, jets)
+        at_roots = np.full(len(jets), jets.order == 3) | ~np.isin(jets.hess[:, -1], ends)
+        return np.where(at_roots, np.nan, values), skipped
+
+    def planted_ref(desc, j):
+        return math.nan if j.order == 3 or j.hess.data[-1] not in ends else real_ref(desc, j)
+
+    monkeypatch.setattr(verify, "residuals", planted)
+    monkeypatch.setattr(ref, "residual", planted_ref)
+    rows, jets = sample_rows(desc, generators(seed_states(7, 20)[:20]), 0.5)
+    assert rows.size == kept
+    for i in range(20):
+        want = ref.sample_on_zero_set(desc, np.random.default_rng((7, i)), 0.5)
+        assert (want is None) == (i not in rows.tolist())
+        if want is not None:
+            assert_same_jet(jets.jet(rows.tolist().index(i)), want)
+    assert verify.invariance_report(desc, verify.SampleConfig(7, 20)).skipped["no_root"] == 20 - kept
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scan_signs_do_not_underflow():
+    # at jet scale 1e100 the residual is about 1e-200 along every line, so
+    # the product of two values underflows to -0.0; their signs do not, and
+    # the scan finds its brackets, as the reference sampler does
+    desc = build(GeometryTag("euclidean", 2), SCANNED)
+    rows, jets = sample_rows(desc, generators(seed_states(7, 40)[:40]), 1e100)
+    assert rows.size > 0
+    for i in range(40):
+        want = ref.sample_on_zero_set(desc, np.random.default_rng((7, i)), 1e100)
+        assert (want is None) == (i not in rows.tolist())
+        if want is not None:
+            assert_same_jet(jets.jet(rows.tolist().index(i)), want)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("preset", ["minimal_surface", "monge_ampere"])
+def test_line_solve_finds_the_scans_roots(monkeypatch, preset, n):
+    # the residual is affine along the line: the three-point solve and the
+    # scan with its polish keep the same rows, at roots equal up to rounding
+    desc = build(GeometryTag("euclidean", n), preset)
+    rows, jets = sample_rows(desc, generators(seed_states(7, 200)[:200]), 0.5)
+    monkeypatch.setattr(verify, "line_degree", lambda expr: None)
+    scan_rows, scanned = sample_rows(desc, generators(seed_states(7, 200)[:200]), 0.5)
+    assert rows.size > 150 and rows.tolist() == scan_rows.tolist()
+    assert_bitwise(jets.hess[:, :-1], scanned.hess[:, :-1])
+    np.testing.assert_allclose(jets.hess[:, -1], scanned.hess[:, -1], rtol=1e-12, atol=0.0)
+
+
+def test_line_solve_finds_both_roots_of_a_cell(monkeypatch):
+    # tau(1) (tau(1) - 1) has two roots on each line; where both fall in one
+    # cell of the scan, its ends share a sign and the scan finds neither
+    desc = build(GeometryTag("euclidean", 2), tau(1) * (tau(1) - 1.0))
+    rows, jets = sample_rows(desc, generators(seed_states(7, 300)[:300]), 0.5)
+    monkeypatch.setattr(verify, "line_degree", lambda expr: None)
+    scan_rows, _ = sample_rows(desc, generators(seed_states(7, 300)[:300]), 0.5)
+    monkeypatch.undo()
+    assert rows.size == 300 and scan_rows.size == 269
+    missed = sorted(set(rows.tolist()) - set(scan_rows.tolist()))
+    for k in missed:
+        one = jets.take([k])
+        f_minus, f_zero, f_plus = verify._line_values(desc, one, one.hess, LINE[[0, LINE.size // 2, -1]])[0]
+        low = _line_root(f_minus, f_zero, f_plus, 50.0, 50.0)
+        high = -_line_root(f_plus, f_zero, f_minus, 50.0, 50.0)  # the smallest root of t -> f(-t)
+        assert low == one.hess[0, -1] and low < high
+        cell = np.searchsorted(LINE, high)
+        assert LINE[cell - 1] < low < high < LINE[cell]
+        for t in (low, high):
+            hess = one.hess.copy()
+            hess[0, -1] = t
+            at = one.take([0], hess)
+            assert abs(residuals(desc, at)[0][0]) <= SOUNDNESS_TOL * residual_scales(desc, at)[0]
+    rep = verify.invariance_report(desc, verify.SampleConfig(7, 300))
+    assert rep.evaluated == 300 and rep.passed
+
+
+@pytest.mark.parametrize("values,want", [
+    ((1.0, 0.0, -1.0), 0.0),  # linear: a == 0
+    ((-3.0, -1.0, 1.0), 25.0),
+    ((1.0, 1.0, 1.0), None),  # constant
+    ((0.0, 0.0, 0.0), None),  # identically zero
+    ((4.0, 0.0, 4.0), 0.0),  # double root
+    ((1.0, -1.0, 1.0), -50.0 * math.sqrt(0.5)),
+    ((math.nan, 0.0, 1.0), None),
+    ((-1.0, 0.5, math.nan), None),
+    ((1.0, math.inf, 1.0), None),
+    ((-1.0, 0.0, -math.inf), None),
+    ((5.0, 2.0, 1.0), None),  # the root lies outside the bracket
+])
+def test_line_root(values, want):
+    got = _line_root(*values, 50.0, 50.0)
+    assert got == (None if want is None else pytest.approx(want, rel=1e-15, abs=1e-15))
+
+
+@pytest.mark.parametrize("power", [-1070, -1000, -530, 0, 530, 1000])
+def test_line_root_is_scale_free(power):
+    # the values are scaled by a power of two first, so b * b does not
+    # underflow or overflow: lines 2^k apart give the same root, and
+    # decimal scales the same root up to rounding
+    want = _line_root(-1.0, 0.5, 1.0, 50.0, 50.0)
+    assert _line_root(-(2.0**power), 2.0 ** (power - 1), 2.0**power, 50.0, 50.0) == want
+    assert _line_root(-(2.0**power), 0.0, 2.0**power, 50.0, 50.0) == 0.0
+    scale = 10.0 ** round(power * math.log10(2.0))
+    assert _line_root(-scale, 0.5 * scale, scale, 50.0, 50.0) == pytest.approx(want, rel=1e-15)
 
 
 class Counting:
@@ -208,13 +344,20 @@ def test_batched_draws_match_batches_of_one_and_reference(case, n):
 
 
 def test_scan_blocks_do_not_change_the_draws(monkeypatch):
-    desc = build(GeometryTag("euclidean", 3), "monge_ampere")
-    whole_rows, whole = sample_rows(desc, [np.random.default_rng((13, i)) for i in range(40)], 0.5)
-    monkeypatch.setattr(verify, "BLOCK_SAMPLES", 7)
-    rows, jets = sample_rows(desc, [np.random.default_rng((13, i)) for i in range(40)], 0.5)
-    assert_bitwise(rows, whole_rows)
-    for name in ("base", "u", "grad", "hess"):
-        assert_bitwise(getattr(jets, name), getattr(whole, name))
+    # the scan and the three-point solve evaluate their lines in blocks; a
+    # row draws the same in any block
+    draws = {}
+    for block in (verify.BLOCK_SAMPLES, 7):
+        monkeypatch.setattr(verify, "BLOCK_SAMPLES", block)
+        for expr in (lam(1) * lam(2) * lam(3), "monge_ampere"):
+            desc = build(GeometryTag("euclidean", 3), expr)
+            draws.setdefault(desc.expr, []).append(
+                sample_rows(desc, [np.random.default_rng((13, i)) for i in range(40)], 0.5))
+    for (whole_rows, whole), (rows, jets) in draws.values():
+        assert rows.size > 0
+        assert_bitwise(rows, whole_rows)
+        for name in ("base", "u", "grad", "hess"):
+            assert_bitwise(getattr(jets, name), getattr(whole, name))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
