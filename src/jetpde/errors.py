@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by all jetpde modules."""
+"""Exception taxonomy shared by all jetpde modules, and the integer check
+of their JSON readers."""
+
+import numbers
 
 
 class JetError(Exception):
@@ -59,3 +62,11 @@ class DivisionByZero(JetError):
 
 class SchemaMismatch(JetError):
     """Serialized object or argument does not match the expected schema."""
+
+
+def integer_field(d: dict, key: str) -> int:
+    """``d[key]``, which must be an integer: a float (2.0 and Infinity too)
+    or a bool is a SchemaMismatch."""
+    if isinstance(d[key], bool) or not isinstance(d[key], numbers.Integral):
+        raise SchemaMismatch(f"{key} must be an integer, got {d[key]!r}")
+    return int(d[key])

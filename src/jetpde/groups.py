@@ -32,6 +32,7 @@ from .errors import (
     NotGraph,
     OrderUnderflow,
     SchemaMismatch,
+    integer_field,
 )
 from .geometries import GEOMETRIES, GEOMETRY, Geometry
 from .invariants import Signature, _trace, hessian_congruence
@@ -59,6 +60,10 @@ CONFORMAL_FORM_TOL = 1e-8
 # Chart denominators closer to zero than this (relative) are rejected
 # rather than divided through; keeps prolonged coefficients representable.
 CHART_DENOM_RTOL = 1e-3
+
+# A normalized jet sits in normal form up to this times 1 + max|hess| of
+# it: rounding leaves about 1e-8 at the edge of DEGENERATE_HESSIAN_RTOL.
+NORMAL_FORM_RTOL = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -266,6 +271,11 @@ def _drop(rows: np.ndarray, errors: dict) -> np.ndarray:
     return np.delete(rows, list(errors), axis=0) if errors else rows
 
 
+def _overflows(ok: np.ndarray) -> dict:
+    """{position: ChartDomain} for the positions where ``ok`` is False."""
+    return {} if ok.all() else {int(i): ChartDomain("prolongation overflows") for i in np.flatnonzero(~ok)}
+
+
 def _skip(errors: dict, samples: np.ndarray, found: dict, kind=None) -> np.ndarray:
     """Records each error ``found`` at a position of ``samples`` under its
     sample in ``errors`` (as a ``kind`` error caused by it, when given), and
@@ -332,7 +342,9 @@ def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
     the independent variables inverted and the composed graph's jet read
     at the image base point.  Returns the moved jets of the samples that
     stay graphs in the chart, in order, and {sample: NotGraph or
-    ChartDomain} for the others, which no later step sees.
+    ChartDomain} for the others, which no later step sees.  A sample whose
+    image or moved jet overflows is a ChartDomain skip, found without a
+    warning.
     """
     n, order = jets.n, jets.order
     poly = poly_rows(jets)
@@ -340,19 +352,22 @@ def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
     comps[:, 0] = poly
     comps[:, np.arange(1, n + 1), linear_positions(n)] = 1.0
     comps[:, 1:, 0] += jets.base
-    imgs, skips = _push_components(g, comps, order)
-    new_base = imgs[:, 1:, 0].copy()
-    deltas = imgs[:, 1:].copy()
-    deltas[:, :, 0] += -new_base
-    inv, singular = invert_rows(deltas, n, order)
-    if singular:
-        _skip(skips, _drop(np.arange(len(jets)), skips), singular, NotGraph)
-        keep = _drop(np.arange(len(imgs)), singular)
-        imgs, new_base = imgs[keep], new_base[keep]
-    # the inverse germs have zero constant terms, so the outer germ is
-    # composed as it is, about the origin
-    regraphed = compose_rows(imgs[:, :1], inv, n, order)[:, 0]
-    return extend_rows(regraphed, new_base, order, jets.chart), skips
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sample is skipped
+        imgs, skips = _push_components(g, comps, order)
+        overflow = _overflows(np.isfinite(imgs).all(axis=(1, 2)))
+        samples, imgs = _skip(skips, _drop(np.arange(len(jets)), skips), overflow), _drop(imgs, overflow)
+        new_base = imgs[:, 1:, 0].copy()
+        deltas = imgs[:, 1:].copy()
+        deltas[:, :, 0] += -new_base
+        inv, singular = invert_rows(deltas, n, order)
+        samples = _skip(skips, samples, singular, NotGraph)
+        imgs, new_base = _drop(imgs, singular), _drop(new_base, singular)
+        # the inverse germs have zero constant terms, so the outer germ is
+        # composed as it is, about the origin
+        regraphed = compose_rows(imgs[:, :1], inv, n, order)[:, 0]
+    moved, finite = extend_rows(regraphed, new_base, order, jets.chart)
+    _skip(skips, samples, _overflows(finite))
+    return moved, skips
 
 
 def prolong(g: GroupElement, j: GraphJet) -> GraphJet:
@@ -457,27 +472,11 @@ def _minimal_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.eye(a.size) - np.outer(v, v) / (1.0 + c) + 2.0 * np.outer(b, a)
 
 
-def normalize_to_origin(tag: GeometryTag, j: GraphJet) -> Normalization:
-    """Group element carrying the jet to the origin in normal form.
-
-    Euclidean: base to the origin and tangent plane to the horizontal
-    (minimal rotation of the upward unit normal onto e_0); needs order >= 2.
-    Affine/projective: additionally kills the gradient by a fiber shear and
-    brings the Hessian to 2 diag(1_d, -1_{n-d}) by congruence; needs order 3
-    and det(hess) bounded away from zero.  The returned jet is the actual
-    prolongation of the returned element, so the postcondition is
-    self-checking.
-    """
-    if j.chart != tag.chart or j.n != tag.n:
-        raise SchemaMismatch("jet chart does not match the geometry")
-    if not tag.facts.normal_form:
-        raise SchemaMismatch(f"{tag.name} normalization is not provided")
+def _normalizing_element(tag: GeometryTag, j: GraphJet) -> tuple[GroupElement, Signature | None]:
+    """The element of :func:`normalize_to_origin`, and at third order the Hessian's signature."""
     n = j.n
     p0 = j.point()
-
     if tag.name == "euclidean":
-        if j.order < 2:
-            raise OrderUnderflow("euclidean normalization needs order >= 2")
         rho = 1.0 + float(j.grad @ j.grad)
         nu = np.concatenate([[1.0], -j.grad]) / math.sqrt(rho)
         e0 = np.zeros(n + 1)
@@ -485,12 +484,7 @@ def normalize_to_origin(tag: GeometryTag, j: GraphJet) -> Normalization:
         R = _minimal_rotation(nu, e0)
         U, _, Vt = np.linalg.svd(R)
         R = U @ Vt
-        g = euclidean_element(R, -R @ p0)
-        return Normalization(g, prolong(g, j), None)
-
-    # affine and projective
-    if j.order != 3:
-        raise OrderUnderflow("third-order normalization needs order 3")
+        return euclidean_element(R, -R @ p0), None
     B, signature = hessian_congruence(j.hess)
     A = np.zeros((n + 1, n + 1))
     A[0, 0] = 1.0
@@ -498,14 +492,45 @@ def normalize_to_origin(tag: GeometryTag, j: GraphJet) -> Normalization:
     A[1:, 1:] = B
     b = -A @ p0
     if tag.name == "affine":
-        g = affine_element(A, b)
-    else:
-        P = np.zeros((n + 2, n + 2))
-        P[: n + 1, : n + 1] = A
-        P[: n + 1, n + 1] = b
-        P[n + 1, n + 1] = 1.0
-        g = projective_element(_unimodular(P))
-    return Normalization(g, prolong(g, j), signature)
+        return affine_element(A, b), signature
+    P = np.zeros((n + 2, n + 2))
+    P[: n + 1, : n + 1] = A
+    P[: n + 1, n + 1] = b
+    P[n + 1, n + 1] = 1.0
+    return projective_element(_unimodular(P)), signature
+
+
+def normalize_to_origin(tag: GeometryTag, j: GraphJet) -> Normalization:
+    """Group element carrying the jet to the origin in normal form.
+
+    Euclidean: base to the origin and tangent plane to the horizontal
+    (minimal rotation of the upward unit normal onto e_0); needs order >= 2.
+    Affine/projective: additionally kills the gradient by a fiber shear and
+    brings the Hessian to 2 diag(1_d, -1_{n-d}) by congruence; needs order 3
+    and det(hess) bounded away from zero.  The returned jet is the
+    prolongation of the returned element, checked against that normal form
+    within NORMAL_FORM_RTOL * (1 + max|hess|): a jet that misses it, or
+    whose element fails its checks (an overflow, say), raises ChartDomain.
+    """
+    if j.chart != tag.chart or j.n != tag.n:
+        raise SchemaMismatch("jet chart does not match the geometry")
+    if not tag.facts.normal_form:
+        raise SchemaMismatch(f"{tag.name} normalization is not provided")
+    if tag.name == "euclidean" and j.order < 2:
+        raise OrderUnderflow("euclidean normalization needs order >= 2")
+    if tag.name != "euclidean" and j.order != 3:
+        raise OrderUnderflow("third-order normalization needs order 3")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or nan, which the checks read
+        try:
+            g, signature = _normalizing_element(tag, j)
+        except SchemaMismatch as exc:
+            raise ChartDomain(f"no normalizing element: {exc}") from exc
+    out = prolong(g, j)
+    top = [] if signature is None else out.hess.data - 2.0 * signature.metric().data  # hess - 2 eps
+    off = np.concatenate([out.base, [out.u], out.grad, top])
+    if not np.abs(off).max() <= NORMAL_FORM_RTOL * (1.0 + np.abs(out.hess.data).max()):
+        raise ChartDomain("the moved jet misses the normal form")
+    return Normalization(g, out, signature)
 
 
 # -- JSON wire format ----------------------------------------------------------
@@ -527,6 +552,6 @@ def element_from_json(d: dict) -> GroupElement:
             raise SchemaMismatch(f"unknown element type {kind!r}")
         facts = GEOMETRY[kind]
         shift = np.array(d["b"]) if facts.shifted or "b" in d else None
-        return GroupElement(kind, int(d["n"]), np.array(d[facts.json_key]), shift)
+        return GroupElement(kind, integer_field(d, "n"), np.array(d[facts.json_key]), shift)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"bad group element record: {exc}") from exc

@@ -18,9 +18,8 @@ and eigenvalue ratios, which are insensitive to global positive factors.
 
 Stack axis: :func:`shape_matrix`, :func:`tracefree_shape` and
 :func:`eigenvalues` take either a :class:`SymMatrix` or a stack of full
-Hessians of shape (m, n, n), with one gradient (n,) shared by the stack,
-one per row (m, n), or a :class:`~jetpde.jetspace.JetBatch` in place of
-its gradients, whose chart metrics it keeps per row (:func:`_chart_metric`);
+Hessians of shape (m, n, n), with one gradient (n,) shared by the stack
+or one per row (m, n);
 :func:`tau_d` takes an (n, n) or (m, n, n) matrix and
 :func:`elementary_symmetric` an (n,) or (m, n) spectrum.
 :func:`hessian_dets` and :func:`pick_numerators` are the stacked forms of
@@ -42,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateHessian, SingularMetric, WrongDimension
 from .exactpoly import Poly
-from .jetspace import GraphJet, JetBatch
+from .jetspace import GraphJet
 from .symtensor import SymCubic, SymMatrix, cubic_indices
 from .taylor import pow_rows, sumsq_rows
 
@@ -96,7 +95,7 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _chart_metric_rows(grad: np.ndarray):
+def _chart_metric_rows(grad):
     """h and its root R = h^(1/2), for a gradient (n,) or per row of (m, n).
 
     With s = sqrt(rho) and P = p p^T for the unit vector p along grad (0 at
@@ -104,6 +103,7 @@ def _chart_metric_rows(grad: np.ndarray):
     to I - P rather than taken off I, so exact on a coordinate axis, and
     1/sqrt(rho) across it.  s comes from grad scaled by its largest entry,
     so it is finite wherever sqrt(rho) is."""
+    grad = np.asarray(grad, dtype=float)
     big = np.maximum(1.0, np.abs(grad).max(axis=-1))
     t = grad / big[..., None]
     tt = sumsq_rows(t)
@@ -114,19 +114,9 @@ def _chart_metric_rows(grad: np.ndarray):
     return R @ R, R
 
 
-def _chart_metric(grad):
-    """h and R of :func:`_chart_metric_rows` for a gradient (n,), one per row
-    (m, n) or the rows of a :class:`~jetpde.jetspace.JetBatch`, which
-    gathers them (:meth:`~jetpde.jetspace.JetBatch.per_row`) from the batch
-    it was taken from, where they are computed once for every row."""
-    if isinstance(grad, JetBatch):
-        return grad.per_row("chart_metric", lambda jets: _chart_metric_rows(jets.grad))
-    return _chart_metric_rows(np.asarray(grad, dtype=float))
-
-
 def chart_metric_h(grad) -> SymMatrix:
     """Round-metric pullback h = rho^-2 (rho I - grad grad^T)."""
-    return SymMatrix.from_full(_chart_metric(grad)[0])
+    return SymMatrix.from_full(_chart_metric_rows(grad)[0])
 
 
 def _full(hess) -> np.ndarray:
@@ -143,7 +133,7 @@ def _trace(P: np.ndarray):
 
 def shape_matrix(grad, hess) -> np.ndarray:
     """Endomorphism h . hess measuring the Hessian against the chart metric."""
-    return _chart_metric(grad)[0] @ _full(hess)
+    return _chart_metric_rows(grad)[0] @ _full(hess)
 
 
 def tau_d(S, d: int):
@@ -161,12 +151,9 @@ def eigenvalues(grad, hess) -> np.ndarray:
     Computed through the symmetric congruence R hess R with R = h^(1/2)
     (:func:`_chart_metric_rows`), which is similar to h . hess and
     guarantees a real spectrum.  h and R depend on the gradient only, so
-    they are shared per row: a stack of Hessians with one gradient shares
-    them, and a JetBatch gathers them from the batch it was taken from,
-    where each row's are computed once for the line draws' repeated rows
-    and a report's later stages (:func:`_chart_metric`).
+    a stack of Hessians with one gradient shares them.
     """
-    R = _chart_metric(grad)[1]
+    R = _chart_metric_rows(grad)[1]
     lams = np.linalg.eigvalsh(R @ _full(hess) @ R)
     return lams[..., ::-1]
 

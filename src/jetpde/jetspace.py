@@ -10,10 +10,7 @@ base point.
 A :class:`JetBatch` holds N such jets as arrays with the sample axis
 first.  It is internal: the batched prolongation and residual run on it,
 and :func:`to_poly`/:func:`jet_extend` gather on it at one sample, while
-:class:`GraphJet` stays the public record.  Values that depend on the
-1-jets alone (the chart metric) are computed once on the whole batch that
-:meth:`JetBatch.take` started from and gathered for every batch taken
-from it (:meth:`JetBatch.per_row`).
+:class:`GraphJet` stays the public record.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DegreeMismatch, OrderUnderflow, SchemaMismatch
+from .errors import DegreeMismatch, OrderUnderflow, SchemaMismatch, integer_field
 from .geometries import CHARTS
 from .symtensor import SymCubic, SymMatrix, cubic_indices
 from .taylor import TruncatedJet, index_position, n_coeffs
@@ -84,8 +81,8 @@ class JetBatch:
     packed Hessians ``hess`` (N, n(n+1)/2) and cubics ``cubic``
     (N, C(n+2, 3)) in the storage orders of SymMatrix and SymCubic; n and
     the order are read off these arrays.  A batch holds finite entries:
-    :meth:`of` takes checked jets, and :func:`extend_rows` checks the whole
-    batch it makes at once.
+    :meth:`of` takes checked jets, and :func:`extend_rows` keeps only the
+    rows whose entries are finite.
     """
 
     chart: str
@@ -94,12 +91,6 @@ class JetBatch:
     grad: np.ndarray
     hess: np.ndarray | None = None
     cubic: np.ndarray | None = None
-    # per_row's cache: a batch made by take() holds the batch take() started
-    # from and its rows there (an index of any kind take() accepts); that
-    # source holds the values
-    _source: JetBatch | None = dataclasses.field(default=None, kw_only=True, repr=False, compare=False)
-    _rows: object = dataclasses.field(default=None, kw_only=True, repr=False, compare=False)
-    _kept: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, jets) -> "JetBatch":
@@ -132,28 +123,7 @@ class JetBatch:
         Hessians (order 2), and cubics (order 3)."""
         if hess is None:
             hess, cubic = (None if a is None else a[rows] for a in (self.hess, self.cubic))
-        if self._source is None:
-            source, index = self, rows
-        else:  # the rows of rows, as indices into the source
-            source, index = self._source, np.arange(len(self._source))[self._rows][rows]
-        return JetBatch(self.chart, self.base[rows], self.u[rows], self.grad[rows], hess, cubic,
-                        _source=source, _rows=index)
-
-    def per_row(self, name: str, compute) -> tuple:
-        """``compute(jets)`` at this batch's rows.  ``compute`` maps a batch
-        to a tuple of arrays with one row per jet, each row a function of
-        that jet's 1-jet alone.  It runs once per ``name`` on the whole
-        source, the batch that :meth:`take` started from, the first time
-        the source or any batch taken from it asks; the source keeps its
-        arrays, read-only, and every later ask gathers this batch's rows
-        of them (the source gets the arrays themselves)."""
-        source = self if self._source is None else self._source
-        values = source._kept.get(name)
-        if values is None:
-            values = source._kept[name] = compute(source)
-            for v in values:
-                v.flags.writeable = False
-        return values if self._source is None else tuple(v[self._rows] for v in values)
+        return JetBatch(self.chart, self.base[rows], self.u[rows], self.grad[rows], hess, cubic)
 
     def jet(self, i: int) -> GraphJet:
         n = self.n
@@ -183,20 +153,24 @@ def _columns(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def extend_rows(coeffs: np.ndarray, base: np.ndarray, order: int, chart: str) -> JetBatch:
+def extend_rows(coeffs: np.ndarray, base: np.ndarray, order: int, chart: str) -> tuple[JetBatch, np.ndarray]:
     """The jets at ``base`` (N, n) of the graphs of the germs with
     coefficient rows ``coeffs`` (N, size), local at their base points: the
-    coefficients times the multinomial factorials."""
+    coefficients times the multinomial factorials.  Returns the jets of the
+    rows whose entries and base point are finite (an overflow is inf), and
+    which rows those are, as a mask."""
     n = base.shape[1]
     pos, fact = _columns(n, order)
-    entries = coeffs[:, pos] * fact
-    if not (np.isfinite(entries).all() and np.isfinite(base).all()):
-        raise SchemaMismatch("jet entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = coeffs[:, pos] * fact
+    finite = np.isfinite(entries).all(axis=1) & np.isfinite(base).all(axis=1)
+    if not finite.all():
+        entries, base = entries[finite], base[finite]
     h = n + 1 + n * (n + 1) // 2
     return JetBatch(
         chart, base, entries[:, 0], entries[:, 1 : n + 1],
         entries[:, n + 1 : h] if order >= 2 else None, entries[:, h:] if order >= 3 else None,
-    )
+    ), finite
 
 
 def poly_rows(jets: JetBatch) -> np.ndarray:
@@ -224,7 +198,10 @@ def jet_extend(germ: TruncatedJet, base, order: int, chart: str = "euclidean") -
     base = np.asarray(base, dtype=float).reshape(1, -1)
     if base.shape[1] != germ.n_vars:
         raise SchemaMismatch("base/grad length differs from n")
-    return extend_rows(germ.coeffs[None], base, order, chart).jet(0)
+    jets, finite = extend_rows(germ.coeffs[None], base, order, chart)
+    if not finite[0]:
+        raise SchemaMismatch("jet entries must be finite")
+    return jets.jet(0)
 
 
 def to_poly(j: GraphJet) -> TruncatedJet:
@@ -290,8 +267,8 @@ def jet_to_json(j: GraphJet) -> dict:
 
 def jet_from_json(d: dict) -> GraphJet:
     try:
-        n = int(d["n"])
-        order = int(d["order"])
+        n = integer_field(d, "n")
+        order = integer_field(d, "order")
         hess = SymMatrix(n, d["hess_lower"]) if order >= 2 else None
         cubic = SymCubic(n, d["cubic_lex"]) if order >= 3 else None
         return GraphJet(d["chart"], n, order, d["base"], d["u"], d["grad"], hess, cubic)

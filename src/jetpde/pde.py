@@ -40,6 +40,7 @@ from .errors import (
     InvalidExpr,
     NotPolynomial,
     SchemaMismatch,
+    integer_field,
 )
 from .exactpoly import Poly
 from .groups import GeometryTag, normalize_to_origin
@@ -219,9 +220,7 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
     {row: DegenerateHessian} for the rows skipped on the degenerate locus.
 
     The leaves are the stacked invariants of the rows, each leaf computed
-    once, so each row is bitwise the value a batch of one gives; the chart
-    metric and its root under the Euclidean and conformal leaves are kept
-    per row by the batch, shared with the batches taken from it.  A skipped
+    once, so each row is bitwise the value a batch of one gives.  A skipped
     row's value is nan, so no later node can raise for it.  numpy warnings
     are off: as for Python floats, an overflow or an inf - inf is a value,
     which a report counts as an infinite defect.
@@ -246,8 +245,8 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
         out[live] = 8.0 * pick_numerators(H[live], C) / pow_rows(det[live], 3)
         return out
 
-    makers = {"lam": lambda: eigenvalues(jets, H), "tau": lambda: shape_matrix(jets, H),
-              "tauring": lambda: tracefree_shape(jets, H), "pick": pick_leaf}
+    makers = {"lam": lambda: eigenvalues(jets.grad, H), "tau": lambda: shape_matrix(jets.grad, H),
+              "tauring": lambda: tracefree_shape(jets.grad, H), "pick": pick_leaf}
     cache: dict = {}
 
     def leaf_value(e: Expr) -> np.ndarray:
@@ -471,9 +470,9 @@ def descriptor_to_json(desc: PdeDescriptor) -> dict:
 
 def descriptor_from_json(d: dict) -> PdeDescriptor:
     try:
-        tag = GeometryTag(d["geometry"], int(d["n"]))
+        tag = GeometryTag(d["geometry"], integer_field(d, "n"))
         desc = build(tag, expr_from_json(d["expr"]))
-        if desc.order != int(d["order"]) or desc.chart != d["chart"]:
+        if desc.order != integer_field(d, "order") or desc.chart != d["chart"]:
             raise SchemaMismatch("order/chart inconsistent with geometry")
         return desc
     except (KeyError, TypeError, ValueError, InvalidExpr) as exc:

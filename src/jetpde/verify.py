@@ -147,7 +147,8 @@ def residual_scales(desc: PdeDescriptor, jets: JetBatch) -> np.ndarray:
     if degenerate:
         raise next(iter(degenerate.values()))
     cubic = 1.0 + norm_rows(jets.cubic[:, _cubic_gather(n)].reshape(len(jets), -1))
-    per_pick = pow_rows(hess, 3 * (n - 1)) * pow_rows(cubic, 2) / pow_rows(np.abs(det), 3)
+    with np.errstate(divide="ignore", invalid="ignore"):  # an underflowing det^3 makes inf, a value
+        per_pick = pow_rows(hess, 3 * (n - 1)) * pow_rows(cubic, 2) / pow_rows(np.abs(det), 3)
     return pow_rows(per_pick, degree / 2)
 
 
@@ -337,8 +338,7 @@ def orbit_points(lower: JetBatch, params: np.ndarray) -> JetBatch:
 def _line_values(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The residual of each row with its last Hessian entry at each of
     ``points``, as a (rows, points) array: one residual call per
-    BLOCK_SAMPLES rows, each row taken from ``lower``, so that its chart
-    metric is computed once; a row's values are the ones it has alone."""
+    BLOCK_SAMPLES rows; a row's values are the ones it has alone."""
 
     def block(rows) -> np.ndarray:
         line = np.repeat(entries[rows], points.size, axis=0)
@@ -485,10 +485,8 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
         lower = orbit_points(lower, top[:, 0] + np.sign(top[:, 1]) * 0.2)
     finite = np.isfinite(one).all(axis=1) & (lower.order == 1 or np.isfinite(lower.hess).all(axis=1))
     kept = np.flatnonzero(finite)
-    if kept.size < count:  # a batch of its own: per-row values are computed over the kept rows alone
-        lower = JetBatch(desc.chart, lower.base[kept], lower.u[kept], lower.grad[kept],
-                         None if lower.hess is None else lower.hess[kept])
-        top, rngs = top[kept], [rngs[i] for i in kept]
+    if kept.size < count:
+        lower, top, rngs = lower.take(kept), top[kept], [rngs[i] for i in kept]
     if desc.order == 3:
         rows, jets, definite = _cubic_draws(rngs, lower, top)
         checked = [k for k, d in enumerate(definite) if not (d and exact)]
@@ -621,8 +619,8 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
         if tag.name == "euclidean" and len(live):
             before, after = sub.take(np.delete(np.arange(len(sub)), list(skips))[live]), moved.take(live)
             for ratio in _ratio_defects(
-                eigenvalues(before, before.hess[:, _matrix_gather(tag.n)]),
-                eigenvalues(after, after.hess[:, _matrix_gather(tag.n)]),
+                eigenvalues(before.grad, before.hess[:, _matrix_gather(tag.n)]),
+                eigenvalues(after.grad, after.hess[:, _matrix_gather(tag.n)]),
             ).tolist():
                 max_ratio = max(max_ratio, ratio)
     return _report(desc.desc_id, cfg.seed, count, skipped, max_defect, evaluated, cfg.tol, max_ratio)
@@ -787,7 +785,9 @@ def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-
         n = desc.geometry.n
         if any(g.n_vars != n or p.size != n for g, p in zip(germs, bases)):
             raise SchemaMismatch(f"surface {germ_name!r} needs points and germs over n = {n} variables")
-        jets = extend_rows(np.array([g.coeffs for g in germs]), np.array(bases), desc.order, desc.chart)
+        jets, finite = extend_rows(np.array([g.coeffs for g in germs]), np.array(bases), desc.order, desc.chart)
+        if not finite.all():
+            raise SchemaMismatch("jet entries must be finite")
         max_defect, live = _evaluate(desc, jets, skipped)
     return _report(f"{desc.desc_id}:{germ_name}", 0, len(points), skipped, max_defect, len(live), tol)
 

@@ -14,7 +14,7 @@ import pytest
 
 import jet_reference as ref
 from jet_reference import assert_bitwise
-from jetpde import invariants, verify
+from jetpde import verify
 from jetpde.errors import ChartDomain, DivisionBySingular, JetError
 from jetpde.groups import (
     GEOMETRIES,
@@ -343,37 +343,9 @@ def test_failing_divisor_skips_its_sample_only(n):
             assert_same_jet(moved.jet(kept.index(i)), got.jet(0))
 
 
-def test_per_row_values_are_computed_once_and_shared():
-    rng = np.random.default_rng(3)
-    base, u, grad = rng.standard_normal((6, 2)), rng.standard_normal(6), rng.standard_normal((6, 2))
-    asked = []
-
-    def doubled(batch):
-        asked.append(len(batch))
-        return (batch.grad * 2.0,)
-
-    # every batch taken from the source gathers from one compute call over
-    # the source's 6 rows, whichever batch asks first; a batch made anew
-    # has a cache of its own
-    mask = np.array([False, True, True, False, True, False])
-    for first in range(6):
-        jets = JetBatch("euclidean", base, u, grad)
-        taken = [
-            (jets.take(np.repeat([4, 1], 3), np.zeros((6, 3))), np.repeat([4, 1], 3)),
-            (jets.take([1, 2]), [1, 2]),
-            (jets, slice(None)),
-            (jets.take(slice(1, 5)).take([2, 0], np.ones((2, 3))), [3, 1]),
-            (jets.take(mask).take(slice(1, None)), [2, 4]),
-            (jets.take([]), []),
-        ]
-        for batch, rows in taken[first:] + taken[:first]:
-            assert_bitwise(batch.per_row("doubled", doubled)[0], grad[rows] * 2.0)
-        assert asked == [6] * (first + 1)
-
-
 def test_take_with_top_entries_is_one_batch_over_the_rows():
     # take(rows, hess, cubic) is the batch of the rows with the top entries
-    # replaced, and gathers the same chart metric as a batch made anew
+    # replaced
     rng = np.random.default_rng(5)
     lower = JetBatch("euclidean", *(rng.standard_normal(shape) for shape in ((5, 3), 5, (5, 3))))
     rows, hess, cubic = [3, 0, 3, 4], rng.standard_normal((4, 6)), rng.standard_normal((4, 10))
@@ -387,22 +359,3 @@ def test_take_with_top_entries_is_one_batch_over_the_rows():
                 assert getattr(got, field) is None
             else:
                 assert_bitwise(getattr(got, field), getattr(want, field))
-        for g, w in zip(invariants._chart_metric(got), invariants._chart_metric(want)):
-            assert_bitwise(g, w)
-
-
-def test_chart_metric_is_computed_once_per_row(monkeypatch):
-    # a report computes the chart metric of each drawn row once (its line
-    # scan and every Brent round reuse it) and of each moved row once (the
-    # ratio test reuses them), not once per point of the scan
-    desc, cfg = build(GeometryTag("euclidean", 3), "monge_ampere"), SampleConfig(7, 40)
-    want = report_to_text(invariance_report(desc, cfg))
-    metric_rows = []
-    closed_form = invariants._chart_metric_rows
-    monkeypatch.setattr(invariants, "_chart_metric_rows",
-                        lambda grad: metric_rows.append(len(grad)) or closed_form(grad))
-    rep = invariance_report(desc, cfg)
-    assert report_to_text(rep) == want
-    drawn = rep.attempted - rep.skipped["no_root"]
-    bound = cfg.count + drawn  # the drawn rows' 1-jets, and the moved rows
-    assert cfg.count <= sum(metric_rows) <= bound

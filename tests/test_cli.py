@@ -322,7 +322,17 @@ def inputs(tmp_path):
         "pick100": descriptor_to_json(build(GeometryTag("affine", 2), pick() ** 100)),
         "tau200": descriptor_to_json(build(GeometryTag("euclidean", 2), tau(1) ** 200)),
         "jet": jet_to_json(GraphJet("euclidean", 2, 2, [0, 0], 0.0, [0, 0], SymMatrix(2))),
+        "aff3": descriptor_to_json(build(GeometryTag("affine", 3), "affine_cubic")),
+        "proj3": descriptor_to_json(build(GeometryTag("projective", 3), "projective_cubic")),
+        # a gradient whose unit normal overflows
+        "steep_jet": jet_to_json(GraphJet("euclidean", 2, 2, [0.1, 0.2], 0.3, [-0.65, 1e308],
+                                          SymMatrix(2, [-1e308, 0.2, -0.5]))),
     }
+    # integer fields that are no integers
+    for key, name, value in (("n", "inf", float("inf")), ("order", "inf", float("inf")),
+                             ("n", "frac", 2.5), ("n", "bool", True)):
+        files[f"jet_{key}_{name}"] = {**files["jet"], key: value}
+        files[f"ms_{key}_{name}"] = {**files["ms"], key: value}
     paths = {}
     for key, blob in files.items():
         paths[key] = tmp_path / f"{key}.json"
@@ -394,6 +404,15 @@ def inputs(tmp_path):
     (["verify", "{ms}", "--surface", "plane", "--points", "3", "--tol", "inf"], 2),
     (["build", "--geometry", "euclidean", "-n", "9", "--preset", "minimal-surface", "--out", "{out}"], 2),
     (["verify", "{ms9}", "--samples", "3"], 2),
+    (["eval", "{ms}", "{jet_order_inf}"], 2),
+    (["eval", "{ms}", "{jet_n_inf}"], 2),
+    (["eval", "{ms}", "{jet_n_frac}"], 2),
+    (["normalize", "--geometry", "euclidean", "{jet_n_inf}"], 2),
+    (["eval", "{ms_n_inf}", "{jet}"], 2),
+    (["eval", "{ms_order_inf}", "{jet}"], 2),
+    (["eval", "{ms_n_frac}", "{jet}"], 2),
+    (["verify", "{ms_n_bool}", "--samples", "3"], 2),
+    (["normalize", "--geometry", "euclidean", "{steep_jet}"], 4),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]
@@ -455,6 +474,11 @@ def test_wrong_arity_is_a_usage_error(tmp_path, capsys, ast, command):
     ["verify", "{pick100}", "--samples", "5"],
     ["verify", "{tau200}", "--samples", "5"],
     ["verify", "{aff}", "--samples", "20", "--jet-scale", "1e200"],
+    ["verify", "{aff}", "--samples", "20", "--seed", "7", "--jet-scale", "1e308"],
+    ["verify", "{aff3}", "--samples", "20", "--seed", "7", "--jet-scale", "1e308"],
+    ["verify", "{proj}", "--samples", "20", "--seed", "7", "--jet-scale", "1e308"],
+    ["verify", "{proj3}", "--samples", "20", "--seed", "7", "--jet-scale", "1e308"],
+    ["verify", "{aff3}", "--samples", "20", "--seed", "7", "--jet-scale", "1e120"],
 ])
 def test_overflow_ends_as_a_value(inputs, capsys, argv):
     # an overflowing power, product or determinant is an infinite value

@@ -479,6 +479,29 @@ class TestNormalize:
         with pytest.raises(DegenerateHessian):
             normalize_to_origin(GeometryTag("affine", 2), j)
 
+    @pytest.mark.parametrize("name", ["euclidean", "affine", "projective"])
+    def test_overflowing_element_is_a_chart_domain(self, name):
+        # a gradient whose unit normal (euclidean) or shear (affine,
+        # projective) overflows: a domain error, with no warning and no
+        # jet that keeps its gradient
+        tag = GeometryTag(name, 2)
+        order = 2 if name == "euclidean" else 3
+        j = GraphJet(tag.chart, 2, order, [0.1, 2.0], 0.3, [-0.65, 1e308],
+                     SymMatrix(2, [-1e308 if order == 2 else -1.0, 0.2, -0.5]),
+                     SymCubic(2, [1.0, 2.0, 3.0, 4.0]) if order == 3 else None)
+        with pytest.raises(ChartDomain):
+            normalize_to_origin(tag, j)
+
+    @pytest.mark.parametrize("name", ["euclidean", "affine", "projective"])
+    def test_missed_normal_form_is_a_chart_domain(self, name, monkeypatch):
+        # the moved jet is checked: a prolongation that leaves the jet where
+        # it was misses the normal form
+        tag = GeometryTag(name, 2)
+        j = random_graph_jet(np.random.default_rng(50), tag, order=2 if name == "euclidean" else 3)
+        monkeypatch.setattr("jetpde.groups.prolong", lambda g, jet: jet)
+        with pytest.raises(ChartDomain, match="normal form"):
+            normalize_to_origin(tag, j)
+
 
 class TestElementJson:
     def test_round_trip(self):
