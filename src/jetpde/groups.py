@@ -40,9 +40,9 @@ from .jetspace import GraphJet, JetBatch, extend_rows, poly_rows
 from .taylor import (
     MAX_VARS,
     compose_rows,
+    coordinate_rows,
     divide_rows,
     invert_rows,
-    linear_positions,
     linear_rows,
     mul_rows,
     norm_rows,
@@ -61,8 +61,12 @@ CONFORMAL_FORM_TOL = 1e-8
 # rather than divided through; keeps prolonged coefficients representable.
 CHART_DENOM_RTOL = 1e-3
 
-# A normalized jet sits in normal form up to this times 1 + max|hess| of
-# it: rounding leaves about 1e-8 at the edge of DEGENERATE_HESSIAN_RTOL.
+# A normalized jet sits in normal form up to this times 1 + max|entry| of
+# the entries each part is computed from: the base point and u against the
+# jet's point, the gradient against its gradient, hess - 2 eps against the
+# moved Hessian.  Rounding leaves about 1e-8 of the last at the edge of
+# DEGENERATE_HESSIAN_RTOL, and up to 5e-10 of the first two on jets with
+# 1-jet entries up to 1e6 and Hessian entries up to 1e12.
 NORMAL_FORM_RTOL = 1e-6
 
 
@@ -348,9 +352,9 @@ def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
     """
     n, order = jets.n, jets.order
     poly = poly_rows(jets)
-    comps = np.zeros((len(jets), n + 1, poly.shape[1]))
+    comps = np.empty((len(jets), n + 1, poly.shape[1]))
     comps[:, 0] = poly
-    comps[:, np.arange(1, n + 1), linear_positions(n)] = 1.0
+    comps[:, 1:] = coordinate_rows(n, order)
     comps[:, 1:, 0] += jets.base
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sample is skipped
         imgs, skips = _push_components(g, comps, order)
@@ -509,8 +513,10 @@ def normalize_to_origin(tag: GeometryTag, j: GraphJet) -> Normalization:
     brings the Hessian to 2 diag(1_d, -1_{n-d}) by congruence; needs order 3
     and det(hess) bounded away from zero.  The returned jet is the
     prolongation of the returned element, checked against that normal form
-    within NORMAL_FORM_RTOL * (1 + max|hess|): a jet that misses it, or
-    whose element fails its checks (an overflow, say), raises ChartDomain.
+    within NORMAL_FORM_RTOL, each part relative to the entries it is
+    computed from, so that a huge Hessian cannot hide a gradient left in
+    place: a jet that misses it, or whose element fails its checks (an
+    overflow, say), raises ChartDomain.
     """
     if j.chart != tag.chart or j.n != tag.n:
         raise SchemaMismatch("jet chart does not match the geometry")
@@ -526,9 +532,11 @@ def normalize_to_origin(tag: GeometryTag, j: GraphJet) -> Normalization:
         except SchemaMismatch as exc:
             raise ChartDomain(f"no normalizing element: {exc}") from exc
     out = prolong(g, j)
-    top = [] if signature is None else out.hess.data - 2.0 * signature.metric().data  # hess - 2 eps
-    off = np.concatenate([out.base, [out.u], out.grad, top])
-    if not np.abs(off).max() <= NORMAL_FORM_RTOL * (1.0 + np.abs(out.hess.data).max()):
+    # each part of the normal form against the entries its rounding scales with
+    parts = [(out.point(), j.point()), (out.grad, j.grad)]
+    if signature is not None:
+        parts.append((out.hess.data - 2.0 * signature.metric().data, out.hess.data))  # hess - 2 eps
+    if not all(np.abs(off).max() <= NORMAL_FORM_RTOL * (1.0 + np.abs(size).max()) for off, size in parts):
         raise ChartDomain("the moved jet misses the normal form")
     return Normalization(g, out, signature)
 

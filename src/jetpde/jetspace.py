@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegreeMismatch, OrderUnderflow, SchemaMismatch, integer_field
 from .geometries import CHARTS
 from .symtensor import SymCubic, SymMatrix, cubic_indices
-from .taylor import TruncatedJet, index_position, n_coeffs
+from .taylor import TruncatedJet, index_position
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,11 +135,13 @@ class JetBatch:
 
 
 @functools.lru_cache(maxsize=None)
-def _columns(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _columns(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Taylor-table positions of the entries of an order-``order`` jet (u,
     the gradient, the Hessian's lower triangle row-major, the cubic in
     ``cubic_indices`` order), with their multi-index factorials: an entry
-    is its Taylor coefficient times the factorial.
+    is its Taylor coefficient times the factorial.  The entries are every
+    monomial once, so the positions are a permutation of the table; the
+    third array is its inverse, the entry of each table position.
     """
     pos = index_position(n, order)
     alphas = [_exps(n, ())] + [_exps(n, (i,)) for i in range(n)]
@@ -147,10 +149,8 @@ def _columns(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         alphas += [_exps(n, (i, k)) for i in range(n) for k in range(i + 1)]
     if order >= 3:
         alphas += [_exps(n, ijk) for ijk in cubic_indices(n)]
-    return (
-        np.array([pos[a] for a in alphas]),
-        np.array([float(math.prod(math.factorial(e) for e in a)) for a in alphas]),
-    )
+    cols = np.array([pos[a] for a in alphas])
+    return cols, np.array([float(math.prod(math.factorial(e) for e in a)) for a in alphas]), np.argsort(cols)
 
 
 def extend_rows(coeffs: np.ndarray, base: np.ndarray, order: int, chart: str) -> tuple[JetBatch, np.ndarray]:
@@ -160,9 +160,9 @@ def extend_rows(coeffs: np.ndarray, base: np.ndarray, order: int, chart: str) ->
     rows whose entries and base point are finite (an overflow is inf), and
     which rows those are, as a mask."""
     n = base.shape[1]
-    pos, fact = _columns(n, order)
+    pos, fact, _ = _columns(n, order)
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = coeffs[:, pos] * fact
+        entries = coeffs.take(pos, axis=1) * fact
     finite = np.isfinite(entries).all(axis=1) & np.isfinite(base).all(axis=1)
     if not finite.all():
         entries, base = entries[finite], base[finite]
@@ -177,11 +177,9 @@ def poly_rows(jets: JetBatch) -> np.ndarray:
     """Coefficient rows (N, size) of the germs (local at the base points)
     reconstructing the jets, at the jets' order."""
     n, order = jets.n, jets.order
-    pos, fact = _columns(n, order)
+    _, fact, entry = _columns(n, order)
     parts = [jets.u[:, None], jets.grad] + [jets.hess, jets.cubic][: order - 1]
-    c = np.zeros((len(jets), n_coeffs(n, order)))
-    c[:, pos] = np.concatenate(parts, axis=1) / fact
-    return c
+    return (np.concatenate(parts, axis=1) / fact).take(entry, axis=1)
 
 
 def jet_extend(germ: TruncatedJet, base, order: int, chart: str = "euclidean") -> GraphJet:

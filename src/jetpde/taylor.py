@@ -11,23 +11,27 @@ the same prefix at every order >= k.  The caps ``n_vars <= 8``,
 The arithmetic is a layer of kernels on raw coefficient arrays, one jet
 per row, with a leading batch axis of samples: :func:`mul_rows`,
 :func:`divide_rows`, :func:`linear_rows`, :func:`compose_rows` and
-:func:`invert_rows`, driven by index tables built lazily and cached per
-(n, order).  :class:`TruncatedJet` and the module-level functions are the
-public boundary over them and call them at one sample; :mod:`jetpde.groups`
-prolongs whole batches on arrays.
+:func:`invert_rows`.  Their index work is done once per shape and cached:
+gathers are ``take`` calls on cached index arrays, sums are one
+``bincount`` over a read-only bin table that later calls slice, and
+composition follows one term plan per (m, order).  :class:`TruncatedJet`
+and the module-level functions are the public boundary over the kernels
+and call them at one sample; :mod:`jetpde.groups` prolongs whole batches
+on arrays.
 
 The rule of the kernel layer: every floating-point operation keeps its
 operands and its order (products summed in ``_mul_table`` order, terms in
 multi-index order, linear combinations in column order).  An operation is
 left out only where that is exact for finite data, e.g. adding a zero
-product to a sum that starts at +0.0.  Results are therefore bit for bit
-those of plain jet-by-jet arithmetic.  The batch axis keeps the rule: each
-sample's rows see the same operations as a batch of one, reductions run
-per row through the same BLAS/LAPACK call (:func:`sumsq_rows`, stacked
-``det``/``inv``), powers go through Python's ``float.__pow__``
-(:func:`pow_rows`), and a sample that fails a test (a singular Jacobian,
-a divisor too close to zero) is reported for its row and dropped from the
-rows that go on.
+product to a sum that starts at +0.0; a term that is not wanted is masked
+to -0.0, which adds exactly nothing to any sum.  Results are therefore bit
+for bit those of plain jet-by-jet arithmetic.  The batch axis keeps the
+rule: each sample's rows see the same operations as a batch of one,
+reductions run per row through the same BLAS/LAPACK call
+(:func:`sumsq_rows`, stacked ``det``/``inv``), powers go through Python's
+``float.__pow__`` (:func:`pow_rows`), and a sample that fails a test (a
+singular Jacobian, a divisor too close to zero) is reported for its row
+and dropped from the rows that go on.
 
 The coefficient of the multi-index ``alpha`` is the Taylor coefficient,
 i.e. the partial derivative divided by ``alpha!``.  All operations are
@@ -89,7 +93,8 @@ def n_coeffs(n: int, order: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def linear_positions(n: int) -> np.ndarray:
-    """Table positions of the coordinate monomials x^0, ..., x^{n-1}."""
+    """Table positions of the coordinate monomials x^0, ..., x^{n-1}: the
+    graded lexicographic table holds x^i at position n - i."""
     pos = index_position(n, 1)
     return np.array([pos[tuple(1 if k == i else 0 for k in range(n))] for i in range(n)])
 
@@ -112,24 +117,27 @@ def _mul_table(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_table(m: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factors of the monomials of degree <= order in m variables.
+def _compose_plan(m: int, order: int, low: int) -> tuple[int, np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The term plan of :func:`compose_rows` for outer germs in m variables
+    with no terms of degree below ``low``.
 
-    Returns (count, var, power): monomial ``b`` is the product over
-    ``s < count[b]`` of ``x[var[b, s]] ** power[b, s]``, variables
-    increasing; the constant monomial has count 0 and power 0.
+    Returns (start, first, later): the table position of the first monomial
+    of degree ``low``, the power-table rows ``power * m + var`` of the first
+    factors of the monomials from there on, and per later factor stage
+    s = 1, 2, ... the monomials (counted from ``start``) with more than s
+    factors with the rows of their s-th factors, variables increasing.  The
+    constant monomial's one factor is row 0, the constant germ 1.
     """
-    idx = multi_indices(m, order)
-    width = max(1, min(m, order))
-    count = np.zeros(len(idx), dtype=np.intp)
-    var = np.zeros((len(idx), width), dtype=np.intp)
-    power = np.zeros((len(idx), width), dtype=np.intp)
-    for b, beta in enumerate(idx):
-        factors = [(i, e) for i, e in enumerate(beta) if e]
-        count[b] = len(factors)
-        for s, (i, e) in enumerate(factors):
-            var[b, s], power[b, s] = i, e
-    return count, var, power
+    start = n_coeffs(m, low - 1) if low else 0
+    factors = [[e * m + i for i, e in enumerate(beta) if e] or [0] for beta in multi_indices(m, order)[start:]]
+    stages = []
+    for s in range(max(map(len, factors))):
+        mono = np.array([b for b, f in enumerate(factors) if len(f) > s])
+        rows = np.array([factors[b][s] for b in mono])
+        mono.setflags(write=False)
+        rows.setflags(write=False)
+        stages.append((mono, rows))
+    return start, stages[0][1], tuple(stages[1:])
 
 
 # -- kernels on coefficient arrays -------------------------------------------
@@ -173,27 +181,46 @@ def pow_rows(x, k) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _unit_rows(rows: int, size: int, cols) -> np.ndarray:
-    out = np.zeros((rows, size))
-    out[np.arange(rows), cols] = 1.0
+class _Bins:
+    """Output bins of weights laid out in rows of ``pattern``: row r's
+    weights go to ``pattern + stride * r``.  Calls slice one read-only
+    table, which doubles in rows whenever a batch outgrows it."""
+
+    def __init__(self, pattern: np.ndarray, stride: int):
+        self.pattern, self.stride, self.table = pattern, stride, pattern[:0]
+
+    def __call__(self, rows: int) -> np.ndarray:
+        width = self.pattern.size
+        if self.table.size < rows * width:
+            held = self.table.size // width
+            table = (self.pattern + self.stride * np.arange(max(rows, 2 * held))[:, None]).ravel()
+            table.setflags(write=False)
+            self.table = table
+        return self.table[: rows * width]
+
+
+@functools.lru_cache(maxsize=None)
+def _mul_plan(n: int, order: int) -> tuple[np.ndarray, np.ndarray, int, _Bins]:
+    """(ia, ib, size, bins) of :func:`mul_rows`: the gathers and the output
+    bins of the products of ``_mul_table``."""
+    ia, ib, iout = _mul_table(n, order)
+    size = n_coeffs(n, order)
+    return ia, ib, size, _Bins(iout, size)
+
+
+@functools.lru_cache(maxsize=None)
+def _sum_bins(terms: int, size: int) -> _Bins:
+    """The bins that add the ``terms`` coefficient vectors of each row, in order."""
+    return _Bins(np.tile(np.arange(size), terms), size)
+
+
+@functools.lru_cache(maxsize=None)
+def coordinate_rows(n: int, order: int) -> np.ndarray:
+    """Coefficient rows (n, size) of the coordinate germs x^0, ..., x^{n-1}, read-only."""
+    out = np.zeros((n, n_coeffs(n, order)))
+    out[np.arange(n), linear_positions(n)] = 1.0
+    out.setflags(write=False)
     return out
-
-
-_BINS: dict = {}
-
-
-def _bins(n: int, order: int, rows: int) -> np.ndarray:
-    """Output bin of each product of each of ``rows`` rows laid end to end:
-    a prefix of one read-only table per (n, order), which doubles in rows
-    whenever a batch outgrows it."""
-    iout = _mul_table(n, order)[2]
-    table = _BINS.get((n, order))
-    if table is None or table.size < rows * iout.size:
-        held = 0 if table is None else table.size // iout.size
-        table = (iout + n_coeffs(n, order) * np.arange(max(rows, 2 * held))[:, None]).ravel()
-        table.setflags(write=False)
-        _BINS[(n, order)] = table
-    return table[: rows * iout.size]
 
 
 def mul_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
@@ -203,13 +230,11 @@ def mul_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
     Each output coefficient is 0.0 plus its products in ``_mul_table``
     order, the order ``np.add.at`` accumulates them in.
     """
-    ia, ib, _ = _mul_table(n, order)
-    size = n_coeffs(n, order)
-    w = a[..., ia] * b[..., ib]
+    ia, ib, size, bins = _mul_plan(n, order)
+    w = a.take(ia, axis=-1) * b.take(ib, axis=-1)
     lead = w.shape[:-1]
     rows = math.prod(lead)
-    out = np.bincount(_bins(n, order, rows), weights=w.ravel(), minlength=rows * size)
-    return out.reshape(lead + (size,))
+    return np.bincount(bins(rows), weights=w.ravel(), minlength=rows * size).reshape(lead + (size,))
 
 
 def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
@@ -251,7 +276,7 @@ def linear_rows(M: np.ndarray, V: np.ndarray, off=None) -> np.ndarray:
     leaves every sum bit for bit as it was.
     """
     P = M[..., :, :, None] * V[..., None, :, :]
-    P[M == 0.0] = -0.0
+    np.copyto(P, -0.0, where=(M == 0.0)[..., None])
     out = np.zeros(P.shape[:-2] + P.shape[-1:])
     if off is not None:
         out[..., 0] = off
@@ -260,42 +285,41 @@ def linear_rows(M: np.ndarray, V: np.ndarray, off=None) -> np.ndarray:
     return out
 
 
-def compose_rows(C: np.ndarray, D: np.ndarray, n: int, order: int) -> np.ndarray:
+def compose_rows(C: np.ndarray, D: np.ndarray, n: int, order: int, low: int = 0) -> np.ndarray:
     """Rows ``C[s, k](D[s, 0], ..., D[s, m-1])`` of N samples ``s`` for inner
     germs with zero constant terms.
 
     ``C`` (N, R, K) holds R outer germs per sample, over the m variables of
     the sample's inner germs ``D`` (N, m, size) and of order >= ``order``,
-    expanded about the origin.  Each term is its coefficient times the
+    expanded about the origin, with no terms of degree below ``low``: those
+    monomials are left out of the plan.  Each term is its coefficient times the
     inner powers of its monomial, multiplied in increasing variable order;
-    the terms of a row are added in multi-index order to 0.0.  The rows of
-    all samples are concatenated, so zero outer terms are masked per row.
+    the terms of a row are added in multi-index order to 0.0.  Every term
+    of the plan is computed, laid out (N, R, M, size), and the terms of
+    zero outer coefficients become -0.0 after the products, which adds
+    exactly nothing, so an inf or nan inner entry reaches no sum through
+    them.
     """
     N, R = C.shape[:2]
     m = D.shape[1]
     size = n_coeffs(n, order)
-    count, var, power = _factor_table(m, order)
-    # inner germ i of sample s is row s * m + i of the power tables
-    D = D.reshape(N * m, size)
-    powers = np.empty((order + 1, N * m, size))
-    powers[0] = 0.0
-    powers[0, :, 0] = 1.0
+    M = n_coeffs(m, order)
+    start, first, later = _compose_plan(m, order, low)
+    # powers[s, p * m + i] is inner germ i of sample s to the power p
+    powers = np.empty((N, order + 1, m, size))
+    powers[:, 0] = 0.0
+    powers[:, 0, :, 0] = 1.0
     if order >= 1:
-        powers[1] = D
+        powers[:, 1] = D
     for p in range(2, order + 1):
-        powers[p] = mul_rows(powers[p - 1], D, n, order)
-    outer = C[:, :, : count.size].reshape(N * R, count.size)
-    row, mono = np.nonzero(outer != 0.0)
-    var, power, count = var[mono], power[mono], count[mono]
-    var = var + ((row // R) * m)[:, None]
-    terms = outer[row, mono][:, None] * powers[power[:, 0], var[:, 0]]
-    for s in range(1, var.shape[1]):
-        more = np.flatnonzero(count > s)
-        if more.size == 0:
-            break
-        terms[more] = mul_rows(terms[more], powers[power[more, s], var[more, s]], n, order)
-    flat = (size * row[:, None] + np.arange(size)).ravel()
-    out = np.bincount(flat, weights=terms.ravel(), minlength=N * R * size)
+        powers[:, p] = mul_rows(powers[:, p - 1], D, n, order)
+    powers = powers.reshape(N, (order + 1) * m, size)
+    outer = C[:, :, start:M]
+    terms = outer[..., None] * powers.take(first, axis=1)[:, None]
+    for mono, rows in later:
+        terms[:, :, mono] = mul_rows(terms[:, :, mono], powers.take(rows, axis=1)[:, None], n, order)
+    np.copyto(terms, -0.0, where=(outer == 0.0)[..., None])
+    out = np.bincount(_sum_bins(M - start, size)(N * R), weights=terms.ravel(), minlength=N * R * size)
     return out.reshape(N, R, size)
 
 
@@ -311,7 +335,7 @@ def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
     Returns the inverses of the samples with an invertible Jacobian, in
     order, and ``{sample: SingularJacobian}`` for the others.
     """
-    lin = linear_positions(n)
+    lin = slice(n, 0, -1)  # the positions linear_positions(n) of x^0, ..., x^{n-1}
     J = F[..., lin] if order >= 1 else np.zeros(F.shape[:1] + (n, n))
     with np.errstate(over="ignore"):  # an overflow is inf, which the test below reads
         det = np.linalg.det(J).tolist()
@@ -325,17 +349,16 @@ def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
         keep = np.delete(np.arange(len(F)), list(errors))
         F, J = F[keep], J[keep]
     Jinv = np.linalg.inv(J)
-    coords = _unit_rows(n, F.shape[-1], lin)
-    # F - J x and J^-1 x, written directly: for finite J the linear rows
-    # give exactly these values, up to the sign of zeros, which neither
-    # compose_rows (it skips zero terms) nor the sums after it can see.
-    high = F.copy()
-    high[..., lin] = 0.0
+    coords = coordinate_rows(n, order)
+    # high(g) composes F's terms of degree 2 and up, and J^-1 x is written
+    # directly: for finite J the linear rows give exactly F - J x and J^-1 x,
+    # up to the sign of zeros, which neither compose_rows (F - J x has no
+    # terms below degree 2) nor the sums after it can see.
     g = np.zeros(F.shape)
     g[..., lin] = Jinv + 0.0
     for k in range(2, order + 1):
         s = n_coeffs(n, k)
-        g[..., :s] = linear_rows(Jinv, coords[:, :s] - compose_rows(high[..., :s], g[..., :s], n, k))
+        g[..., :s] = linear_rows(Jinv, coords[:, :s] - compose_rows(F[..., :s], g[..., :s], n, k, low=2))
     return g, errors
 
 

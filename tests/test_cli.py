@@ -327,6 +327,9 @@ def inputs(tmp_path):
         # a gradient whose unit normal overflows
         "steep_jet": jet_to_json(GraphJet("euclidean", 2, 2, [0.1, 0.2], 0.3, [-0.65, 1e308],
                                           SymMatrix(2, [-1e308, 0.2, -0.5]))),
+        # a gradient whose unit normal underflows, beside a huge Hessian
+        "steep_jet_200": jet_to_json(GraphJet("euclidean", 2, 2, [0.1, 0.2], 0.3, [-0.65, 1e200],
+                                              SymMatrix(2, [-1e300, 0.2, -0.5]))),
     }
     # integer fields that are no integers
     for key, name, value in (("n", "inf", float("inf")), ("order", "inf", float("inf")),
@@ -413,6 +416,7 @@ def inputs(tmp_path):
     (["eval", "{ms_n_frac}", "{jet}"], 2),
     (["verify", "{ms_n_bool}", "--samples", "3"], 2),
     (["normalize", "--geometry", "euclidean", "{steep_jet}"], 4),
+    (["normalize", "--geometry", "euclidean", "-n", "2", "{steep_jet_200}"], 4),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]
@@ -513,6 +517,32 @@ def test_overflowing_umbilics_find_no_root(tmp_path, capsys, jet_scale, n):
     assert got == 1
     blob = json.loads(rep.read_text())
     assert blob["skipped"]["no_root"] == 20 and blob["evaluated"] == 0
+
+
+PRESET_GEOMETRY = {"minimal_surface": "euclidean", "monge_ampere": "euclidean", "umbilical": "conformal",
+                   "affine_cubic": "affine", "projective_cubic": "projective"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("preset", sorted(PRESET_GEOMETRY))
+@pytest.mark.parametrize("jet_scale", ["1e3", "1e10", "1e40", "1e80", "1e120", "1e200", "1e308"])
+def test_extreme_jet_scale_sweep(tmp_path, capsys, jet_scale, preset, n):
+    # the whole extreme-scale sweep: every preset at every scale ends in a
+    # report, never a traceback or a warning, with each sample counted once
+    desc, rep = tmp_path / "d.json", tmp_path / "rep.json"
+    desc.write_text(json.dumps(descriptor_to_json(build(GeometryTag(PRESET_GEOMETRY[preset], n), preset))))
+    try:
+        got = main(["verify", str(desc), "--jet-scale", jet_scale, "--seed", "7", "--samples", "20",
+                    "--out", str(rep)])
+    except Exception:  # what the interpreter would print for an escape
+        traceback.print_exc()
+        got = None
+    assert capsys.readouterr().err == ""
+    assert got in (0, 1)
+    blob = json.loads(rep.read_text())
+    assert blob["attempted"] == 20
+    assert blob["evaluated"] + sum(blob["skipped"].values()) == 20
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

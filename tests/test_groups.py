@@ -492,6 +492,15 @@ class TestNormalize:
         with pytest.raises(ChartDomain):
             normalize_to_origin(tag, j)
 
+    @pytest.mark.parametrize("hess00", [-1.0, -1e100, -1e300])
+    def test_huge_hessian_hides_no_gradient(self, hess00):
+        # the unit normal of a 1e200 gradient underflows to the identity
+        # rotation, which leaves the gradient in place: the check of the
+        # gradient is relative to the gradient, not to the Hessian
+        j = GraphJet("euclidean", 2, 2, [0.1, 0.2], 0.3, [-0.65, 1e200], SymMatrix(2, [hess00, 0.2, -0.5]))
+        with pytest.raises(ChartDomain, match="normal form"):
+            normalize_to_origin(GeometryTag("euclidean", 2), j)
+
     @pytest.mark.parametrize("name", ["euclidean", "affine", "projective"])
     def test_missed_normal_form_is_a_chart_domain(self, name, monkeypatch):
         # the moved jet is checked: a prolongation that leaves the jet where

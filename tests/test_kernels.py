@@ -192,3 +192,59 @@ def test_overflow_is_a_value():
     g, errors = invert_rows(F, 3, 2)
     assert not errors
     np.testing.assert_allclose(g[0][:, linear_positions(3)], 1e-120 * np.eye(3), rtol=1e-15)
+
+
+def assert_bitwise_nans_aside(x, y):
+    """Bit for bit where finite or infinite, and nan where the other is nan:
+    which nan operand's payload a numpy loop propagates is not fixed."""
+    nan = np.isnan(x)
+    assert np.array_equal(nan, np.isnan(y))
+    assert_bitwise(x[~nan], y[~nan])
+
+
+@pytest.mark.parametrize("N", [1, 6, 300])
+@pytest.mark.parametrize("n,order", [(1, 3), (2, 2), (2, 3), (3, 3), (2, 4)])
+def test_zero_outer_terms_mask_nonfinite_inner_entries(n, order, N):
+    """A zero outer coefficient adds nothing, even beside an inf or nan
+    inner entry: composition computes every term and masks these after the
+    products, so their 0 * inf never reaches a sum."""
+    rng = np.random.default_rng((n, order, N, 3))
+    size, M = n_coeffs(n, order), n_coeffs(2, order)
+    reads_x0 = np.array([alpha[0] > 0 for alpha in ref.multi_indices(2, order)])
+    C = rng.standard_normal((N, 2, M))
+    C[rng.random(C.shape) < 0.3] = 0.0
+    C[rng.random(C.shape) < 0.2] *= -0.0
+    C[:, 0, reads_x0] = rng.choice([0.0, -0.0], size=(N, reads_x0.sum()))  # row 0 reads no x0 term
+    D = rng.standard_normal((N, 2, size))
+    D[..., 0] = 0.0
+    planted = rng.random((N, size - 1)) < 0.4
+    D[:, 0, 1:][planted] = rng.choice([np.inf, -np.inf, np.nan], size=planted.sum())
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = compose_rows(C, D, n, order)
+        for s in range(N):
+            assert_bitwise_nans_aside(got[s], compose_rows(C[s : s + 1], D[s : s + 1], n, order)[0])
+            inners = [TruncatedJet(n, order, d) for d in D[s]]
+            # row 0 only multiplies the non-finite inner germ by zeros
+            assert_bitwise(got[s, 0], ref.compose(TruncatedJet(2, order, C[s, 0]), inners).coeffs)
+    assert np.isfinite(got[:, 0]).all()
+
+    # inversion composes F's terms of degree 2 and up, zeros among them,
+    # with its iterates, whose entries overflow to inf or nan in the rows
+    # with a 1e300 coefficient
+    F = rng.standard_normal((N, n, size))
+    F[..., 0] = 0.0
+    high = F[..., n + 1 :]
+    high[rng.random(high.shape) < 0.3] = 0.0
+    high[rng.random(high.shape) < 0.2] *= -0.0
+    huge = rng.random(high.shape) < 0.1
+    high[huge] = rng.choice([1e300, -1e300], size=huge.sum())
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, errors = invert_rows(F, n, order)
+        assert not errors
+        for s in range(N):
+            assert_bitwise_nans_aside(got[s], invert_rows(F[s : s + 1], n, order)[0][0])
+            # where the reference's full-order steps overflow nowhere, the
+            # growing-order steps are bit for bit the same
+            want = [g.coeffs for g in ref.invert_map([TruncatedJet(n, order, row) for row in F[s]])]
+            if np.isfinite(want).all():
+                assert_bitwise(got[s], want)
