@@ -35,7 +35,7 @@ from .pde import (
     expr_from_json,
     residual,
 )
-from .verify import SampleConfig, check_solution, invariance_report
+from .verify import MAX_COUNT, SampleConfig, check_solution, invariance_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -156,6 +156,8 @@ def cmd_verify(args) -> int:
                             ("--point-scale", args.point_scale)):
             if not 0 <= value < math.inf:
                 raise UsageError(f"{flag} must be finite and >= 0, got {value}")
+        if args.points >= MAX_COUNT:
+            raise UsageError(f"--points must be below 2^32, got {args.points}")
         rng = np.random.default_rng(args.seed)
         pts = args.point_scale * rng.uniform(-1.0, 1.0, size=(args.points, desc.geometry.n))
         rep = check_solution(desc, args.surface, pts, tol=args.tol)

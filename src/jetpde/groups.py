@@ -263,32 +263,21 @@ def act_point(g: GroupElement, p) -> np.ndarray:
     return 2.0 * w[1:-1] / den
 
 
-def _chart_domain(out: np.ndarray, den: np.ndarray, what: str) -> dict:
-    """{sample: ChartDomain} for the samples whose image denominator
-    ``den[s, 0]`` is too close to zero against the image ``out[s, :, 0]``."""
-    bad = _off_chart(out[:, :, 0], den[:, 0])
-    return {int(i): ChartDomain(what) for i in np.flatnonzero(bad)} if bad.any() else {}
+def _chart_domain(errors: dict, bad: np.ndarray, what: str) -> None:
+    """Records ChartDomain(what) under each sample of the mask ``bad`` that
+    has not failed yet."""
+    if bad.any():
+        for i in np.flatnonzero(bad).tolist():
+            errors.setdefault(i, ChartDomain(what))
 
 
-def _drop(rows: np.ndarray, errors: dict) -> np.ndarray:
-    """The rows whose positions are not keys of ``errors``."""
-    return np.delete(rows, list(errors), axis=0) if errors else rows
-
-
-def _overflows(ok: np.ndarray) -> dict:
-    """{position: ChartDomain} for the positions where ``ok`` is False."""
-    return {} if ok.all() else {int(i): ChartDomain("prolongation overflows") for i in np.flatnonzero(~ok)}
-
-
-def _skip(errors: dict, samples: np.ndarray, found: dict, kind=None) -> np.ndarray:
-    """Records each error ``found`` at a position of ``samples`` under its
-    sample in ``errors`` (as a ``kind`` error caused by it, when given), and
-    returns the samples left."""
+def _caused(errors: dict, found: dict, kind) -> None:
+    """Records a ``kind`` error caused by each error ``found`` under its
+    sample, unless that sample has failed already."""
     for i, exc in found.items():
-        errors[int(samples[i])] = err = exc if kind is None else kind(str(exc))
-        if err is not exc:
-            err.__cause__ = exc
-    return _drop(samples, found)
+        if i not in errors:
+            errors[i] = kind(str(exc))
+            errors[i].__cause__ = exc
 
 
 def _push_components(g: Elements, comps: np.ndarray, order: int) -> tuple[np.ndarray, dict]:
@@ -296,24 +285,23 @@ def _push_components(g: Elements, comps: np.ndarray, order: int) -> tuple[np.nda
 
     ``comps`` (N, n + 1, size) holds the coefficient rows of the n + 1
     chart coordinates of each sample as germs in n variables; so does the
-    result, for the samples whose image stays in the chart.  The others
-    are returned as {sample: ChartDomain}: an image denominator too close
-    to zero, or a divisor that fails the division test (the ChartDomain
-    is caused by its DivisionBySingular).
+    result, one row per sample.  The samples whose image leaves the chart
+    are returned as {sample: ChartDomain}, under their first error: an
+    image denominator too close to zero, or a divisor that fails the
+    division test (the ChartDomain is caused by its DivisionBySingular).
     """
     count, n = comps.shape[0], comps.shape[1] - 1
-    one = np.zeros((count, 1, comps.shape[2]))
-    one[:, :, 0] = 1.0
-
     if g.kind in ("euclidean", "affine"):
         return linear_rows(g.mat, comps, g.shift), {}
+    one = np.zeros((count, 1, comps.shape[2]))
+    one[:, :, 0] = 1.0
+    errors: dict = {}
 
     if g.kind == "projective":
         out = linear_rows(g.mat, np.concatenate([comps, one], axis=1))
-        errors = _chart_domain(out, out[:, -1], "projective image leaves the affine chart")
-        out = _drop(out, errors)
+        _chart_domain(errors, _off_chart(out[:, :, 0], out[:, -1, 0]), "projective image leaves the affine chart")
         quotients, singular = divide_rows(out[:, :-1], out[:, -1], n, order)
-        _skip(errors, _drop(np.arange(count), errors), singular, ChartDomain)
+        _caused(errors, singular, ChartDomain)
         return quotients, errors
 
     # conformal
@@ -326,15 +314,12 @@ def _push_components(g: Elements, comps: np.ndarray, order: int) -> tuple[np.nda
     last = -m
     last[:, 0] += 4.0
     lifted, singular = divide_rows(np.concatenate([comps * 4.0, last[:, None]], axis=1), den0, n, order)
-    errors: dict = {}
-    samples = _skip(errors, np.arange(count), singular, ChartDomain)
-    out = linear_rows(_drop(g.mat, singular), np.concatenate([_drop(one, singular), lifted], axis=1))
+    _caused(errors, singular, ChartDomain)
+    out = linear_rows(g.mat, np.concatenate([one, lifted], axis=1))
     den = out[:, -1] + out[:, 0]
-    outside = _chart_domain(out, den, "conformal image hits the projection antipode")
-    samples = _skip(errors, samples, outside)
-    out, den = _drop(out, outside), _drop(den, outside)
+    _chart_domain(errors, _off_chart(out[:, :, 0], den[:, 0]), "conformal image hits the projection antipode")
     quotients, singular = divide_rows(out[:, 1:-1] * 2.0, den, n, order)
-    _skip(errors, samples, singular, ChartDomain)
+    _caused(errors, singular, ChartDomain)
     return quotients, errors
 
 
@@ -344,11 +329,12 @@ def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
     Sample s moves ``jets`` row s by element s of ``g``: the germ
     (u(delta), x0 + delta) is pushed through the point map, the image of
     the independent variables inverted and the composed graph's jet read
-    at the image base point.  Returns the moved jets of the samples that
-    stay graphs in the chart, in order, and {sample: NotGraph or
-    ChartDomain} for the others, which no later step sees.  A sample whose
-    image or moved jet overflows is a ChartDomain skip, found without a
-    warning.
+    at the image base point.  Every step runs on every sample, and a
+    sample keeps its first error; one that has failed inverts the identity
+    germ.  Returns the moved jets of the samples that stay graphs in the
+    chart, in order, and {sample: NotGraph or ChartDomain} for the others,
+    which are dropped once, as their jets are read.  A sample whose image
+    or moved jet overflows is a ChartDomain skip, found without a warning.
     """
     n, order = jets.n, jets.order
     poly = poly_rows(jets)
@@ -358,19 +344,21 @@ def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
     comps[:, 1:, 0] += jets.base
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sample is skipped
         imgs, skips = _push_components(g, comps, order)
-        overflow = _overflows(np.isfinite(imgs).all(axis=(1, 2)))
-        samples, imgs = _skip(skips, _drop(np.arange(len(jets)), skips), overflow), _drop(imgs, overflow)
+        _chart_domain(skips, ~np.isfinite(imgs).all(axis=(1, 2)), "prolongation overflows")
         new_base = imgs[:, 1:, 0].copy()
         deltas = imgs[:, 1:].copy()
         deltas[:, :, 0] += -new_base
+        if skips:
+            deltas[list(skips)] = coordinate_rows(n, order)
         inv, singular = invert_rows(deltas, n, order)
-        samples = _skip(skips, samples, singular, NotGraph)
-        imgs, new_base = _drop(imgs, singular), _drop(new_base, singular)
+        _caused(skips, singular, NotGraph)
         # the inverse germs have zero constant terms, so the outer germ is
         # composed as it is, about the origin
         regraphed = compose_rows(imgs[:, :1], inv, n, order)[:, 0]
+    if skips:  # a failed sample has no base point, so extend_rows drops it
+        new_base[list(skips)] = np.nan
     moved, finite = extend_rows(regraphed, new_base, order, jets.chart)
-    _skip(skips, samples, _overflows(finite))
+    _chart_domain(skips, ~finite, "prolongation overflows")
     return moved, skips
 
 

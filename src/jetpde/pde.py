@@ -453,7 +453,7 @@ def expr_from_json(d: dict) -> Expr:
             raise SchemaMismatch(f"unknown op {op!r}")
         args = tuple(expr_from_json(a) for a in d.get("args", ()))
         return Expr(op, value=float(d["value"]) if op == "const" else 0.0,
-                    index=int(d["index"]) if op in INDEXED else 0, args=args)
+                    index=integer_field(d, "index") if op in INDEXED else 0, args=args)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise SchemaMismatch(f"bad expression record: {exc}") from exc
 

@@ -30,8 +30,8 @@ rule: each sample's rows see the same operations as a batch of one,
 reductions run per row through the same BLAS/LAPACK call
 (:func:`sumsq_rows`, stacked ``det``/``inv``), powers go through Python's
 ``float.__pow__`` (:func:`pow_rows`), and a sample that fails a test (a
-singular Jacobian, a divisor too close to zero) is reported for its row
-and dropped from the rows that go on.
+singular Jacobian, a divisor too close to zero) is reported for its row,
+which computes a placeholder (the identity germ, the unit divisor).
 
 The coefficient of the multi-index ``alpha`` is the Taylor coefficient,
 i.e. the partial derivative divided by ``alpha!``.  All operations are
@@ -242,18 +242,18 @@ def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> tuple[np.nd
     ``a`` one vector (N, size) or rows (N, r, size) per sample.
 
     ``a`` times the series ``1 - r + r^2 - ...`` of ``r = (b - b(0)) / b(0)``,
-    times ``1 / b(0)``.  Returns the quotients of the samples whose divisor
-    passes the test, in order, and ``{sample: DivisionBySingular}`` for the
-    others.
+    times ``1 / b(0)``.  Returns one quotient per sample, and
+    ``{sample: DivisionBySingular}`` for the samples whose divisor fails the
+    test: their quotient is ``a``, by the unit divisor put in its place.
     """
-    b0 = b[:, 0]
     scale = np.fmax(1.0, np.abs(b).max(axis=-1))
-    bad = np.abs(b0) < DIVISION_RTOL * scale
+    bad = np.abs(b[:, 0]) < DIVISION_RTOL * scale
     errors = {}
     if bad.any():
-        errors = {int(i): DivisionBySingular(f"|b(0)|={abs(b0[i]):.3e} below {DIVISION_RTOL * scale[i]:.3e}")
-                  for i in np.flatnonzero(bad)}
-        a, b, b0 = a[~bad], b[~bad], b0[~bad]
+        errors = {i: DivisionBySingular(f"|b(0)|={abs(b[i, 0]):.3e} below {DIVISION_RTOL * scale[i]:.3e}")
+                  for i in np.flatnonzero(bad).tolist()}
+        b = np.where(bad[:, None], np.eye(1, b.shape[-1]), b)
+    b0 = b[:, 0]
     s = 1.0 / b0
     r = b.copy()
     r[:, 0] += -b0
@@ -332,8 +332,9 @@ def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
     ``high(g)`` in degree k reads only g's degrees below k, so step
     k = 2, ..., order runs at order k on the rows' degrees up to k and
     fixes them, bit for bit as a full-order step would.
-    Returns the inverses of the samples with an invertible Jacobian, in
-    order, and ``{sample: SingularJacobian}`` for the others.
+    Returns one inverse per sample, and ``{sample: SingularJacobian}`` for
+    the samples whose Jacobian fails the test: their inverse is the
+    identity germ, inverted in their place.
     """
     lin = slice(n, 0, -1)  # the positions linear_positions(n) of x^0, ..., x^{n-1}
     J = F[..., lin] if order >= 1 else np.zeros(F.shape[:1] + (n, n))
@@ -346,8 +347,9 @@ def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
         if d == 0.0 or abs(d) < SINGULAR_RTOL * _float_power(s, n)
     }
     if errors:
-        keep = np.delete(np.arange(len(F)), list(errors))
-        F, J = F[keep], J[keep]
+        F, J = F.copy(), J.copy()
+        F[list(errors)] = 0.0
+        J[list(errors)] = np.eye(n)
     Jinv = np.linalg.inv(J)
     coords = coordinate_rows(n, order)
     # high(g) composes F's terms of degree 2 and up, and J^-1 x is written

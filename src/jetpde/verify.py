@@ -87,6 +87,9 @@ LINE = np.linspace(-50.0, 50.0, 65)
 # The most samples one line draw's residual call, or one pass of a report's
 # element, prolongation and evaluation stages, holds at once.
 BLOCK_SAMPLES = 1024
+# A report attempts fewer samples than this: seed_states hashes each sample
+# index as one 32-bit word.
+MAX_COUNT = 2**32
 # The expressions whose zero set is the orbit's sub-bundle (pick: definite hess).
 ORBIT_EXPRS = (tauring(2), pick())
 
@@ -276,8 +279,8 @@ def seed_states(seed: int, count: int) -> np.ndarray:
     seeds of ``np.random.default_rng(t)``.
 
     SeedSequence coerces t to the seed's little-endian 32-bit words, then
-    i's and 1's; each i < 2^32 is one word (a larger count could not be
-    allocated).  Entropy shorter than the pool mixes in zeros; words
+    i's and 1's; each i < MAX_COUNT = 2^32 is one word (a report refuses a
+    larger count).  Entropy shorter than the pool mixes in zeros; words
     beyond it are mixed in by the pool's extra loop.
     """
     seed = operator.index(seed)
@@ -598,6 +601,8 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     for name, value in (("seed", cfg.seed), ("count", cfg.count)):
         if not (isinstance(value, numbers.Integral) and value >= 0):
             raise SchemaMismatch(f"{name} must be an integer >= 0, got {value!r}")
+    if cfg.count >= MAX_COUNT:
+        raise SchemaMismatch(f"count must be below 2^32, got {cfg.count}")
     for name, value in (("scale", cfg.scale), ("jet scale", cfg.jet_scale), ("tol", cfg.tol)):
         _check_nonnegative(name, value)
     tag, count = desc.geometry, cfg.count
@@ -685,8 +690,7 @@ def sphere_cap(base, order: int, radius: float = 1.0, center_u: float = 0.0) -> 
     1/sqrt(t(0)), each doubling the order to which w is exact (1, 3, 7 >
     MAX_ORDER).  No step divides, so near the rim no divisor test fails.
     Far outside the cap |x|^2 overflows to inf, which the domain test reads."""
-    with np.errstate(over="ignore"):
-        t = radius**2 - paraboloid(base, order)
+    t = radius**2 - paraboloid(base, order)
     if t.const_term <= 1e-12:
         raise ChartDomain(f"|x| = {math.hypot(*np.ravel(base)):.4g} outside the cap of radius {radius}")
     w = TruncatedJet.constant(1.0 / math.sqrt(t.const_term), t.n_vars, order)
@@ -697,7 +701,7 @@ def sphere_cap(base, order: int, radius: float = 1.0, center_u: float = 0.0) -> 
 
 def scherk(base, order: int) -> TruncatedJet:
     """Germ of ln cos x - ln cos y inside the open square |x|, |y| < pi/2."""
-    base = np.asarray(base, dtype=float)
+    base = _shaped("base", base, (2,))
     if np.max(np.abs(base)) >= math.pi / 2:
         raise ChartDomain("point outside the fundamental square of the saddle tower")
     fx = _log_cos_taylor(float(base[0]), order)
@@ -760,9 +764,10 @@ def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-
     """Max normalized residual of the named exact solution at the points;
     the report passes when it is at most ``tol`` and some point was
     evaluated (or none was asked for).  Each point's germ is built on its
-    own (a constructor may skip the point); the germs, which must be over
-    the descriptor's n variables, are then extended to jets as one batch
-    and go through the evaluation stage of :func:`invariance_report`.  A
+    own (a constructor may skip the point, and so does an overflow in its
+    germ or jet); the germs, which must be over the descriptor's n
+    variables, are then extended to jets as one batch and go through the
+    evaluation stage of :func:`invariance_report`.  A
     JetError other than a skip raises, for instance DivisionByZero from a
     custom quotient expression whose denominator vanishes at a point; a
     tol that is not finite and >= 0 raises SchemaMismatch."""
@@ -776,7 +781,8 @@ def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-
     bases, germs = [], []
     for p in points:
         try:
-            germs.append(make(p, desc.order, **params))
+            with np.errstate(over="ignore", invalid="ignore"):  # read by extend_rows below
+                germs.append(make(p, desc.order, **params))
             bases.append(p)
         except tuple(SKIP_EXCEPTIONS) as exc:
             skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
@@ -785,9 +791,8 @@ def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-
         n = desc.geometry.n
         if any(g.n_vars != n or p.size != n for g, p in zip(germs, bases)):
             raise SchemaMismatch(f"surface {germ_name!r} needs points and germs over n = {n} variables")
-        jets, finite = extend_rows(np.array([g.coeffs for g in germs]), np.array(bases), desc.order, desc.chart)
-        if not finite.all():
-            raise SchemaMismatch("jet entries must be finite")
+        jets, _ = extend_rows(np.array([g.coeffs for g in germs]), np.array(bases), desc.order, desc.chart)
+        skipped["chart_domain"] += len(germs) - len(jets)
         max_defect, live = _evaluate(desc, jets, skipped)
     return _report(f"{desc.desc_id}:{germ_name}", 0, len(points), skipped, max_defect, len(live), tol)
 

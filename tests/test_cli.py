@@ -14,6 +14,7 @@ from jetpde.groups import GeometryTag
 from jetpde.jetspace import GraphJet, jet_to_json
 from jetpde.pde import build, const, descriptor_to_json, expr_to_json, pick, sigma, tau
 from jetpde.symtensor import SymCubic, SymMatrix
+from jetpde.verify import solution_catalog
 
 
 def run(argv):
@@ -175,15 +176,19 @@ class TestVerify:
         assert code == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_surface_far_outside_its_domain_is_skipped(self, tmp_path, ms_desc, capsys):
-        # |x|^2 overflows at these points: an infinite value that sphere_cap's
-        # domain test reads, never a warning
+    @pytest.mark.parametrize("surface", sorted(solution_catalog()))
+    def test_surface_far_outside_its_domain_is_skipped(self, tmp_path, ms_desc, capsys, surface):
+        # the germs overflow at these points: an infinite value that the
+        # domain tests read, never a warning, and each point is counted
         rep = tmp_path / "rep.json"
-        code = run(["verify", str(ms_desc), "--surface", "sphere_cap", "--point-scale", "1e308",
-                    "--points", "20", "--out", str(rep)])
+        code = run(["verify", str(ms_desc), "--surface", surface, "--point-scale", "1e308",
+                    "--points", "5", "--out", str(rep)])
         assert capsys.readouterr().err == ""
-        assert code == 1
-        assert json.loads(rep.read_text())["skipped"]["chart_domain"] == 20
+        assert code in (0, 1)
+        blob = json.loads(rep.read_text())
+        assert sum(blob["skipped"].values()) + blob["evaluated"] == 5
+        if surface in ("paraboloid", "saddle", "cylinder_graph", "sphere_cap"):
+            assert code == 1 and blob["skipped"]["chart_domain"] == 5
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n,outside", [(2, 18), (3, 19)])
@@ -310,6 +315,7 @@ def inputs(tmp_path):
     files = {
         "ms": descriptor_to_json(build(GeometryTag("euclidean", 2), "minimal_surface")),
         "ms3": descriptor_to_json(build(GeometryTag("euclidean", 3), "minimal_surface")),
+        "ms1": descriptor_to_json(build(GeometryTag("euclidean", 1), "minimal_surface")),
         # tau_1 / (sigma_1 - sigma_1): every residual divides by zero
         "div0": descriptor_to_json(build(GeometryTag("euclidean", 2), tau(1) / (sigma(1) - sigma(1)))),
         "expr": expr_to_json(tau(1)),
@@ -330,6 +336,9 @@ def inputs(tmp_path):
         # a gradient whose unit normal underflows, beside a huge Hessian
         "steep_jet_200": jet_to_json(GraphJet("euclidean", 2, 2, [0.1, 0.2], 0.3, [-0.65, 1e200],
                                               SymMatrix(2, [-1e300, 0.2, -0.5]))),
+        # expression indices that are no integers
+        "index_inf": {"op": "sigma", "index": float("inf")},
+        "index_frac": {"op": "tau", "index": 2.5},
     }
     # integer fields that are no integers
     for key, name, value in (("n", "inf", float("inf")), ("order", "inf", float("inf")),
@@ -417,6 +426,12 @@ def inputs(tmp_path):
     (["verify", "{ms_n_bool}", "--samples", "3"], 2),
     (["normalize", "--geometry", "euclidean", "{steep_jet}"], 4),
     (["normalize", "--geometry", "euclidean", "-n", "2", "{steep_jet_200}"], 4),
+    (["build", "--geometry", "euclidean", "-n", "2", "--expr", "{index_inf}", "--out", "{out}"], 2),
+    (["build", "--geometry", "euclidean", "-n", "2", "--expr", "{index_frac}", "--out", "{out}"], 2),
+    (["verify", "{ms}", "--samples", str(2**32)], 2),
+    (["verify", "{ms}", "--samples", str(2**70)], 2),
+    (["verify", "{ms}", "--surface", "plane", "--points", str(2**70)], 2),
+    (["verify", "{ms1}", "--surface", "scherk", "--points", "3"], 2),
 ])
 def test_errors_end_in_exit_code(inputs, capsys, argv, code):
     argv = [a.format(**inputs) if a.startswith("{") else a for a in argv]

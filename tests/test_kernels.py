@@ -18,6 +18,7 @@ from jetpde.taylor import (
     TruncatedJet,
     compose,
     compose_rows,
+    coordinate_rows,
     divide,
     divide_rows,
     invert_map,
@@ -149,14 +150,15 @@ def test_batch_axis_is_per_row(n, order):
 
     F = rng.standard_normal((N, n, size))
     F[..., 0] = 0.0
-    F[2] = 0.0  # a singular Jacobian: reported for its row, dropped from the rest
+    F[2] = 0.0  # a singular Jacobian: reported for its row, which keeps its index
     got, errors = invert_rows(F, n, order)
     assert list(errors) == [2]
-    kept = [i for i in range(N) if i != 2]
-    for k, i in enumerate(kept):
-        single, none = invert_rows(F[i : i + 1], n, order)
-        assert not none
-        assert_bitwise(got[k], single[0])
+    assert len(got) == N
+    for i in range(N):
+        if i != 2:
+            single, none = invert_rows(F[i : i + 1], n, order)
+            assert not none
+            assert_bitwise(got[i], single[0])
 
 
 def test_failing_divisors_are_reported_for_their_rows():
@@ -170,13 +172,32 @@ def test_failing_divisors_are_reported_for_their_rows():
     got, errors = divide_rows(a, b, n, order)
     assert sorted(errors) == [1, 4]
     assert all(type(e) is DivisionBySingular for e in errors.values())
-    for k, i in enumerate((0, 2, 3, 5)):
+    assert len(got) == N
+    for i in (0, 2, 3, 5):
         single, none = divide_rows(a[i : i + 1], b[i : i + 1], n, order)
         assert not none
-        assert_bitwise(got[k], single[0])
+        assert_bitwise(got[i], single[0])
     # the division of two jets still raises for its one row
     with pytest.raises(DivisionBySingular):
         divide(TruncatedJet(n, order, a[1, 0]), TruncatedJet(n, order, b[1]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_failed_rows_compute_placeholders():
+    # a failed row keeps its index: its inverse is the identity germ and its
+    # quotient is the dividend, whatever huge terms it held, with no warning
+    n, order = 2, 3
+    F = np.zeros((2, n, n_coeffs(n, order)))
+    F[0, :, n + 1 :] = 1e300  # a zero Jacobian beside terms whose powers overflow
+    F[1][:, linear_positions(n)] = np.eye(n)
+    g, errors = invert_rows(F, n, order)
+    assert list(errors) == [0] and len(g) == 2
+    assert np.array_equal(g[0], coordinate_rows(n, order)) and np.array_equal(g[1], g[0])
+    a, b = np.ones((2, 1, n_coeffs(n, order))), np.full((2, n_coeffs(n, order)), 1e300)
+    b[0, 0], b[1, 0] = 0.0, 2e300
+    q, errors = divide_rows(a, b, n, order)
+    assert list(errors) == [0] and len(q) == 2
+    assert_bitwise(q[0], a[0])
 
 
 @pytest.mark.filterwarnings("error")

@@ -251,6 +251,15 @@ class TestInvarianceReport:
         with pytest.raises(SchemaMismatch):
             invariance_report(build(E2, "minimal_surface"), cfg)
 
+    @pytest.mark.parametrize("count", [2**32, 2**70])
+    def test_count_past_the_seed_hash_is_refused(self, count, monkeypatch):
+        # seed_states hashes each sample index as one 32-bit word; 2^70 once
+        # ended in numpy's ValueError, and such a count is now refused before
+        # any array is made
+        monkeypatch.setattr(verify, "seed_states", lambda *args: pytest.fail("hashed the seeds"))
+        with pytest.raises(SchemaMismatch, match="below 2\\^32"):
+            invariance_report(build(E2, "minimal_surface"), SampleConfig(7, count))
+
     def test_scale_zero_nothing_skipped(self):
         desc = build(E2, "monge_ampere")
         rep = invariance_report(desc, SampleConfig(seed=3, count=40, scale=0.0, tol=1e-10))
