@@ -22,6 +22,7 @@ the jet there (transform, invert, compose, extend).  It runs on a batch:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import NamedTuple
 
@@ -376,6 +377,182 @@ def prolong(g: GroupElement, j: GraphJet) -> GraphJet:
     return moved.jet(0)
 
 
+# -- the matrix exponential ---------------------------------------------------
+#
+# Scaling and squaring with a Pade approximant, as scipy.linalg.expm (1.17)
+# runs it on a general matrix: Al-Mohy and Higham, "A new scaling and
+# squaring algorithm for the matrix exponential", SIAM J. Matrix Anal. Appl.
+# 31(3), 2009.  The degree m is the first of 3, 5, 7, 9 whose eta is at most
+# _THETA and whose ell is 0, else 13 with the scaling
+# s = max(ceil(log2(min(max(d6, d8), max(d8, d10)) / 4.25)), 0) + ell(2^-s A, 13);
+# ell(A, m) is the ceiling of log2(||(|A|)^(2m+1)||_1 / (||A||_1 c_m u)) / 2m,
+# at least 0, where c_m = C(2m, m) (2m + 1)! and u = 2^-53.
+
+_PADE_DEGREES = (3, 5, 7, 9, 13)
+_PADE = (
+    (120.0, 60.0, 12.0, 1.0),
+    (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+     110880.0, 3960.0, 90.0, 1.0),
+    (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+     129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+     40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+)
+_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                   2.097847961257068])
+_THETA_13 = 4.25
+_ELL = np.array([2.0**-53 * math.comb(2 * m, m) * math.factorial(2 * m + 1) for m in _PADE_DEGREES])
+# One stack L holds A4, A6, A8, A10, |A|, A, A2, |A|^2, |A|^4, |A|^8, in an
+# order that makes each stage of products one matmul over strided views.
+# eta of degrees 3, 5 is max(d4, d6) and of 7, 9 max(d6, d8), with
+# d_p = ||A^p||_1^(1/p); ell reads e^T |A|^p for p = 1, 3, 7, 11, 15, 19, 27.
+_ROOTS = np.array([1 / 4, 1 / 6, 1 / 8, 1 / 10])
+_ETA = np.array([0, 0, 1, 1])
+# The terms of Z and Y, in the order scipy sums them:
+#   U = A (A6 Z_U + Y_U),  V = A6 Z_V + Y_V,
+#   Z = b A6 + b A4 + b A2 (degree 13 only),  Y = b A8 + b A6 + b A4 + b A2 + b I.
+# The four Z terms end in 0 A2, and the degrees that lack a term have b = 0:
+# adding a zero product changes no sum.  Degree 13 scales A^p by 2^-ps.
+_TERMS = np.array([[1, 0, 6, 6], [2, 1, 0, 6]])
+_SCALING = -np.array([[6, 4, 2, 2], [8, 6, 4, 2]])
+
+
+def _pade_table() -> tuple[np.ndarray, np.ndarray]:
+    """Per degree, the coefficients of the _TERMS of [Z, Y] x [U, V], and
+    of I in [Y_U, Y_V]."""
+    terms = np.zeros((len(_PADE), 2, 2, 4))
+    unit = np.zeros((len(_PADE), 2))
+    for i, b in enumerate(_PADE):
+        m = len(b) - 1
+        for side in (0, 1):  # U takes the odd coefficients, V the even ones
+            if m == 13:
+                terms[i, 0, side, :3] = b[13 - side], b[11 - side], b[9 - side]
+                terms[i, 1, side, 1:] = b[7 - side], b[5 - side], b[3 - side]
+            else:
+                terms[i, 1, side] = [b[p + 1 - side] if p < m else 0.0 for p in (8, 6, 4, 2)]
+            unit[i, side] = b[1 - side]
+    return terms, unit
+
+
+_PADE_TERMS, _PADE_UNIT = _pade_table()
+
+
+def _max_entry(x: np.ndarray) -> np.ndarray:
+    """The largest entry along the last axis of (N, M, k), reduced over a
+    leading axis (numpy reduces a short last axis much more slowly)."""
+    return x.swapaxes(0, -1).copy().max(axis=0).T
+
+
+def _abs_power_norms(B2: np.ndarray, B4: np.ndarray, B8: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Given v[:, 0] = e^T B (N, k) and the squares of B (N, k, k), e^T B^p
+    for p = 3, 7, 11, 15, 19, 27 into v[:, 1:7]; returns v."""
+    np.matmul(v[:, 0:1], B2, out=v[:, 1:2])
+    np.matmul(v[:, 1:2], B4, out=v[:, 2:3])
+    np.matmul(v[:, 1:3], B8, out=v[:, 3:5])
+    np.matmul(v[:, 3:4], B8, out=v[:, 5:6])
+    np.matmul(v[:, 5:6], B8, out=v[:, 6:7])
+    return v
+
+
+@functools.lru_cache(maxsize=None)
+def _ones_and_eye(k: int) -> tuple[np.ndarray, np.ndarray]:
+    ones, eye = np.ones(k), np.eye(k)
+    ones.setflags(write=False)
+    eye.setflags(write=False)
+    return ones, eye
+
+
+def _pade_structure(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The powers L of each matrix of a stack A (N, k, k), the index of its
+    degree in _PADE_DEGREES, its scaling s, and whether it has no
+    exponential to compute (a non-finite entry or power); s and that mask
+    are None when no matrix takes degree 13, as then every s is 0 and every
+    entry finite.  The norms of a non-finite matrix are inf or nan: they
+    are read quietly, never cast to int."""
+    N, k = A.shape[:2]
+    one = _ones_and_eye(k)[0]
+    L = np.empty((N, 10, k, k))
+    np.abs(A, out=L[:, 4])
+    L[:, 5] = A
+    v = np.empty((N, 11, k))
+    with np.errstate(all="ignore"):
+        np.matmul(L[:, 5:3:-1], L[:, 5:3:-1], out=L[:, 6:8])  # A2, |A|^2
+        np.matmul(L[:, 6:8], L[:, 6:8], out=L[:, 0:9:8])  # A4, |A|^4
+        np.matmul(L[:, 6:9:2], L[:, 0:9:8], out=L[:, 1:10:8])  # A6 = A2 A4, |A|^8
+        np.matmul(L[:, 0:1], L[:, 0:2], out=L[:, 2:4])  # A8 = A4 A4, A10 = A4 A6
+        np.matmul(one, np.abs(L[:, :5]), out=v[:, :5])
+        _abs_power_norms(L[:, 7], L[:, 8], L[:, 9], v[:, 4:])
+        norms = _max_entry(v)
+        d = norms[:, :4] ** _ROOTS
+        eta = np.maximum(d[:, :3], d[:, 1:])
+        ok = np.ones((N, 5), dtype=bool)
+        np.logical_and(eta[:, _ETA] <= _THETA, norms[:, 6:10] <= norms[:, 4:5] * _ELL[:4], out=ok[:, :4])
+    degree = ok.argmax(axis=1)
+    top = degree == 4
+    if not top.any():  # a nan or inf norm fails every test of degrees 3-9
+        return L, degree, None, None
+    with np.errstate(all="ignore"):
+        s = np.ceil(np.log2(np.minimum(eta[:, 1], eta[:, 2]) / _THETA_13))
+    bad = ~(s < np.inf)
+    s = np.where(bad, 0.0, np.fmax(s, 0.0)).astype(np.int64)
+    # ell of 2^-s A: its |.|-power norms are those of A times 2^-ps, unless
+    # those of A overflow
+    with np.errstate(all="ignore"):
+        ratio = np.ldexp(norms[:, 10] / (norms[:, 4] * _ELL[4]), -26 * s)
+        if (top & ~bad & ~(ratio < np.inf)).any():
+            B = np.empty((N, 4, k, k))
+            np.ldexp(L[:, 4], -s[:, None, None], out=B[:, 0])
+            for i in (1, 2, 3):
+                np.matmul(B[:, i - 1], B[:, i - 1], out=B[:, i])
+            w = np.empty((N, 7, k))
+            np.matmul(one, B[:, 0], out=w[:, 0])
+            w = _max_entry(_abs_power_norms(B[:, 1], B[:, 2], B[:, 3], w))
+            ratio = w[:, 6] / (w[:, 0] * _ELL[4])
+        ell = np.fmax(np.ceil(np.log2(ratio) / 26.0), 0.0)
+    bad |= top & (ell == np.inf)
+    s = np.where(top & ~bad, s + np.where(bad, 0.0, ell), 0.0).astype(np.int64)
+    return L, degree, s, bad
+
+
+def expm(A) -> np.ndarray:
+    """The exponential of each matrix of a stack (N, k, k).
+
+    Each matrix gets scipy.linalg.expm's Pade degree and scaling, and U and
+    V summed in scipy's order; R = I + 2 U (V - U)^-1 is squared s times.
+    Every step acts on each matrix alone, so row i of a stack is the stack
+    of that one matrix, bit for bit.  A matrix with a non-finite entry, or
+    whose powers overflow, has an all-nan exponential; an exponential that
+    overflows has inf or nan entries.  Neither warns.
+    """
+    A = np.asarray(A, dtype=float)
+    N, k = A.shape[:2]
+    L, degree, s, bad = _pade_structure(A)
+    scaled = s is not None and bool(s.any())
+    any_bad = bad is not None and bool(bad.any())
+    with np.errstate(all="ignore"):  # an overflowing exponential is a value, read by the caller
+        terms, X = L[:, _TERMS], A  # (N, [Z, Y], 4, k, k)
+        if scaled:
+            terms = np.ldexp(terms, (s[:, None, None] * _SCALING)[..., None, None])
+            X = np.ldexp(A, -s[:, None, None])
+        if any_bad:
+            terms[bad] = 0.0
+            X = np.where(bad[:, None, None], 0.0, X)
+        # the terms of each sum added in order, after one product each
+        T = (_PADE_TERMS[degree][..., None, None] * terms[:, :, None]).sum(axis=3)
+        T[:, 1].reshape(N, 2, k * k)[:, :, :: k + 1] += _PADE_UNIT[degree][..., None]
+        W = np.matmul(terms[:, 0, None, 0], T[:, 0])  # A6 Z, for U and V
+        W += T[:, 1]
+        U = np.matmul(X, W[:, 0])
+        R = np.linalg.solve((W[:, 1] - U).swapaxes(1, 2), (2.0 * U).swapaxes(1, 2))
+        R = R.swapaxes(1, 2) + _ones_and_eye(k)[1]
+        for i in range(int(s.max()) if scaled else 0):
+            R = np.where((s > i)[:, None, None], R @ R, R)
+        if any_bad:
+            R[bad] = np.nan
+    return R
+
+
 # -- deterministic pseudorandom elements --------------------------------------
 
 
@@ -388,11 +565,9 @@ def _draw_elements(tag: GeometryTag, rngs, scale: float) -> Elements:
     """Unchecked elements, one per generator: each generator fills its
     Lie-algebra element's normals (then its shift's) in one preallocated
     stack, then the stack is made into Lie-algebra elements and one stacked
-    ``expm`` and re-projection make the group elements.  The scale must be
-    finite, and an exponential that overflows raises before the
+    :func:`expm` and re-projection make the group elements.  The scale must
+    be finite, and an exponential that overflows raises before the
     re-projection."""
-    import scipy.linalg  # imported by its one caller: runs that draw no element never load it
-
     if scale < 0:
         raise SchemaMismatch("scale must be non-negative")
     if not math.isfinite(scale):
@@ -417,7 +592,7 @@ def _draw_elements(tag: GeometryTag, rngs, scale: float) -> Elements:
             gens = _form_matrix(n) @ _skew(gens) * scale
         if shifts is not None:
             shifts = scale * shifts
-        mat = scipy.linalg.expm(gens)
+    mat = expm(gens)
     _check_finite(mat)
     if tag.name == "euclidean":
         U, _, Vt = np.linalg.svd(mat)

@@ -11,7 +11,8 @@ replaced:
   Euclidean sampler: one jet, one :class:`SymMatrix` and one float per
   invariant at a time, the three-point line solve made of three residual
   calls and the scan of 65;
-* the scalar group and third-order routes: one ``expm`` and one
+* the scalar group and third-order routes: one exponential (the
+  library's :func:`jetpde.groups.expm` on a stack of one) and one
   re-projection per drawn element, the Hessian determinant and the pick
   numerator of one jet (cofactors by ``math.prod``, unstacked einsums),
   the third-order residual and the residual scale of one jet, the
@@ -36,8 +37,6 @@ import math
 import numpy as np
 import scipy.optimize
 
-import scipy.linalg
-
 from jetpde.errors import (
     ChartDomain,
     DegenerateHessian,
@@ -56,6 +55,7 @@ from jetpde.groups import (
     affine_element,
     conformal_element,
     euclidean_element,
+    expm,
     projective_element,
 )
 from jetpde.invariants import DEGENERATE_HESSIAN_RTOL
@@ -263,27 +263,31 @@ def unimodular(P: np.ndarray) -> np.ndarray:
     return P / det ** (1.0 / P.shape[0])
 
 
+def _expm(M: np.ndarray) -> np.ndarray:
+    return expm(M[None])[0]
+
+
 def random_element(tag, seed, scale: float):
-    """One generator, one ``expm`` and one re-projection per element."""
+    """One generator, one exponential and one re-projection per element."""
     if scale < 0:
         raise SchemaMismatch("scale must be non-negative")
     rng = np.random.default_rng(seed)
     n = tag.n
     if tag.name == "euclidean":
         K = _skew(rng.standard_normal((n + 1, n + 1))) * scale
-        U, _, Vt = np.linalg.svd(scipy.linalg.expm(K))
+        U, _, Vt = np.linalg.svd(_expm(K))
         b = scale * rng.standard_normal(n + 1)
         return euclidean_element(U @ Vt, b)
     if tag.name == "affine":
-        A = scipy.linalg.expm(scale * rng.standard_normal((n + 1, n + 1)))
+        A = _expm(scale * rng.standard_normal((n + 1, n + 1)))
         b = scale * rng.standard_normal(n + 1)
         return affine_element(A, b)
     if tag.name == "projective":
         M = scale * rng.standard_normal((n + 2, n + 2))
         M -= np.trace(M) / (n + 2) * np.eye(n + 2)
-        return projective_element(unimodular(scipy.linalg.expm(M)))
+        return projective_element(unimodular(_expm(M)))
     X = _form_matrix(n) @ _skew(rng.standard_normal((n + 3, n + 3))) * scale
-    return conformal_element(scipy.linalg.expm(X))
+    return conformal_element(_expm(X))
 
 
 # -- scalar second-order route ----------------------------------------------

@@ -16,6 +16,7 @@ from jetpde.groups import (
     element_from_json,
     element_to_json,
     euclidean_element,
+    expm,
     identity_element,
     inverse_element,
     normalize_to_origin,
@@ -199,6 +200,100 @@ class TestRandomElement:
         for tag in TAGS:
             with pytest.raises(SchemaMismatch, match="must be finite"):
                 random_element(tag, 0, scale)
+
+
+def lie_algebra_elements(name: str, n: int, count: int, scale: float, rng) -> np.ndarray:
+    """``count`` generators of the group's Lie algebra, as the element draws make them."""
+    k = n + {"euclidean": 1, "affine": 1, "projective": 2, "conformal": 3}[name]
+    M = rng.standard_normal((count, k, k))
+    if name == "euclidean":
+        return 0.5 * (M - M.swapaxes(1, 2)) * scale
+    if name == "affine":
+        return scale * M
+    if name == "projective":
+        M = scale * M
+        return M - (np.trace(M, axis1=1, axis2=2) / k)[:, None, None] * np.eye(k)
+    J = np.diag([-1.0] + [1.0] * (k - 1))
+    return J @ (0.5 * (M - M.swapaxes(1, 2))) * scale
+
+
+def relative_errors(R: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(R - exact, axis=(1, 2)) / np.linalg.norm(exact, axis=(1, 2))
+
+
+EPS = np.finfo(float).eps
+
+
+class TestExpm:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["euclidean", "affine", "projective", "conformal"])
+    def test_matches_scipy(self, name, n):
+        import scipy.linalg
+
+        A = lie_algebra_elements(name, n, 200, 0.5, np.random.default_rng(n))
+        assert relative_errors(expm(A), scipy.linalg.expm(A)).max() <= 1e-13
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["euclidean", "affine", "projective", "conformal"])
+    def test_matches_the_exact_exponential(self, name, n, scale):
+        # At scale 3 most draws take degree 13, where scipy's own result
+        # strays up to about 1.5e-12 from the exact one: the reference is
+        # the exponential to 30 digits.
+        import mpmath
+
+        A = lie_algebra_elements(name, n, 3, scale, np.random.default_rng(7))
+        with mpmath.workdps(30):
+            exact = np.array([np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+                              for a in A])
+        assert relative_errors(expm(A), exact).max() <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_zero_gives_identity_exactly(self, k):
+        assert np.array_equal(expm(np.zeros((2, k, k))), np.broadcast_to(np.eye(k), (2, k, k)))
+
+    @pytest.mark.parametrize("t", [1e-3, 0.3, 1.0, 2.5, 7.0, 40.0])
+    def test_rotation_generator_gives_the_rotation(self, t):
+        R = expm(np.array([[[0.0, -t], [t, 0.0]]]))[0]
+        exact = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        assert np.abs(R - exact).max() <= 4 * EPS
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_nilpotent_gives_its_finite_series(self, k):
+        N = 3.0 * np.triu(np.random.default_rng(k).standard_normal((k, k)), 1)
+        series, term = np.eye(k), np.eye(k)
+        for j in range(1, k):
+            term = term @ N / j
+            series = series + term
+        assert np.abs(expm(N[None])[0] - series).max() <= 4 * EPS * np.abs(series).max()
+
+    @pytest.mark.parametrize("name", ["euclidean", "projective"])
+    def test_stack_rows_equal_stacks_of_one(self, name):
+        # scales from 0.05 to 5 reach every degree and several scalings
+        rng = np.random.default_rng(300)
+        A = lie_algebra_elements(name, 3, 300, 1.0, rng) * 10 ** rng.uniform(-1.3, 0.7, (300, 1, 1))
+        R = expm(A)
+        assert all(np.array_equal(R[i], expm(A[i : i + 1])[0]) for i in range(300))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_rotation_generator_stays_near_orthogonal(self):
+        # |A|^27 overflows at this scale, so ell is read from the scaled |A|;
+        # 39 squarings leave about 2^39 eps of the rounding of one step
+        M = np.random.default_rng(3).standard_normal((2, 4, 4))
+        R = expm(0.5 * (M - M.swapaxes(1, 2)) * 1e12)
+        assert np.abs(R.swapaxes(1, 2) @ R - np.eye(4)).max() <= 1e-3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["euclidean", "affine", "projective", "conformal"])
+    def test_non_finite_generators_give_non_finite_elements_quietly(self, name):
+        # any RuntimeWarning fails, "invalid value encountered in cast" included
+        A = lie_algebra_elements(name, 2, 7, 0.5, np.random.default_rng(5))
+        A[1, 0, 1], A[2, 1, 0], A[3, 0, 0] = np.inf, -np.inf, np.nan
+        A[4] *= 1e200  # powers overflow to nan, through inf - inf
+        A[5] = np.abs(A[5]) * 1e200  # powers overflow to inf
+        R = expm(A)
+        assert np.isfinite(R[[0, 6]]).all()
+        assert not np.isfinite(R[1:6]).all(axis=(1, 2)).any()
 
 
 class TestProlong:
