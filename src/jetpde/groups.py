@@ -366,12 +366,12 @@ def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
 def prolong(g: GroupElement, j: GraphJet) -> GraphJet:
     """Jet of the transformed hypersurface at the transformed point: the
     batch of one of :func:`prolong_batch`, raising its skip."""
-    if j.chart != g.geometry.chart:
+    if j.chart != GEOMETRY[g.kind].chart:
         raise SchemaMismatch(f"jet chart {j.chart!r} does not match {g.kind} geometry")
     if j.n != g.n:
         raise SchemaMismatch("jet and group dimension differ")
     shift = None if g.shift is None else g.shift[None]
-    moved, skips = prolong_batch(Elements(g.kind, g.n, g.mat[None], shift), JetBatch.of([j]))
+    moved, skips = prolong_batch(Elements(g.kind, g.n, g.mat[None], shift), JetBatch.one(j))
     if skips:
         raise skips[0]
     return moved.jet(0)

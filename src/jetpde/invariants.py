@@ -83,8 +83,9 @@ class Signature:
         if not 0 <= self.d <= self.n:
             raise WrongDimension(f"signature d={self.d} outside 0..{self.n}")
 
+    @functools.cache
     def metric(self) -> SymMatrix:
-        """diag(1_d, -1_{n-d})."""
+        """diag(1_d, -1_{n-d}), one immutable matrix per signature."""
         return SymMatrix.diag([1.0] * self.d + [-1.0] * (self.n - self.d))
 
 
@@ -141,7 +142,7 @@ def tau_d(S, d: int):
     if d < 1:
         raise ValueError("tau_d needs d >= 1")
     S = np.asarray(S, dtype=float)
-    t = _trace(np.linalg.matrix_power(S, d))
+    t = _trace(S if d == 1 else np.linalg.matrix_power(S, d))
     return float(t) if S.ndim == 2 else t
 
 
@@ -293,7 +294,7 @@ def hessian_congruence(hess: SymMatrix) -> tuple[np.ndarray, Signature]:
     B = np.diag(np.sqrt(np.abs(lams) / 2.0)) @ Q.T
     if np.linalg.det(B) < 0.0:
         B = np.diag([1.0] * (n - 1) + [-1.0]) @ B
-    return B, Signature(int(np.sum(lams > 0.0)), n)
+    return B, Signature(int((lams > 0.0).sum()), n)
 
 
 @functools.lru_cache(maxsize=None)

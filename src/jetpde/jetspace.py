@@ -60,10 +60,7 @@ class GraphJet:
         if self.cubic is not None and self.cubic.n != n:
             raise SchemaMismatch("cubic dimension differs from n")
         # One fresh array holds base and grad, and is checked whole.
-        data = np.concatenate([base, grad] + [t.data for t in (self.hess, self.cubic) if t is not None])
-        if not (math.isfinite(u) and np.logical_and.reduce(np.isfinite(data))):
-            raise SchemaMismatch("jet entries must be finite")
-        data.setflags(write=False)
+        data = _finite(u, np.concatenate([base, grad] + [t.data for t in (self.hess, self.cubic) if t is not None]))
         object.__setattr__(self, "base", data[:n])
         object.__setattr__(self, "grad", data[n : 2 * n])
         object.__setattr__(self, "u", u)
@@ -71,6 +68,15 @@ class GraphJet:
     def point(self) -> np.ndarray:
         """The underlying chart point (u, x^1, ..., x^n)."""
         return np.concatenate(([self.u], self.base))
+
+
+def _finite(u: float, data: np.ndarray) -> np.ndarray:
+    """``data``, the jet's entries other than u, made read-only once they and
+    u pass the finiteness test of a jet."""
+    if not (math.isfinite(u) and np.logical_and.reduce(np.isfinite(data))):
+        raise SchemaMismatch("jet entries must be finite")
+    data.setflags(write=False)
+    return data
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,6 +111,12 @@ class JetBatch:
             np.array([j.cubic.data for j in jets]) if order == 3 else None,
         )
 
+    @classmethod
+    def one(cls, j: GraphJet) -> "JetBatch":
+        """The batch of the one jet ``j``, over read-only views of its arrays."""
+        top = [None if t is None else t.data[None] for t in (j.hess, j.cubic)]
+        return cls(j.chart, j.base[None], np.array([j.u]), j.grad[None], *top)
+
     @property
     def n(self) -> int:
         return self.base.shape[1]
@@ -126,12 +138,19 @@ class JetBatch:
         return JetBatch(self.chart, self.base[rows], self.u[rows], self.grad[rows], hess, cubic)
 
     def jet(self, i: int) -> GraphJet:
-        n = self.n
-        return GraphJet(
-            self.chart, n, self.order, self.base[i], self.u[i], self.grad[i],
-            None if self.hess is None else SymMatrix(n, self.hess[i]),
-            None if self.cubic is None else SymCubic(n, self.cubic[i]),
+        """Row i as a jet: its entries are copied once, into the read-only
+        array that holds them all, and pass the finiteness test of a jet."""
+        if self.chart not in CHARTS:
+            raise SchemaMismatch(f"unknown chart {self.chart!r}")
+        n, h, u = self.n, 2 * self.n + self.n * (self.n + 1) // 2, float(self.u[i])
+        data = _finite(u, np.concatenate([a[i] for a in (self.base, self.grad, self.hess, self.cubic) if a is not None]))
+        j = object.__new__(GraphJet)  # the checks of __post_init__ hold by the batch's shapes
+        j.__dict__.update(
+            chart=self.chart, n=n, order=self.order, base=data[:n], u=u, grad=data[n : 2 * n],
+            hess=None if self.hess is None else SymMatrix._held(n, data[2 * n : h]),
+            cubic=None if self.cubic is None else SymCubic._held(n, data[h:]),
         )
+        return j
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,7 +223,7 @@ def jet_extend(germ: TruncatedJet, base, order: int, chart: str = "euclidean") -
 
 def to_poly(j: GraphJet) -> TruncatedJet:
     """Polynomial germ (local at ``j.base``) reconstructing the jet."""
-    return TruncatedJet(j.n, j.order, poly_rows(JetBatch.of([j]))[0])
+    return TruncatedJet(j.n, j.order, poly_rows(JetBatch.one(j))[0])
 
 
 def project(j: GraphJet, order: int) -> GraphJet:

@@ -269,7 +269,7 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
 def residual(desc: PdeDescriptor, j: GraphJet) -> float:
     """Scalar whose vanishing says the jet solves the PDE: the batch of one
     of :func:`residuals`, raising its skip."""
-    values, skipped = residuals(desc, JetBatch.of([j]))
+    values, skipped = residuals(desc, JetBatch.one(j))
     if skipped:
         raise skipped[0]
     return float(values[0])

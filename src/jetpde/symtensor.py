@@ -60,6 +60,15 @@ class _SymTensor:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _held(cls, n: int, arr: np.ndarray):
+        """The tensor over ``arr``, a read-only view of the storage size that
+        nothing writes through: held as it is, not copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "data", arr)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 

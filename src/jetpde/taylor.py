@@ -117,27 +117,28 @@ def _mul_table(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _compose_plan(m: int, order: int, low: int) -> tuple[int, np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+def _compose_plan(m: int, order: int, low: int) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
     """The term plan of :func:`compose_rows` for outer germs in m variables
     with no terms of degree below ``low``.
 
-    Returns (start, first, later): the table position of the first monomial
-    of degree ``low``, the power-table rows ``power * m + var`` of the first
-    factors of the monomials from there on, and per later factor stage
-    s = 1, 2, ... the monomials (counted from ``start``) with more than s
-    factors with the rows of their s-th factors, variables increasing.  The
+    The monomials from the first of degree ``low`` on are laid out with
+    those of more factors first, in multi-index order otherwise, so that
+    the monomials with more than s factors are a prefix.  Returns (cols,
+    first, later, back): the table positions of the monomials in that
+    layout, the power-table rows ``power * m + var`` of their first
+    factors, per later factor stage s = 1, 2, ... the length of that
+    prefix with the rows of its s-th factors, variables increasing, and
+    the layout position of each monomial in multi-index order.  The
     constant monomial's one factor is row 0, the constant germ 1.
     """
     start = n_coeffs(m, low - 1) if low else 0
     factors = [[e * m + i for i, e in enumerate(beta) if e] or [0] for beta in multi_indices(m, order)[start:]]
-    stages = []
-    for s in range(max(map(len, factors))):
-        mono = np.array([b for b, f in enumerate(factors) if len(f) > s])
-        rows = np.array([factors[b][s] for b in mono])
-        mono.setflags(write=False)
-        rows.setflags(write=False)
-        stages.append((mono, rows))
-    return start, stages[0][1], tuple(stages[1:])
+    layout = sorted(range(len(factors)), key=lambda b: -len(factors[b]))
+    stages = [np.array([factors[b][s] for b in layout if len(factors[b]) > s]) for s in range(len(factors[layout[0]]))]
+    cols, back = start + np.array(layout), np.argsort(layout)
+    for a in (cols, back, *stages):
+        a.setflags(write=False)
+    return cols, stages[0], tuple((rows.size, rows) for rows in stages[1:]), back
 
 
 # -- kernels on coefficient arrays -------------------------------------------
@@ -225,13 +226,14 @@ def coordinate_rows(n: int, order: int) -> np.ndarray:
 
 def mul_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
     """Cauchy products of coefficient vectors over any leading shape
-    (``a`` and ``b`` broadcast).
+    (``b`` broadcasts to ``a``'s).
 
     Each output coefficient is 0.0 plus its products in ``_mul_table``
     order, the order ``np.add.at`` accumulates them in.
     """
     ia, ib, size, bins = _mul_plan(n, order)
-    w = a.take(ia, axis=-1) * b.take(ib, axis=-1)
+    w = a.take(ia, axis=-1)
+    w *= b.take(ib, axis=-1)
     lead = w.shape[:-1]
     rows = math.prod(lead)
     return np.bincount(bins(rows), weights=w.ravel(), minlength=rows * size).reshape(lead + (size,))
@@ -303,24 +305,24 @@ def compose_rows(C: np.ndarray, D: np.ndarray, n: int, order: int, low: int = 0)
     N, R = C.shape[:2]
     m = D.shape[1]
     size = n_coeffs(n, order)
-    M = n_coeffs(m, order)
-    start, first, later = _compose_plan(m, order, low)
+    cols, first, later, back = _compose_plan(m, order, low)
     # powers[s, p * m + i] is inner germ i of sample s to the power p
     powers = np.empty((N, order + 1, m, size))
-    powers[:, 0] = 0.0
-    powers[:, 0, :, 0] = 1.0
+    if not low:  # no term of the plan reads power 0 otherwise
+        powers[:, 0] = 0.0
+        powers[:, 0, :, 0] = 1.0
     if order >= 1:
         powers[:, 1] = D
     for p in range(2, order + 1):
         powers[:, p] = mul_rows(powers[:, p - 1], D, n, order)
     powers = powers.reshape(N, (order + 1) * m, size)
-    outer = C[:, :, start:M]
+    outer = C.take(cols, axis=2)
     terms = outer[..., None] * powers.take(first, axis=1)[:, None]
-    for mono, rows in later:
-        terms[:, :, mono] = mul_rows(terms[:, :, mono], powers.take(rows, axis=1)[:, None], n, order)
+    for k, rows in later:
+        terms[:, :, :k] = mul_rows(terms[:, :, :k], powers.take(rows, axis=1)[:, None], n, order)
     np.copyto(terms, -0.0, where=(outer == 0.0)[..., None])
-    out = np.bincount(_sum_bins(M - start, size)(N * R), weights=terms.ravel(), minlength=N * R * size)
-    return out.reshape(N, R, size)
+    weights = terms.take(back, axis=2).ravel()  # in multi-index order
+    return np.bincount(_sum_bins(cols.size, size)(N * R), weights=weights, minlength=N * R * size).reshape(N, R, size)
 
 
 def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
@@ -639,6 +641,8 @@ def invert_map(fs: Sequence[TruncatedJet]) -> list[TruncatedJet]:
     ``compose(f, g) = id`` and ``compose(g, f) = id`` to the working order.
     """
     n = len(fs)
+    if not n:
+        raise DimensionMismatch("invert_map needs as many germs as variables, at least one")
     order = min(f.order for f in fs)
     for f in fs:
         if f.n_vars != n:

@@ -141,7 +141,7 @@ def residual_scales(desc: PdeDescriptor, jets: JetBatch) -> np.ndarray:
     n = jets.n
     H = jets.hess[:, _matrix_gather(n)]
     # the Frobenius norms SymMatrix.norm and SymCubic.norm take
-    hess = 1.0 + norm_rows(H.reshape(len(jets), -1))
+    hess = 1.0 + norm_rows(H.reshape(len(jets), n * n))
     if jets.order < 3:
         return pow_rows(hess, degree)
     if degree == 0:
@@ -149,7 +149,7 @@ def residual_scales(desc: PdeDescriptor, jets: JetBatch) -> np.ndarray:
     det, degenerate = hessian_dets(H)
     if degenerate:
         raise next(iter(degenerate.values()))
-    cubic = 1.0 + norm_rows(jets.cubic[:, _cubic_gather(n)].reshape(len(jets), -1))
+    cubic = 1.0 + norm_rows(jets.cubic[:, _cubic_gather(n)].reshape(len(jets), n**3))
     with np.errstate(divide="ignore", invalid="ignore"):  # an underflowing det^3 makes inf, a value
         per_pick = pow_rows(hess, 3 * (n - 1)) * pow_rows(cubic, 2) / pow_rows(np.abs(det), 3)
     return pow_rows(per_pick, degree / 2)
@@ -157,7 +157,7 @@ def residual_scales(desc: PdeDescriptor, jets: JetBatch) -> np.ndarray:
 
 def residual_scale(desc: PdeDescriptor, j: GraphJet) -> float:
     """The batch of one of :func:`residual_scales`."""
-    return float(residual_scales(desc, JetBatch.of([j]))[0])
+    return float(residual_scales(desc, JetBatch.one(j))[0])
 
 
 def _line_root(f_minus: float, f_zero: float, f_plus: float, half_width: float, bracket: float):
@@ -516,7 +516,9 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
 def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
     """A random jet solving the PDE, or None when the draw found no root (a
     line polish that meets a nan residual finds none, nor does a root whose
-    residual is nan): the batch of one of :func:`sample_rows`."""
+    residual is nan): the batch of one of :func:`sample_rows`.  The jet
+    scale must be finite and >= 0."""
+    _check_nonnegative("jet scale", jet_scale)
     rows, jets = sample_rows(desc, [rng], jet_scale)
     return jets.jet(0) if rows.size else None
 
@@ -579,7 +581,7 @@ def _evaluate(desc: PdeDescriptor, jets: JetBatch, skipped: dict) -> tuple[float
     for exc in degenerate.values():
         skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
     live = np.delete(np.arange(len(jets)), list(degenerate))
-    scales = residual_scales(desc, jets.take(live)).tolist() if len(live) else []
+    scales = residual_scales(desc, jets.take(live)).tolist()
     return max([0.0, *map(_defect, values[live].tolist(), scales)]), live
 
 

@@ -167,6 +167,11 @@ class TestInvertMap:
             for lhs, x in zip(compose_map(fs, gs), ident):
                 assert lhs.allclose(x, tol=1e-12)
 
+    def test_no_germs(self):
+        # once a ValueError from min() of nothing
+        with pytest.raises(DimensionMismatch):
+            invert_map([])
+
 
 class TestDifferentiate:
     def test_x2y(self):

@@ -251,6 +251,26 @@ class TestInvarianceReport:
         with pytest.raises(SchemaMismatch):
             invariance_report(build(E2, "minimal_surface"), cfg)
 
+    @pytest.mark.parametrize("jet_scale", [-1.0, math.nan, math.inf])
+    def test_single_draw_checks_its_jet_scale(self, jet_scale, monkeypatch):
+        # -1 once drew a jet, nan and inf once found no root; the report and
+        # the element draw refuse them, and so does the single draw
+        monkeypatch.setattr(verify, "sample_rows", lambda *args: pytest.fail("drew a sample"))
+        with pytest.raises(SchemaMismatch, match="jet scale"):
+            sample_on_zero_set(build(E2, "minimal_surface"), np.random.default_rng(7), jet_scale)
+
+    @pytest.mark.parametrize("geometry,preset", [("euclidean", "minimal_surface"), ("affine", "affine_cubic")])
+    def test_empty_batch_has_empty_scales(self, geometry, preset):
+        # the scales once reshaped an empty batch to (0, -1), which numpy refuses
+        for n in (2, 3):
+            desc = build(GeometryTag(geometry, n), preset)
+            top = [np.zeros((0, n * (n + 1) // 2)), np.zeros((0, len(SymCubic(n).data)))][: desc.order - 1]
+            empty = JetBatch(desc.chart, np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), *top)
+            assert verify.residual_scales(desc, empty).shape == (0,)
+            skipped = dict.fromkeys(verify.SKIP_KINDS, 0)
+            defect, live = verify._evaluate(desc, empty, skipped)
+            assert defect == 0.0 and live.size == 0 and not any(skipped.values())
+
     @pytest.mark.parametrize("count", [2**32, 2**70])
     def test_count_past_the_seed_hash_is_refused(self, count, monkeypatch):
         # seed_states hashes each sample index as one 32-bit word; 2^70 once
