@@ -241,27 +241,32 @@ def _off_chart(out: np.ndarray, den) -> np.ndarray:
 
 
 def act_point(g: GroupElement, p) -> np.ndarray:
-    """Image of a chart point (u, x^1, ..., x^n) under the point map."""
+    """Image of a chart point (u, x^1, ..., x^n) under the point map.  A
+    non-finite point is a SchemaMismatch; an image that overflows is a
+    ChartDomain, found without a warning, as :func:`prolong_batch` finds it."""
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.size != g.n + 1:
         raise SchemaMismatch(f"chart point needs {g.n + 1} components")
-    if g.kind in ("euclidean", "affine"):
-        return g.mat @ p + g.shift
-    if g.kind == "projective":
-        hom = np.concatenate([p, [1.0]])
-        out = g.mat @ hom
-        den = out[-1]
-        if _off_chart(out, den):
-            raise ChartDomain("projective image leaves the affine chart")
-        return out[:-1] / den
-    # conformal: chart -> cone (lambda = 1) -> act -> rescale -> chart
-    m = float(p @ p)
-    w = np.concatenate([[1.0], 4.0 * p / (m + 4.0), [(4.0 - m) / (m + 4.0)]])
-    w = g.mat @ w
-    den = w[-1] + w[0]
-    if _off_chart(w, den):
-        raise ChartDomain("conformal image hits the projection antipode")
-    return 2.0 * w[1:-1] / den
+    if not np.isfinite(p).all():
+        raise SchemaMismatch("chart point must be finite")
+    with np.errstate(all="ignore"):  # an overflow is a non-finite image, read below
+        if g.kind in ("euclidean", "affine"):
+            image = g.mat @ p + g.shift
+        elif g.kind == "projective":
+            out = g.mat @ np.concatenate([p, [1.0]])
+            if _off_chart(out, out[-1]):
+                raise ChartDomain("projective image leaves the affine chart")
+            image = out[:-1] / out[-1]
+        else:  # conformal: chart -> cone (lambda = 1) -> act -> rescale -> chart
+            m = float(p @ p)
+            w = g.mat @ np.concatenate([[1.0], 4.0 * p / (m + 4.0), [(4.0 - m) / (m + 4.0)]])
+            den = w[-1] + w[0]
+            if _off_chart(w, den):
+                raise ChartDomain("conformal image hits the projection antipode")
+            image = 2.0 * w[1:-1] / den
+    if not np.isfinite(image).all():
+        raise ChartDomain("point image overflows")
+    return image
 
 
 def _chart_domain(errors: dict, bad: np.ndarray, what: str) -> None:

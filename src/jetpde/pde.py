@@ -239,10 +239,8 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
         # is 8 pick_norm(hess, C0) = 8 Q / det^3
         det, degenerate = hessian_dets(H)
         skipped.update(degenerate)
-        live = np.delete(np.arange(len(det)), list(skipped)) if skipped else slice(None)
-        out = np.full(len(det), np.nan)
-        C = jets.cubic[live][:, _cubic_gather(jets.n)]
-        out[live] = 8.0 * pick_numerators(H[live], C) / pow_rows(det[live], 3)
+        out = 8.0 * pick_numerators(H, jets.cubic[:, _cubic_gather(jets.n)]) / pow_rows(det, 3)
+        out[list(degenerate)] = np.nan  # computed like the others: no row reads another
         return out
 
     makers = {"lam": lambda: eigenvalues(jets.grad, H), "tau": lambda: shape_matrix(jets.grad, H),

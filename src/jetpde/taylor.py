@@ -17,7 +17,8 @@ gathers are ``take`` calls on cached index arrays, sums are one
 composition follows one term plan per (m, order).  :class:`TruncatedJet`
 and the module-level functions are the public boundary over the kernels
 and call them at one sample; :mod:`jetpde.groups` prolongs whole batches
-on arrays.
+on arrays.  :func:`compose`, :func:`invert_rows` and the prolongation
+all compose through :func:`compose_rows`, at any inner constant terms.
 
 The rule of the kernel layer: every floating-point operation keeps its
 operands and its order (products summed in ``_mul_table`` order, terms in
@@ -97,6 +98,21 @@ def linear_positions(n: int) -> np.ndarray:
     graded lexicographic table holds x^i at position n - i."""
     pos = index_position(n, 1)
     return np.array([pos[tuple(1 if k == i else 0 for k in range(n))] for i in range(n)])
+
+
+def _check_var(i: int, n: int) -> None:
+    if not 0 <= i < n:
+        raise DimensionMismatch(f"variable index {i} outside [0, {n})")
+
+
+def _position(alpha, n: int, order: int) -> int:
+    """Table position of the multi-index ``alpha`` over n variables."""
+    alpha = tuple(alpha)
+    if len(alpha) != n or min(alpha) < 0:
+        raise DimensionMismatch(f"{alpha} is not a multi-index over {n} variables")
+    if sum(alpha) > order:
+        raise OrderUnderflow(f"term {alpha} exceeds order {order}")
+    return index_position(n, order)[alpha]
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,19 +304,20 @@ def linear_rows(M: np.ndarray, V: np.ndarray, off=None) -> np.ndarray:
 
 
 def compose_rows(C: np.ndarray, D: np.ndarray, n: int, order: int, low: int = 0) -> np.ndarray:
-    """Rows ``C[s, k](D[s, 0], ..., D[s, m-1])`` of N samples ``s`` for inner
-    germs with zero constant terms.
+    """Rows ``C[s, k](D[s, 0], ..., D[s, m-1])`` of N samples ``s``, truncated
+    at ``order``.
 
     ``C`` (N, R, K) holds R outer germs per sample, over the m variables of
     the sample's inner germs ``D`` (N, m, size) and of order >= ``order``,
     expanded about the origin, with no terms of degree below ``low``: those
-    monomials are left out of the plan.  Each term is its coefficient times the
-    inner powers of its monomial, multiplied in increasing variable order;
-    the terms of a row are added in multi-index order to 0.0.  Every term
-    of the plan is computed, laid out (N, R, M, size), and the terms of
-    zero outer coefficients become -0.0 after the products, which adds
-    exactly nothing, so an inf or nan inner entry reaches no sum through
-    them.
+    monomials are left out of the plan.  Outer terms above degree ``order``
+    are not read: with nonzero inner constant terms, pass C's own order.
+    Each term is its coefficient times the inner powers of its monomial,
+    multiplied in increasing variable order; the terms of a row are added
+    in multi-index order to 0.0.  Every term of the plan is computed, laid
+    out (N, R, M, size), and the terms of zero outer coefficients become
+    -0.0 after the products, which adds exactly nothing, so an inf or nan
+    inner entry reaches no sum through them.
     """
     N, R = C.shape[:2]
     m = D.shape[1]
@@ -421,20 +438,16 @@ class TruncatedJet:
         """The germ of the i-th coordinate function (0-based)."""
         if order < 1:
             raise OrderUnderflow("coordinate germ needs order >= 1")
+        _check_var(i, n_vars)
         c = np.zeros(n_coeffs(n_vars, order))
-        e = tuple(1 if k == i else 0 for k in range(n_vars))
-        c[index_position(n_vars, order)[e]] = 1.0
+        c[linear_positions(n_vars)[i]] = 1.0
         return cls(n_vars, order, c)
 
     @classmethod
     def from_terms(cls, terms: dict, n_vars: int, order: int) -> "TruncatedJet":
         c = np.zeros(n_coeffs(n_vars, order))
-        pos = index_position(n_vars, order)
         for alpha, value in terms.items():
-            alpha = tuple(alpha)
-            if sum(alpha) > order:
-                raise OrderUnderflow(f"term {alpha} exceeds order {order}")
-            c[pos[alpha]] = value
+            c[_position(alpha, n_vars, order)] = value
         return cls(n_vars, order, c)
 
     # -- accessors ---------------------------------------------------------
@@ -444,7 +457,7 @@ class TruncatedJet:
         return float(self.coeffs[0])
 
     def coeff(self, alpha: Iterable[int]) -> float:
-        return float(self.coeffs[index_position(self.n_vars, self.order)[tuple(alpha)]])
+        return float(self.coeffs[_position(alpha, self.n_vars, self.order)])
 
     def linear_part(self) -> np.ndarray:
         """Gradient of the germ at its base point."""
@@ -461,6 +474,8 @@ class TruncatedJet:
 
     def __call__(self, point: Sequence[float]) -> float:
         point = np.asarray(point, dtype=float)
+        if point.shape != (self.n_vars,):
+            raise DimensionMismatch(f"a point of {self.n_vars} coordinates, got shape {point.shape}")
         total = 0.0
         for alpha, c in zip(multi_indices(self.n_vars, self.order), self.coeffs):
             if c == 0.0:
@@ -554,6 +569,7 @@ def differentiate(a: TruncatedJet, i: int) -> TruncatedJet:
     if a.order < 1:
         raise OrderUnderflow("cannot differentiate an order-0 jet")
     n, order = a.n_vars, a.order
+    _check_var(i, n)
     out = np.zeros(n_coeffs(n, order - 1))
     pos = index_position(n, order - 1)
     for alpha, c in zip(multi_indices(n, order), a.coeffs):
@@ -573,35 +589,15 @@ def divide(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
     return TruncatedJet(a.n_vars, order, q[0])
 
 
-def _binom_shift(outer: TruncatedJet, center: np.ndarray) -> np.ndarray:
-    """Coefficients of ``outer`` re-expanded around ``center`` (exact algebra)."""
-    m, order = outer.n_vars, outer.order
-    idx = multi_indices(m, order)
-    pos = index_position(m, order)
-    out = np.zeros_like(outer.coeffs)
-    for alpha, c in zip(idx, outer.coeffs):
-        if c == 0.0:
-            continue
-        for beta in multi_indices(m, sum(alpha)):
-            if any(b > a for a, b in zip(alpha, beta)):
-                continue
-            w = c
-            for ai, bi, ci in zip(alpha, beta, center):
-                if ai > bi:
-                    w *= math.comb(ai, bi) * ci ** (ai - bi)
-            out[pos[beta]] += w
-    return out
-
-
 def compose(
     outer: TruncatedJet,
     inners: Sequence[TruncatedJet] | TruncatedJet,
     order: int | None = None,
 ) -> TruncatedJet:
-    """Taylor coefficients of ``outer(inner_1, ..., inner_m)``.
-
-    ``outer`` is re-expanded around the inner germs' constant terms before
-    substitution, so callers may hold jets at arbitrary base points.
+    """Taylor coefficients of ``outer(inner_1, ..., inner_m)``, constant terms
+    included: one :func:`compose_rows` call.  A nonzero constant term
+    carries every outer term down to degree 0, so then it evaluates at
+    ``outer``'s own order, on inner germs zero-padded to it, and truncates.
     """
     if isinstance(inners, TruncatedJet):
         inners = [inners]
@@ -620,11 +616,9 @@ def compose(
 
     size = n_coeffs(n, order)
     D = np.array([g.coeffs[:size] for g in inners])
-    center = D[:, 0].copy()
-    # About a zero center the re-expansion changes no nonzero coefficient.
-    shifted = _binom_shift(outer, center) if np.any(center != 0.0) else outer.coeffs
-    D[:, 0] += -center
-    return TruncatedJet(n, order, compose_rows(shifted[None, None, :], D[None], n, order)[0, 0])
+    at = outer.order if D[:, 0].any() else order
+    D = np.pad(D, ((0, 0), (0, n_coeffs(n, at) - size)))
+    return TruncatedJet(n, order, compose_rows(outer.coeffs[None, None], D[None], n, at)[0, 0, :size])
 
 
 def compose_map(

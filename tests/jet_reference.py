@@ -66,7 +66,6 @@ from jetpde.taylor import (
     DIVISION_RTOL,
     SINGULAR_RTOL,
     TruncatedJet,
-    _binom_shift,
     _mul_table,
     multi_indices,
     n_coeffs,
@@ -121,25 +120,26 @@ def compose(outer: TruncatedJet, inners, order: int | None = None) -> TruncatedJ
     n = inners[0].n_vars
     native = min(outer.order, min(g.order for g in inners))
     order = native if order is None else order
-    center = np.array([g.const_term for g in inners])
-    shifted = _binom_shift(outer, center)
-    deltas = [g.truncate(order) - g.const_term for g in inners]
+    # a nonzero constant term carries every outer term down to degree 0
+    at = outer.order if any(g.const_term != 0.0 for g in inners) else order
+    pad = n_coeffs(n, at) - n_coeffs(n, order)
+    gs = [TruncatedJet(n, at, np.pad(g.truncate(order).coeffs, (0, pad))) for g in inners]
     powers = []
-    for d in deltas:
-        col = [TruncatedJet.constant(1.0, n, order)]
-        for _ in range(order):
-            col.append(mul(col[-1], d))
+    for g in gs:
+        col = [TruncatedJet.constant(1.0, n, at)]
+        for _ in range(at):
+            col.append(mul(col[-1], g))
         powers.append(col)
-    out = TruncatedJet.constant(0.0, n, order)
-    for beta, c in zip(multi_indices(m, outer.order), shifted):
-        if c == 0.0 or sum(beta) > order:
+    out = TruncatedJet.constant(0.0, n, at)
+    for beta, c in zip(multi_indices(m, at), outer.coeffs):
+        if c == 0.0:
             continue
-        term = TruncatedJet.constant(c, n, order)
+        term = TruncatedJet.constant(c, n, at)
         for i, bi in enumerate(beta):
             if bi:
                 term = mul(term, powers[i][bi])
         out = out + term
-    return out
+    return out.truncate(order)
 
 
 def invert_map(fs) -> list[TruncatedJet]:

@@ -88,6 +88,25 @@ class TestActPoint:
         with pytest.raises(ChartDomain):
             act_point(g, [0.5, 0.5, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g,p", [
+        (euclidean_element(np.eye(2), [0.0, 0.0]), [np.nan, 0.0]),
+        (projective_element(np.eye(3)), [np.inf, 0.0]),
+    ], ids=["nan", "projective-inf"])
+    def test_nonfinite_point(self, g, p):
+        with pytest.raises(SchemaMismatch, match="finite"):
+            act_point(g, p)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g,p", [
+        (conformal_element(np.eye(4)), [1e160, 0.0]),
+        (affine_element(2.0 * np.eye(2), [0.0, 0.0]), [1e308, 0.0]),
+    ], ids=["conformal-1e160", "affine-1e308"])
+    def test_overflowing_image(self, g, p):
+        # the overflow prolong_batch skips as chart_domain, without a warning
+        with pytest.raises(ChartDomain, match="overflows"):
+            act_point(g, p)
+
 
     def test_chart_rule_matches_prolong(self):
         # |den| = 0.036 is below 1e-3 of the image's 2-norm (52.3) and above

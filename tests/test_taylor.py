@@ -1,5 +1,7 @@
 """Tests for the truncated Taylor-series engine."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,33 @@ def J(terms, n=1, order=3):
 
 def random_jet(rng, n, order, scale=1.0):
     return TruncatedJet(n, order, scale * rng.standard_normal(len(multi_indices(n, order))))
+
+
+def exact_compose(outer, inners, order, sign=lambda c: c):
+    """Coefficients of outer(inner_1, ...) truncated at ``order``, in exact
+    rational arithmetic on ``sign`` of every float coefficient."""
+    n = inners[0].n_vars
+
+    def mul(p, q):
+        out = {}
+        for a, x in p.items():
+            for b, y in q.items():
+                c = tuple(i + j for i, j in zip(a, b))
+                if sum(c) <= order:
+                    out[c] = out.get(c, 0) + x * y
+        return out
+
+    gs = [{a: Fraction(sign(c)) for a, c in zip(multi_indices(n, order), g.coeffs.tolist())} for g in inners]
+    one = (0,) * n
+    monomials = {(0,) * outer.n_vars: {one: Fraction(1)}}  # each is a lower one times one inner germ
+    total = {}
+    for beta, c in zip(multi_indices(outer.n_vars, outer.order), outer.coeffs.tolist()):
+        if beta not in monomials:
+            i = next(k for k, e in enumerate(beta) if e)
+            monomials[beta] = mul(monomials[beta[:i] + (beta[i] - 1,) + beta[i + 1:]], gs[i])
+        for a, x in monomials[beta].items():
+            total[a] = total.get(a, 0) + Fraction(sign(c)) * x
+    return [total.get(a, Fraction(0)) for a in multi_indices(n, order)]
 
 
 class TestAdd:
@@ -112,6 +141,22 @@ class TestCompose:
         with pytest.raises(OrderUnderflow):
             compose(outer, [inner], order=2)
 
+    def test_nonzero_centres_against_exact_arithmetic(self):
+        # |F - E| <= 16 eps M per coefficient, where E composes the same
+        # float coefficients in exact rational arithmetic and M composes
+        # their absolute values.
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            m, n = (int(v) for v in rng.integers(1, 4, size=2))
+            order = int(rng.integers(0, 5))
+            outer = random_jet(rng, m, order)
+            inners = [random_jet(rng, n, order, scale=2.0) for _ in range(m)]
+            got = compose(outer, inners).coeffs
+            exact = exact_compose(outer, inners, order)
+            bound = exact_compose(outer, inners, order, abs)
+            err = np.array([float(abs(Fraction(g) - e)) for g, e in zip(got.tolist(), exact)])
+            assert (err <= 16 * np.finfo(float).eps * np.array([float(b) for b in bound])).all()
+
 
 class TestInvertMap:
     def test_reversion_1d(self):
@@ -188,6 +233,37 @@ class TestDifferentiate:
         assert out.order == 2
         assert out.allclose(J({(0, 2): 3.0}, n=2, order=2))
 
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_bad_variable(self, i):
+        with pytest.raises(DimensionMismatch):
+            differentiate(J({(1, 0): 1.0}, n=2), i)
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("i", [5, -1])
+    def test_coordinate_bad_variable(self, i):
+        with pytest.raises(DimensionMismatch):
+            TruncatedJet.coordinate(i, 2, 2)
+
+    @pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0]])
+    def test_call_wrong_point_length(self, point):
+        a = J({(1, 0): 1.0, (0, 2): 2.0}, n=2, order=2)  # x + 2 y^2
+        assert a([1.0, 2.0]) == 9.0
+        with pytest.raises(DimensionMismatch):
+            a(point)
+
+    @pytest.mark.parametrize("alpha,error", [
+        ((1,), DimensionMismatch),
+        ((1, 0, 0), DimensionMismatch),
+        ((-1, 1), DimensionMismatch),
+        ((2, 1), OrderUnderflow),
+    ], ids=["short", "long", "negative", "above-order"])
+    def test_bad_multi_index(self, alpha, error):
+        with pytest.raises(error):
+            J({}, n=2, order=2).coeff(alpha)
+        with pytest.raises(error):
+            J({alpha: 1.0}, n=2, order=2)
+
 
 class TestDivide:
     def test_geometric(self):
@@ -230,7 +306,8 @@ class TestRingProperties:
 
     def test_composition_associativity(self):
         # Valid whenever the innermost germ fixes the expansion point,
-        # i.e. h(0) = 0; interior constant terms are handled by recentering.
+        # i.e. h(0) = 0: otherwise the terms that compose(f, [g]) truncates
+        # reach the low degrees.
         rng = np.random.default_rng(7)
         for _ in range(20):
             f = random_jet(rng, 1, 3, scale=0.7)
