@@ -40,14 +40,13 @@ from .invariants import Signature, _trace, hessian_congruence
 from .jetspace import GraphJet, JetBatch, extend_rows, poly_rows
 from .taylor import (
     MAX_VARS,
-    compose_rows,
     coordinate_rows,
     divide_rows,
-    invert_rows,
     linear_rows,
     mul_rows,
     norm_rows,
     pow_rows,
+    regraph_rows,
 )
 
 ORTHOGONALITY_TOL = 1e-10
@@ -333,14 +332,15 @@ def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
     """Jets of the transformed hypersurfaces at the transformed points.
 
     Sample s moves ``jets`` row s by element s of ``g``: the germ
-    (u(delta), x0 + delta) is pushed through the point map, the image of
-    the independent variables inverted and the composed graph's jet read
-    at the image base point.  Every step runs on every sample, and a
-    sample keeps its first error; one that has failed inverts the identity
-    germ.  Returns the moved jets of the samples that stay graphs in the
-    chart, in order, and {sample: NotGraph or ChartDomain} for the others,
-    which are dropped once, as their jets are read.  A sample whose image
-    or moved jet overflows is a ChartDomain skip, found without a warning.
+    (u(delta), x0 + delta) is pushed through the point map, the germ w with
+    w o (x-image - its base point) = u-image is solved for degree by degree
+    (:func:`jetpde.taylor.regraph_rows`), and w's jet is read at the image
+    base point.  Every step runs on every sample, and a sample keeps its
+    first error; one that has failed is regraphed by the identity germ.
+    Returns the moved jets of the samples that stay graphs in the chart, in
+    order, and {sample: NotGraph or ChartDomain} for the others, which are
+    dropped once, as their jets are read.  A sample whose image or moved
+    jet overflows is a ChartDomain skip, found without a warning.
     """
     n, order = jets.n, jets.order
     poly = poly_rows(jets)
@@ -356,14 +356,11 @@ def prolong_batch(g: Elements, jets: JetBatch) -> tuple[JetBatch, dict]:
         deltas[:, :, 0] += -new_base
         if skips:
             deltas[list(skips)] = coordinate_rows(n, order)
-        inv, singular = invert_rows(deltas, n, order)
+        regraphed, singular = regraph_rows(imgs[:, :1], deltas, n, order)
         _caused(skips, singular, NotGraph)
-        # the inverse germs have zero constant terms, so the outer germ is
-        # composed as it is, about the origin
-        regraphed = compose_rows(imgs[:, :1], inv, n, order)[:, 0]
     if skips:  # a failed sample has no base point, so extend_rows drops it
         new_base[list(skips)] = np.nan
-    moved, finite = extend_rows(regraphed, new_base, order, jets.chart)
+    moved, finite = extend_rows(regraphed[:, 0], new_base, order, jets.chart)
     _chart_domain(skips, ~finite, "prolongation overflows")
     return moved, skips
 

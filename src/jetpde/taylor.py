@@ -10,15 +10,19 @@ the same prefix at every order >= k.  The caps ``n_vars <= 8``,
 
 The arithmetic is a layer of kernels on raw coefficient arrays, one jet
 per row, with a leading batch axis of samples: :func:`mul_rows`,
-:func:`divide_rows`, :func:`linear_rows`, :func:`compose_rows` and
-:func:`invert_rows`.  Their index work is done once per shape and cached:
-gathers are ``take`` calls on cached index arrays, sums are one
-``bincount`` over a read-only bin table that later calls slice, and
-composition follows one term plan per (m, order).  :class:`TruncatedJet`
-and the module-level functions are the public boundary over the kernels
-and call them at one sample; :mod:`jetpde.groups` prolongs whole batches
-on arrays.  :func:`compose`, :func:`invert_rows` and the prolongation
-all compose through :func:`compose_rows`, at any inner constant terms.
+:func:`divide_rows`, :func:`linear_rows`, :func:`compose_rows`,
+:func:`regraph_rows` and :func:`invert_rows`.  Their index work is done
+once per shape and cached: gathers are ``take`` calls on cached index
+arrays, sums are one ``bincount`` over a read-only bin table that later
+calls slice, and the monomial germs of a composition follow one plan per
+(m, order).  :class:`TruncatedJet` and the module-level functions are the
+public boundary over the kernels and call them at one sample;
+:mod:`jetpde.groups` prolongs whole batches on arrays.  :func:`compose`
+goes through :func:`compose_rows`, at any inner constant terms.
+:func:`regraph_rows` solves ``w o F = U`` for w degree by degree, on the
+same monomial germs of F and the symmetric powers of the inverse
+Jacobian: :func:`invert_rows` is that solve for ``U = x``, and the
+prolongation is that solve for the image of u.
 
 The rule of the kernel layer: every floating-point operation keeps its
 operands and its order (products summed in ``_mul_table`` order, terms in
@@ -100,15 +104,20 @@ def linear_positions(n: int) -> np.ndarray:
     return np.array([pos[tuple(1 if k == i else 0 for k in range(n))] for i in range(n)])
 
 
+def _is_int(i) -> bool:
+    """An integer that is not a bool: ``True`` is not the index 1."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
 def _check_var(i: int, n: int) -> None:
-    if not 0 <= i < n:
-        raise DimensionMismatch(f"variable index {i} outside [0, {n})")
+    if not (_is_int(i) and 0 <= i < n):
+        raise DimensionMismatch(f"variable index {i!r} is not an integer in [0, {n})")
 
 
 def _position(alpha, n: int, order: int) -> int:
     """Table position of the multi-index ``alpha`` over n variables."""
     alpha = tuple(alpha)
-    if len(alpha) != n or min(alpha) < 0:
+    if len(alpha) != n or not all(_is_int(a) and a >= 0 for a in alpha):
         raise DimensionMismatch(f"{alpha} is not a multi-index over {n} variables")
     if sum(alpha) > order:
         raise OrderUnderflow(f"term {alpha} exceeds order {order}")
@@ -134,8 +143,9 @@ def _mul_table(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _compose_plan(m: int, order: int, low: int) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
-    """The term plan of :func:`compose_rows` for outer germs in m variables
-    with no terms of degree below ``low``.
+    """The plan of the monomials in m variables of degree ``low`` to
+    ``order``: the terms of :func:`compose_rows` (low 0) and the monomial
+    germs of :func:`regraph_rows` (low 1).
 
     The monomials from the first of degree ``low`` on are laid out with
     those of more factors first, in multi-index order otherwise, so that
@@ -303,84 +313,176 @@ def linear_rows(M: np.ndarray, V: np.ndarray, off=None) -> np.ndarray:
     return out
 
 
-def compose_rows(C: np.ndarray, D: np.ndarray, n: int, order: int, low: int = 0) -> np.ndarray:
+def _monomial_rows(D: np.ndarray, n: int, order: int, top: int, low: int) -> np.ndarray:
+    """Germs ``D^alpha`` (N, M, size), truncated at ``order``, of the
+    monomials alpha of degree ``low`` to ``top`` in the m variables of the
+    inner germs ``D`` (N, m, size), laid out as ``_compose_plan(m, top,
+    low)`` lays them out.  Each is the inner powers of its monomial,
+    multiplied in increasing variable order.
+    """
+    N, m = D.shape[:2]
+    size = n_coeffs(n, order)
+    _, first, later, _ = _compose_plan(m, top, low)
+    # powers[s, p * m + i] is inner germ i of sample s to the power p
+    powers = np.empty((N, top + 1, m, size))
+    if not low:  # no monomial reads power 0 otherwise
+        powers[:, 0] = 0.0
+        powers[:, 0, :, 0] = 1.0
+    if top >= 1:
+        powers[:, 1] = D
+    for p in range(2, top + 1):
+        powers[:, p] = mul_rows(powers[:, p - 1], D, n, order)
+    powers = powers.reshape(N, (top + 1) * m, size)
+    mono = powers.take(first, axis=1)
+    for k, rows in later:
+        mono[:, :k] = mul_rows(mono[:, :k], powers.take(rows, axis=1), n, order)
+    return mono
+
+
+def compose_rows(C: np.ndarray, D: np.ndarray, n: int, order: int) -> np.ndarray:
     """Rows ``C[s, k](D[s, 0], ..., D[s, m-1])`` of N samples ``s``, truncated
     at ``order``.
 
     ``C`` (N, R, K) holds R outer germs per sample, over the m variables of
     the sample's inner germs ``D`` (N, m, size) and of order >= ``order``,
-    expanded about the origin, with no terms of degree below ``low``: those
-    monomials are left out of the plan.  Outer terms above degree ``order``
+    expanded about the origin.  Outer terms above degree ``order``
     are not read: with nonzero inner constant terms, pass C's own order.
-    Each term is its coefficient times the inner powers of its monomial,
-    multiplied in increasing variable order; the terms of a row are added
-    in multi-index order to 0.0.  Every term of the plan is computed, laid
-    out (N, R, M, size), and the terms of zero outer coefficients become
-    -0.0 after the products, which adds exactly nothing, so an inf or nan
-    inner entry reaches no sum through them.
+    Each term is its coefficient times the germ of its monomial
+    (:func:`_monomial_rows`); the terms of a row are added in multi-index
+    order to 0.0.  Every term of the plan is computed, laid out (N, R, M,
+    size), and the terms of zero outer coefficients become -0.0 after the
+    products, which adds exactly nothing, so an inf or nan inner entry
+    reaches no sum through them.
     """
     N, R = C.shape[:2]
-    m = D.shape[1]
     size = n_coeffs(n, order)
-    cols, first, later, back = _compose_plan(m, order, low)
-    # powers[s, p * m + i] is inner germ i of sample s to the power p
-    powers = np.empty((N, order + 1, m, size))
-    if not low:  # no term of the plan reads power 0 otherwise
-        powers[:, 0] = 0.0
-        powers[:, 0, :, 0] = 1.0
-    if order >= 1:
-        powers[:, 1] = D
-    for p in range(2, order + 1):
-        powers[:, p] = mul_rows(powers[:, p - 1], D, n, order)
-    powers = powers.reshape(N, (order + 1) * m, size)
+    cols, _, _, back = _compose_plan(D.shape[1], order, 0)
     outer = C.take(cols, axis=2)
-    terms = outer[..., None] * powers.take(first, axis=1)[:, None]
-    for k, rows in later:
-        terms[:, :, :k] = mul_rows(terms[:, :, :k], powers.take(rows, axis=1)[:, None], n, order)
+    terms = outer[..., None] * _monomial_rows(D, n, order, order, 0)[:, None]
     np.copyto(terms, -0.0, where=(outer == 0.0)[..., None])
     weights = terms.take(back, axis=2).ravel()  # in multi-index order
     return np.bincount(_sum_bins(cols.size, size)(N * R), weights=weights, minlength=N * R * size).reshape(N, R, size)
 
 
-def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
-    """Compositional inverses of N map germs with coefficient rows ``F``.
-
-    ``F`` (N, n, size) holds n rows over n variables with zero constant
-    terms per sample; each inverse is the fixed point of
-    ``g = J^-1 (x - high(g))``, iterated from ``J^-1 x`` at growing order:
-    ``high(g)`` in degree k reads only g's degrees below k, so step
-    k = 2, ..., order runs at order k on the rows' degrees up to k and
-    fixes them, bit for bit as a full-order step would.
-    Returns one inverse per sample, and ``{sample: SingularJacobian}`` for
-    the samples whose Jacobian fails the test: their inverse is the
-    identity germ, inverted in their place.
+@functools.lru_cache(maxsize=None)
+def _sym_plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray, _Bins]:
+    """(ia, ib, bins) that build the degree-d symmetric power of a matrix A,
+    laid out (delta, gamma) over the degree-d monomials in table order,
+    from its degree d - 1 power: entry [delta, gamma] is the coefficient of
+    x^gamma in L^delta, for the linear germs ``L_i = sum_j A[i, j] x^j``.
+    ``L^delta`` is ``L^(delta - e_i) L_i`` for the last variable i of
+    delta, its products enumerated as :func:`mul_rows` adds them: for each
+    gamma' in table order, then each x^j in table order, entry [delta -
+    e_i, gamma'] (gathered by ``ia``) times ``A[i, j]`` (by ``ib``), added
+    into [delta, gamma' + e_j].
     """
-    lin = slice(n, 0, -1)  # the positions linear_positions(n) of x^0, ..., x^{n-1}
-    J = F[..., lin] if order >= 1 else np.zeros(F.shape[:1] + (n, n))
-    with np.errstate(over="ignore"):  # an overflow is inf, which the test below reads
-        det = np.linalg.det(J).tolist()
-        scale = (norm_rows(J.reshape(-1, n * n)) / math.sqrt(n)).tolist()
-    errors = {
-        i: SingularJacobian(f"|det J|={abs(d):.3e}, scale={s:.3e}")
+    lower, here = (multi_indices(n, d)[n_coeffs(n, k - 1) : n_coeffs(n, k)] for k in (d - 1, d))
+    at_lower, at_here = ({a: k for k, a in enumerate(t)} for t in (lower, here))
+    ia, ib, out = [], [], []
+    for k, delta in enumerate(here):
+        i = max(v for v, e in enumerate(delta) if e)
+        prev = at_lower[tuple(e - (v == i) for v, e in enumerate(delta))]
+        for g, gamma in enumerate(lower):
+            for j in range(n - 1, -1, -1):
+                ia.append(prev * len(lower) + g)
+                ib.append(i * n + j)
+                out.append(k * len(here) + at_here[tuple(e + (v == j) for v, e in enumerate(gamma))])
+    ia, ib = np.array(ia), np.array(ib)
+    for a in (ia, ib):
+        a.setflags(write=False)
+    return ia, ib, _Bins(np.array(out), len(here) ** 2)
+
+
+def _singular_rows(J: np.ndarray) -> dict:
+    """{sample: SingularJacobian} for the Jacobians (N, n, n) with
+    ``|det J| < SINGULAR_RTOL * scale(J)**n``, scale the RMS entry.
+
+    The test reads J times 2^-e, e the exponent of its largest entry: that
+    scaling is exact and leaves the test as it was, and neither the det
+    nor the scale of the scaled matrix overflows or underflows.
+    """
+    n = J.shape[-1]
+    J = np.ldexp(J, -np.frexp(np.abs(J).max(axis=(-2, -1)))[1][:, None, None])
+    det = np.linalg.det(J).tolist()
+    scale = (norm_rows(J.reshape(-1, n * n)) / math.sqrt(n)).tolist()
+    return {
+        i: SingularJacobian(f"|det J|={abs(d):.3e} at scale={s:.3e}, J scaled to entries below 1")
         for i, (d, s) in enumerate(zip(det, scale))
-        if d == 0.0 or abs(d) < SINGULAR_RTOL * _float_power(s, n)
+        if d == 0.0 or abs(d) < SINGULAR_RTOL * s**n
     }
+
+
+def regraph_rows(U: np.ndarray, F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
+    """Germs w with ``w o F = U`` for N samples, truncated at ``order``.
+
+    ``F`` (N, n, size) holds a map germ over n variables with zero constant
+    terms per sample, ``U`` (N, R, size) R germs per sample.  With J the
+    Jacobian of F and A = J^-1, w o F = U is w o G = V for G = F o A and
+    V = U o A, where G's linear part is the identity.  There, with the
+    lower degrees fixed, the degree-d terms of ``w o G`` are w_d plus the
+    degree-d terms of w's lower-degree monomials in G.  So degree by degree
+
+        w_d = V_d - sum over 1 <= |alpha| < d of w_alpha (G^alpha)_d,
+
+    the lower terms added in multi-index order to 0.0.  The degree-d
+    terms of V and of G are those of U and of F times Sym^d(A), added in
+    column order with the terms of zero entries masked to -0.0; G's linear
+    part is written as the identity, never computed as J A.  So no product
+    of J with A rounds, and a linear map's w has exactly zero terms above
+    degree 1, even where Sym^d(A) overflows to inf: the masked 0 * inf
+    adds nothing (the caller's ``np.errstate`` says whether it warns).  J
+    is inverted once, and Sym^d(A) is built from A (:func:`_sym_plan`),
+    never solved on: its condition number is cond(J)^d.  Returns one germ
+    per sample, and ``{sample: SingularJacobian}`` for the samples whose
+    Jacobian fails the test (:func:`_singular_rows`): their germ is U,
+    regraphed by the identity map put in their place.
+    """
+    N, R = U.shape[:2]
+    lin = slice(n, 0, -1)  # the positions linear_positions(n) of x^0, ..., x^{n-1}
+    errors = _singular_rows(F[..., lin] if order >= 1 else np.zeros((N, n, n)))
     if errors:
-        F, J = F.copy(), J.copy()
-        F[list(errors)] = 0.0
-        J[list(errors)] = np.eye(n)
-    Jinv = np.linalg.inv(J)
+        F = F.copy()
+        F[list(errors)] = coordinate_rows(n, order)
+    P = np.concatenate((U, F), axis=1)
+    Q = np.empty(P.shape)  # V, then G, whose linear part is the identity
+    Q[:, R:] = coordinate_rows(n, order)
+    Q[:, :R, 0] = U[..., 0]
+    if order < 1:
+        return Q[:, :R], errors
+    A = np.linalg.inv(F[..., lin])
+    sym = A[:, ::-1, ::-1]  # Sym^1(A), laid out as _sym_plan lays it out
+    for d in range(1, order + 1):
+        lo, hi = n_coeffs(n, d - 1), n_coeffs(n, d)
+        width, rows = hi - lo, R + n if d >= 2 else R
+        if d >= 2:
+            ia, ib, bins = _sym_plan(n, d)
+            sym = sym.reshape(N, -1).take(ia, axis=1) * A.reshape(N, -1).take(ib, axis=1)
+            sym = np.bincount(bins(N), weights=sym.ravel(), minlength=N * width**2).reshape(N, width, width)
+        p = P[:, :rows, lo:hi]
+        terms = sym[:, None] * p[..., None]
+        np.copyto(terms, -0.0, where=(p == 0.0)[..., None])
+        Q[:, :rows, lo:hi] = np.bincount(_sum_bins(width, width)(N * rows), weights=terms.ravel(),
+                                         minlength=N * rows * width).reshape(N, rows, width)
+    w = Q[:, :R]
+    if order >= 2:  # T[s, a - 1] is G^alpha for the monomial alpha at table position a
+        T = _monomial_rows(Q[:, R:], n, order, order - 1, 1).take(_compose_plan(n, order - 1, 1)[3], axis=1)
+    for d in range(2, order + 1):
+        lo, hi = n_coeffs(n, d - 1), n_coeffs(n, d)
+        terms = w[..., 1:lo, None] * T[:, None, : lo - 1, lo:hi]
+        w[..., lo:hi] -= np.bincount(_sum_bins(lo - 1, hi - lo)(N * R), weights=terms.ravel(),
+                                     minlength=N * R * (hi - lo)).reshape(N, R, hi - lo)
+    return w, errors
+
+
+def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
+    """Compositional inverses of N map germs with coefficient rows ``F``
+    (N, n, size), with zero constant terms: the germs w with w o F = x,
+    by :func:`regraph_rows`.  Returns one inverse per sample, and
+    ``{sample: SingularJacobian}`` for the samples whose Jacobian fails the
+    test: their inverse is the identity germ.
+    """
     coords = coordinate_rows(n, order)
-    # high(g) composes F's terms of degree 2 and up, and J^-1 x is written
-    # directly: for finite J the linear rows give exactly F - J x and J^-1 x,
-    # up to the sign of zeros, which neither compose_rows (F - J x has no
-    # terms below degree 2) nor the sums after it can see.
-    g = np.zeros(F.shape)
-    g[..., lin] = Jinv + 0.0
-    for k in range(2, order + 1):
-        s = n_coeffs(n, k)
-        g[..., :s] = linear_rows(Jinv, coords[:, :s] - compose_rows(F[..., :s], g[..., :s], n, k, low=2))
-    return g, errors
+    return regraph_rows(np.broadcast_to(coords, (len(F),) + coords.shape), F, n, order)
 
 
 # -- jets ----------------------------------------------------------------------
@@ -645,7 +747,8 @@ def invert_map(fs: Sequence[TruncatedJet]) -> list[TruncatedJet]:
             raise ValueError("invert_map requires zero constant terms")
     size = n_coeffs(n, order)
     F = np.array([f.coeffs[:size] for f in fs])
-    g, errors = invert_rows(F[None], n, order)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inverse term out of range is inf
+        g, errors = invert_rows(F[None], n, order)
     if errors:
         raise errors[0]
     return [TruncatedJet(n, order, row) for row in g[0]]

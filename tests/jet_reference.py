@@ -5,8 +5,9 @@ replaced:
 
 * the Taylor kernels of :mod:`jetpde.taylor` and the prolongation: every
   product of two jets goes through ``np.add.at`` over the multiplication
-  table, every intermediate is a :class:`TruncatedJet`, and ``prolong``
-  builds its germs term by term;
+  table, every intermediate is a :class:`TruncatedJet`, ``regraph`` solves
+  w o F = U one degree, one germ and one entry at a time, and ``prolong``
+  builds its germs term by term and regraphs them;
 * the stacked second-order residual and the line draws of the
   Euclidean sampler: one jet, one :class:`SymMatrix` and one float per
   invariant at a time, the three-point line solve made of three residual
@@ -124,48 +125,91 @@ def compose(outer: TruncatedJet, inners, order: int | None = None) -> TruncatedJ
     at = outer.order if any(g.const_term != 0.0 for g in inners) else order
     pad = n_coeffs(n, at) - n_coeffs(n, order)
     gs = [TruncatedJet(n, at, np.pad(g.truncate(order).coeffs, (0, pad))) for g in inners]
-    powers = []
-    for g in gs:
-        col = [TruncatedJet.constant(1.0, n, at)]
-        for _ in range(at):
-            col.append(mul(col[-1], g))
-        powers.append(col)
+    powers = power_table(gs, at)
     out = TruncatedJet.constant(0.0, n, at)
     for beta, c in zip(multi_indices(m, at), outer.coeffs):
-        if c == 0.0:
-            continue
-        term = TruncatedJet.constant(c, n, at)
-        for i, bi in enumerate(beta):
-            if bi:
-                term = mul(term, powers[i][bi])
-        out = out + term
+        if c != 0.0:
+            out = out + monomial(powers, beta) * c
     return out.truncate(order)
+
+
+def power_table(gs, top: int) -> list:
+    """``[1, g, g^2, ..., g^top]`` for each germ g, each power the last times g."""
+    table = [[TruncatedJet.constant(1.0, g.n_vars, g.order), g] for g in gs]
+    for col in table:
+        for _ in range(2, top + 1):
+            col.append(mul(col[-1], col[1]))
+    return table
+
+
+def monomial(powers, beta) -> TruncatedJet:
+    """The germ of the monomial ``beta`` in the germs whose powers are
+    ``powers[i][p]``: its powers multiplied in increasing variable order."""
+    factors = [powers[i][b] for i, b in enumerate(beta) if b] or [powers[0][0]]
+    term = factors[0]
+    for f in factors[1:]:
+        term = mul(term, f)
+    return term
+
+
+def regraph(us, fs) -> list[TruncatedJet]:
+    """The germs w with ``w o fs = u`` for each u of ``us``, degree by degree:
+    with A the inverse Jacobian, V = u o A and G = fs o A (G's linear part
+    the identity) have the degree-d terms of u and fs times Sym^d(A), read
+    off the products of the linear germs ``L_i = sum_j A[i, j] x^j``, and
+    ``w_d = V_d - sum over 1 <= |alpha| < d of w_alpha (G^alpha)_d``."""
+    n = len(fs)
+    order = min(f.order for f in fs)
+    J = np.array([f.linear_part() for f in fs]) if order >= 1 else np.zeros((n, n))
+    Js = np.ldexp(J, -math.frexp(float(np.max(np.abs(J))))[1])
+    det = float(np.linalg.det(Js))
+    scale = float(np.linalg.norm(Js) / math.sqrt(n))
+    if det == 0.0 or abs(det) < SINGULAR_RTOL * scale**n:
+        raise SingularJacobian(f"|det J|={abs(det):.3e} at scale={scale:.3e}, J scaled to entries below 1")
+    A = np.linalg.inv(J)
+    idx = multi_indices(n, order)
+    lins = [TruncatedJet.from_terms({alpha: A[i, alpha.index(1)] for alpha in idx if sum(alpha) == 1}, n, order)
+            for i in range(n)]
+    ps = [u.coeffs for u in us] + [f.truncate(order).coeffs for f in fs]
+    qs = [np.zeros(len(idx)) for _ in ps]
+    for p, q in zip(ps, qs):
+        q[0] = p[0]
+    for d in range(1, order + 1):
+        lo, hi = n_coeffs(n, d - 1), n_coeffs(n, d)
+        # column delta of Sym^d(A): L^delta by L^(delta - e_i) L_i, i its last variable
+        sym = []
+        for delta in idx[lo:hi]:
+            factors = [i for i, e in enumerate(delta) for _ in range(e)]
+            term = lins[factors[0]]
+            with np.errstate(over="ignore"):
+                for i in factors[1:]:
+                    term = mul(term, lins[i])
+            sym.append(term.coeffs[lo:hi])
+        for p, q in zip(ps if d >= 2 else ps[: len(us)], qs):
+            out = np.zeros(hi - lo)
+            for col, pd in zip(sym, p[lo:hi]):
+                if pd != 0.0:
+                    out = out + col * pd
+            q[lo:hi] = out
+    ws, gs = qs[: len(us)], qs[len(us) :]
+    for i, q in enumerate(gs):
+        if order >= 1:
+            q[1 : n + 1] = [float(k == n - 1 - i) for k in range(n)]
+    powers = power_table([TruncatedJet(n, order, q) for q in gs], order - 1)
+    for d in range(2, order + 1):
+        lo, hi = n_coeffs(n, d - 1), n_coeffs(n, d)
+        for w in ws:
+            s = np.zeros(hi - lo)
+            for a in range(1, lo):
+                s = s + w[a] * monomial(powers, idx[a]).coeffs[lo:hi]
+            w[lo:hi] = w[lo:hi] - s
+    return [TruncatedJet(n, order, w) for w in ws]
 
 
 def invert_map(fs) -> list[TruncatedJet]:
     n = len(fs)
     order = min(f.order for f in fs)
-    J = np.array([f.linear_part() for f in fs])
-    det = float(np.linalg.det(J))
-    scale = float(np.linalg.norm(J) / math.sqrt(n))
-    if det == 0.0 or abs(det) < SINGULAR_RTOL * scale**n:
-        raise SingularJacobian(f"|det J|={abs(det):.3e}, scale={scale:.3e}")
-    Jinv = np.linalg.inv(J)
-    coords = [TruncatedJet.coordinate(i, n, order) for i in range(n)]
-    linear = []
-    for i in range(n):
-        row = TruncatedJet.constant(0.0, n, order)
-        for j in range(n):
-            if J[i, j] != 0.0:
-                row = row + coords[j] * J[i, j]
-        linear.append(row)
-    high = [fs[i].truncate(order) - linear[i] for i in range(n)]
-    zero = TruncatedJet.constant(0.0, n, order)
-    g = [sum((coords[j] * Jinv[i, j] for j in range(n)), zero) for i in range(n)]
-    for _ in range(order - 1):
-        corr = [compose(h, g) for h in high]
-        g = [sum(((coords[j] - corr[j]) * Jinv[i, j] for j in range(n)), zero) for i in range(n)]
-    return g
+    return regraph([TruncatedJet.coordinate(i, n, order) for i in range(n)], fs)
 
 
 def to_poly(j: GraphJet) -> TruncatedJet:
@@ -247,10 +291,10 @@ def prolong(g, j: GraphJet) -> GraphJet:
     u_img, x_imgs = imgs[0], imgs[1:]
     new_base = np.array([x.const_term for x in x_imgs])
     try:
-        inv = invert_map([x - x.const_term for x in x_imgs])
+        (w,) = regraph([u_img], [x - x.const_term for x in x_imgs])
     except SingularJacobian as exc:
         raise NotGraph(str(exc)) from exc
-    return jet_extend(compose(u_img, inv), new_base, order, j.chart)
+    return jet_extend(w, new_base, order, j.chart)
 
 
 # -- scalar group elements ---------------------------------------------------

@@ -66,10 +66,12 @@ CONTROLS = [
                  marks=wrong_today("item 4", "the scale hides the constant"), id="pick-minus-1-affine-n5"),
     pytest.param(pick() - 1.0, "projective", 5, SampleConfig(7, 100), fails(),
                  marks=wrong_today("item 4", "the scale hides the constant"), id="pick-minus-1-projective-n5"),
+    # these moved Jacobians are singular in floats: 19 of 20 samples are
+    # not_graph and none is evaluated, so the reports fail for lack of evidence
     pytest.param("minimal_surface", "euclidean", 3, SampleConfig(7, 20, jet_scale=1e120), fails(),
-                 marks=wrong_today("item 4", "the scale does not see the chart metric"), id="minimal-surface-1e120"),
+                 id="minimal-surface-1e120"),
     pytest.param("minimal_surface", "euclidean", 3, SampleConfig(7, 20, jet_scale=1e154), fails(),
-                 marks=wrong_today("item 4", "the scale does not see the chart metric"), id="minimal-surface-1e154"),
+                 id="minimal-surface-1e154"),
 ]
 
 

@@ -29,6 +29,7 @@ from jetpde.taylor import (
     mul_rows,
     n_coeffs,
     pow_rows,
+    regraph_rows,
 )
 
 DIMS = (1, 2, 3, 4)
@@ -249,8 +250,8 @@ def test_zero_outer_terms_mask_nonfinite_inner_entries(n, order, N):
             assert_bitwise(got[s, 0], ref.compose(TruncatedJet(2, order, C[s, 0]), inners).coeffs)
     assert np.isfinite(got[:, 0]).all()
 
-    # inversion composes F's terms of degree 2 and up, zeros among them,
-    # with its iterates, whose entries overflow to inf or nan in the rows
+    # inversion multiplies F's terms of degree 2 and up, zeros among them,
+    # into monomial germs whose entries overflow to inf or nan in the rows
     # with a 1e300 coefficient
     F = rng.standard_normal((N, n, size))
     F[..., 0] = 0.0
@@ -264,8 +265,34 @@ def test_zero_outer_terms_mask_nonfinite_inner_entries(n, order, N):
         assert not errors
         for s in range(N):
             assert_bitwise_nans_aside(got[s], invert_rows(F[s : s + 1], n, order)[0][0])
-            # where the reference's full-order steps overflow nowhere, the
-            # growing-order steps are bit for bit the same
+            # where the reference overflows nowhere, the rows are bit for
+            # bit its jet-by-jet solve
             want = [g.coeffs for g in ref.invert_map([TruncatedJet(n, order, row) for row in F[s]])]
             if np.isfinite(want).all():
                 assert_bitwise(got[s], want)
+
+
+@pytest.mark.parametrize("N", [1, 6, 300])
+@pytest.mark.parametrize("n,order", [(1, 3), (2, 2), (2, 3), (3, 3), (2, 4)])
+def test_regraph_rows_per_row(n, order, N):
+    """Row i of a batch is bitwise the batch of one, beside a singular
+    Jacobian's row, and bitwise the reference's jet-by-jet solve."""
+    rng = np.random.default_rng((n, order, N, 4))
+    size = n_coeffs(n, order)
+    U = rng.standard_normal((N, 2, size))
+    F = rng.standard_normal((N, n, size))
+    F[..., 0] = 0.0
+    for a in (U, F[..., n + 1 :]):  # exact zeros of both signs, the Jacobians left whole
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.1] *= -0.0
+    bad = [N // 2] if N > 1 else []
+    for s in bad:
+        F[s][:, linear_positions(n)] = 0.0
+    got, errors = regraph_rows(U, F, n, order)
+    assert list(errors) == bad and len(got) == N
+    for s in range(N):
+        single, _ = regraph_rows(U[s : s + 1], F[s : s + 1], n, order)
+        assert_bitwise(got[s], single[0])
+        if s < 12 and s not in bad:
+            want = ref.regraph([TruncatedJet(n, order, u) for u in U[s]], [TruncatedJet(n, order, f) for f in F[s]])
+            assert_bitwise(got[s], [w.coeffs for w in want])

@@ -217,6 +217,27 @@ class TestInvertMap:
         with pytest.raises(DimensionMismatch):
             invert_map([])
 
+    @staticmethod
+    def linear_map(M):
+        n = len(M)
+        return [TruncatedJet.from_terms({tuple(int(k == j) for k in range(n)): float(M[i, j]) for j in range(n)}, n, 2)
+                for i in range(n)]
+
+    def test_singular_at_a_huge_scale(self):
+        # det J overflows to inf, yet the relative det of this rank-1 J is
+        # rounding: it is singular whatever the size of its entries
+        M = 1e120 * np.outer([0.3, 1.7, -2.9], [0.9, -1.3, 0.4])
+        with pytest.raises(SingularJacobian):
+            invert_map(self.linear_map(M))
+
+    def test_regular_at_a_tiny_scale(self):
+        # det J and the scale of J underflow to 0, yet 1e-170 I is the identity
+        # scaled; the inverse's degree-2 terms are exactly 0, though Sym^2(J^-1)
+        # overflows
+        gs = invert_map(self.linear_map(1e-170 * np.eye(2)))
+        np.testing.assert_allclose([g.linear_part() for g in gs], 1e170 * np.eye(2), rtol=1e-15)
+        assert all(np.count_nonzero(g.coeffs) == 1 for g in gs)
+
 
 class TestDifferentiate:
     def test_x2y(self):
@@ -233,14 +254,14 @@ class TestDifferentiate:
         assert out.order == 2
         assert out.allclose(J({(0, 2): 3.0}, n=2, order=2))
 
-    @pytest.mark.parametrize("i", [2, -1])
+    @pytest.mark.parametrize("i", [2, -1, 1.0, True])
     def test_bad_variable(self, i):
         with pytest.raises(DimensionMismatch):
             differentiate(J({(1, 0): 1.0}, n=2), i)
 
 
 class TestBoundary:
-    @pytest.mark.parametrize("i", [5, -1])
+    @pytest.mark.parametrize("i", [5, -1, 1.0, False])
     def test_coordinate_bad_variable(self, i):
         with pytest.raises(DimensionMismatch):
             TruncatedJet.coordinate(i, 2, 2)
@@ -257,7 +278,10 @@ class TestBoundary:
         ((1, 0, 0), DimensionMismatch),
         ((-1, 1), DimensionMismatch),
         ((2, 1), OrderUnderflow),
-    ], ids=["short", "long", "negative", "above-order"])
+        ((1.5, 0), DimensionMismatch),
+        ((1.0, 0), DimensionMismatch),
+        ((True, 0), DimensionMismatch),
+    ], ids=["short", "long", "negative", "above-order", "fractional", "float", "bool"])
     def test_bad_multi_index(self, alpha, error):
         with pytest.raises(error):
             J({}, n=2, order=2).coeff(alpha)
