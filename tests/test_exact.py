@@ -12,19 +12,11 @@ import pytest
 import exact_reference as exact
 from jetpde.errors import JetError
 from jetpde.groups import GEOMETRIES, GeometryTag, GroupElement, prolong, random_element
-from jetpde.jetspace import GraphJet
-from jetpde.symtensor import SymCubic, SymMatrix
+from test_kernels import random_graph_jet as random_jet
 
 SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3))
 SEEDS = (0, 1, 2)
 BOUND = 1e-10
-
-
-def random_jet(rng, geometry, n, order):
-    hess = SymMatrix(n, rng.standard_normal(n * (n + 1) // 2))
-    cubic = SymCubic(n, rng.standard_normal(len(SymCubic(n).data))) if order == 3 else None
-    return GraphJet(GeometryTag(geometry, n).chart, n, order, 0.5 * rng.standard_normal(n),
-                    0.5 * rng.standard_normal(), 0.5 * rng.standard_normal(n), hess, cubic)
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
