@@ -424,15 +424,16 @@ def regraph_rows(U: np.ndarray, F: np.ndarray, n: int, order: int) -> tuple[np.n
 
         w_d = V_d - sum over 1 <= |alpha| < d of w_alpha (G^alpha)_d,
 
-    the lower terms added in multi-index order to 0.0.  The degree-d
-    terms of V and of G are those of U and of F times Sym^d(A), added in
-    column order with the terms of zero entries masked to -0.0; G's linear
-    part is written as the identity, never computed as J A.  So no product
-    of J with A rounds, and a linear map's w has exactly zero terms above
-    degree 1, even where Sym^d(A) overflows to inf: the masked 0 * inf
-    adds nothing (the caller's ``np.errstate`` says whether it warns).  J
-    is inverted once, and Sym^d(A) is built from A (:func:`_sym_plan`),
-    never solved on: its condition number is cond(J)^d.  Returns one germ
+    the lower terms added in multi-index order to 0.0 and those of a zero
+    w_alpha masked to -0.0.  The degree-d terms of V and of G are those of
+    U and of F times Sym^d(A), added in column order with the terms of zero
+    entries masked to -0.0; G's linear part is written as the identity,
+    never computed as J A.  So no product of J with A rounds, and a linear
+    map's w has exactly zero terms above degree 1, even where Sym^d(A) or a
+    G^alpha overflows to inf: the masked 0 * inf adds nothing (the caller's
+    ``np.errstate`` says whether it warns).  J is inverted once, and
+    Sym^d(A) is built from A (:func:`_sym_plan`), never solved on: its
+    condition number is cond(J)^d.  Returns one germ
     per sample, and ``{sample: SingularJacobian}`` for the samples whose
     Jacobian fails the test (:func:`_singular_rows`): their germ is U,
     regraphed by the identity map put in their place.
@@ -469,6 +470,7 @@ def regraph_rows(U: np.ndarray, F: np.ndarray, n: int, order: int) -> tuple[np.n
     for d in range(2, order + 1):
         lo, hi = n_coeffs(n, d - 1), n_coeffs(n, d)
         terms = w[..., 1:lo, None] * T[:, None, : lo - 1, lo:hi]
+        np.copyto(terms, -0.0, where=(w[..., 1:lo] == 0.0)[..., None])
         w[..., lo:hi] -= np.bincount(_sum_bins(lo - 1, hi - lo)(N * R), weights=terms.ravel(),
                                      minlength=N * R * (hi - lo)).reshape(N, R, hi - lo)
     return w, errors
@@ -735,6 +737,8 @@ def invert_map(fs: Sequence[TruncatedJet]) -> list[TruncatedJet]:
     ``fs`` must be ``n`` jets over ``n`` variables with zero constant term
     and invertible linear part; the result ``g`` satisfies
     ``compose(f, g) = id`` and ``compose(g, f) = id`` to the working order.
+    A term of ``g`` out of floating-point range is inf or nan, without a
+    warning.
     """
     n = len(fs)
     if not n:
@@ -747,7 +751,7 @@ def invert_map(fs: Sequence[TruncatedJet]) -> list[TruncatedJet]:
             raise ValueError("invert_map requires zero constant terms")
     size = n_coeffs(n, order)
     F = np.array([f.coeffs[:size] for f in fs])
-    with np.errstate(over="ignore", invalid="ignore"):  # an inverse term out of range is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge A's masked products overflow
         g, errors = invert_rows(F[None], n, order)
     if errors:
         raise errors[0]

@@ -157,7 +157,8 @@ def regraph(us, fs) -> list[TruncatedJet]:
     with A the inverse Jacobian, V = u o A and G = fs o A (G's linear part
     the identity) have the degree-d terms of u and fs times Sym^d(A), read
     off the products of the linear germs ``L_i = sum_j A[i, j] x^j``, and
-    ``w_d = V_d - sum over 1 <= |alpha| < d of w_alpha (G^alpha)_d``."""
+    ``w_d = V_d - sum over 1 <= |alpha| < d of w_alpha (G^alpha)_d``, where
+    a zero w_alpha adds nothing."""
     n = len(fs)
     order = min(f.order for f in fs)
     J = np.array([f.linear_part() for f in fs]) if order >= 1 else np.zeros((n, n))
@@ -201,7 +202,8 @@ def regraph(us, fs) -> list[TruncatedJet]:
         for w in ws:
             s = np.zeros(hi - lo)
             for a in range(1, lo):
-                s = s + w[a] * monomial(powers, idx[a]).coeffs[lo:hi]
+                if w[a] != 0.0:
+                    s = s + w[a] * monomial(powers, idx[a]).coeffs[lo:hi]
             w[lo:hi] = w[lo:hi] - s
     return [TruncatedJet(n, order, w) for w in ws]
 

@@ -271,6 +271,19 @@ def test_zero_outer_terms_mask_nonfinite_inner_entries(n, order, N):
             if np.isfinite(want).all():
                 assert_bitwise(got[s], want)
 
+    # a zero coefficient of the inverse adds nothing either: inverting
+    # (x0 + 1e308 x0^2, x1, ...), whose monomial germs overflow from order 3
+    # on (2 * 1e308 = inf), keeps x1, ... exact
+    F = np.broadcast_to(coordinate_rows(n, order), (N, n, size)).copy()
+    F[:, 0, ref.multi_indices(n, order).index((2,) + (0,) * (n - 1))] = 1e308
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, errors = invert_rows(F, n, order)
+        want = np.array([g.coeffs for g in ref.invert_map([TruncatedJet(n, order, row) for row in F[0]])])
+    assert not errors
+    assert_bitwise(got[:, 1:], F[:, 1:])
+    for s in range(N):
+        assert_bitwise_nans_aside(got[s], want)
+
 
 @pytest.mark.parametrize("N", [1, 6, 300])
 @pytest.mark.parametrize("n,order", [(1, 3), (2, 2), (2, 3), (3, 3), (2, 4)])
