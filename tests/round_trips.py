@@ -1,18 +1,15 @@
 """Count the prolongation round trips that miss the benchmark's tolerance.
 
-For each seed and each of the first ``--cycles`` cycles c of the
-``jet-calls`` workload, this remakes the cycle's 16 prolong ops as the
-workload makes them: ``rng = default_rng((seed, c))``, and op k draws its
-element with ``random_element(tag, (seed, c, k), 0.5)`` and its jet with
-``bench/workloads.random_jet(rng, ...)``, over the four geometries x
-``PROLONG_SHAPES`` in order.  A round trip ``prolong(g^-1, prolong(g, j))``
-misses when the workload's own check fails: ``jets_close`` at 1e-9.  Ops
-whose prolongation is a documented skip are not counted.
+For each seed, this builds the first ``TWO_WAY_CYCLES`` cycles of the
+``jet-calls`` workload (``bench/workloads.JetCallsWorkload``) and runs
+their 16 prolong ops.  A round trip ``prolong(g^-1, prolong(g, j))``
+misses when the op's own check fails: ``jets_close`` at 1e-9.  Ops whose
+prolongation is a documented skip are not counted.
 
-The count is information, not a gate: the script always exits 0.  Run from
-the repository root:
+The count is information, not a gate: the script always exits 0 and
+prints a markdown table.  Run from the repository root:
 
-    PYTHONPATH=src python3 tests/round_trips.py [--seeds 0 40] [--cycles 10] [--markdown]
+    PYTHONPATH=src python3 tests/round_trips.py [--seeds 0 40]
 """
 
 from __future__ import annotations
@@ -22,61 +19,45 @@ import collections
 import pathlib
 import sys
 
-import numpy as np
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 
 import workloads  # noqa: E402  (the benchmark's inputs and checks, read only)
 
-from jetpde import groups  # noqa: E402
 
-
-def misses(seed: int, cycles: int) -> list[tuple[int, str, tuple[int, int]]]:
-    """(cycle, geometry, (n, order)) of each round trip of ``seed`` that misses."""
+def misses(seed: int) -> list[tuple[int, str, str]]:
+    """(cycle, geometry, shape) of each round trip of ``seed`` that misses."""
+    work = workloads.JetCallsWorkload(seed)
     out = []
-    for c in range(cycles):
-        rng = np.random.default_rng((seed, c))
-        k = 0
-        for geometry in workloads.GEOMETRIES:
-            for n, order in workloads.PROLONG_SHAPES:
-                g = groups.random_element(workloads.tag(geometry, n), (seed, c, k), workloads.ELEMENT_SCALE)
-                j = workloads.random_jet(rng, geometry, n, order)
-                k += 1
-                try:
-                    there = groups.prolong(g, j)
-                except workloads.SKIPS:
-                    continue
-                if workloads._round_trip_problem(g, j, there):
-                    out.append((c, geometry, (n, order)))
+    for c in range(workloads.TWO_WAY_CYCLES):
+        for op in work.cycle():
+            if not op.kind.startswith("prolong:"):
+                continue
+            try:
+                there = op.fn()(*op.inputs())
+            except workloads.SKIPS:
+                continue
+            if op.check(there):
+                _, geometry, shape = op.kind.split(":")
+                out.append((c, geometry, shape))
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs=2, default=(0, 40), metavar=("FIRST", "STOP"))
-    parser.add_argument("--cycles", type=int, default=workloads.TWO_WAY_CYCLES)
-    parser.add_argument("--markdown", action="store_true", help="a table for a CI job summary")
-    args = parser.parse_args(argv)
+    seeds = range(*parser.parse_args(argv).seeds)
 
-    seeds = range(*args.seeds)
-    found = {seed: misses(seed, args.cycles) for seed in seeds}
+    found = {seed: misses(seed) for seed in seeds}
     counts = collections.Counter((geo, shape) for hits in found.values() for _, geo, shape in hits)
-    total = sum(counts.values())
-    shapes = workloads.PROLONG_SHAPES
-    head = f"Round trips missing 1e-9: {total}, seeds {seeds.start}-{seeds.stop - 1}, cycles 0-{args.cycles - 1}"
-    if args.markdown:
-        print(f"### {head}\n")
-        print("| geometry | " + " | ".join(f"n{n}k{k}" for n, k in shapes) + " |")
-        print("|---|" + "---|" * len(shapes))
-        for geo in workloads.GEOMETRIES:
-            print(f"| {geo} | " + " | ".join(str(counts[(geo, s)]) for s in shapes) + " |")
-        print()
-    else:
-        print(head)
-        for geo in workloads.GEOMETRIES:
-            print(f"  {geo:<10} " + "  ".join(f"n{n}k{k} {counts[(geo, (n, k))]}" for n, k in shapes))
+    shapes = [f"n{n}k{k}" for n, k in workloads.PROLONG_SHAPES]
+    print(f"### Round trips missing 1e-9: {sum(counts.values())}, seeds {seeds.start}-{seeds.stop - 1}, "
+          f"cycles 0-{workloads.TWO_WAY_CYCLES - 1}\n")
+    print("| geometry | " + " | ".join(shapes) + " |")
+    print("|---|" + "---|" * len(shapes))
+    for geo in workloads.GEOMETRIES:
+        print(f"| {geo} | " + " | ".join(str(counts[(geo, s)]) for s in shapes) + " |")
     per_seed = ", ".join(f"{seed}: {len(hits)}" for seed, hits in found.items() if hits)
-    print(f"Misses per seed: {per_seed or 'none'}")
+    print(f"\nMisses per seed: {per_seed or 'none'}")
     return 0
 
 
