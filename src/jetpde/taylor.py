@@ -433,10 +433,10 @@ def regraph_rows(U: np.ndarray, F: np.ndarray, n: int, order: int) -> tuple[np.n
     G^alpha overflows to inf: the masked 0 * inf adds nothing (the caller's
     ``np.errstate`` says whether it warns).  J is inverted once, and
     Sym^d(A) is built from A (:func:`_sym_plan`), never solved on: its
-    condition number is cond(J)^d.  Returns one germ
-    per sample, and ``{sample: SingularJacobian}`` for the samples whose
-    Jacobian fails the test (:func:`_singular_rows`): their germ is U,
-    regraphed by the identity map put in their place.
+    condition number is cond(J)^d.  Returns one germ per sample, and
+    ``{sample: SingularJacobian}`` for the samples whose Jacobian fails the
+    test (:func:`_singular_rows`): their germ is U, regraphed by the
+    identity map put in their place.
     """
     N, R = U.shape[:2]
     lin = slice(n, 0, -1)  # the positions linear_positions(n) of x^0, ..., x^{n-1}
@@ -751,7 +751,7 @@ def invert_map(fs: Sequence[TruncatedJet]) -> list[TruncatedJet]:
             raise ValueError("invert_map requires zero constant terms")
     size = n_coeffs(n, order)
     F = np.array([f.coeffs[:size] for f in fs])
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge A's masked products overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # masked products may overflow or be 0 * inf
         g, errors = invert_rows(F[None], n, order)
     if errors:
         raise errors[0]
