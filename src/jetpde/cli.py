@@ -205,9 +205,10 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("descriptor")
     v.add_argument("--samples", type=int, default=300)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--scale", type=float, default=0.5)
-    v.add_argument("--jet-scale", type=float, default=0.5, help="size of the drawn 1-jets (finite, >= 0)")
-    v.add_argument("--tol", type=float, default=1e-7)
+    v.add_argument("--scale", type=float, default=SampleConfig.scale)
+    v.add_argument("--jet-scale", type=float, default=SampleConfig.jet_scale,
+                   help="size of the drawn 1-jets (finite, >= 0)")
+    v.add_argument("--tol", type=float, default=SampleConfig.tol)
     v.add_argument("--surface", help="check a catalog solution instead")
     v.add_argument("--points", type=int, default=200)
     v.add_argument("--point-scale", type=float, default=0.5, help="size of the drawn points (finite, >= 0)")

@@ -12,7 +12,7 @@ A :class:`GroupElement` is a tagged matrix payload:
 
 Prolongation transforms a graph jet by pushing the parametrized germ
 through the point map, re-graphing over the image base point, and reading
-the jet there (transform, invert, compose, extend).  It runs on a batch:
+the jet there (push, regraph, extend).  It runs on a batch:
 :func:`prolong_batch` moves N jets by N elements of one group, given as an
 :class:`Elements` stack, and :func:`prolong` is its batch of one.  Likewise
 :func:`random_elements` draws one element per generator and
@@ -309,7 +309,13 @@ def _push_components(g: Elements, comps: np.ndarray, order: int) -> tuple[np.nda
         _caused(errors, singular, ChartDomain)
         return quotients, errors
 
-    # conformal
+    # conformal: chart -> cone at lambda = 1 -> act -> chart.  Dividing by
+    # m + 4 before the matrix puts the lift on the unit sphere, so the final
+    # divisor, out[-1] + out[0], keeps small higher coefficients.  The
+    # unnormalized cone point (m + 4, 4u, 4x, 4 - m) would share one division
+    # with the projective push, but its coefficients grow like |x|^2 far from
+    # the origin and cancel in that division: the umbilical control rows at
+    # jet scale 1e3 (tests/test_controls.py) then fail.
     squares = mul_rows(comps, comps, n, order)
     m = squares[:, 0]
     for k in range(1, n + 1):

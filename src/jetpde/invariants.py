@@ -22,13 +22,12 @@ Hessians of shape (m, n, n), with one gradient (n,) shared by the stack
 or one per row (m, n);
 :func:`tau_d` takes an (n, n) or (m, n, n) matrix and
 :func:`elementary_symmetric` an (n,) or (m, n) spectrum.
-:func:`hessian_dets` and :func:`pick_numerators` are the stacked forms of
-:func:`hessian_det` and :func:`pick_numerator`, which are their stacks of
-one.  A stack gives one value (or matrix, or spectrum) per row, each
-bitwise equal to the single-matrix result: the rows go through the same
-per-matrix BLAS/LAPACK calls (dot products included, see
-:func:`~jetpde.taylor.sumsq_rows`), the same float powers and the same
-elementwise operations in the same order.
+:func:`pick_numerators` is the stacked form of :func:`pick_numerator`,
+which is its stack of one.  A stack gives one value (or matrix, or
+spectrum) per row, each bitwise equal to the single-matrix result: the
+rows go through the same per-matrix BLAS/LAPACK calls (dot products
+included, see :func:`~jetpde.taylor.sumsq_rows`), the same float powers
+and the same elementwise operations in the same order.
 """
 
 from __future__ import annotations
@@ -269,20 +268,11 @@ def hessian_dets(H: np.ndarray) -> tuple[np.ndarray, dict]:
     return _nondegenerate_dets(np.linalg.eigvalsh(H))
 
 
-def hessian_det(hess: SymMatrix) -> float:
-    """det(hess), raising DegenerateHessian when |det| is below
-    DEGENERATE_HESSIAN_RTOL * |hess|_2^n."""
-    det, errors = hessian_dets(hess.full()[None])
-    if errors:
-        raise errors[0]
-    return float(det[0])
-
-
 def hessian_congruence(hess: SymMatrix) -> tuple[np.ndarray, Signature]:
     """B with det B > 0 and hess = 2 B^T eps B, eps = diag(1_d, -1_{n-d}).
 
     Positive directions come first; raises DegenerateHessian as
-    :func:`hessian_det` does.
+    :func:`hessian_dets` reports it.
     """
     lams, Q = np.linalg.eigh(hess.full())
     _, errors = _nondegenerate_dets(lams[None])

@@ -10,18 +10,18 @@ the same prefix at every order >= k.  The caps ``n_vars <= 8``,
 
 The arithmetic is a layer of kernels on raw coefficient arrays, one jet
 per row, with a leading batch axis of samples: :func:`mul_rows`,
-:func:`divide_rows`, :func:`linear_rows`, :func:`compose_rows`,
-:func:`regraph_rows` and :func:`invert_rows`.  Their index work is done
-once per shape and cached: gathers are ``take`` calls on cached index
-arrays, sums are one ``bincount`` over a read-only bin table that later
-calls slice, and the monomial germs of a composition follow one plan per
-(m, order).  :class:`TruncatedJet` and the module-level functions are the
-public boundary over the kernels and call them at one sample;
-:mod:`jetpde.groups` prolongs whole batches on arrays.  :func:`compose`
-goes through :func:`compose_rows`, at any inner constant terms.
+:func:`divide_rows`, :func:`linear_rows`, :func:`compose_rows` and
+:func:`regraph_rows`.  Their index work is done once per shape and
+cached: gathers are ``take`` calls on cached index arrays, sums are one
+``bincount`` over a read-only bin table that later calls slice, and the
+monomial germs of a composition follow one plan per (m, order).
+:class:`TruncatedJet` and the module-level functions are the public
+boundary over the kernels and call them at one sample; :mod:`jetpde.groups`
+prolongs whole batches on arrays.  :func:`compose` goes through
+:func:`compose_rows`, at any inner constant terms.
 :func:`regraph_rows` solves ``w o F = U`` for w degree by degree, on the
 same monomial germs of F and the symmetric powers of the inverse
-Jacobian: :func:`invert_rows` is that solve for ``U = x``, and the
+Jacobian: :func:`invert_map` is that solve for ``U = x``, and the
 prolongation is that solve for the image of u.
 
 The rule of the kernel layer: every floating-point operation keeps its
@@ -142,29 +142,24 @@ def _mul_table(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _compose_plan(m: int, order: int, low: int) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
+def _compose_plan(m: int, order: int, low: int) -> tuple[np.ndarray, tuple]:
     """The plan of the monomials in m variables of degree ``low`` to
-    ``order``: the terms of :func:`compose_rows` (low 0) and the monomial
-    germs of :func:`regraph_rows` (low 1).
+    ``order``, in table order: the terms of :func:`compose_rows` (low 0)
+    and the monomial germs of :func:`regraph_rows` (low 1).
 
-    The monomials from the first of degree ``low`` on are laid out with
-    those of more factors first, in multi-index order otherwise, so that
-    the monomials with more than s factors are a prefix.  Returns (cols,
-    first, later, back): the table positions of the monomials in that
-    layout, the power-table rows ``power * m + var`` of their first
-    factors, per later factor stage s = 1, 2, ... the length of that
-    prefix with the rows of its s-th factors, variables increasing, and
-    the layout position of each monomial in multi-index order.  The
-    constant monomial's one factor is row 0, the constant germ 1.
+    Returns (first, later): the power-table rows ``power * m + var`` of the
+    monomials' first factors, and per later factor stage s = 1, 2, ... the
+    monomials with more than s factors with the rows of their s-th
+    factors, variables increasing.  The constant monomial's one factor is
+    row 0, the constant germ 1.
     """
     start = n_coeffs(m, low - 1) if low else 0
     factors = [[e * m + i for i, e in enumerate(beta) if e] or [0] for beta in multi_indices(m, order)[start:]]
-    layout = sorted(range(len(factors)), key=lambda b: -len(factors[b]))
-    stages = [np.array([factors[b][s] for b in layout if len(factors[b]) > s]) for s in range(len(factors[layout[0]]))]
-    cols, back = start + np.array(layout), np.argsort(layout)
-    for a in (cols, back, *stages):
+    stages = [np.array([(b, f[s]) for b, f in enumerate(factors) if len(f) > s]).T
+              for s in range(max(map(len, factors)))]
+    for a in stages:
         a.setflags(write=False)
-    return cols, stages[0], tuple((rows.size, rows) for rows in stages[1:]), back
+    return stages[0][1], tuple(stages[1:])
 
 
 # -- kernels on coefficient arrays -------------------------------------------
@@ -266,8 +261,8 @@ def mul_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> np.ndarray:
 
 
 def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
-    """``a / b`` for N samples: ``b`` holds one divisor per sample (N, size),
-    ``a`` one vector (N, size) or rows (N, r, size) per sample.
+    """``a / b`` for N samples: ``a`` holds rows (N, r, size) per sample,
+    ``b`` one divisor (N, size) per sample.
 
     ``a`` times the series ``1 - r + r^2 - ...`` of ``r = (b - b(0)) / b(0)``,
     times ``1 / b(0)``.  Returns one quotient per sample, and
@@ -292,8 +287,7 @@ def divide_rows(a: np.ndarray, b: np.ndarray, n: int, order: int) -> tuple[np.nd
     for _ in range(order):
         term = mul_rows(term, neg_r, n, order)
         inv = inv + term
-    per_sample = (len(b),) + (1,) * (a.ndim - 2)
-    return mul_rows(a, inv.reshape(per_sample + inv.shape[-1:]), n, order) * s.reshape(per_sample + (1,)), errors
+    return mul_rows(a, inv[:, None], n, order) * s[:, None, None], errors
 
 
 def linear_rows(M: np.ndarray, V: np.ndarray, off=None) -> np.ndarray:
@@ -316,13 +310,13 @@ def linear_rows(M: np.ndarray, V: np.ndarray, off=None) -> np.ndarray:
 def _monomial_rows(D: np.ndarray, n: int, order: int, top: int, low: int) -> np.ndarray:
     """Germs ``D^alpha`` (N, M, size), truncated at ``order``, of the
     monomials alpha of degree ``low`` to ``top`` in the m variables of the
-    inner germs ``D`` (N, m, size), laid out as ``_compose_plan(m, top,
-    low)`` lays them out.  Each is the inner powers of its monomial,
-    multiplied in increasing variable order.
+    inner germs ``D`` (N, m, size), in table order.  Each is the inner
+    powers of its monomial, multiplied in increasing variable order
+    (``_compose_plan(m, top, low)``).
     """
     N, m = D.shape[:2]
     size = n_coeffs(n, order)
-    _, first, later, _ = _compose_plan(m, top, low)
+    first, later = _compose_plan(m, top, low)
     # powers[s, p * m + i] is inner germ i of sample s to the power p
     powers = np.empty((N, top + 1, m, size))
     if not low:  # no monomial reads power 0 otherwise
@@ -334,8 +328,8 @@ def _monomial_rows(D: np.ndarray, n: int, order: int, top: int, low: int) -> np.
         powers[:, p] = mul_rows(powers[:, p - 1], D, n, order)
     powers = powers.reshape(N, (top + 1) * m, size)
     mono = powers.take(first, axis=1)
-    for k, rows in later:
-        mono[:, :k] = mul_rows(mono[:, :k], powers.take(rows, axis=1), n, order)
+    for at, rows in later:
+        mono[:, at] = mul_rows(mono[:, at], powers.take(rows, axis=1), n, order)
     return mono
 
 
@@ -349,19 +343,18 @@ def compose_rows(C: np.ndarray, D: np.ndarray, n: int, order: int) -> np.ndarray
     are not read: with nonzero inner constant terms, pass C's own order.
     Each term is its coefficient times the germ of its monomial
     (:func:`_monomial_rows`); the terms of a row are added in multi-index
-    order to 0.0.  Every term of the plan is computed, laid out (N, R, M,
-    size), and the terms of zero outer coefficients become -0.0 after the
-    products, which adds exactly nothing, so an inf or nan inner entry
-    reaches no sum through them.
+    order to 0.0.  Every term is computed, laid out (N, R, M, size), and
+    the terms of zero outer coefficients become -0.0 after the products,
+    which adds exactly nothing, so an inf or nan inner entry reaches no
+    sum through them.
     """
     N, R = C.shape[:2]
     size = n_coeffs(n, order)
-    cols, _, _, back = _compose_plan(D.shape[1], order, 0)
-    outer = C.take(cols, axis=2)
+    outer = C[..., : n_coeffs(D.shape[1], order)]
     terms = outer[..., None] * _monomial_rows(D, n, order, order, 0)[:, None]
     np.copyto(terms, -0.0, where=(outer == 0.0)[..., None])
-    weights = terms.take(back, axis=2).ravel()  # in multi-index order
-    return np.bincount(_sum_bins(cols.size, size)(N * R), weights=weights, minlength=N * R * size).reshape(N, R, size)
+    return np.bincount(_sum_bins(outer.shape[2], size)(N * R), weights=terms.ravel(),
+                       minlength=N * R * size).reshape(N, R, size)
 
 
 @functools.lru_cache(maxsize=None)
@@ -466,7 +459,7 @@ def regraph_rows(U: np.ndarray, F: np.ndarray, n: int, order: int) -> tuple[np.n
                                          minlength=N * rows * width).reshape(N, rows, width)
     w = Q[:, :R]
     if order >= 2:  # T[s, a - 1] is G^alpha for the monomial alpha at table position a
-        T = _monomial_rows(Q[:, R:], n, order, order - 1, 1).take(_compose_plan(n, order - 1, 1)[3], axis=1)
+        T = _monomial_rows(Q[:, R:], n, order, order - 1, 1)
     for d in range(2, order + 1):
         lo, hi = n_coeffs(n, d - 1), n_coeffs(n, d)
         terms = w[..., 1:lo, None] * T[:, None, : lo - 1, lo:hi]
@@ -474,17 +467,6 @@ def regraph_rows(U: np.ndarray, F: np.ndarray, n: int, order: int) -> tuple[np.n
         w[..., lo:hi] -= np.bincount(_sum_bins(lo - 1, hi - lo)(N * R), weights=terms.ravel(),
                                      minlength=N * R * (hi - lo)).reshape(N, R, hi - lo)
     return w, errors
-
-
-def invert_rows(F: np.ndarray, n: int, order: int) -> tuple[np.ndarray, dict]:
-    """Compositional inverses of N map germs with coefficient rows ``F``
-    (N, n, size), with zero constant terms: the germs w with w o F = x,
-    by :func:`regraph_rows`.  Returns one inverse per sample, and
-    ``{sample: SingularJacobian}`` for the samples whose Jacobian fails the
-    test: their inverse is the identity germ.
-    """
-    coords = coordinate_rows(n, order)
-    return regraph_rows(np.broadcast_to(coords, (len(F),) + coords.shape), F, n, order)
 
 
 # -- jets ----------------------------------------------------------------------
@@ -687,10 +669,10 @@ def differentiate(a: TruncatedJet, i: int) -> TruncatedJet:
 def divide(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
     """``a * b**-1`` with the reciprocal expanded as a geometric series."""
     order, num, den = a._common(b)
-    q, errors = divide_rows(num[None], den[None], a.n_vars, order)
+    q, errors = divide_rows(num[None, None], den[None], a.n_vars, order)
     if errors:
         raise errors[0]
-    return TruncatedJet(a.n_vars, order, q[0])
+    return TruncatedJet(a.n_vars, order, q[0, 0])
 
 
 def compose(
@@ -736,9 +718,9 @@ def invert_map(fs: Sequence[TruncatedJet]) -> list[TruncatedJet]:
 
     ``fs`` must be ``n`` jets over ``n`` variables with zero constant term
     and invertible linear part; the result ``g`` satisfies
-    ``compose(f, g) = id`` and ``compose(g, f) = id`` to the working order.
-    A term of ``g`` out of floating-point range is inf or nan, without a
-    warning.
+    ``compose(f, g) = id`` and ``compose(g, f) = id`` to the working order:
+    :func:`regraph_rows` of the coordinate germs.  A term of ``g`` out of
+    floating-point range is inf or nan, without a warning.
     """
     n = len(fs)
     if not n:
@@ -752,7 +734,7 @@ def invert_map(fs: Sequence[TruncatedJet]) -> list[TruncatedJet]:
     size = n_coeffs(n, order)
     F = np.array([f.coeffs[:size] for f in fs])
     with np.errstate(over="ignore", invalid="ignore"):  # masked products may overflow or be 0 * inf
-        g, errors = invert_rows(F[None], n, order)
+        g, errors = regraph_rows(coordinate_rows(n, order)[None], F[None], n, order)
     if errors:
         raise errors[0]
     return [TruncatedJet(n, order, row) for row in g[0]]

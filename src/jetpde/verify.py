@@ -523,6 +523,12 @@ def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet |
     return jets.jet(0) if rows.size else None
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < k of n entries, in row order: ``np.triu_indices(n, 1)``."""
+    return np.triu_indices(n, 1)
+
+
 def _ratio_defects(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     """Deviation of two descending spectra from proportionality, per row of
     the (m, n) stacks.
@@ -533,24 +539,11 @@ def _ratio_defects(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     """
     s = norm_rows(l1) * norm_rows(l2)
     small = s < 1e-12
-
-    def cross(a, b):
-        # fmax keeps the running value against a nan, as max(worst, nan) does
-        worst = np.zeros(len(a))
-        for i in range(a.shape[1]):
-            for k in range(i + 1, a.shape[1]):
-                worst = np.fmax(worst, np.abs(a[:, i] * b[:, k] - a[:, k] * b[:, i]))
-        return worst
-
-    ratio = np.minimum(cross(l1, l2), cross(l1, l2[:, ::-1])) / np.where(small, 1.0, s)
-    return np.where(small, 0.0, ratio)
-
-
-def _defect(value: float, scale: float) -> float:
-    """Normalized residual; a non-finite one is an infinite defect, which
-    ``max`` keeps (``max(0.0, nan)`` is 0.0)."""
-    defect = abs(value) / scale
-    return defect if math.isfinite(defect) else math.inf
+    i, k = _pairs(l1.shape[1])
+    pairings = np.stack((l2, l2[:, ::-1]))
+    cross = np.abs(l1[:, i] * pairings[..., k] - l1[:, k] * pairings[..., i])
+    worst = np.fmax.reduce(cross, axis=2, initial=0.0)  # fmax passes over a nan term
+    return np.where(small, 0.0, np.minimum(*worst) / np.where(small, 1.0, s))
 
 
 def _check_nonnegative(name: str, value: float) -> None:
@@ -581,8 +574,9 @@ def _evaluate(desc: PdeDescriptor, jets: JetBatch, skipped: dict) -> tuple[float
     for exc in degenerate.values():
         skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
     live = np.delete(np.arange(len(jets)), list(degenerate))
-    scales = residual_scales(desc, jets.take(live)).tolist()
-    return max([0.0, *map(_defect, values[live].tolist(), scales)]), live
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite defect is inf
+        defects = np.abs(values[live]) / residual_scales(desc, jets.take(live))
+    return float(np.where(np.isfinite(defects), defects, np.inf).max(initial=0.0)), live
 
 
 def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
@@ -625,11 +619,9 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
         max_defect, evaluated = max(max_defect, defect), evaluated + len(live)
         if tag.name == "euclidean" and len(live):
             before, after = sub.take(np.delete(np.arange(len(sub)), list(skips))[live]), moved.take(live)
-            for ratio in _ratio_defects(
-                eigenvalues(before.grad, before.hess[:, _matrix_gather(tag.n)]),
-                eigenvalues(after.grad, after.hess[:, _matrix_gather(tag.n)]),
-            ).tolist():
-                max_ratio = max(max_ratio, ratio)
+            ratios = _ratio_defects(eigenvalues(before.grad, before.hess[:, _matrix_gather(tag.n)]),
+                                    eigenvalues(after.grad, after.hess[:, _matrix_gather(tag.n)]))
+            max_ratio = float(np.fmax.reduce(ratios, initial=max_ratio))  # a nan ratio is passed over
     return _report(desc.desc_id, cfg.seed, count, skipped, max_defect, evaluated, cfg.tol, max_ratio)
 
 
@@ -761,7 +753,7 @@ def solution_catalog() -> dict:
     }
 
 
-def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = 1e-7,
+def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = SampleConfig.tol,
                    **params) -> Report:
     """Max normalized residual of the named exact solution at the points;
     the report passes when it is at most ``tol`` and some point was

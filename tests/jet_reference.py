@@ -607,6 +607,13 @@ def ratio_defect(l1: np.ndarray, l2: np.ndarray) -> float:
     return min(cross(l1, l2), cross(l1, l2[::-1])) / s
 
 
+def defect(value: float, scale: float) -> float:
+    """Normalized residual; a non-finite one is an infinite defect, which
+    ``max`` keeps (``max(0.0, nan)`` is 0.0)."""
+    d = abs(value) / scale
+    return d if math.isfinite(d) else math.inf
+
+
 def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
     name = desc.geometry.name
     if name == "conformal" and desc.expr == tauring(2):
@@ -637,7 +644,7 @@ def invariance_report(desc: PdeDescriptor, cfg) -> Report:
             skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
             continue
         evaluated += 1
-        max_defect = max(max_defect, verify._defect(value, residual_scale(desc, moved)))
+        max_defect = max(max_defect, defect(value, residual_scale(desc, moved)))
         if tag.name == "euclidean":
             max_ratio = max(
                 max_ratio,

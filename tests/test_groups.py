@@ -118,6 +118,36 @@ class TestActPoint:
         assert np.allclose(moved.point(), 833.3, rtol=1e-4)
         np.testing.assert_allclose(act_point(g, j.point()), moved.point(), rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_antipode_rule_matches_prolong(self, n):
+        # images at radius 30 to 300, where the antipode ratio crosses
+        # CHART_DENOM_RTOL: the point map and the prolongation of a jet at
+        # the same point reject the same ones
+        def hits_antipode(fn, *args):
+            try:
+                fn(*args)
+            except (ChartDomain, NotGraph) as exc:
+                return "antipode" in str(exc)
+            return False
+
+        tag = GeometryTag("conformal", n)
+        rng = np.random.default_rng(n)
+        seen = []
+        for k in range(40):
+            g = random_element(tag, (n, k), 0.5)
+            back = inverse_element(g)
+            v = rng.standard_normal(n + 1)
+            for r in np.geomspace(30.0, 300.0, 25):
+                try:
+                    p = act_point(back, r * v / np.linalg.norm(v))
+                except ChartDomain:
+                    continue
+                j = GraphJet(tag.chart, n, 2, p[1:], p[0], np.zeros(n), SymMatrix(n))
+                seen.append(hits_antipode(act_point, g, p))
+                assert hits_antipode(prolong, g, j) == seen[-1]
+        assert 200 <= sum(seen) <= len(seen) - 200
+
+
 class TestRandomElement:
     @pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.name)
     def test_identity_at_scale_zero(self, tag):

@@ -16,7 +16,7 @@ from jetpde.invariants import (
     eigenvalues,
     elementary_symmetric,
     hessian_congruence,
-    hessian_det,
+    hessian_dets,
     pick_norm,
     pick_numerator,
     shape_matrix,
@@ -443,13 +443,13 @@ class TestHessianHelpers:
         rng = np.random.default_rng(43)
         for n in (1, 2, 3, 4):
             hess, _ = random_hess_cubic(rng, n, min_det=0.01)
-            assert np.isclose(hessian_det(hess), np.linalg.det(hess.full()), rtol=1e-12)
+            det, errors = hessian_dets(hess.full()[None])
+            assert not errors and np.isclose(det[0], np.linalg.det(hess.full()), rtol=1e-12)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateHessian):
-            hessian_det(SymMatrix.diag([1.0, 0.0]))
-        with pytest.raises(DegenerateHessian):
-            hessian_det(SymMatrix.diag([1.0, 1e-9, -2.0]))
+        for diag in ([1.0, 0.0], [1.0, 1e-9, -2.0]):
+            _, errors = hessian_dets(SymMatrix.diag(diag).full()[None])
+            assert list(errors) == [0] and type(errors[0]) is DegenerateHessian
         with pytest.raises(DegenerateHessian):
             hessian_congruence(SymMatrix(2))
 

@@ -22,7 +22,6 @@ from jetpde.taylor import (
     divide,
     divide_rows,
     invert_map,
-    invert_rows,
     linear_positions,
     linear_rows,
     mul,
@@ -43,6 +42,12 @@ def random_jet(rng, n, order, sparse=False):
         c[rng.random(c.size) < 0.3] = 0.0
         c[rng.random(c.size) < 0.2] *= -0.0
     return TruncatedJet(n, order, c)
+
+
+def inverse_rows(F, n, order):
+    """The compositional inverses of the map germs ``F`` (N, n, size) and
+    their errors: :func:`regraph_rows` on the coordinate rows."""
+    return regraph_rows(np.broadcast_to(coordinate_rows(n, order), F.shape), F, n, order)
 
 
 def outcome(fn, *args):
@@ -152,12 +157,12 @@ def test_batch_axis_is_per_row(n, order):
     F = rng.standard_normal((N, n, size))
     F[..., 0] = 0.0
     F[2] = 0.0  # a singular Jacobian: reported for its row, which keeps its index
-    got, errors = invert_rows(F, n, order)
+    got, errors = inverse_rows(F, n, order)
     assert list(errors) == [2]
     assert len(got) == N
     for i in range(N):
         if i != 2:
-            single, none = invert_rows(F[i : i + 1], n, order)
+            single, none = inverse_rows(F[i : i + 1], n, order)
             assert not none
             assert_bitwise(got[i], single[0])
 
@@ -191,7 +196,7 @@ def test_failed_rows_compute_placeholders():
     F = np.zeros((2, n, n_coeffs(n, order)))
     F[0, :, n + 1 :] = 1e300  # a zero Jacobian beside terms whose powers overflow
     F[1][:, linear_positions(n)] = np.eye(n)
-    g, errors = invert_rows(F, n, order)
+    g, errors = inverse_rows(F, n, order)
     assert list(errors) == [0] and len(g) == 2
     assert np.array_equal(g[0], coordinate_rows(n, order)) and np.array_equal(g[1], g[0])
     a, b = np.ones((2, 1, n_coeffs(n, order))), np.full((2, n_coeffs(n, order)), 1e300)
@@ -211,7 +216,7 @@ def test_overflow_is_a_value():
     # a Jacobian whose det and norm overflow passes the singularity test
     F = np.zeros((1, 3, n_coeffs(3, 2)))
     F[0][:, linear_positions(3)] = 1e120 * np.eye(3)
-    g, errors = invert_rows(F, 3, 2)
+    g, errors = inverse_rows(F, 3, 2)
     assert not errors
     np.testing.assert_allclose(g[0][:, linear_positions(3)], 1e-120 * np.eye(3), rtol=1e-15)
 
@@ -261,10 +266,10 @@ def test_zero_outer_terms_mask_nonfinite_inner_entries(n, order, N):
     huge = rng.random(high.shape) < 0.1
     high[huge] = rng.choice([1e300, -1e300], size=huge.sum())
     with np.errstate(invalid="ignore", over="ignore"):
-        got, errors = invert_rows(F, n, order)
+        got, errors = inverse_rows(F, n, order)
         assert not errors
         for s in range(N):
-            assert_bitwise_nans_aside(got[s], invert_rows(F[s : s + 1], n, order)[0][0])
+            assert_bitwise_nans_aside(got[s], inverse_rows(F[s : s + 1], n, order)[0][0])
             # where the reference overflows nowhere, the rows are bit for
             # bit its jet-by-jet solve
             want = [g.coeffs for g in ref.invert_map([TruncatedJet(n, order, row) for row in F[s]])]
@@ -277,7 +282,7 @@ def test_zero_outer_terms_mask_nonfinite_inner_entries(n, order, N):
     F = np.broadcast_to(coordinate_rows(n, order), (N, n, size)).copy()
     F[:, 0, ref.multi_indices(n, order).index((2,) + (0,) * (n - 1))] = 1e308
     with np.errstate(invalid="ignore", over="ignore"):
-        got, errors = invert_rows(F, n, order)
+        got, errors = inverse_rows(F, n, order)
         want = np.array([g.coeffs for g in ref.invert_map([TruncatedJet(n, order, row) for row in F[0]])])
     assert not errors
     assert_bitwise(got[:, 1:], F[:, 1:])
