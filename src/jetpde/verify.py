@@ -322,6 +322,7 @@ def generators(states: np.ndarray) -> list:
 
 
 _lower_triangle = functools.lru_cache(np.tril_indices)  # (i, j), i >= j, of each packed SymMatrix entry
+_pairs = functools.lru_cache(np.triu_indices)  # (i, k), i < k, the entry pairs _ratio_defects compares
 
 
 def orbit_points(lower: JetBatch, params: np.ndarray) -> JetBatch:
@@ -523,12 +524,6 @@ def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet |
     return jets.jet(0) if rows.size else None
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs i < k of n entries, in row order: ``np.triu_indices(n, 1)``."""
-    return np.triu_indices(n, 1)
-
-
 def _ratio_defects(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     """Deviation of two descending spectra from proportionality, per row of
     the (m, n) stacks.
@@ -539,7 +534,7 @@ def _ratio_defects(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     """
     s = norm_rows(l1) * norm_rows(l2)
     small = s < 1e-12
-    i, k = _pairs(l1.shape[1])
+    i, k = _pairs(l1.shape[1], 1)
     pairings = np.stack((l2, l2[:, ::-1]))
     cross = np.abs(l1[:, i] * pairings[..., k] - l1[:, k] * pairings[..., i])
     worst = np.fmax.reduce(cross, axis=2, initial=0.0)  # fmax passes over a nan term
@@ -574,8 +569,9 @@ def _evaluate(desc: PdeDescriptor, jets: JetBatch, skipped: dict) -> tuple[float
     for exc in degenerate.values():
         skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
     live = np.delete(np.arange(len(jets)), list(degenerate))
+    scales = residual_scales(desc, jets.take(live))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite defect is inf
-        defects = np.abs(values[live]) / residual_scales(desc, jets.take(live))
+        defects = np.abs(values[live]) / scales
     return float(np.where(np.isfinite(defects), defects, np.inf).max(initial=0.0)), live
 
 

@@ -1,62 +1,49 @@
 """Tabulate how far float ``prolong`` lands from exact rational arithmetic.
 
 For each geometry, each of the four ``jet-calls`` shapes (n, order) and
-each seed, this draws an element at scale 0.5 and a jet as
-``tests/test_exact.py`` draws them, prolongs the jet in floats and in
-``exact_reference``, and records the largest entry error
-|float - exact| / (1 + |exact|) (``exact_reference.prolong_error``).  Calls
-whose float prolongation is a skip are counted, not compared.
+each of seeds 0-39, this takes ``tests/test_exact.py``'s oracle error
+(``oracle_error``) of one call at element scale 0.5: the largest entry
+error |float - exact| / (1 + |exact|) of the float prolongation against
+``exact_reference``.  Calls whose float prolongation is a skip are
+counted, not compared.
 
 The table is information, not a gate: the script always exits 0 and prints
-markdown.  Run from the repository root (about 20 s for seeds 0-39):
+markdown.  Run from the repository root (about 20 s):
 
-    PYTHONPATH=src python3 tests/oracle_errors.py [--seeds 0 40]
+    PYTHONPATH=src python3 tests/oracle_errors.py
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-
 import numpy as np
 
-import exact_reference as exact
-from jetpde.errors import JetError
-from jetpde.groups import GEOMETRIES, GeometryTag, prolong, random_element
-from test_exact import SHAPES
-from test_kernels import random_graph_jet as random_jet
+from jetpde.groups import GEOMETRIES
+from test_exact import SHAPES, oracle_error
 
 SCALE = 0.5
+SEEDS = range(40)
 
 
-def errors(geometry: str, seeds: range) -> tuple[dict, int]:
+def errors(geometry: str) -> tuple[dict, int]:
     """{(shape, seed): oracle error} of the calls that moved, and the skip count."""
     out, skips = {}, 0
     for n, order in SHAPES:
-        for seed in seeds:
-            rng = np.random.default_rng((seed, n, order))
-            g = random_element(GeometryTag(geometry, n), (seed, n, order), SCALE)
-            j = random_jet(rng, geometry, n, order)
-            try:
-                moved = prolong(g, j)
-            except JetError:
+        for seed in SEEDS:
+            e = oracle_error(geometry, n, order, seed, SCALE)
+            if e is None:
                 skips += 1
-                continue
-            out[(f"n{n}k{order}", seed)] = exact.prolong_error(moved, exact.prolong(g, j))
+            else:
+                out[(f"n{n}k{order}", seed)] = e
     return out, skips
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs=2, default=(0, 40), metavar=("FIRST", "STOP"))
-    seeds = range(*parser.parse_args(argv).seeds)
-
-    print(f"### Float prolong against exact arithmetic, seeds {seeds.start}-{seeds.stop - 1}, "
+if __name__ == "__main__":
+    print(f"### Float prolong against exact arithmetic, seeds {SEEDS.start}-{SEEDS.stop - 1}, "
           f"element scale {SCALE}\n")
     print("| geometry | compared | skipped | median | p99 | max | max at |")
     print("|---|---|---|---|---|---|---|")
     for geometry in GEOMETRIES:
-        found, skips = errors(geometry, seeds)
+        found, skips = errors(geometry)
         if not found:
             print(f"| {geometry} | 0 | {skips} | | | | |")
             continue
@@ -64,8 +51,3 @@ def main(argv=None) -> int:
         shape, seed = max(found, key=found.get)
         print(f"| {geometry} | {e.size} | {skips} | {np.median(e):.2e} | {np.percentile(e, 99):.2e} "
               f"| {e.max():.2e} | {shape} seed {seed} |")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,5 +1,5 @@
-"""The control table: expressions whose verdict is known, each run as a
-300-sample report (20 at the extreme jet scales, 100 at n = 4 and 5).
+"""The control table: expressions whose verdict is known, each run as the
+report its row's ``SampleConfig`` states.
 
 The rows whose report is right today must stay right.  The rows whose
 report is wrong today are strict xfails, each naming the ROADMAP item that
