@@ -48,6 +48,14 @@ CONTROLS = [
     pytest.param(sigma(2) - 1.0, "euclidean", 5, SampleConfig(7, 100), fails(0.01928), id="sigma2-minus-1-n5"),
     pytest.param(tauring(2) - 1.0, "conformal", 4, SampleConfig(7, 100), fails(0.2207), id="tauring2-minus-1-n4"),
     pytest.param(tauring(2) - 1.0, "conformal", 5, SampleConfig(7, 100), fails(0.01628), id="tauring2-minus-1-n5"),
+    # no polynomial of degree <= 2 along the sampler's line: the scan brackets
+    # each root and the polish pins it
+    pytest.param(tau(1) / (tau(1) ** 2 + 1.0), "euclidean", 2, SampleConfig(7, 300), passes,
+                 id="tau1-quotient"),
+    pytest.param((tau(1) - 1.0) / (tau(1) ** 2 + 1.0), "euclidean", 2, SampleConfig(7, 300), fails(1.186),
+                 id="tau1-minus-1-quotient"),
+    pytest.param(tau(3), "euclidean", 4, SampleConfig(7, 100), passes, id="tau3-n4"),
+    pytest.param(lam(1) + lam(2) + lam(3), "euclidean", 3, SampleConfig(7, 300), passes, id="lam-sum-n3"),
     # conformal jets far from the origin: the lift divides by m + 4 before the
     # matrix (groups._push_components); lifting to the unnormalized cone point
     # fails these rows with max_defect 1.7e-3, 3.0e-6 and 9.4e-5
