@@ -10,12 +10,12 @@ sample i's generators are ``default_rng((seed, i))`` and
 a whole report in one pass.  One draw stage (:func:`sample_rows`) draws
 every sample, each from its own generator, with its retries in masked
 rounds.  Along a line in the affine fibre of J^k -> J^(k-1) a residual is
-often a polynomial of degree <= 2 (:func:`~jetpde.pde.line_degree`);
-there three values give its roots in closed form (:func:`_line_root`),
-and only the other second-order expressions scan their line.  The group
-elements, the prolongation, the residuals and the defects then run on
-blocks of the jet batch, bit for bit as one sample at a time.  The
-catalog's polynomial
+often a polynomial of degree <= 2 (:func:`~jetpde.pde.line_degree`); there
+three values give its roots in closed form (:func:`_line_root`), and only
+the other second-order expressions scan their line, each row's first
+bracket polished in lockstep (:func:`_illinois`).  The group elements, the
+prolongation, the residuals and the defects then run on blocks of the jet
+batch, bit for bit as one sample at a time.  The catalog's polynomial
 germs are Taylor-engine arithmetic on the coordinate germs base[i] + x_i;
 ``scherk``, ``saddle`` and (by its default shear) ``sheared_quadric`` are
 two-dimensional.  ``check_solution`` builds each germ at its point, then
@@ -64,7 +64,7 @@ def _register_unloaded(name: str) -> None:
 
 
 # bench/tracing.py wraps brentq through sys.modules["scipy.optimize"]; no
-# jetpde code calls it (see _brent), so the module loads only when read.
+# jetpde code calls it (see _illinois), so the module loads only when read.
 _register_unloaded("scipy.optimize")
 
 # On-locus samples must satisfy |residual| <= this (normalized) before any
@@ -184,42 +184,35 @@ def _line_root(f_minus: float, f_zero: float, f_plus: float, half_width: float, 
     return min(inside) if inside else None
 
 
-def _brent(xpre: float, xcur: float, fpre: float, fcur: float):
-    """Brent's method (Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4) on a cell whose end values do not share a
-    sign, as a coroutine on Python floats: ``fcur = yield xcur``.  A port
-    of scipy's brentq.c at xtol 1e-15, rtol 8.9e-16: its root is brentq's
-    bit for bit.  Returns the root and its value, or None after 200 steps
-    or at a nan value, where brentq raises."""
-    if fpre == 0.0 or fcur == 0.0:
-        return (xpre, fpre) if fpre == 0.0 else (xcur, fcur)
-    xblk = fblk = spre = scur = 0.0
+def _illinois(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, f):
+    """Roots in the cells [a, b] whose end values fa, fb share no sign, by
+    Illinois false position (Dowell and Jarratt, BIT 11, 1971), all rows in
+    lockstep: ``f(rows, x)`` is f at x on the live rows, one call a round.  A
+    zero end is the root.  A round steps to the secant root x, or to the
+    midpoint where x is not strictly inside; x replaces b, and a takes b's
+    place if f(x) does not share b's sign, else f(a) halves.  A row ends at
+    f(x) == 0 or |x - a| <= 1e-15 + 8.9e-16 |x| (brentq's tolerance) at the
+    end of [a, x] of smaller |f|; its value is nan after a nan or 200 rounds."""
+    root, value = np.where(fa == 0.0, a, b), np.where(fa == 0.0, fa, fb)
+    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    a, b, fa, fb, ga = (v[live] for v in (a, b, fa, fb, fa))  # ga is f(a) itself, where fa is halved
     for _ in range(200):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta, sbis = (1e-15 + 8.9e-16 * abs(xcur)) / 2, (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, fcur
-        good = False  # a short interpolated step, else bisection
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:  # where C divides by zero, its inf or nan step bisects
-                if xpre == xblk:
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-            except ZeroDivisionError:
-                pass
-        spre, scur = (scur, stry) if good else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = yield xcur
-        if math.isnan(fcur):
-            return None
-    return None
+        if not live.size:
+            break
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan step bisects
+            x = b - fb * (b - a) / (fb - fa)
+        x = np.where((np.minimum(a, b) < x) & (x < np.maximum(a, b)), x, 0.5 * (a + b))  # nan is not inside
+        fx = f(live, x)
+        kept = (fx < 0.0) == (fb < 0.0)
+        a, fa, ga = np.where(kept, a, b), np.where(kept, 0.5 * fa, fb), np.where(kept, ga, fb)
+        b, fb = x, fx
+        done = np.isnan(fx) | (fx == 0.0) | (np.abs(x - a) <= 1e-15 + 8.9e-16 * np.abs(x))
+        if done.any():
+            best = np.abs(ga) < np.abs(fx)  # never at a nan f(x), which stays the value
+            root[live[done]], value[live[done]] = np.where(best, a, x)[done], np.where(best, ga, fx)[done]
+            live, a, b, fa, fb, ga = (v[~done] for v in (live, a, b, fa, fb, ga))
+    value[live] = np.nan
+    return root, value
 
 
 # -- counter-based streams --------------------------------------------------------
@@ -354,14 +347,6 @@ def _line_values(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray, poin
                            for i in range(0, max(len(entries), 1), BLOCK_SAMPLES)])
 
 
-def _with_last(lower: JetBatch, entries: np.ndarray, roots: dict) -> tuple[list, JetBatch]:
-    """The rows of ``roots`` ({row: last Hessian entry}), in row order, as jets."""
-    rows = sorted(roots)
-    hess = entries[rows]
-    hess[:, -1] = [roots[r] for r in rows]
-    return rows, lower.take(rows, hess)
-
-
 def _closed_form_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
     """Roots of a residual of degree <= 2 (:func:`~jetpde.pde.line_degree`)
     along the last Hessian entry of each row: its values at the ends and the
@@ -371,8 +356,11 @@ def _closed_form_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray
     residuals, which the soundness check computes."""
     half = float(LINE[-1])
     values = _line_values(desc, lower, entries, LINE[[0, LINE.size // 2, -1]])
-    roots = {r: _line_root(*v, half, half) for r, v in enumerate(values.tolist())}
-    return *_with_last(lower, entries, {r: t for r, t in roots.items() if t is not None}), None
+    roots = [_line_root(*v, half, half) for v in values.tolist()]
+    rows = [r for r, t in enumerate(roots) if t is not None]
+    hess = entries[rows]
+    hess[:, -1] = [roots[r] for r in rows]
+    return rows, lower.take(rows, hess), None
 
 
 def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
@@ -380,32 +368,24 @@ def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
     the expressions that are no polynomial of degree <= 2 along it (``lam``,
     ``div``, degree >= 3).  A scan of every row at LINE
     (:func:`_line_values`) finds the first cell with a zero end or end values
-    of opposite signs (a nan has no sign); :func:`_brent` polishes it, the
-    live polishes of a round sharing one residual call.  Returns the rows
-    with a root, their jets and residuals."""
+    of opposite signs (a nan has no sign), and :func:`_illinois` polishes
+    them all.  Returns the rows with a root, their jets and residuals."""
     vals = _line_values(desc, lower, entries, LINE)
     signs = np.sign(vals)  # their product never underflows, as the values' does below ~1e-154
     zero = vals == 0.0
     events = np.concatenate([zero[:, :-1] | (signs[:, :-1] * signs[:, 1:] < 0.0), zero[:, -1:]], axis=1)
-    polish = {}
-    for r in np.flatnonzero(events.any(axis=1)).tolist():
-        k = min(int(events[r].argmax()), LINE.size - 2)  # a zero at the end closes the last cell
-        polish[r] = _brent(float(LINE[k]), float(LINE[k + 1]), *vals[r, k : k + 2].tolist())
-    roots, sent = {}, dict.fromkeys(polish)  # the value each live polish is sent next
-    while sent:
-        asked = {}
-        for r, f in sent.items():
-            try:
-                asked[r] = polish[r].send(f)
-            except StopIteration as stop:
-                if stop.value:
-                    roots[r] = stop.value
-        if not asked:
-            break
-        rows, jets = _with_last(lower, entries, asked)
-        sent = dict(zip(rows, residuals(desc, jets)[0].tolist()))
-    rows, jets = _with_last(lower, entries, {r: x for r, (x, _) in roots.items()})
-    return rows, jets, np.array([roots[r][1] for r in rows])
+    rows = np.flatnonzero(events.any(axis=1))
+    k = np.minimum(events[rows].argmax(axis=1), LINE.size - 2)  # a zero at the end closes the last cell
+
+    def jets(live, x):  # the polished rows' jets with their last Hessian entries at x
+        hess = entries[rows[live]]
+        hess[:, -1] = x
+        return lower.take(rows[live], hess)
+
+    roots, values = _illinois(LINE[k], LINE[k + 1], vals[rows, k], vals[rows, k + 1],
+                              lambda live, x: residuals(desc, jets(live, x))[0])
+    found = ~np.isnan(values)
+    return rows[found].tolist(), jets(found, roots[found]), values[found]
 
 
 def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):

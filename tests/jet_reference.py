@@ -21,7 +21,7 @@ replaced:
   sub-bundle cubic entry by entry, and the umbilic sampler entry by entry;
 * the samplers one index at a time, with their own generator, as the
   batched draw stage must reproduce them row by row; the Euclidean one
-  polishes with ``scipy.optimize.brentq``;
+  polishes its bracket with Illinois steps on Python floats;
 * the per-sample loop of ``invariance_report``: one jet, one group
   element, one prolongation and one residual at a time, all through the
   routines of this module.
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.optimize
 
 from jetpde.errors import (
     ChartDomain,
@@ -541,22 +540,40 @@ def sample_affine(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None
     return None
 
 
+def illinois(f, a: float, b: float, fa: float, fb: float):
+    """Illinois false position on a cell whose end values do not share a
+    sign, one step and one f call at a time: the end of the last cell with
+    the smaller |f|, or None at a nan value or after 200 steps."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    ga = fa  # f(a) itself, where fa is halved
+    for _ in range(200):
+        x = b - fb * (b - a) / (fb - fa)  # fb - fa is never 0: fa is 0 or of the other sign
+        if not min(a, b) < x < max(a, b):  # nan is not inside
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if (fx < 0.0) == (fb < 0.0):
+            fa = 0.5 * fa
+        else:
+            a, fa, ga = b, fb, fb
+        b, fb = x, fx
+        if math.isnan(fx):
+            return None
+        if fx == 0.0 or abs(x - a) <= 1e-15 + 8.9e-16 * abs(x):
+            return a if abs(ga) < abs(fx) else x
+    return None
+
+
 def solve_on_line(f, bracket: float, npts: int = 65):
-    """Scan f at npts points, one call each, then Brent on the first cell
-    with a zero end or end values of opposite signs (a nan has no sign)."""
-    ts = np.linspace(-bracket, bracket, npts)
+    """Scan f at npts points, one call each, then polish the first cell with
+    a zero end or end values of opposite signs (a nan has no sign)."""
+    ts = np.linspace(-bracket, bracket, npts).tolist()
     vals = [f(t) for t in ts]
     for k in range(npts - 1):
         a, b = vals[k], vals[k + 1]
-        if a == 0.0:
-            return float(ts[k])
-        if a < 0.0 < b or b < 0.0 < a:
-            return float(
-                scipy.optimize.brentq(f, ts[k], ts[k + 1], xtol=1e-15, rtol=8.9e-16, maxiter=200)
-            )
-    if vals[-1] == 0.0:
-        return float(ts[-1])
-    return None
+        if a == 0.0 or a < 0.0 < b or b < 0.0 < a:
+            return illinois(f, ts[k], ts[k + 1], a, b)
+    return ts[-1] if vals[-1] == 0.0 else None
 
 
 def sample_euclidean(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:

@@ -1,9 +1,9 @@
-"""The batched zero-set sampler: its Brent polish returns scipy's
-``brentq`` root bit for bit, a nan met while polishing or at a drawn root
-ends the row as no root, the three-point line solve finds the roots the
-scan finds, and one batched draw stage over N generators reproduces N
-batches of one and the per-index reference sampler of ``jet_reference``,
-retries and no-root rows included.
+"""The batched zero-set sampler: its Illinois polish ends each row in a
+sign change within brentq's tolerance, a zero end is the root, a nan met
+while polishing or at a drawn root ends the row as no root, the
+three-point line solve finds the roots the scan finds, and one batched draw
+stage over N generators reproduces N batches of one and the per-index
+reference sampler of ``jet_reference``, retries and no-root rows included.
 
 Both sides run live in this process on the same inputs, so the comparison
 holds whatever BLAS/LAPACK build the wheels carry.
@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import jet_reference as ref
 from jet_reference import assert_bitwise, bits
@@ -26,7 +25,7 @@ from jetpde.symtensor import SymMatrix, cubic_indices
 from jetpde.verify import (
     LINE,
     SOUNDNESS_TOL,
-    _brent,
+    _illinois,
     _line_root,
     generators,
     residual_scales,
@@ -35,22 +34,42 @@ from jetpde.verify import (
     seed_states,
 )
 
-XTOL, RTOL, MAXITER = 1e-15, 8.9e-16, 200
+
+class Recorded:
+    """The lockstep polish's f over a list of scalar functions, one per row,
+    keeping every point each row was evaluated at, with its value."""
+
+    def __init__(self, fs, a, b):
+        self.fs = fs
+        self.seen = [[(x, f(x)) for x in (ai, bi)] for f, ai, bi in zip(fs, a, b)]
+        self.calls = 0
+
+    def __call__(self, rows, x):
+        self.calls += 1
+        values = [self.fs[r](t) for r, t in zip(rows.tolist(), x.tolist())]
+        for r, t, v in zip(rows.tolist(), x.tolist(), values):
+            self.seen[r].append((t, v))
+        return np.array(values)
+
+    def polish(self, rows=None):
+        """_illinois over the cells of ``rows`` (all by default), in one batch."""
+        rows = range(len(self.fs)) if rows is None else rows
+        a, b = (np.array([self.seen[r][e][0] for r in rows]) for e in (0, 1))
+        fa, fb = (np.array([self.seen[r][e][1] for r in rows]) for e in (0, 1))
+        return _illinois(a, b, fa, fb, lambda live, x: self(np.asarray(rows)[live], x))
 
 
-def polish(f, a: float, b: float):
-    """Drive the coroutine over the cell [a, b] with f; its root or None."""
-    gen = _brent(a, b, f(a), f(b))
-    try:
-        x = gen.send(None)
-        while True:
-            x = gen.send(f(x))
-    except StopIteration as stop:
-        return None if stop.value is None else stop.value[0]
-
-
-def same_float(got, want):
-    assert bits(got) == bits(want), (got, want)
+def assert_ends_in_a_sign_change(rec: Recorded, roots, values):
+    # a root has value 0, or some point evaluated for its row lies within
+    # the tolerance of it and has a value of the other sign; it lies inside
+    # its cell, and its value is the one f gives there
+    for r, (x, fx) in enumerate(zip(roots.tolist(), values.tolist())):
+        (a, _), (b, _) = rec.seen[r][:2]
+        assert min(a, b) <= x <= max(a, b)
+        assert bits(fx) == bits(dict(rec.seen[r])[x])
+        tol = 1e-15 + 8.9e-16 * abs(x)
+        assert fx == 0.0 or any(abs(t - x) <= tol and (v < 0.0) != (fx < 0.0) and v == v
+                                for t, v in rec.seen[r]), (r, x)
 
 
 def synthetic(rng, kind: int):
@@ -64,24 +83,77 @@ def synthetic(rng, kind: int):
     return lambda x: s * (math.exp(0.5 * c[0] * x) - 1.5 + c[1] * x - c[2] * math.sin(3.0 * x))
 
 
-def test_polish_matches_brentq_on_synthetic_brackets():
+def synthetic_brackets() -> Recorded:
+    """Every cell of -3, -2.25, ..., 3 with a sign change, over 2700 synthetic functions."""
     rng = np.random.default_rng(2024)
-    checked = 0
+    fs, a, b = [], [], []
     for k in range(2700):
         f = synthetic(rng, k % 3)
         ts = np.linspace(-3.0, 3.0, 9).tolist()
-        for a, b in zip(ts, ts[1:]):
-            if f(a) * f(b) < 0.0:
-                same_float(polish(f, a, b), brentq(f, a, b, xtol=XTOL, rtol=RTOL, maxiter=MAXITER))
-                checked += 1
-    assert checked >= 4000
+        for lo, hi in zip(ts, ts[1:]):
+            if f(lo) * f(hi) < 0.0:
+                fs.append(f)
+                a.append(lo)
+                b.append(hi)
+    return Recorded(fs, a, b)
+
+
+def test_polish_ends_in_a_sign_change_on_synthetic_brackets():
+    rec = synthetic_brackets()
+    assert len(rec.fs) >= 4000
+    roots, values = rec.polish()
+    assert not np.isnan(roots).any()
+    assert_ends_in_a_sign_change(rec, roots, values)
+    assert rec.calls <= 200
+    # the mirror takes the same steps on Python floats
+    for r, f in enumerate(rec.fs):
+        (a, fa), (b, fb) = rec.seen[r][:2]
+        assert bits(ref.illinois(f, a, b, fa, fb)) == bits(roots[r])
+
+
+def test_polish_rows_match_batches_of_one():
+    # a row's steps do not depend on the rows it is polished with
+    rec = synthetic_brackets()
+    roots, values = rec.polish()
+    for r in range(0, len(rec.fs), 7):
+        one = rec.polish([r])
+        assert_bitwise(one[0], roots[r : r + 1])
+        assert_bitwise(one[1], values[r : r + 1])
 
 
 @pytest.mark.parametrize("a,b", [(-1.0, 0.5), (0.5, 2.0), (-0.0, 1.0)])
 def test_zero_end_is_the_root(a, b):
-    # brentq returns an end whose value is zero before any step
+    # the end whose value is zero is returned with no residual call
     f = lambda x: x * (x - 0.5)  # noqa: E731
-    same_float(polish(f, a, b), brentq(f, a, b, xtol=XTOL, rtol=RTOL, maxiter=MAXITER))
+    rec = Recorded([f], [a], [b])
+    roots, values = rec.polish()
+    end = a if f(a) == 0.0 else b
+    assert rec.calls == 0 and bits(roots[0]) == bits(end) and values[0] == 0.0
+    assert bits(ref.illinois(f, a, b, f(a), f(b))) == bits(end)
+
+
+def test_nan_ends_the_polish():
+    # the first row meets a nan inside its cell; the second polishes on
+    nan_inside = lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5  # noqa: E731
+    rec = Recorded([nan_inside, lambda x: x - 0.5], [0.0, 0.0], [1.0, 1.0])
+    roots, values = rec.polish()
+    assert math.isnan(values[0])  # no root
+    assert abs(roots[1] - 0.5) <= 2e-15 and values[1] == roots[1] - 0.5
+    assert ref.illinois(nan_inside, 0.0, 1.0, -0.5, 0.5) is None
+
+
+@pytest.mark.parametrize("fa,fb", [
+    (-math.inf, 0.7), (-0.3, math.inf), (-math.inf, math.inf), (math.inf, -0.7),
+])
+def test_infinite_ends_polish_to_a_root(fa, fb):
+    # an inf end value makes the secant step nan or an end: the round bisects
+    f = lambda x: (x - 0.3) * (1.0 if fa < 0.0 else -1.0)  # noqa: E731
+    rec = Recorded([f], [0.0], [1.0])
+    rec.seen[0] = [(0.0, fa), (1.0, fb)]
+    roots, values = rec.polish()
+    assert abs(roots[0] - 0.3) <= 1e-15 + 8.9e-16 * 0.3
+    assert_ends_in_a_sign_change(rec, roots, values)
+    assert bits(ref.illinois(f, 0.0, 1.0, fa, fb)) == bits(roots[0])
 
 
 def line_jet(desc, lower, entries, t):
@@ -98,17 +170,17 @@ QUOTIENT = (tauring(2) - const(10.0)) / (const(1.0) + tauring(2) ** 2)
 @pytest.mark.parametrize("geometry,expr", [
     ("euclidean", "minimal_surface"), ("euclidean", "monge_ampere"), ("conformal", QUOTIENT),
 ])
-def test_polish_matches_brentq_on_reference_draws(geometry, expr, n):
+def test_polish_ends_in_a_sign_change_on_reference_draws(geometry, expr, n):
     # every bracketed row of the Euclidean sampler's draws: the first cell of
     # the scan whose end values have a negative product
     desc = build(GeometryTag(geometry, n), expr)
-    checked = 0
+    fs, a, b = [], [], []
     for seed in range(60):
         rng = np.random.default_rng((seed, 3))
         lower = (0.5 * rng.standard_normal(n), 0.5 * rng.standard_normal(), 0.5 * rng.standard_normal(n))
         entries = rng.standard_normal(n * (n + 1) // 2)
 
-        def f(t):
+        def f(t, lower=lower, entries=entries):
             return residual(desc, line_jet(desc, lower, entries, t))
 
         ts = LINE.tolist()
@@ -117,21 +189,15 @@ def test_polish_matches_brentq_on_reference_draws(geometry, expr, n):
             if vals[k] == 0.0:
                 break
             if vals[k] * vals[k + 1] < 0.0:
-                want = brentq(f, ts[k], ts[k + 1], xtol=XTOL, rtol=RTOL, maxiter=MAXITER)
-                same_float(polish(f, ts[k], ts[k + 1]), want)
-                checked += 1
+                fs.append(f)
+                a.append(ts[k])
+                b.append(ts[k + 1])
                 break
-    assert checked >= 30
-
-
-def test_nan_ends_the_polish():
-    gen = _brent(0.0, 1.0, -1.0, 1.0)
-    gen.send(None)
-    with pytest.raises(StopIteration) as stop:
-        gen.send(math.nan)
-    assert stop.value.value is None
-    with pytest.raises(ValueError):  # where scipy's brentq raises
-        brentq(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, 0.0, 1.0)
+    assert len(fs) >= 30
+    rec = Recorded(fs, a, b)
+    roots, values = rec.polish()
+    assert not np.isnan(roots).any()
+    assert_ends_in_a_sign_change(rec, roots, values)
 
 
 # a scan-path expression: lam has no polynomial form along the line
@@ -311,6 +377,7 @@ CASES = {
     "affine_cubic": ("affine", "affine_cubic", False),
     "projective_cubic": ("projective", "projective_cubic", False),
     "pick_minus_one": ("projective", pick() - 1.0, True),  # no draw is sound
+    "tau1_quotient": ("euclidean", (tau(1) - 1.0) / (tau(1) ** 2 + 1.0), False),  # scanned and polished
 }
 
 
