@@ -16,13 +16,11 @@ J = diag(-1, 1, ..., 1).
 import numpy as np
 import pytest
 
+from jetpde.geometries import GEOMETRY
 from jetpde.groups import Elements, expm, prolong_batch
 from jetpde.jetspace import JetBatch
 
 H = 1e-5
-CHART = {"euclidean": "euclidean", "conformal": "sphere_stereographic", "affine": "euclidean",
-         "projective": "projective_affine_chart"}
-ORDER = {"euclidean": 2, "conformal": 2, "affine": 3, "projective": 3}
 
 
 def unit(k: int, i: int, j: int) -> np.ndarray:
@@ -38,8 +36,7 @@ def algebra(kind: str, n: int) -> tuple[list, list]:
         k = n + 1
         mats = ([unit(k, i, j) - unit(k, j, i) for i in range(k) for j in range(i)] if kind == "euclidean"
                 else [unit(k, i, j) for i in range(k) for j in range(k)])
-        zero = np.zeros(k)
-        return mats + [np.zeros((k, k))] * k, [zero] * len(mats) + list(np.eye(k))
+        return mats + [np.zeros((k, k))] * k, [np.zeros(k)] * len(mats) + list(np.eye(k))
     if kind == "projective":
         k = n + 2
         mats = [unit(k, i, j) for i in range(k) for j in range(k) if i != j]
@@ -55,8 +52,9 @@ def fiducial(kind: str, n: int, positive: int) -> JetBatch:
     """The fiducial jet at the origin, as a batch of one."""
     rows, cols = np.tril_indices(n)  # the packed Hessian's entries
     hess = np.where(rows < positive, 1.0, -1.0) * (rows == cols) * (kind != "euclidean")
-    cubic = np.zeros((1, n * (n + 1) * (n + 2) // 6)) if ORDER[kind] == 3 else None
-    return JetBatch(CHART[kind], np.zeros((1, n)), np.zeros(1), np.zeros((1, n)), hess[None], cubic)
+    cubic = np.zeros((1, n * (n + 1) * (n + 2) // 6)) if GEOMETRY[kind].order == 3 else None
+    zero = np.zeros((1, n))
+    return JetBatch(GEOMETRY[kind].chart, zero, np.zeros(1), zero, hess[None], cubic)
 
 
 def tangents(kind: str, n: int, positive: int) -> np.ndarray:
@@ -82,16 +80,15 @@ def rank(D: np.ndarray) -> int:
     return r
 
 
-FIBRE = {"euclidean": lambda n: 0, "conformal": lambda n: 1, "affine": lambda n: n, "projective": lambda n: n}
-CASES = [(kind, n, p) for kind in ORDER for n in (2, 3, 5)
+CASES = [(kind, n, p) for kind in GEOMETRY for n in (2, 3, 5)
          for p in ([n] if kind in ("euclidean", "conformal") else range(n, (n - 1) // 2, -1))]
 
 
 @pytest.mark.parametrize("kind,n,positive", CASES)
 def test_orbit_is_open_below_and_an_affine_sub_bundle_on_top(kind, n, positive):
     D = tangents(kind, n, positive)
-    lower = 2 * n + 1 + (n * (n + 1) // 2 if ORDER[kind] == 3 else 0)  # dim J^(k-1)
+    lower = 2 * n + 1 + (n * (n + 1) // 2 if GEOMETRY[kind].order == 3 else 0)  # dim J^(k-1)
     # the projection to J^(k-1) is onto: the orbit of (k-1)-jets is open
     assert rank(D[:, :lower]) == lower
     # the k-jets over it fill a fibre of the stated dimension
-    assert rank(D) == lower + FIBRE[kind](n)
+    assert rank(D) == lower + {"euclidean": 0, "conformal": 1}.get(kind, n)
