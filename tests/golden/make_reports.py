@@ -1,6 +1,6 @@
 """Write the golden report grid, ``reports.json`` beside this script.
 
-The grid is 5 presets x n = 2, 3 x seeds 7, 11, 13, each an invariance
+The grid is 5 presets x n = 2, 3, 4 x seeds 7, 11, 13, each an invariance
 report of 300 samples at the default scales and tolerance.  The file
 records the numpy version it was made with, since maxima are compared bit
 for bit only under that version (``tests/test_golden.py``).
@@ -30,7 +30,7 @@ PRESETS = (
     ("affine_cubic", "affine"),
     ("projective_cubic", "projective"),
 )
-NS = (2, 3)
+NS = (2, 3, 4)
 SEEDS = (7, 11, 13)
 SAMPLES = 300
 

@@ -1,4 +1,4 @@
-"""The golden report grid: 5 presets x n = 2, 3 x seeds 7, 11, 13, each
+"""The golden report grid: 5 presets x n = 2, 3, 4 x seeds 7, 11, 13, each
 with 300 samples, recomputed and compared with ``golden/reports.json``.
 
 Counts and verdicts must match on every platform.  The maxima must match
