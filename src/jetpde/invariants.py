@@ -249,9 +249,10 @@ def pick_norm(g: SymMatrix, C: SymCubic) -> float:
     return float(np.einsum("il,jm,kn,ijk,lmn->", ginv, ginv, ginv, Cf, Cf))
 
 
-def _nondegenerate_dets(lams: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Products of the Hessian spectra (m, n), and {row: DegenerateHessian}
-    for the rows on the degenerate locus."""
+def hessian_dets(lams: np.ndarray) -> tuple[np.ndarray, dict]:
+    """det of each Hessian from its spectrum, a row of ``lams`` (m, n) as
+    ``np.linalg.eigh`` gives it, and {row: DegenerateHessian} for the rows
+    with |det| below DEGENERATE_HESSIAN_RTOL * |hess|_2^n."""
     det = lams.prod(axis=-1)
     scale = np.abs(lams).max(axis=-1)
     scale[scale == 0.0] = 1.0
@@ -261,13 +262,6 @@ def _nondegenerate_dets(lams: np.ndarray) -> tuple[np.ndarray, dict]:
     return det, {int(i): DegenerateHessian(f"|det hess| = {abs(det[i]):.3e}") for i in np.flatnonzero(bad)}
 
 
-def hessian_dets(H: np.ndarray) -> tuple[np.ndarray, dict]:
-    """det of each full Hessian of the stack (m, n, n), and {row:
-    DegenerateHessian} for the rows with |det| below
-    DEGENERATE_HESSIAN_RTOL * |hess|_2^n."""
-    return _nondegenerate_dets(np.linalg.eigvalsh(H))
-
-
 def hessian_congruence(hess: SymMatrix) -> tuple[np.ndarray, Signature]:
     """B with det B > 0 and hess = 2 B^T eps B, eps = diag(1_d, -1_{n-d}).
 
@@ -275,7 +269,7 @@ def hessian_congruence(hess: SymMatrix) -> tuple[np.ndarray, Signature]:
     :func:`hessian_dets` reports it.
     """
     lams, Q = np.linalg.eigh(hess.full())
-    _, errors = _nondegenerate_dets(lams[None])
+    _, errors = hessian_dets(lams[None])
     if errors:
         raise errors[0]
     idx = np.argsort(-lams)  # descending: positive directions first
@@ -294,31 +288,38 @@ def _others(n: int) -> np.ndarray:
     return np.array([[k for k in range(n) if k != i] for i in range(n)]).reshape(n, n - 1)
 
 
-def pick_numerators(H: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Q = det(hess)^3 pick_norm(hess, tracefree_cubic(hess, cubic)), a polynomial,
-    for each full Hessian of the stack H (m, n, n) and full cubic of C
-    (m, n, n, n).
-
-    With A = adj(hess) and s_k = A^{ij} C_{ijk},
-    Q = A^{il} A^{jm} A^{kn} C_{ijk} C_{lmn} - 3/(n+2) s.A.s; the adjugate
-    comes from the spectrum without dividing by det, so Q is defined on the
-    degenerate locus too.
-    """
-    lams, V = np.linalg.eigh(H)
+def adjugates(lams: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """adj(hess) for each Hessian of a stack from its spectrum, ``lams``
+    (m, n) and ``V`` (m, n, n) as ``np.linalg.eigh`` gives them: V diag(c)
+    V^T with c_i the product of the other eigenvalues, so no division by
+    det, and the adjugate is defined on the degenerate locus too."""
     n = lams.shape[-1]
     others = _others(n)
     cofactors = lams[:, others[:, 0]] if n > 1 else np.ones_like(lams)
     for k in range(1, n - 1):
         cofactors = cofactors * lams[:, others[:, k]]
-    A = (V * cofactors[:, None, :]) @ V.swapaxes(1, 2)
+    return (V * cofactors[:, None, :]) @ V.swapaxes(1, 2)
+
+
+def pick_numerators(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Q = det(hess)^3 pick_norm(hess, tracefree_cubic(hess, cubic)), a polynomial,
+    for each adjugate A = adj(hess) of the stack (m, n, n) (:func:`adjugates`)
+    and full cubic of C (m, n, n, n).
+
+    With s_k = A^{ij} C_{ijk},
+    Q = A^{il} A^{jm} A^{kn} C_{ijk} C_{lmn} - 3/(n+2) s.A.s.
+    """
+    n = A.shape[-1]
     s = np.einsum("xij,xijk->xk", A, C)
     full = np.einsum("xil,xjm,xkn,xijk,xlmn->x", A, A, A, C, C)
     return full - 3.0 / (n + 2.0) * (s[:, None, :] @ A @ s[:, :, None])[:, 0, 0]
 
 
 def pick_numerator(hess: SymMatrix, cubic: SymCubic) -> float:
-    """The stack of one of :func:`pick_numerators`."""
-    return float(pick_numerators(hess.full()[None], cubic.full()[None])[0])
+    """The stack of one of :func:`pick_numerators`, its adjugate from
+    ``np.linalg.eigh`` of the Hessian."""
+    A = adjugates(*np.linalg.eigh(hess.full()[None]))
+    return float(pick_numerators(A, cubic.full()[None])[0])
 
 
 def F_aff3(j: GraphJet) -> float:

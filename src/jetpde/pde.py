@@ -46,6 +46,7 @@ from .exactpoly import Poly
 from .groups import GeometryTag, normalize_to_origin
 from .invariants import (
     F_AFF3_MONOMIALS,
+    adjugates,
     elementary_symmetric,
     eigenvalues,
     hessian_dets,
@@ -215,12 +216,15 @@ def _eval_tree(e: Expr, leaf_value):
     return _fold(e, lambda e: e.value if e.op == "const" else leaf_value(e), _eval_node)
 
 
-def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
+def residuals(desc: PdeDescriptor, jets: JetBatch, spectrum=None) -> tuple[np.ndarray, dict]:
     """Scalars whose vanishing says the jets solve the PDE, one per row, and
     {row: DegenerateHessian} for the rows skipped on the degenerate locus.
 
     The leaves are the stacked invariants of the rows, each leaf computed
-    once, so each row is bitwise the value a batch of one gives.  A skipped
+    once, so each row is bitwise the value a batch of one gives.  The
+    ``pick`` leaf reads det and adjugate off one spectrum of the rows' full
+    Hessians, ``np.linalg.eigh``'s (eigenvalues, eigenvectors): ``spectrum``
+    when the caller has it, else its own.  A skipped
     row's value is nan, so no later node can raise for it.  numpy warnings
     are off: as for Python floats, an overflow or an inf - inf is a value,
     which a report counts as an infinite defect.
@@ -237,9 +241,10 @@ def residuals(desc: PdeDescriptor, jets: JetBatch) -> tuple[np.ndarray, dict]:
     def pick_leaf() -> np.ndarray:
         # the normalized jet has hess = 2 eps, so the pick norm against eps
         # is 8 pick_norm(hess, C0) = 8 Q / det^3
-        det, degenerate = hessian_dets(H)
+        lams, V = np.linalg.eigh(H) if spectrum is None else spectrum
+        det, degenerate = hessian_dets(lams)
         skipped.update(degenerate)
-        out = 8.0 * pick_numerators(H, jets.cubic[:, _cubic_gather(jets.n)]) / pow_rows(det, 3)
+        out = 8.0 * pick_numerators(adjugates(lams, V), jets.cubic[:, _cubic_gather(jets.n)]) / pow_rows(det, 3)
         out[list(degenerate)] = np.nan  # computed like the others: no row reads another
         return out
 

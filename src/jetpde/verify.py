@@ -42,7 +42,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch
 from .groups import affine_element, prolong, prolong_batch, random_elements
-from .invariants import eigenvalues, hessian_dets, pick_numerators, sym_outers
+from .invariants import adjugates, eigenvalues, hessian_dets, pick_numerators, sym_outers
 from .jetspace import GraphJet, JetBatch, extend_rows, jet_extend, to_poly
 from .pde import PdeDescriptor, homogeneity_degree, line_degree, pick, residuals, tauring
 from .symtensor import _cubic_gather, _matrix_gather, cubic_indices
@@ -127,15 +127,18 @@ class Report:
         }
 
 
-def residual_scales(desc: PdeDescriptor, jets: JetBatch) -> np.ndarray:
+def residual_scales(desc: PdeDescriptor, jets: JetBatch, lams=None) -> np.ndarray:
     """The residual's homogeneity scale at each jet of the batch.
 
     Second order: (1 + |hess|)^degree.  Third order: each ``pick`` leaf is
     8 Q / det(hess)^3 with Q of degree 3(n-1) in hess and 2 in cubic, so
     the scale per pick is (1 + |hess|)^(3(n-1)) (1 + |cubic|)^2 / |det hess|^3;
     the defect then measures Q itself and stays well conditioned near
-    det(hess) = 0, where the residual is not.  Raises DegenerateHessian
-    when a third-order scale meets the degenerate locus.
+    det(hess) = 0, where the residual is not.  det is the product of the
+    Hessian's ``np.linalg.eigh`` eigenvalues, ``lams`` (m, n) when the
+    caller has them (the spectrum :func:`~jetpde.pde.residuals` read).
+    Raises DegenerateHessian when a third-order scale meets the
+    degenerate locus.
     """
     degree = homogeneity_degree(desc.expr)
     n = jets.n
@@ -146,7 +149,7 @@ def residual_scales(desc: PdeDescriptor, jets: JetBatch) -> np.ndarray:
         return pow_rows(hess, degree)
     if degree == 0:
         return np.ones(len(jets))
-    det, degenerate = hessian_dets(H)
+    det, degenerate = hessian_dets(np.linalg.eigh(H)[0] if lams is None else lams)
     if degenerate:
         raise next(iter(degenerate.values()))
     cubic = 1.0 + norm_rows(jets.cubic[:, _cubic_gather(n)].reshape(len(jets), n**3))
@@ -396,7 +399,9 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     indefinite one a root of Q along the last coefficient of a drawn cubic,
     then along fresh lines (Q is quadratic in t, so :func:`_line_root`
     solves it from t = -1, 0, 1).
-    A round of tries makes one ``det`` or ``pick_numerators`` call.  Returns
+    A round of tries makes one ``det`` or ``pick_numerators`` call; one
+    spectrum of the Hessians gives definiteness and each line row's
+    adjugate for all its rounds.  Returns
     the rows drawn, their jets and whether each lies on the sub-bundle."""
     n, gather, size = lower.n, _matrix_gather(lower.n), len(cubic_indices(lower.n))
     hess, H, todo = first.copy(), first[:, gather], list(range(len(rngs)))
@@ -407,7 +412,7 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
         todo = [i for i, d in zip(todo, np.linalg.det(H[todo]).tolist()) if not abs(d) >= 0.3]
         if not todo:
             break
-    lams = np.linalg.eigvalsh(H)
+    lams, V = np.linalg.eigh(H)
     definite = (lams[:, 0] * lams[:, -1] > 0.0).tolist()
     failed = set(todo)
     drawn = [i for i in range(len(rngs)) if i not in failed]
@@ -420,11 +425,10 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     point[:, -1] = 0.0
     direction = np.zeros(point.shape)
     direction[:, -1] = 1.0
-    live = list(range(len(lines)))
+    A, live = adjugates(lams[lines], V[lines]), list(range(len(lines)))
     for _ in range(DRAW_TRIES if lines else 0):
         ends = point[live, None] + np.array([[0.0], [1.0], [-1.0]]) * direction[live, None]
-        q = pick_numerators(np.repeat(H[[lines[k] for k in live]], 3, axis=0),
-                            ends.reshape(-1, size)[:, _cubic_gather(n)])
+        q = pick_numerators(np.repeat(A[live], 3, axis=0), ends.reshape(-1, size)[:, _cubic_gather(n)])
         retry = []
         for k, (q0, q1, qm) in zip(live, q.reshape(-1, 3).tolist()):
             root = _line_root(qm, q0, q1, 1.0, 50.0)
@@ -451,8 +455,7 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
     :func:`_cubic_draws`), retrying in masked rounds.  A row that is not a
     sub-bundle point of ``ORBIT_EXPRS`` is kept only when |residual| <=
     SOUNDNESS_TOL * scale, so a nan residual is unsound; one
-    :func:`residual_scales` call checks them (and one :func:`residuals`
-    call where the draw does not know the residual).  A row whose 1-jet or
+    :func:`_scaled` call checks them.  A row whose 1-jet or
     umbilic overflows is dropped before the solves, and so finds no root.
     """
     n, count = desc.geometry.n, len(rngs)
@@ -483,11 +486,10 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
         checked = list(range(len(rows)))
     if checked:
         sub = jets if len(checked) == len(rows) else jets.take(checked)
-        if values is None:
-            values, degenerate = residuals(desc, sub)
-            if degenerate:
-                raise degenerate[min(degenerate)]
-        bad = (~(np.abs(values) <= SOUNDNESS_TOL * residual_scales(desc, sub))).tolist()  # nan is unsound
+        values, degenerate, _, scales = _scaled(desc, sub, values)
+        if degenerate:
+            raise degenerate[min(degenerate)]
+        bad = (~(np.abs(values) <= SOUNDNESS_TOL * scales)).tolist()  # nan is unsound
         unsound = {k for k, b in zip(checked, bad) if b}
         keep = [k for k in range(len(rows)) if k not in unsound]
         rows, jets = [rows[k] for k in keep], jets if len(keep) == len(rows) else jets.take(keep)
@@ -539,17 +541,31 @@ def _report(desc: str, seed: int, attempted: int, skipped: dict, max_defect: flo
                   _passed(max_defect, tol, evaluated, attempted))
 
 
+def _scaled(desc: PdeDescriptor, jets: JetBatch, values=None):
+    """The residuals of the batch's rows (``values`` when the caller has
+    them), {row: DegenerateHessian} for the rows they skip, the indices of
+    the other rows, the live ones, and the live rows' residual scales.  At
+    third order the residuals and the scales read one Hessian spectrum."""
+    spectrum = np.linalg.eigh(jets.hess[:, _matrix_gather(jets.n)]) if jets.order == 3 else None
+    degenerate: dict = {}
+    if values is None:
+        values, degenerate = residuals(desc, jets, spectrum)
+    live = np.delete(np.arange(len(jets)), list(degenerate))
+    lams = None if spectrum is None else spectrum[0]
+    if len(live) < len(jets):
+        jets, lams = jets.take(live), None if lams is None else lams[live]
+    return values, degenerate, live, residual_scales(desc, jets, lams)
+
+
 def _evaluate(desc: PdeDescriptor, jets: JetBatch, skipped: dict) -> tuple[float, np.ndarray]:
     """The evaluation stage of both reports: the residual of every row of
     the batch, each row it skips counted under its kind in ``skipped``, and
     the largest defect over the other rows, the live ones (0.0 when none is
     live).  Returns that maximum and the live rows' indices.
     """
-    values, degenerate = residuals(desc, jets)
+    values, degenerate, live, scales = _scaled(desc, jets)
     for exc in degenerate.values():
         skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
-    live = np.delete(np.arange(len(jets)), list(degenerate))
-    scales = residual_scales(desc, jets.take(live))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite defect is inf
         defects = np.abs(values[live]) / scales
     return float(np.where(np.isfinite(defects), defects, np.inf).max(initial=0.0)), live

@@ -454,7 +454,7 @@ def nondegenerate_det(lams: np.ndarray) -> float:
 
 
 def hessian_det(hess: SymMatrix) -> float:
-    return nondegenerate_det(np.linalg.eigvalsh(hess.full()))
+    return nondegenerate_det(np.linalg.eigh(hess.full())[0])
 
 
 def pick_numerator(hess: SymMatrix, cubic: SymCubic) -> float:
@@ -520,7 +520,7 @@ def sample_affine(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None
             break
     if hess is None:
         return None
-    lams = np.linalg.eigvalsh(hess.full())
+    lams = np.linalg.eigh(hess.full())[0]
     if all(lams > 0.0) or all(lams < 0.0):
         j = GraphJet(desc.chart, n, 3, base, u, grad, hess, sym_outer(rng.standard_normal(n), hess))
         if desc.expr == pick():

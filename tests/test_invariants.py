@@ -443,12 +443,12 @@ class TestHessianHelpers:
         rng = np.random.default_rng(43)
         for n in (1, 2, 3, 4):
             hess, _ = random_hess_cubic(rng, n, min_det=0.01)
-            det, errors = hessian_dets(hess.full()[None])
+            det, errors = hessian_dets(np.linalg.eigh(hess.full()[None])[0])
             assert not errors and np.isclose(det[0], np.linalg.det(hess.full()), rtol=1e-12)
 
     def test_degenerate(self):
         for diag in ([1.0, 0.0], [1.0, 1e-9, -2.0]):
-            _, errors = hessian_dets(SymMatrix.diag(diag).full()[None])
+            _, errors = hessian_dets(np.linalg.eigh(SymMatrix.diag(diag).full()[None])[0])
             assert list(errors) == [0] and type(errors[0]) is DegenerateHessian
         with pytest.raises(DegenerateHessian):
             hessian_congruence(SymMatrix(2))

@@ -213,8 +213,8 @@ def test_nan_inside_a_bracket_is_no_root(monkeypatch):
     real = verify.residuals
     polished = []
 
-    def planted(desc, jets):
-        values, skipped = real(desc, jets)
+    def planted(desc, jets, spectrum=None):
+        values, skipped = real(desc, jets, spectrum)
         off_grid = ~np.isin(jets.hess[:, -1], LINE)
         polished.append(int(off_grid.sum()))
         return np.where(off_grid, np.nan, values), skipped
@@ -242,8 +242,8 @@ def test_nan_at_the_roots_is_no_root(monkeypatch, geometry, preset, kept):
     ends = LINE[[0, LINE.size // 2, -1]]
     real, real_ref = verify.residuals, ref.residual
 
-    def planted(desc, jets):
-        values, skipped = real(desc, jets)
+    def planted(desc, jets, spectrum=None):
+        values, skipped = real(desc, jets, spectrum)
         at_roots = np.full(len(jets), jets.order == 3) | ~np.isin(jets.hess[:, -1], ends)
         return np.where(at_roots, np.nan, values), skipped
 

@@ -572,7 +572,7 @@ class TestCheckSolution:
 
 def test_nan_residual_fails_invariance_report(monkeypatch):
     # the report's batched residual stage returns nan for every moved jet
-    monkeypatch.setattr(verify, "residuals", lambda desc, jets: (np.full(len(jets), np.nan), {}))
+    monkeypatch.setattr(verify, "residuals", lambda desc, jets, spectrum=None: (np.full(len(jets), np.nan), {}))
     rep = invariance_report(build(C2, "umbilical"), SampleConfig(seed=3, count=5))
     assert build(C2, "umbilical").expr == tauring(2)
     assert rep.evaluated > 0
