@@ -242,11 +242,23 @@ def tracefree_cubic(g: SymMatrix, C: SymCubic) -> SymCubic:
     return C - sym_outer(w, g)
 
 
+def _full_contractions(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """A^{il} A^{jm} A^{kn} C_{ijk} C_{lmn} for each row of the stacks A
+    (m, n, n) and C (m, n, n, n), one index at a time: three stacked
+    matmuls move C's first index to the end through A, then a dot with C
+    (3 n^4 + n^3 products per row, where the one-step sum has n^6 terms).
+    The stacks are C-contiguous; the widths are explicit, so an empty
+    stack gives an empty array."""
+    m, n = A.shape[0], A.shape[-1]
+    T = C
+    for _ in range(3):  # T[i, j, k] -> sum_i T[i, j, k] A[i, l] = T'[j, k, l]
+        T = T.reshape(m, n, n * n).swapaxes(1, 2) @ A
+    return (T.reshape(m, 1, n**3) @ C.reshape(m, n**3, 1))[:, 0, 0]
+
+
 def pick_norm(g: SymMatrix, C: SymCubic) -> float:
     """Full g-contraction g^{ii'} g^{jj'} g^{kk'} C_{ijk} C_{i'j'k'}."""
-    ginv = _metric_inverse(g)
-    Cf = C.full()
-    return float(np.einsum("il,jm,kn,ijk,lmn->", ginv, ginv, ginv, Cf, Cf))
+    return float(_full_contractions(_metric_inverse(g)[None], C.full()[None])[0])
 
 
 def hessian_dets(lams: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -307,11 +319,15 @@ def pick_numerators(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     and full cubic of C (m, n, n, n).
 
     With s_k = A^{ij} C_{ijk},
-    Q = A^{il} A^{jm} A^{kn} C_{ijk} C_{lmn} - 3/(n+2) s.A.s.
+    Q = A^{il} A^{jm} A^{kn} C_{ijk} C_{lmn} - 3/(n+2) s.A.s, the first
+    term staged as :func:`_full_contractions` stages it and s a matmul.
+    Each row is bitwise its stack of one: the stacks are made contiguous
+    first, since BLAS takes another route for strided matrices.
     """
-    n = A.shape[-1]
-    s = np.einsum("xij,xijk->xk", A, C)
-    full = np.einsum("xil,xjm,xkn,xijk,xlmn->x", A, A, A, C, C)
+    A, C = np.ascontiguousarray(A), np.ascontiguousarray(C)
+    m, n = A.shape[0], A.shape[-1]
+    s = (A.reshape(m, 1, n * n) @ C.reshape(m, n * n, n))[:, 0]
+    full = _full_contractions(A, C)
     return full - 3.0 / (n + 2.0) * (s[:, None, :] @ A @ s[:, :, None])[:, 0, 0]
 
 

@@ -15,7 +15,7 @@ replaced:
 * the scalar group and third-order routes: one exponential (the
   library's :func:`jetpde.groups.expm` on a stack of one) and one
   re-projection per drawn element, the Hessian determinant and the pick
-  numerator of one jet (cofactors by ``math.prod``, unstacked einsums),
+  numerator of one jet (cofactors by ``math.prod``, the staged contraction on 2-D arrays),
   the third-order residual and the residual scale of one jet, the
   affine sampler with one pick-numerator call per line point and its
   sub-bundle cubic entry by entry, and the umbilic sampler entry by entry;
@@ -464,9 +464,11 @@ def pick_numerator(hess: SymMatrix, cubic: SymCubic) -> float:
     cofactors = [math.prod(spec[:i] + spec[i + 1 :]) for i in range(n)]
     A = (V * cofactors) @ V.T
     C = cubic.full()
-    s = np.einsum("ij,ijk->k", A, C)
-    full = np.einsum("il,jm,kn,ijk,lmn->", A, A, A, C, C)
-    return float(full - 3.0 / (n + 2.0) * (s @ A @ s))
+    s = A.reshape(n * n) @ C.reshape(n * n, n)
+    T = C
+    for _ in range(3):  # the library's staging, on 2-D arrays
+        T = T.reshape(n, n * n).T @ A
+    return float(T.reshape(n**3) @ C.reshape(n**3) - 3.0 / (n + 2.0) * (s @ A @ s))
 
 
 def residual_scale(desc: PdeDescriptor, j: GraphJet) -> float:
