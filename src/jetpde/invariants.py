@@ -22,12 +22,19 @@ Hessians of shape (m, n, n), with one gradient (n,) shared by the stack
 or one per row (m, n);
 :func:`tau_d` takes an (n, n) or (m, n, n) matrix and
 :func:`elementary_symmetric` an (n,) or (m, n) spectrum.
-:func:`pick_numerators` is the stacked form of :func:`pick_numerator`,
-which is its stack of one.  A stack gives one value (or matrix, or
+A stack gives one value (or matrix, or
 spectrum) per row, each bitwise equal to the single-matrix result: the
 rows go through the same per-matrix BLAS/LAPACK calls (dot products
 included, see :func:`~jetpde.taylor.sumsq_rows`), the same float powers
 and the same elementwise operations in the same order.
+
+Third order reads a stack of Hessians through one spectrum, the
+eigenvalues and eigenvectors ``np.linalg.eigh`` gives: :func:`hessian_dets`
+takes det and the degenerate test from the eigenvalues, and
+:func:`adjugates` the adjugate from both.  :func:`pick_numerators`
+contracts the adjugates with the cubics one index at a time, three
+stacked matmuls and a dot (3 n^4 + n^3 products per row), and
+:func:`pick_numerator` is its stack of one.
 """
 
 from __future__ import annotations
@@ -322,7 +329,7 @@ def pick_numerators(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     Q = A^{il} A^{jm} A^{kn} C_{ijk} C_{lmn} - 3/(n+2) s.A.s, the first
     term staged as :func:`_full_contractions` stages it and s a matmul.
     Each row is bitwise its stack of one: the stacks are made contiguous
-    first, since BLAS takes another route for strided matrices.
+    first, since matmul takes another route for a strided stack.
     """
     A, C = np.ascontiguousarray(A), np.ascontiguousarray(C)
     m, n = A.shape[0], A.shape[-1]

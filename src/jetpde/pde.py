@@ -7,7 +7,9 @@ expression on the second-order invariants directly.  Affine and projective
 residuals evaluate the ``pick`` leaf in closed form from the Hessian H and
 the cubic C alone: the squared norm of the H-trace-free part of C against
 H, ``8 Q / det(H)^3`` with Q the polynomial of
-:func:`~jetpde.invariants.pick_numerator`.  ``residual_via_normalization``
+:func:`~jetpde.invariants.pick_numerator`; det and the adjugate in Q come
+from one ``eigh`` spectrum of the Hessians, which a caller that holds it
+passes in.  ``residual_via_normalization``
 keeps the moving-frame route (normalize the jet to the origin, then read
 the invariants off the normal form) as an independent check.
 :func:`residuals` evaluates a whole jet batch at once, one value per

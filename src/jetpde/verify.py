@@ -550,9 +550,9 @@ def _scaled(desc: PdeDescriptor, jets: JetBatch, values=None):
     degenerate: dict = {}
     if values is None:
         values, degenerate = residuals(desc, jets, spectrum)
-    live = np.delete(np.arange(len(jets)), list(degenerate))
-    lams = None if spectrum is None else spectrum[0]
-    if len(live) < len(jets):
+    live, lams = np.arange(len(jets)), None if spectrum is None else spectrum[0]
+    if degenerate:
+        live = np.delete(live, list(degenerate))
         jets, lams = jets.take(live), None if lams is None else lams[live]
     return values, degenerate, live, residual_scales(desc, jets, lams)
 

@@ -28,9 +28,9 @@ from jetpde.groups import (
     random_elements,
 )
 from jetpde.jetspace import GraphJet, JetBatch
-from jetpde.invariants import hessian_dets, pick_numerator
+from jetpde.invariants import adjugates, hessian_dets, pick_numerator, pick_numerators
 from jetpde.pde import build, const, pick, residual, residuals
-from jetpde.symtensor import SymCubic, SymMatrix
+from jetpde.symtensor import SymCubic, SymMatrix, _cubic_gather, _matrix_gather
 from jetpde.verify import (
     SampleConfig,
     generators,
@@ -208,6 +208,22 @@ def test_third_order_batch_of_one_matches_scalar_reference(geometry, n):
         for desc in descs:
             assert_same_value(outcome(residual, desc, j), outcome(ref.residual, desc, j))
             assert_same_value(outcome(residual_scale, desc, j), outcome(ref.residual_scale, desc, j))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pick_numerator_stack_rows_are_batches_of_one(n):
+    # the staged contraction on a stack gathered from packed storage (a
+    # strided array, as in the residual) gives each row's batch of one, and
+    # the mirror's 2-D staging, bit for bit; every fifth Hessian is degenerate
+    rng = np.random.default_rng((n, 29))
+    hess = rng.standard_normal((40, n * (n + 1) // 2))
+    hess[::5] = [degenerate(rng, n).data for _ in range(8)]
+    cubic = rng.standard_normal((40, len(SymCubic(n).data)))
+    q = pick_numerators(adjugates(*np.linalg.eigh(hess[:, _matrix_gather(n)])), cubic[:, _cubic_gather(n)])
+    for i in range(40):
+        h, c = SymMatrix(n, hess[i]), SymCubic(n, cubic[i])
+        assert_bitwise(q[i], pick_numerator(h, c))
+        assert_bitwise(q[i], ref.pick_numerator(h, c))
 
 
 @pytest.mark.parametrize("n", (2, 3))

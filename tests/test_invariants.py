@@ -26,7 +26,7 @@ from jetpde.invariants import (
     tracefree_shape,
 )
 from jetpde.jetspace import GraphJet
-from jetpde.symtensor import SymCubic, SymMatrix
+from jetpde.symtensor import SymCubic, SymMatrix, _cubic_gather, _matrix_gather
 
 
 def sphere_embedding(u):
@@ -436,6 +436,57 @@ class TestPickNumerator:
             relation = sym_outer(rng.standard_normal(n), hess)
             scale = (1.0 + hess.norm()) ** (3 * (n - 1)) * (1.0 + relation.norm()) ** 2
             assert abs(pick_numerator(hess, relation)) <= 1e-12 * scale
+
+
+def einsum_numerators(A, C, sign=-1.0):
+    """The one-step sums the staged contraction replaced: Q by the 5-operand
+    einsum (cubics first, so that a huge adjugate meets the small cubics
+    before it meets itself).  With ``sign`` +1 on |A| and |C| it is the sum
+    of the terms' magnitudes, which bounds either route's rounding."""
+    n = A.shape[-1]
+    s = np.einsum("xij,xijk->xk", A, C)
+    full = np.einsum("xijk,xlmn,xil,xjm,xkn->x", C, C, A, A, A)
+    return full + sign * 3.0 / (n + 2.0) * np.einsum("xi,xij,xj->x", s, A, s)
+
+
+def contraction_stacks(rng, n, kind, m=60):
+    """Full Hessians (m, n, n) and cubics (m, n, n, n), gathered from packed
+    storage as the residual gathers them.  ``degenerate``: rank n - 1, so
+    det = 0; ``adjugate``: H scaled so that adj H moves by 1e+-100, and C
+    by 1e-+100; ``cubic``: C scaled by 1e+-100."""
+    H = rng.standard_normal((m, n * (n + 1) // 2))[:, _matrix_gather(n)]
+    C = rng.standard_normal((m, len(SymCubic(n).data)))[:, _cubic_gather(n)]
+    if kind == "degenerate":
+        W = rng.standard_normal((m, n, n - 1))
+        H = np.sign(rng.standard_normal((m, 1, 1))) * (W @ W.swapaxes(1, 2))
+    e = np.where(np.arange(m) % 2 == 0, 100.0, -100.0)
+    if kind == "adjugate":
+        H, C = H * 10.0 ** (e / max(n - 1, 1))[:, None, None], C * 10.0 ** -e[:, None, None, None]
+    if kind == "cubic":
+        C = C * 10.0 ** e[:, None, None, None]
+    return H, C
+
+
+class TestStagedContraction:
+    # the staged matmuls against the one-step einsum, relative to the sum of
+    # the terms' magnitudes: 6.9e-15 at most (n = 1-8, 60 rows of each
+    # kind), where the bound is 1e-12
+    @pytest.mark.parametrize("kind", ["random", "degenerate", "adjugate", "cubic"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_einsum(self, n, kind):
+        rng = np.random.default_rng((n, len(kind), 53))
+        H, C = contraction_stacks(rng, n, kind)
+        A = invariants.adjugates(*np.linalg.eigh(H))
+        got, want = invariants.pick_numerators(A, C), einsum_numerators(A, C)
+        bound = einsum_numerators(np.abs(A), np.abs(C), sign=1.0)
+        assert np.isfinite(bound).all() and np.isfinite(got).all()
+        assert (np.abs(got - want) <= 1e-12 * bound).all()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_empty_stack(self, n):
+        A = invariants.adjugates(np.zeros((0, n)), np.zeros((0, n, n)))
+        assert A.shape == (0, n, n)
+        assert invariants.pick_numerators(A, np.zeros((0, n, n, n))).shape == (0,)
 
 
 class TestHessianHelpers:
