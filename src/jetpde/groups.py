@@ -571,22 +571,21 @@ def _skew(M: np.ndarray) -> np.ndarray:
 
 def _draw_elements(tag: GeometryTag, rngs, scale: float) -> Elements:
     """Unchecked elements, one per generator: each generator fills its
-    Lie-algebra element's normals (then its shift's) in one preallocated
-    stack, then the stack is made into Lie-algebra elements and one stacked
-    :func:`expm` and re-projection make the group elements.  The scale must
-    be finite, and an exponential that overflows raises before the
-    re-projection."""
+    Lie-algebra element's normals, then its shift's, by one call into its
+    row of one preallocated stack, then the stack is made into Lie-algebra
+    elements and one stacked :func:`expm` and re-projection make the group
+    elements.  The scale must be finite, and an exponential that overflows
+    raises before the re-projection."""
     if scale < 0:
         raise SchemaMismatch("scale must be non-negative")
     if not math.isfinite(scale):
         raise SchemaMismatch("scale must be finite")
     n, k = tag.n, tag.facts.size(tag.n)
-    gens = np.empty((len(rngs), k, k))
-    shifts = np.empty((len(rngs), n + 1)) if tag.facts.shifted else None
+    z = np.empty((len(rngs), k * k + (n + 1 if tag.facts.shifted else 0)))
     for i, rng in enumerate(rngs):
-        rng.standard_normal(out=gens[i])
-        if shifts is not None:
-            rng.standard_normal(out=shifts[i])
+        rng.standard_normal(out=z[i])
+    gens = z[:, : k * k].reshape(len(rngs), k, k)
+    shifts = z[:, k * k :] if tag.facts.shifted else None
     # an overflow to inf or nan is caught by _check_finite, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         if tag.name == "euclidean":

@@ -8,8 +8,8 @@ residuals evaluate the ``pick`` leaf in closed form from the Hessian H and
 the cubic C alone: the squared norm of the H-trace-free part of C against
 H, ``8 Q / det(H)^3`` with Q the polynomial of
 :func:`~jetpde.invariants.pick_numerator`; det and the adjugate in Q come
-from one ``eigh`` spectrum of the Hessians, which a caller that holds it
-passes in.  ``residual_via_normalization``
+from one ``eigh`` spectrum of the Hessians and its one det, which a
+caller that holds them passes in.  ``residual_via_normalization``
 keeps the moving-frame route (normalize the jet to the origin, then read
 the invariants off the normal form) as an independent check.
 :func:`residuals` evaluates a whole jet batch at once, one value per
@@ -60,7 +60,7 @@ from .invariants import (
     tracefree_shape,
 )
 from .jetspace import GraphJet, JetBatch
-from .symtensor import _cubic_gather, _matrix_gather
+from .symtensor import _matrix_gather, full_cubics
 from .taylor import pow_rows
 
 DIV_EPS = 1e-300
@@ -225,8 +225,9 @@ def residuals(desc: PdeDescriptor, jets: JetBatch, spectrum=None) -> tuple[np.nd
     The leaves are the stacked invariants of the rows, each leaf computed
     once, so each row is bitwise the value a batch of one gives.  The
     ``pick`` leaf reads det and adjugate off one spectrum of the rows' full
-    Hessians, ``np.linalg.eigh``'s (eigenvalues, eigenvectors): ``spectrum``
-    when the caller has it, else its own.  A skipped
+    Hessians, ``np.linalg.eigh``'s eigenvalues and eigenvectors followed by
+    :func:`~jetpde.invariants.hessian_dets` of the eigenvalues, (lams, V,
+    det, degenerate): ``spectrum`` when the caller has it, else its own.  A skipped
     row's value is nan, so no later node can raise for it.  numpy warnings
     are off: as for Python floats, an overflow or an inf - inf is a value,
     which a report counts as an infinite defect.
@@ -243,10 +244,13 @@ def residuals(desc: PdeDescriptor, jets: JetBatch, spectrum=None) -> tuple[np.nd
     def pick_leaf() -> np.ndarray:
         # the normalized jet has hess = 2 eps, so the pick norm against eps
         # is 8 pick_norm(hess, C0) = 8 Q / det^3
-        lams, V = np.linalg.eigh(H) if spectrum is None else spectrum
-        det, degenerate = hessian_dets(lams)
+        if spectrum is None:
+            lams, V = np.linalg.eigh(H)
+            det, degenerate = hessian_dets(lams)
+        else:
+            lams, V, det, degenerate = spectrum
         skipped.update(degenerate)
-        out = 8.0 * pick_numerators(adjugates(lams, V), jets.cubic[:, _cubic_gather(jets.n)]) / pow_rows(det, 3)
+        out = 8.0 * pick_numerators(adjugates(lams, V), full_cubics(jets.cubic, jets.n)) / pow_rows(det, 3)
         out[list(degenerate)] = np.nan  # computed like the others: no row reads another
         return out
 

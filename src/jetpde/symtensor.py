@@ -41,6 +41,12 @@ def _cubic_gather(n: int) -> np.ndarray:
     return np.array([pos[tuple(sorted(ijk))] for ijk in np.ndindex(n, n, n)]).reshape(n, n, n)
 
 
+def full_cubics(stored: np.ndarray, n: int) -> np.ndarray:
+    """The full tensors of a stack of stored cubics (m, size), as one
+    C-contiguous (m, n, n, n) array: a flat gather, then a view."""
+    return stored.take(_cubic_gather(n).ravel(), axis=1).reshape(len(stored), n, n, n)
+
+
 class _SymTensor:
     """Checked immutable storage of a symmetric tensor and the operations
     that act on it entry by entry; a subclass gives its layout: the

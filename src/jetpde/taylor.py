@@ -196,6 +196,8 @@ def pow_rows(x, k) -> np.ndarray:
     Where the float power overflows, the entry is inf, signed as ``v`` for
     an odd integer ``k``."""
     x = np.asarray(x, dtype=float)
+    if k == 1:  # v ** 1 is v, exactly
+        return x.copy()
     try:  # the builtin power on every entry, unless one overflows
         out = np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(k)), float, x.size)
     except OverflowError:

@@ -13,7 +13,11 @@ rounds.  Along a line in the affine fibre of J^k -> J^(k-1) a residual is
 often a polynomial of degree <= 2 (:func:`~jetpde.pde.line_degree`); there
 three values give its roots in closed form (:func:`_line_root`), and only
 the other second-order expressions scan their line, each row's first
-bracket polished in lockstep (:func:`_illinois`).  The group elements, the
+bracket polished in lockstep (:func:`_illinois`).  A third-order sample
+is decomposed once, from the draw to the soundness check: the draw
+stage's ``eigh`` spectrum of the Hessians gives definiteness, the line
+rows' adjugates and then the check's residuals and scales, which share
+one det (:func:`_scaled`).  The group elements, the
 prolongation, the residuals and the defects then run on blocks of the jet
 batch, bit for bit as one sample at a time.  The catalog's polynomial
 germs are Taylor-engine arithmetic on the coordinate germs base[i] + x_i;
@@ -45,7 +49,7 @@ from .groups import affine_element, prolong, prolong_batch, random_elements
 from .invariants import adjugates, eigenvalues, hessian_dets, pick_numerators, sym_outers
 from .jetspace import GraphJet, JetBatch, extend_rows, jet_extend, to_poly
 from .pde import PdeDescriptor, homogeneity_degree, line_degree, pick, residuals, tauring
-from .symtensor import _cubic_gather, _matrix_gather, cubic_indices
+from .symtensor import _matrix_gather, cubic_indices, full_cubics
 from .taylor import TruncatedJet, norm_rows, pow_rows, sumsq_rows
 
 
@@ -127,7 +131,7 @@ class Report:
         }
 
 
-def residual_scales(desc: PdeDescriptor, jets: JetBatch, lams=None) -> np.ndarray:
+def residual_scales(desc: PdeDescriptor, jets: JetBatch, det=None) -> np.ndarray:
     """The residual's homogeneity scale at each jet of the batch.
 
     Second order: (1 + |hess|)^degree.  Third order: each ``pick`` leaf is
@@ -135,10 +139,11 @@ def residual_scales(desc: PdeDescriptor, jets: JetBatch, lams=None) -> np.ndarra
     the scale per pick is (1 + |hess|)^(3(n-1)) (1 + |cubic|)^2 / |det hess|^3;
     the defect then measures Q itself and stays well conditioned near
     det(hess) = 0, where the residual is not.  det is the product of the
-    Hessian's ``np.linalg.eigh`` eigenvalues, ``lams`` (m, n) when the
-    caller has them (the spectrum :func:`~jetpde.pde.residuals` read).
-    Raises DegenerateHessian when a third-order scale meets the
-    degenerate locus.
+    Hessian's ``np.linalg.eigh`` eigenvalues
+    (:func:`~jetpde.invariants.hessian_dets`), or ``det`` (m,) when the
+    caller has it for rows off the degenerate locus (the det
+    :func:`~jetpde.pde.residuals` read).  Raises DegenerateHessian when a
+    third-order scale meets the degenerate locus.
     """
     degree = homogeneity_degree(desc.expr)
     n = jets.n
@@ -149,10 +154,11 @@ def residual_scales(desc: PdeDescriptor, jets: JetBatch, lams=None) -> np.ndarra
         return pow_rows(hess, degree)
     if degree == 0:
         return np.ones(len(jets))
-    det, degenerate = hessian_dets(np.linalg.eigh(H)[0] if lams is None else lams)
-    if degenerate:
-        raise next(iter(degenerate.values()))
-    cubic = 1.0 + norm_rows(jets.cubic[:, _cubic_gather(n)].reshape(len(jets), n**3))
+    if det is None:
+        det, degenerate = hessian_dets(np.linalg.eigh(H)[0])
+        if degenerate:
+            raise next(iter(degenerate.values()))
+    cubic = 1.0 + norm_rows(full_cubics(jets.cubic, n).reshape(len(jets), n**3))
     with np.errstate(divide="ignore", invalid="ignore"):  # an underflowing det^3 makes inf, a value
         per_pick = pow_rows(hess, 3 * (n - 1)) * pow_rows(cubic, 2) / pow_rows(np.abs(det), 3)
     return pow_rows(per_pick, degree / 2)
@@ -391,6 +397,15 @@ def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
     return rows[found].tolist(), jets(found, roots[found]), values[found]
 
 
+def _normals(rngs, rows, width: int) -> np.ndarray:
+    """The next ``width`` normals of each listed generator, drawn in place
+    into its row of one (len(rows), width) array."""
+    out = np.empty((len(rows), width))
+    for z, i in zip(out, rows):
+        rngs[i].standard_normal(out=z)
+    return out
+
+
 def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     """Third-order draws: a Hessian with |det| >= 0.3 (``first`` holds the
     first tries), then over a definite one a sub-bundle cubic
@@ -401,13 +416,14 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     solves it from t = -1, 0, 1).
     A round of tries makes one ``det`` or ``pick_numerators`` call; one
     spectrum of the Hessians gives definiteness and each line row's
-    adjugate for all its rounds.  Returns
-    the rows drawn, their jets and whether each lies on the sub-bundle."""
+    adjugate for all its rounds.  Returns the rows drawn, their jets,
+    whether each lies on the sub-bundle and their Hessians' spectrum,
+    ``np.linalg.eigh``'s (eigenvalues, eigenvectors)."""
     n, gather, size = lower.n, _matrix_gather(lower.n), len(cubic_indices(lower.n))
     hess, H, todo = first.copy(), first[:, gather], list(range(len(rngs)))
     for r in range(DRAW_TRIES):
         if r:
-            hess[todo] = [rngs[i].standard_normal(hess.shape[1]) for i in todo]
+            hess[todo] = _normals(rngs, todo, hess.shape[1])
             H[todo] = hess[todo][:, gather]
         todo = [i for i, d in zip(todo, np.linalg.det(H[todo]).tolist()) if not abs(d) >= 0.3]
         if not todo:
@@ -419,21 +435,20 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     orbit, lines = [i for i in drawn if definite[i]], [i for i in drawn if not definite[i]]
     cubic = np.zeros((len(rngs), size))
     if orbit:
-        W = np.array([rngs[i].standard_normal(n) for i in orbit])
-        cubic[orbit] = orbit_points(lower.take(orbit, hess[orbit]), W).cubic
-    point = np.array([rngs[i].standard_normal(size) for i in lines]).reshape(-1, size)
+        cubic[orbit] = orbit_points(lower.take(orbit, hess[orbit]), _normals(rngs, orbit, n)).cubic
+    point = _normals(rngs, lines, size)
     point[:, -1] = 0.0
     direction = np.zeros(point.shape)
     direction[:, -1] = 1.0
     A, live = adjugates(lams[lines], V[lines]), list(range(len(lines)))
     for _ in range(DRAW_TRIES if lines else 0):
         ends = point[live, None] + np.array([[0.0], [1.0], [-1.0]]) * direction[live, None]
-        q = pick_numerators(np.repeat(A[live], 3, axis=0), ends.reshape(-1, size)[:, _cubic_gather(n)])
+        q = pick_numerators(np.repeat(A[live], 3, axis=0), full_cubics(ends.reshape(-1, size), n))
         retry = []
         for k, (q0, q1, qm) in zip(live, q.reshape(-1, 3).tolist()):
             root = _line_root(qm, q0, q1, 1.0, 50.0)
             if root is None:
-                direction[k] = rngs[lines[k]].standard_normal(size)
+                rngs[lines[k]].standard_normal(out=direction[k])
                 retry.append(k)
             else:
                 cubic[lines[k]] = point[k] + root * direction[k]
@@ -442,7 +457,7 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
             break
     lost = {lines[k] for k in live}
     rows = [i for i in drawn if i not in lost]
-    return rows, lower.take(rows, hess[rows], cubic[rows]), [definite[i] for i in rows]
+    return rows, lower.take(rows, hess[rows], cubic[rows]), [definite[i] for i in rows], (lams[rows], V[rows])
 
 
 def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray, JetBatch]:
@@ -455,19 +470,19 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
     :func:`_cubic_draws`), retrying in masked rounds.  A row that is not a
     sub-bundle point of ``ORBIT_EXPRS`` is kept only when |residual| <=
     SOUNDNESS_TOL * scale, so a nan residual is unsound; one
-    :func:`_scaled` call checks them.  A row whose 1-jet or
+    :func:`_scaled` call checks them, at third order on the spectrum the
+    draw decomposed.  A row whose 1-jet or
     umbilic overflows is dropped before the solves, and so finds no root.
     """
     n, count = desc.geometry.n, len(rngs)
     exact = desc.expr in ORBIT_EXPRS
     # the 1-jet, then the first Hessian try or the umbilic parameter's two normals
     width = 2 * n + 1 + (2 if exact and desc.order == 2 else n * (n + 1) // 2)
-    z = np.empty((count, width))
-    for i, rng in enumerate(rngs):
-        rng.standard_normal(out=z[i])
+    z = _normals(rngs, range(count), width)
     with np.errstate(over="ignore"):
         one = jet_scale * z[:, : 2 * n + 1]
-    lower, top, values = JetBatch(desc.chart, one[:, :n], one[:, n], one[:, n + 1 :]), z[:, 2 * n + 1 :], None
+    lower, top = JetBatch(desc.chart, one[:, :n], one[:, n], one[:, n + 1 :]), z[:, 2 * n + 1 :]
+    values = spectrum = None
     if exact and desc.order == 2:  # tauring(2): the umbilic over each 1-jet
         lower = orbit_points(lower, top[:, 0] + np.sign(top[:, 1]) * 0.2)
     finite = np.isfinite(one).all(axis=1) & (lower.order == 1 or np.isfinite(lower.hess).all(axis=1))
@@ -475,7 +490,7 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
     if kept.size < count:
         lower, top, rngs = lower.take(kept), top[kept], [rngs[i] for i in kept]
     if desc.order == 3:
-        rows, jets, definite = _cubic_draws(rngs, lower, top)
+        rows, jets, definite, spectrum = _cubic_draws(rngs, lower, top)
         checked = [k for k, d in enumerate(definite) if not (d and exact)]
     elif exact:
         rows, checked, jets = list(range(len(lower))), [], lower
@@ -485,8 +500,11 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
         rows, jets, values = draws(desc, lower, top)
         checked = list(range(len(rows)))
     if checked:
-        sub = jets if len(checked) == len(rows) else jets.take(checked)
-        values, degenerate, _, scales = _scaled(desc, sub, values)
+        sub = jets
+        if len(checked) < len(rows):
+            sub = jets.take(checked)
+            spectrum = None if spectrum is None else tuple(a[checked] for a in spectrum)
+        values, degenerate, _, scales = _scaled(desc, sub, values, spectrum)
         if degenerate:
             raise degenerate[min(degenerate)]
         bad = (~(np.abs(values) <= SOUNDNESS_TOL * scales)).tolist()  # nan is unsound
@@ -541,20 +559,25 @@ def _report(desc: str, seed: int, attempted: int, skipped: dict, max_defect: flo
                   _passed(max_defect, tol, evaluated, attempted))
 
 
-def _scaled(desc: PdeDescriptor, jets: JetBatch, values=None):
+def _scaled(desc: PdeDescriptor, jets: JetBatch, values=None, spectrum=None):
     """The residuals of the batch's rows (``values`` when the caller has
     them), {row: DegenerateHessian} for the rows they skip, the indices of
     the other rows, the live ones, and the live rows' residual scales.  At
-    third order the residuals and the scales read one Hessian spectrum."""
-    spectrum = np.linalg.eigh(jets.hess[:, _matrix_gather(jets.n)]) if jets.order == 3 else None
+    third order the residuals and the scales read one Hessian spectrum,
+    ``np.linalg.eigh``'s (eigenvalues, eigenvectors), ``spectrum`` when the
+    caller has it, and one :func:`~jetpde.invariants.hessian_dets` of it."""
+    if jets.order == 3:
+        lams, V = np.linalg.eigh(jets.hess[:, _matrix_gather(jets.n)]) if spectrum is None else spectrum
+        spectrum = (lams, V, *hessian_dets(lams))
+    det = None if spectrum is None else spectrum[2]
     degenerate: dict = {}
     if values is None:
         values, degenerate = residuals(desc, jets, spectrum)
-    live, lams = np.arange(len(jets)), None if spectrum is None else spectrum[0]
+    live = np.arange(len(jets))
     if degenerate:
         live = np.delete(live, list(degenerate))
-        jets, lams = jets.take(live), None if lams is None else lams[live]
-    return values, degenerate, live, residual_scales(desc, jets, lams)
+        jets, det = jets.take(live), None if det is None else det[live]
+    return values, degenerate, live, residual_scales(desc, jets, det)
 
 
 def _evaluate(desc: PdeDescriptor, jets: JetBatch, skipped: dict) -> tuple[float, np.ndarray]:
@@ -581,10 +604,11 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     residuals and defects are then computed in blocks of at most
     BLOCK_SAMPLES samples, the skip counts and maxima added up over the
     blocks, and a sample skipped by one step (prolongation first, then the
-    residual) reaches no later step.  A JetError other than a skip
-    raises, for instance DivisionByZero from a custom quotient expression
-    whose denominator vanishes at a sample; a bad config raises
-    SchemaMismatch before any draw.
+    residual) reaches no later step.  A Euclidean block's ratio check
+    (:func:`_ratio_defects`) reads one stacked ``eigenvalues`` call.  A
+    JetError other than a skip raises, for instance DivisionByZero from a
+    custom quotient expression whose denominator vanishes at a sample; a
+    bad config raises SchemaMismatch before any draw.
     """
     for name, value in (("seed", cfg.seed), ("count", cfg.count)):
         if not (isinstance(value, numbers.Integral) and value >= 0):
@@ -603,16 +627,17 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     for start in range(0, drawn.size, BLOCK_SAMPLES):
         block = slice(start, start + BLOCK_SAMPLES)
         elements = random_elements(tag, generators(states[count + drawn[block]]), cfg.scale)
-        sub = jets.take(block)
+        sub = jets if drawn.size <= BLOCK_SAMPLES else jets.take(block)
         moved, skips = prolong_batch(elements, sub)
         for exc in skips.values():
             skipped[SKIP_EXCEPTIONS[type(exc)]] += 1
         defect, live = _evaluate(desc, moved, skipped)
         max_defect, evaluated = max(max_defect, defect), evaluated + len(live)
-        if tag.name == "euclidean" and len(live):
-            before, after = sub.take(np.delete(np.arange(len(sub)), list(skips))[live]), moved.take(live)
-            ratios = _ratio_defects(eigenvalues(before.grad, before.hess[:, _matrix_gather(tag.n)]),
-                                    eigenvalues(after.grad, after.hess[:, _matrix_gather(tag.n)]))
+        if tag.name == "euclidean" and len(live):  # the live rows before the move, then after it
+            before = np.delete(np.arange(len(sub)), list(skips))[live]
+            lams = eigenvalues(np.concatenate((sub.grad[before], moved.grad[live])),
+                               np.concatenate((sub.hess[before], moved.hess[live]))[:, _matrix_gather(tag.n)])
+            ratios = _ratio_defects(lams[: len(live)], lams[len(live) :])
             max_ratio = float(np.fmax.reduce(ratios, initial=max_ratio))  # a nan ratio is passed over
     return _report(desc.desc_id, cfg.seed, count, skipped, max_defect, evaluated, cfg.tol, max_ratio)
 
