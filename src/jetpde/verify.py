@@ -401,8 +401,8 @@ def _normals(rngs, rows, width: int) -> np.ndarray:
     """The next ``width`` normals of each listed generator, drawn in place
     into its row of one (len(rows), width) array."""
     out = np.empty((len(rows), width))
-    for z, i in zip(out, rows):
-        rngs[i].standard_normal(out=z)
+    for k, i in enumerate(rows):
+        rngs[i].standard_normal(out=out[k])
     return out
 
 
@@ -436,11 +436,13 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     cubic = np.zeros((len(rngs), size))
     if orbit:
         cubic[orbit] = orbit_points(lower.take(orbit, hess[orbit]), _normals(rngs, orbit, n)).cubic
-    point = _normals(rngs, lines, size)
-    point[:, -1] = 0.0
-    direction = np.zeros(point.shape)
-    direction[:, -1] = 1.0
-    A, live = adjugates(lams[lines], V[lines]), list(range(len(lines)))
+    live = list(range(len(lines)))
+    if lines:  # with no indefinite row there is no line to set up
+        point = _normals(rngs, lines, size)
+        point[:, -1] = 0.0
+        direction = np.zeros(point.shape)
+        direction[:, -1] = 1.0
+        A = adjugates(lams[lines], V[lines])
     for _ in range(DRAW_TRIES if lines else 0):
         ends = point[live, None] + np.array([[0.0], [1.0], [-1.0]]) * direction[live, None]
         q = pick_numerators(np.repeat(A[live], 3, axis=0), full_cubics(ends.reshape(-1, size), n))
@@ -457,7 +459,8 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
             break
     lost = {lines[k] for k in live}
     rows = [i for i in drawn if i not in lost]
-    return rows, lower.take(rows, hess[rows], cubic[rows]), [definite[i] for i in rows], (lams[rows], V[rows])
+    spectrum = (lams, V) if len(rows) == len(rngs) else (lams[rows], V[rows])
+    return rows, lower.take(rows, hess[rows], cubic[rows]), [definite[i] for i in rows], spectrum
 
 
 def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray, JetBatch]:
