@@ -397,12 +397,12 @@ def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
     return rows[found].tolist(), jets(found, roots[found]), values[found]
 
 
-def _normals(rngs, rows, width: int) -> np.ndarray:
-    """The next ``width`` normals of each listed generator, drawn in place
-    into its row of one (len(rows), width) array."""
-    out = np.empty((len(rows), width))
-    for k, i in enumerate(rows):
-        rngs[i].standard_normal(out=out[k])
+def _normals(rngs, width: int) -> np.ndarray:
+    """The next ``width`` normals of each generator, drawn in place into
+    its row of one (len(rngs), width) array."""
+    out = np.empty((len(rngs), width))
+    for k, rng in enumerate(rngs):
+        rng.standard_normal(out=out[k])
     return out
 
 
@@ -423,7 +423,7 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     hess, H, todo = first.copy(), first[:, gather], list(range(len(rngs)))
     for r in range(DRAW_TRIES):
         if r:
-            hess[todo] = _normals(rngs, todo, hess.shape[1])
+            hess[todo] = _normals([rngs[i] for i in todo], hess.shape[1])
             H[todo] = hess[todo][:, gather]
         todo = [i for i, d in zip(todo, np.linalg.det(H[todo]).tolist()) if not abs(d) >= 0.3]
         if not todo:
@@ -435,10 +435,10 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     orbit, lines = [i for i in drawn if definite[i]], [i for i in drawn if not definite[i]]
     cubic = np.zeros((len(rngs), size))
     if orbit:
-        cubic[orbit] = orbit_points(lower.take(orbit, hess[orbit]), _normals(rngs, orbit, n)).cubic
+        cubic[orbit] = orbit_points(lower.take(orbit, hess[orbit]), _normals([rngs[i] for i in orbit], n)).cubic
     live = list(range(len(lines)))
     if lines:  # with no indefinite row there is no line to set up
-        point = _normals(rngs, lines, size)
+        point = _normals([rngs[i] for i in lines], size)
         point[:, -1] = 0.0
         direction = np.zeros(point.shape)
         direction[:, -1] = 1.0
@@ -481,7 +481,9 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
     exact = desc.expr in ORBIT_EXPRS
     # the 1-jet, then the first Hessian try or the umbilic parameter's two normals
     width = 2 * n + 1 + (2 if exact and desc.order == 2 else n * (n + 1) // 2)
-    z = _normals(rngs, range(count), width)
+    z = np.empty((count, width))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=z[i])
     with np.errstate(over="ignore"):
         one = jet_scale * z[:, : 2 * n + 1]
     lower, top = JetBatch(desc.chart, one[:, :n], one[:, n], one[:, n + 1 :]), z[:, 2 * n + 1 :]
