@@ -225,9 +225,9 @@ def residuals(desc: PdeDescriptor, jets: JetBatch, spectrum=None) -> tuple[np.nd
     The leaves are the stacked invariants of the rows, each leaf computed
     once, so each row is bitwise the value a batch of one gives.  The
     ``pick`` leaf reads det and adjugate off one spectrum of the rows' full
-    Hessians, ``np.linalg.eigh``'s eigenvalues and eigenvectors followed by
-    :func:`~jetpde.invariants.hessian_dets` of the eigenvalues, (lams, V,
-    det, degenerate): ``spectrum`` when the caller has it, else its own.  A skipped
+    Hessians, ``np.linalg.eigh``'s eigenvalues and eigenvectors, and one
+    :func:`~jetpde.invariants.hessian_dets` of them: ``spectrum``, (lams, V,
+    det, degenerate), when the caller has it, else its own.  A skipped
     row's value is nan, so no later node can raise for it.  numpy warnings
     are off: as for Python floats, an overflow or an inf - inf is a value,
     which a report counts as an infinite defect.
@@ -244,11 +244,8 @@ def residuals(desc: PdeDescriptor, jets: JetBatch, spectrum=None) -> tuple[np.nd
     def pick_leaf() -> np.ndarray:
         # the normalized jet has hess = 2 eps, so the pick norm against eps
         # is 8 pick_norm(hess, C0) = 8 Q / det^3
-        if spectrum is None:
-            lams, V = np.linalg.eigh(H)
-            det, degenerate = hessian_dets(lams)
-        else:
-            lams, V, det, degenerate = spectrum
+        lams, V = np.linalg.eigh(H) if spectrum is None else spectrum[:2]
+        det, degenerate = hessian_dets(lams) if spectrum is None else spectrum[2:]
         skipped.update(degenerate)
         out = 8.0 * pick_numerators(adjugates(lams, V), full_cubics(jets.cubic, jets.n)) / pow_rows(det, 3)
         out[list(degenerate)] = np.nan  # computed like the others: no row reads another

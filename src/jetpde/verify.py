@@ -139,8 +139,7 @@ def residual_scales(desc: PdeDescriptor, jets: JetBatch, det=None) -> np.ndarray
     the scale per pick is (1 + |hess|)^(3(n-1)) (1 + |cubic|)^2 / |det hess|^3;
     the defect then measures Q itself and stays well conditioned near
     det(hess) = 0, where the residual is not.  det is the product of the
-    Hessian's ``np.linalg.eigh`` eigenvalues
-    (:func:`~jetpde.invariants.hessian_dets`), or ``det`` (m,) when the
+    Hessian's ``np.linalg.eigh`` eigenvalues, or ``det`` (m,) when the
     caller has it for rows off the degenerate locus (the det
     :func:`~jetpde.pde.residuals` read).  Raises DegenerateHessian when a
     third-order scale meets the degenerate locus.
