@@ -13,14 +13,13 @@ import argparse
 import errno
 import functools
 import json
-import math
 import os
 import shutil
 import sys
 
 import numpy as np
 
-from .errors import JetError, SchemaMismatch
+from .errors import JetError, SchemaMismatch, check_nonnegative
 from .geometries import GEOMETRIES, GEOMETRY
 from .groups import GeometryTag, element_to_json, normalize_to_origin
 from .jetspace import jet_from_json, jet_to_json
@@ -154,8 +153,7 @@ def cmd_verify(args) -> int:
     else:
         for flag, value in (("--points", args.points), ("--seed", args.seed),
                             ("--point-scale", args.point_scale)):
-            if not 0 <= value < math.inf:
-                raise UsageError(f"{flag} must be finite and >= 0, got {value}")
+            check_nonnegative(flag, value)
         if args.points >= MAX_COUNT:
             raise UsageError(f"--points must be below 2^32, got {args.points}")
         rng = np.random.default_rng(args.seed)

@@ -1,6 +1,7 @@
-"""Exception taxonomy shared by all jetpde modules, and the integer check
-of their JSON readers."""
+"""Exception taxonomy shared by all jetpde modules, the integer check of
+their JSON readers and the one range rule of their float inputs."""
 
+import math
 import numbers
 
 
@@ -70,3 +71,9 @@ def integer_field(d: dict, key: str) -> int:
     if isinstance(d[key], bool) or not isinstance(d[key], numbers.Integral):
         raise SchemaMismatch(f"{key} must be an integer, got {d[key]!r}")
     return int(d[key])
+
+
+def check_nonnegative(name: str, value) -> None:
+    """The one range rule of the numeric inputs of ``verify`` and the CLI."""
+    if not 0.0 <= value < math.inf:  # nan fails too
+        raise SchemaMismatch(f"{name} must be finite and >= 0, got {value}")

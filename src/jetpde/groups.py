@@ -22,7 +22,6 @@ the jet there (push, regraph, extend).  It runs on a batch:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import NamedTuple
 
@@ -33,10 +32,11 @@ from .errors import (
     NotGraph,
     OrderUnderflow,
     SchemaMismatch,
+    check_nonnegative,
     integer_field,
 )
 from .geometries import GEOMETRIES, GEOMETRY, Geometry
-from .invariants import Signature, _trace, hessian_congruence
+from .invariants import Signature, _identity, _trace, hessian_congruence
 from .jetspace import GraphJet, JetBatch, extend_rows, poly_rows
 from .taylor import (
     MAX_VARS,
@@ -463,14 +463,6 @@ def _abs_power_norms(B2: np.ndarray, B4: np.ndarray, B8: np.ndarray, v: np.ndarr
     return v
 
 
-@functools.lru_cache(maxsize=None)
-def _ones_and_eye(k: int) -> tuple[np.ndarray, np.ndarray]:
-    ones, eye = np.ones(k), np.eye(k)
-    ones.setflags(write=False)
-    eye.setflags(write=False)
-    return ones, eye
-
-
 def _pade_structure(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The powers L of each matrix of a stack A (N, k, k), the index of its
     degree in _PADE_DEGREES, its scaling s, and whether it has no
@@ -479,7 +471,7 @@ def _pade_structure(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     entry finite.  The norms of a non-finite matrix are inf or nan: they
     are read quietly, never cast to int."""
     N, k = A.shape[:2]
-    one = _ones_and_eye(k)[0]
+    one = np.ones(k)
     L = np.empty((N, 10, k, k))
     np.abs(A, out=L[:, 4])
     L[:, 5] = A
@@ -553,7 +545,7 @@ def expm(A) -> np.ndarray:
         W += T[:, 1]
         U = np.matmul(X, W[:, 0])
         R = np.linalg.solve((W[:, 1] - U).swapaxes(1, 2), (2.0 * U).swapaxes(1, 2))
-        R = R.swapaxes(1, 2) + _ones_and_eye(k)[1]
+        R = R.swapaxes(1, 2) + _identity(k)
         for i in range(int(s.max()) if scaled else 0):
             R = np.where((s > i)[:, None, None], R @ R, R)
         if any_bad:
@@ -569,21 +561,26 @@ def _skew(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M - M.swapaxes(-1, -2))
 
 
+def normals(rngs, width: int) -> np.ndarray:
+    """The next ``width`` normals of each generator, drawn in place into its
+    row of one (len(rngs), width) array: the one reader of a sample's
+    generator, for its element here and its jet in ``verify``."""
+    out = np.empty((len(rngs), width))
+    for k, rng in enumerate(rngs):
+        rng.standard_normal(out=out[k])
+    return out
+
+
 def _draw_elements(tag: GeometryTag, rngs, scale: float) -> Elements:
     """Unchecked elements, one per generator: each generator fills its
-    Lie-algebra element's normals, then its shift's, by one call into its
-    row of one preallocated stack, then the stack is made into Lie-algebra
+    Lie-algebra element's normals, then its shift's, into its row of one
+    stack (:func:`normals`), then the stack is made into Lie-algebra
     elements and one stacked :func:`expm` and re-projection make the group
-    elements.  The scale must be finite, and an exponential that overflows
-    raises before the re-projection."""
-    if scale < 0:
-        raise SchemaMismatch("scale must be non-negative")
-    if not math.isfinite(scale):
-        raise SchemaMismatch("scale must be finite")
+    elements.  The scale must pass :func:`~jetpde.errors.check_nonnegative`,
+    and an exponential that overflows raises before the re-projection."""
+    check_nonnegative("scale", scale)
     n, k = tag.n, tag.facts.size(tag.n)
-    z = np.empty((len(rngs), k * k + (n + 1 if tag.facts.shifted else 0)))
-    for i, rng in enumerate(rngs):
-        rng.standard_normal(out=z[i])
+    z = normals(rngs, k * k + (n + 1 if tag.facts.shifted else 0))
     gens = z[:, : k * k].reshape(len(rngs), k, k)
     shifts = z[:, k * k :] if tag.facts.shifted else None
     # an overflow to inf or nan is caught by _check_finite, not warned about

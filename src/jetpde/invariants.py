@@ -48,7 +48,7 @@ import numpy as np
 from .errors import DegenerateHessian, SingularMetric, WrongDimension
 from .exactpoly import Poly
 from .jetspace import GraphJet
-from .symtensor import SymCubic, SymMatrix, cubic_indices
+from .symtensor import SymCubic, SymMatrix, _matrix_gather, cubic_indices
 from .taylor import pow_rows, sumsq_rows
 
 SINGULAR_METRIC_RTOL = 1e-12
@@ -223,8 +223,8 @@ def cubic_trace(g: SymMatrix, C: SymCubic) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _sym_outer_columns(n: int) -> np.ndarray:
     """Per stored cubic entry (i, j, k): i, j, k and the storage positions of g_jk, g_ik, g_ij."""
-    at = [[max(a, b) * (max(a, b) + 1) // 2 + min(a, b) for b in range(n)] for a in range(n)]
-    return np.array([(i, j, k, at[j][k], at[i][k], at[i][j]) for i, j, k in cubic_indices(n)]).T
+    at = _matrix_gather(n)
+    return np.array([(i, j, k, at[j, k], at[i, k], at[i, j]) for i, j, k in cubic_indices(n)]).T
 
 
 def sym_outers(W: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ the zero set.  Residuals are normalized by a local homogeneity scale so
 the tolerances are scale-free.  Sampling is counter-based per index, so a
 report is a pure function of (descriptor, config) regardless of schedule:
 sample i's generators are ``default_rng((seed, i))`` and
-``default_rng((seed, i, 1))``, and :func:`seed_states` hashes the seeds of
-a whole report in one pass.  One draw stage (:func:`sample_rows`) draws
+``default_rng((seed, i, 1))``, :func:`seed_states` hashes the seeds of a
+whole report in one pass, and :func:`~jetpde.groups.normals` is the one
+reader of either generator.  One draw stage (:func:`sample_rows`) draws
 every sample, each from its own generator, with its retries in masked
 rounds.  Along a line in the affine fibre of J^k -> J^(k-1) a residual is
 often a polynomial of degree <= 2 (:func:`~jetpde.pde.line_degree`); there
@@ -26,8 +27,8 @@ two-dimensional.  ``check_solution`` builds each germ at its point, then
 extends them to one jet batch for the same evaluation stage (residual,
 skips, scale, worst defect).  A power that overflows in a residual or a
 scale is +-inf (:func:`~jetpde.taylor.pow_rows`), a value and not an
-error; seed and count must be integers >= 0, the group scale, the jet
-scale and the tolerance finite and >= 0.
+error; seed and count must be integers >= 0, and the group scale, the jet
+scale and the tolerance pass :func:`~jetpde.errors.check_nonnegative`.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ import sys
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch
-from .groups import affine_element, prolong, prolong_batch, random_elements
+from .errors import ChartDomain, DegenerateHessian, NotGraph, SchemaMismatch, check_nonnegative
+from .groups import affine_element, normals, prolong, prolong_batch, random_elements
 from .invariants import adjugates, eigenvalues, hessian_dets, pick_numerators, sym_outers
 from .jetspace import GraphJet, JetBatch, extend_rows, jet_extend, to_poly
 from .pde import PdeDescriptor, homogeneity_degree, line_degree, pick, residuals, tauring
@@ -396,23 +397,14 @@ def _line_draws(desc: PdeDescriptor, lower: JetBatch, entries: np.ndarray):
     return rows[found].tolist(), jets(found, roots[found]), values[found]
 
 
-def _normals(rngs, width: int) -> np.ndarray:
-    """The next ``width`` normals of each generator, drawn in place into
-    its row of one (len(rngs), width) array."""
-    out = np.empty((len(rngs), width))
-    for k, rng in enumerate(rngs):
-        rng.standard_normal(out=out[k])
-    return out
-
-
 def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     """Third-order draws: a Hessian with |det| >= 0.3 (``first`` holds the
     first tries), then over a definite one a sub-bundle cubic
     (:func:`orbit_points`; there Q is definite in the cubic, so the
     sub-bundle is its zero set), over an
     indefinite one a root of Q along the last coefficient of a drawn cubic,
-    then along fresh lines (Q is quadratic in t, so :func:`_line_root`
-    solves it from t = -1, 0, 1).
+    then along fresh lines, drawn after a round for its rows without a root
+    (Q is quadratic in t, so :func:`_line_root` solves it from t = -1, 0, 1).
     A round of tries makes one ``det`` or ``pick_numerators`` call; one
     spectrum of the Hessians gives definiteness and each line row's
     adjugate for all its rounds.  Returns the rows drawn, their jets,
@@ -422,7 +414,7 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     hess, H, todo = first.copy(), first[:, gather], list(range(len(rngs)))
     for r in range(DRAW_TRIES):
         if r:
-            hess[todo] = _normals([rngs[i] for i in todo], hess.shape[1])
+            hess[todo] = normals([rngs[i] for i in todo], hess.shape[1])
             H[todo] = hess[todo][:, gather]
         todo = [i for i, d in zip(todo, np.linalg.det(H[todo]).tolist()) if not abs(d) >= 0.3]
         if not todo:
@@ -434,29 +426,28 @@ def _cubic_draws(rngs, lower: JetBatch, first: np.ndarray):
     orbit, lines = [i for i in drawn if definite[i]], [i for i in drawn if not definite[i]]
     cubic = np.zeros((len(rngs), size))
     if orbit:
-        cubic[orbit] = orbit_points(lower.take(orbit, hess[orbit]), _normals([rngs[i] for i in orbit], n)).cubic
-    live = list(range(len(lines)))
+        cubic[orbit] = orbit_points(lower.take(orbit, hess[orbit]), normals([rngs[i] for i in orbit], n)).cubic
+    live = lines  # the rows still drawing a line
     if lines:  # with no indefinite row there is no line to set up
-        point = _normals([rngs[i] for i in lines], size)
+        point = normals([rngs[i] for i in lines], size)
         point[:, -1] = 0.0
         direction = np.zeros(point.shape)
         direction[:, -1] = 1.0
         A = adjugates(lams[lines], V[lines])
-    for _ in range(DRAW_TRIES if lines else 0):
-        ends = point[live, None] + np.array([[0.0], [1.0], [-1.0]]) * direction[live, None]
-        q = pick_numerators(np.repeat(A[live], 3, axis=0), full_cubics(ends.reshape(-1, size), n))
-        retry = []
-        for k, (q0, q1, qm) in zip(live, q.reshape(-1, 3).tolist()):
-            root = _line_root(qm, q0, q1, 1.0, 50.0)
-            if root is None:
-                rngs[lines[k]].standard_normal(out=direction[k])
-                retry.append(k)
-            else:
-                cubic[lines[k]] = point[k] + root * direction[k]
-        live = retry
+    for _ in range(DRAW_TRIES if lines else 0):  # point, direction and A hold the live rows
+        ends = point[:, None] + np.array([[0.0], [1.0], [-1.0]]) * direction[:, None]
+        q = pick_numerators(np.repeat(A, 3, axis=0), full_cubics(ends.reshape(-1, size), n))
+        roots = [_line_root(qm, q0, q1, 1.0, 50.0) for q0, q1, qm in q.reshape(-1, 3).tolist()]
+        for j, root in enumerate(roots):
+            if root is not None:
+                cubic[live[j]] = point[j] + root * direction[j]
+        keep = [j for j, root in enumerate(roots) if root is None]
+        live = [live[j] for j in keep]
         if not live:
             break
-    lost = {lines[k] for k in live}
+        point, A = point[keep], A[keep]
+        direction = normals([rngs[i] for i in live], size)
+    lost = set(live)
     rows = [i for i in drawn if i not in lost]
     spectrum = (lams, V) if len(rows) == len(rngs) else (lams[rows], V[rows])
     return rows, lower.take(rows, hess[rows], cubic[rows]), [definite[i] for i in rows], spectrum
@@ -480,9 +471,7 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
     exact = desc.expr in ORBIT_EXPRS
     # the 1-jet, then the first Hessian try or the umbilic parameter's two normals
     width = 2 * n + 1 + (2 if exact and desc.order == 2 else n * (n + 1) // 2)
-    z = np.empty((count, width))
-    for i, rng in enumerate(rngs):
-        rng.standard_normal(out=z[i])
+    z = normals(rngs, width)
     with np.errstate(over="ignore"):
         one = jet_scale * z[:, : 2 * n + 1]
     lower, top = JetBatch(desc.chart, one[:, :n], one[:, n], one[:, n + 1 :]), z[:, 2 * n + 1 :]
@@ -521,9 +510,9 @@ def sample_rows(desc: PdeDescriptor, rngs, jet_scale: float) -> tuple[np.ndarray
 def sample_on_zero_set(desc: PdeDescriptor, rng, jet_scale: float) -> GraphJet | None:
     """A random jet solving the PDE, or None when the draw found no root (a
     line polish that meets a nan residual finds none, nor does a root whose
-    residual is nan): the batch of one of :func:`sample_rows`.  The jet
-    scale must be finite and >= 0."""
-    _check_nonnegative("jet scale", jet_scale)
+    residual is nan): the batch of one of :func:`sample_rows`, its jet
+    scale checked by :func:`~jetpde.errors.check_nonnegative`."""
+    check_nonnegative("jet scale", jet_scale)
     rows, jets = sample_rows(desc, [rng], jet_scale)
     return jets.jet(0) if rows.size else None
 
@@ -543,11 +532,6 @@ def _ratio_defects(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     cross = np.abs(l1[:, i] * pairings[..., k] - l1[:, k] * pairings[..., i])
     worst = np.fmax.reduce(cross, axis=2, initial=0.0)  # fmax passes over a nan term
     return np.where(small, 0.0, np.minimum(*worst) / np.where(small, 1.0, s))
-
-
-def _check_nonnegative(name: str, value: float) -> None:
-    if not 0.0 <= value < math.inf:
-        raise SchemaMismatch(f"{name} must be finite and >= 0, got {value}")
 
 
 def _passed(max_defect: float, tol: float, evaluated: int, attempted: int) -> bool:
@@ -620,7 +604,7 @@ def invariance_report(desc: PdeDescriptor, cfg: SampleConfig) -> Report:
     if cfg.count >= MAX_COUNT:
         raise SchemaMismatch(f"count must be below 2^32, got {cfg.count}")
     for name, value in (("scale", cfg.scale), ("jet scale", cfg.jet_scale), ("tol", cfg.tol)):
-        _check_nonnegative(name, value)
+        check_nonnegative(name, value)
     tag, count = desc.geometry, cfg.count
     skipped = {k: 0 for k in SKIP_KINDS}
     states = seed_states(cfg.seed, count)
@@ -731,27 +715,23 @@ def scherk(base, order: int) -> TruncatedJet:
 def sheared_quadric(base, order: int, Q=None, w=(0.3, -0.2)) -> TruncatedJet:
     """Germ at ``base`` of the image of {u = x^T Q x} under x -> x + u w.
 
-    The germ is produced by the prolongation oracle: locate the preimage by
-    fixed-point iteration, take the quadric's jet there and push it through
-    the shear.
+    The germ is produced by the prolongation oracle: the preimage is
+    x = base - s w with s = x^T Q x, a root of
+    a s^2 - (w^T (Q + Q^T) base + 1) s + base^T Q base = 0, a = w^T Q w.  Its
+    root c / q by the stable formula tends to base^T Q base as w -> 0, and
+    for a definite Q the shear's Jacobian is positive there.  A point with
+    no real root, or whose preimage is not finite, is a ChartDomain.  The
+    quadric's jet at x is then pushed through the shear.
     """
     base = np.asarray(base, dtype=float)
     n = base.size
     Q = np.eye(n) if Q is None else _shaped("Q", Q, (n, n))
     w = _shaped("w", w, (n,))
-    x = base.copy()
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for _ in range(200):
-                x_new = base - float(x @ Q @ x) * w
-                if np.max(np.abs(x_new - x)) < 1e-15:
-                    x = x_new
-                    break
-                x = x_new
-            else:
-                raise ChartDomain("shear preimage iteration did not converge")
-    except FloatingPointError as exc:  # an overflowing iteration has diverged
-        raise ChartDomain("shear preimage iteration diverged") from exc
+    with np.errstate(all="ignore"):  # no real root, or an overflow, leaves x non-finite
+        a, b, c = w @ Q @ w, -(w @ (Q + Q.T) @ base) - 1.0, base @ Q @ base
+        x = base - c / (-0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))) * w
+    if not np.isfinite(x).all():
+        raise ChartDomain("no point of the quadric shears to this point")
     j = jet_extend(quadric_germ(Q, x, order), x, order, chart="affine")
     A = np.eye(n + 1)
     A[1:, 0] = w
@@ -785,8 +765,9 @@ def check_solution(desc: PdeDescriptor, germ_name: str, points, tol: float = Sam
     evaluation stage of :func:`invariance_report`.  A
     JetError other than a skip raises, for instance DivisionByZero from a
     custom quotient expression whose denominator vanishes at a point; a
-    tol that is not finite and >= 0 raises SchemaMismatch."""
-    _check_nonnegative("tol", tol)
+    tol that fails :func:`~jetpde.errors.check_nonnegative` raises
+    SchemaMismatch."""
+    check_nonnegative("tol", tol)
     catalog = solution_catalog()
     if germ_name not in catalog:
         raise SchemaMismatch(f"unknown catalog surface {germ_name!r}")

@@ -555,13 +555,24 @@ class TestCheckSolution:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sheared_quadric_divergent_preimage(self):
-        # far out the preimage fixed point diverges: each such point is a
-        # chart_domain skip, reached without a numpy overflow warning
+        # the preimage x = p - s w solves s = x^T x, a quadratic in s: a point
+        # is a chart_domain skip exactly when it has no real root, reached
+        # without a numpy warning, and every other point is evaluated
         pts = 3.0 * np.random.default_rng(0).uniform(-1.0, 1.0, size=(200, 2))
         rep = check_solution(build(A2, "affine_cubic"), "sheared_quadric", pts)
-        assert rep.skipped == {"chart_domain": 142, "degenerate_hessian": 0,
+        assert rep.skipped == {"chart_domain": 106, "degenerate_hessian": 0,
                                "no_root": 0, "not_graph": 0}
-        assert rep.evaluated == 58 and rep.passed
+        assert rep.evaluated == 94 and rep.passed
+        w = np.array([0.3, -0.2])
+        rootless = (2.0 * pts @ w + 1.0) ** 2 - 4.0 * (w @ w) * (pts * pts).sum(axis=1) < 0.0
+        assert rootless.sum() == 106
+        for p, none in zip(pts, rootless):
+            try:
+                sheared_quadric(p, 3)
+            except ChartDomain:
+                assert none
+            else:
+                assert not none
 
     def test_paraboloid_affine_images_zero_F(self):
         germ = sheared_quadric(np.array([0.1, -0.3]), 3, Q=np.diag([1.0, -1.0]), w=(0.2, 0.5))
